@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import validate_admissibility
+from .costs import check_diameter, validate_admissibility
 from .curvature import SERIES_SWITCH, coefficient_arrays
 from .errors import AdmissibilityError
 from .expressions import evaluate_jet
@@ -47,8 +47,7 @@ class ScanConfig:
     strict_margin: float = 1e-12
 
     def __post_init__(self):
-        if not self.diameter > 0.0:
-            raise ValueError("diameter must be positive")
+        check_diameter(self.diameter)
         if self.dimension < 2:
             raise ValueError("dimension must be at least 2")
         if self.grid_points < 256:

@@ -247,9 +247,29 @@ def build_parser():
     return parser
 
 
+# Options whose values may start with "-" (costs such as -cosh(z), vectors
+# such as -0.5,0.2), which argparse would otherwise read as an option flag.
+_DASH_VALUE_OPTIONS = frozenset({"--cost", "--u", "--v", "--w", "--f"})
+
+
+def _attach_dash_values(argv):
+    """Rewrite "--v -0.5,0.2" as "--v=-0.5,0.2" for the options above.
+
+    A following "--" token is left alone, so that a missing value is still
+    reported by argparse.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _DASH_VALUE_OPTIONS and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

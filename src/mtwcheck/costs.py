@@ -7,7 +7,8 @@ inverse h is well defined on [-|l'(D)|, |l'(D)|] and odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,6 +19,12 @@ from .jets import Jet
 
 EVENNESS_TOL = 1e-10
 SIGN_TOL = 1e-12
+
+
+def check_diameter(diameter):
+    """Reject a working diameter that is not a finite positive number."""
+    if not 0.0 < diameter < math.inf:
+        raise ValueError(f"diameter must be finite and positive, got {diameter!r}")
 
 
 @dataclass(frozen=True)
@@ -35,10 +42,12 @@ class CostFunction:
     lprime_sign: int
     analytic_inverse: Optional[Callable] = None
     name: Optional[str] = None
+    # memo of zmax; a plain property rather than functools.cached_property,
+    # which would bypass wrappers installed on the property
+    _zmax: Optional[float] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.diameter > 0.0:
-            raise ValueError("diameter must be positive")
+        check_diameter(self.diameter)
         if self.lprime_sign not in (-1, 1):
             raise ValueError("lprime_sign must be -1 or +1")
 
@@ -54,8 +63,13 @@ class CostFunction:
 
     @property
     def zmax(self):
-        """|l'(diameter)|: the radius of the invertible range of l'."""
-        return abs(float(self.lprime(self.diameter)))
+        """|l'(diameter)|: the radius of the invertible range of l'.
+
+        Computed on first access; the fields it depends on are frozen.
+        """
+        if self._zmax is None:
+            object.__setattr__(self, "_zmax", abs(float(self.lprime(self.diameter))))
+        return self._zmax
 
     def h(self, y):
         return inverse_lprime(self, y)
@@ -128,6 +142,7 @@ def make_cost(text_or_expr, diameter, lprime_sign=None, analytic_inverse=None, n
     else:
         expression = text_or_expr
         text = pretty(expression)
+    check_diameter(diameter)  # before _infer_sign probes l at the diameter
     if lprime_sign is None:
         lprime_sign = _infer_sign(expression, diameter)
     return CostFunction(expression=expression, text=text, diameter=float(diameter),

@@ -25,7 +25,7 @@ import numpy as np
 from .costs import eval_cost_jet, inverse_lprime
 from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
 from .geometry import Point, SpaceForm, TangentVector
-from .jets import Jet, compose_series, jet_compose
+from .jets import N_COEFFS, Jet, _power_coeff, compose_series, jet_compose
 
 # Below this argument A, B and the coefficient functions switch from direct
 # evaluation at basepoint z to evaluation of their series at basepoint 0,
@@ -82,19 +82,26 @@ class MtwInput:
 def _revert(w):
     """Compositional inverse of a series with zero constant term.
 
-    w must be a formal jet at 0 with w1 != 0.  The fixed-point iteration
-    g <- (t - sum_{k>=2} w_k g^k)/w_1 gains one exact order per pass.
+    w must be a formal jet at 0 with w1 != 0.  The inverse g is found order by
+    order: g1 = 1/w1 and, for n = 2..6, coefficient n of w(g(t)) = t gives
+
+        g_n = -(sum_{k=2..n} w_k [t^n] g^k) / w_1,
+
+    with the power table [t^n] g^k = sum_{j>=1} g_j [t^(n-j)] g^(k-1).  For
+    k >= 2 that entry only involves g_1..g_(n-k+1), so column n of the table
+    is complete before g_n is needed, and each g_n is exact given w_1..w_n.
     """
     c = w.coeffs
-    t = Jet((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=w.basepoint)
-    inv_w1 = 1.0 / c[1]
-    g = t * inv_w1
-    for _ in range(7):
-        tail = c[5] + g * c[6]
-        for k in (4, 3, 2):
-            tail = c[k] + g * tail
-        g = (t - g * g * tail) * inv_w1
-    return g
+    g = [0.0, 1.0 / c[1]]
+    # powers[k][n] = [t^n] g^k, filled column by column as g grows
+    powers = [None, g] + [[0.0] * N_COEFFS for _ in range(2, N_COEFFS)]
+    for n in range(2, N_COEFFS):
+        acc = 0.0
+        for k in range(2, n + 1):
+            powers[k][n] = _power_coeff(g, powers[k - 1], k, n)
+            acc = acc + c[k] * powers[k][n]
+        g.append(-acc * g[1])
+    return Jet(g, basepoint=w.basepoint)
 
 
 def _lprime_increment_series(ljet):

@@ -164,17 +164,34 @@ def _check_domain(name, bad_mask, values):
         raise DomainError(f"{name} evaluated outside its domain at {offending}", value=offending)
 
 
-def _compose_table(table, a):
-    """Compose a derivative-coefficient table with jet a by Horner evaluation.
+def _power_coeff(d, prev, k, m):
+    """[t^m] d^k from the row prev[i] = [t^i] d^(k-1), for d with d[0] = 0.
 
-    table[k] must equal f^(k)(a0)/k! at a0 = a.coeffs[0]; the increment
-    a - a0 has zero constant term, so the truncated Horner sum is exact.
+    Only d[1..m-k+1] and prev[k-1..m-1] enter, since [t^i] d^(k-1) vanishes
+    for i < k-1.
     """
-    incr = Jet((0.0,) + a.coeffs[1:], a.basepoint)
-    out = Jet.constant(table[ORDER], basepoint=a.basepoint)
-    for k in range(ORDER - 1, -1, -1):
-        out = out * incr + table[k]
-    return out
+    return sum(d[j] * prev[m - j] for j in range(1, m - k + 2))
+
+
+def _compose_table(table, a):
+    """Compose a derivative-coefficient table with jet a from a power table.
+
+    table[k] must equal f^(k)(a0)/k! at a0 = a.coeffs[0].  With d = a - a0,
+    coefficient n of f(a) is sum_{k<=n} table[k] * [t^n] d^k, built from the
+    power rows [t^m] d^k = sum_{j>=1} d_j [t^(m-j)] d^(k-1).  The increment d
+    has zero constant term, so [t^n] d^k vanishes for k > n: the rows up to
+    k = 6 hold every term through order 6 and the sum is exact there.  Only
+    the previous row is kept while the next one is built, so no more than
+    two rows of batch-wide temporaries are alive at once.
+    """
+    d = a.coeffs
+    out = [table[0]] + [table[1] * d[n] for n in range(1, N_COEFFS)]
+    row = d  # [t^m] d^1; d[0] is never read
+    for k in range(2, N_COEFFS):
+        row = [None] * k + [_power_coeff(d, row, k, m) for m in range(k, N_COEFFS)]
+        for n in range(k, N_COEFFS):
+            out[n] = out[n] + table[k] * row[n]
+    return Jet(out, a.basepoint)
 
 
 def _integrate(dfda, a, value0):

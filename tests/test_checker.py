@@ -7,8 +7,10 @@ from helpers import random_orthogonal_pair
 from mtwcheck import (A3S, A3W_ONLY, FAILS, MtwInput, ScanConfig, SpaceForm,
                       classify_point, mtw_closed, parse_cost, perturbation_check,
                       preset, scan_conditions, scan_table)
-from mtwcheck.errors import AdmissibilityError
+from mtwcheck.checker import _noise_band
 from mtwcheck.costs import make_cost
+from mtwcheck.curvature import coefficient_arrays
+from mtwcheck.errors import AdmissibilityError
 
 
 def test_classify_all_negative_is_strict():
@@ -197,3 +199,16 @@ def test_quartic_coefficients_track_minus_eight_eps():
     for key in ("alpha", "beta", "gamma", "delta"):
         rel = np.abs(prof[key] - (-8.0 * eps)) / (8.0 * eps)
         assert np.max(rel) < 0.10, key
+
+
+@pytest.mark.parametrize("name,K", [("sq", 0), ("log-cosh", -1), ("neg-log-cosh", -1)])
+def test_noise_sits_orders_below_band(name, K):
+    # coefficients that vanish identically expose pure roundoff; the band
+    # comment in checker.py promises about 1.5 orders of headroom
+    cost = preset(name, 2.0)
+    z = np.linspace(0.0, cost.zmax, 65536)
+    prof = coefficient_arrays(cost, K, z)
+    band = _noise_band(z, prof)
+    for key in ("beta", "gamma", "delta"):
+        ratio = float(np.max(np.abs(prof[key]) / band))
+        assert ratio <= 10.0 ** -1.5, (name, key, ratio)

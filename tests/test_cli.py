@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -169,3 +170,43 @@ def test_quartic_check_via_cli(capsys):
                        "--dim", "3", "--diameter", "1")
     assert code == 0
     assert "A3s" in out
+
+
+def test_dash_values_as_separate_tokens(capsys):
+    code, out, err = run(capsys, "eval", "--cost", "neg-cosh", "--K", "-1", "--dim", "2",
+                         "--u", "1,0", "--v", "-0.5,0.2", "--w", "0,1", "--json")
+    assert code == 0, err
+    values = json.loads(out)["values"]
+    assert abs(values["closed"] - values["jacobi"]) <= 1e-8
+    code, out, err = run(capsys, "check", "--cost", "-cosh(z)", "--K", "-1",
+                         "--dim", "3", "--json")
+    assert code == 0, err
+    assert json.loads(out)["verdict"] == "A3s"
+    code, out, err = run(capsys, "perturb", "--f", "-4*z^2", "--k", "-1", "--b", "1")
+    assert code == 0, err
+    assert "holds" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--K", "0", "--dim", "2", "--cost"],
+    ["check", "--cost", "--K", "0", "--dim", "2"],
+])
+def test_missing_option_value_still_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--cost: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--cost", "neg-cosh", "--K", "-1", "--dim", "2"],
+    ["check", "--cost", "z^2/2", "--K", "0", "--dim", "2"],
+    ["eval", "--cost", "sq", "--K", "0", "--dim", "2", "--u", "1,0", "--v", "0,1",
+     "--w", "1,1"],
+])
+def test_infinite_diameter_exit_2(capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *command, "--diameter", "inf")
+    assert code == 2
+    assert "diameter" in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import CANONICAL_CASES
 
-from mtwcheck import (eval_cost_jet, inverse_lprime, make_cost, preset,
+from mtwcheck import (costs, eval_cost_jet, inverse_lprime, make_cost, preset,
                       validate_admissibility)
 from mtwcheck.costs import _newton_inverse
 from mtwcheck.errors import AdmissibilityError, OutOfRangeError
@@ -134,3 +134,21 @@ def test_quartic_admissibility_guard():
 def test_unknown_preset():
     with pytest.raises(ValueError):
         preset("does-not-exist", 1.0)
+
+
+def test_zmax_evaluated_once(monkeypatch):
+    calls = []
+
+    def counting(cost, z0):
+        calls.append(z0)
+        return eval_cost_jet(cost, z0)
+
+    monkeypatch.setattr(costs, "eval_cost_jet", counting)
+    cost = preset("neg-cosh", 2.0)
+    values = [cost.zmax for _ in range(5)]
+    assert values == [pytest.approx(np.sinh(2.0), rel=1e-15)] * 5
+    assert calls == [2.0]
+    # the memo is not part of the cost's identity
+    fresh = preset("neg-cosh", 2.0)
+    assert fresh == cost and hash(fresh) == hash(cost)
+    assert "zmax" not in repr(cost)

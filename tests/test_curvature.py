@@ -1,5 +1,7 @@
 """Closed-form profiles, the Jacobi map, and the two analytic curvature routes."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from helpers import random_orthogonal_pair
@@ -7,8 +9,9 @@ from helpers import random_orthogonal_pair
 from mtwcheck import (MtwInput, SpaceForm, coefficients, compute_AB, decompose,
                       jacobi_map_closed, make_cost, mtw_closed, mtw_via_jacobi,
                       preset)
-from mtwcheck.curvature import coefficient_arrays
+from mtwcheck.curvature import _revert, coefficient_arrays
 from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
+from mtwcheck.jets import Jet
 
 
 def test_ab_identity_cost():
@@ -316,3 +319,37 @@ def test_vectorized_profile_matches_scalar():
         scalar = coefficients(cost, -1, float(zs[i]))
         assert prof["alpha"][i] == pytest.approx(scalar.alpha, abs=1e-14)
         assert prof["delta"][i] == pytest.approx(scalar.delta, abs=1e-14)
+
+
+def _random_rationals(rng, count):
+    return [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10))) for _ in range(count)]
+
+
+def _sympy_reversion(w):
+    """Exact coefficients of the compositional inverse of sum_k w[k] t^k."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.ring_series import rs_series_reversion
+    qq = sympy.QQ
+    _, x, y = sympy.polys.rings.ring("x, y", qq)
+    series = sum(qq(c.numerator, c.denominator) * x ** k for k, c in enumerate(w) if k)
+    inverse = rs_series_reversion(series, x, len(w), y)
+    return [Fraction(0)] + [Fraction(int(c.numerator), int(c.denominator))
+                            for c in (inverse.coeff(y ** n) for n in range(1, len(w)))]
+
+
+@pytest.mark.parametrize("w1_sign", [1, -1])
+def test_revert_matches_sympy_reversion(w1_sign):
+    rng = np.random.default_rng(11 if w1_sign > 0 else 12)
+    lanes = []
+    for _ in range(10):
+        w = [Fraction(0), w1_sign * Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))]
+        lanes.append(w + _random_rationals(rng, 5))
+    scalar_lanes, array_lanes = lanes[:5], lanes[5:]
+    got = [_revert(Jet([float(c) for c in w])).coeffs[1:] for w in scalar_lanes]
+    # the same reversion on coefficient arrays of shape (5,), one lane per series
+    batch = _revert(Jet([np.array([float(w[k]) for w in array_lanes]) for k in range(7)]))
+    got += [[c[lane] for c in batch.coeffs[1:]] for lane in range(len(array_lanes))]
+    for w, g in zip(lanes, got):
+        reference = [float(c) for c in _sympy_reversion(w)[1:]]
+        for n, (value, ref) in enumerate(zip(g, reference), start=1):
+            assert abs(value - ref) <= 1e-13 * abs(ref), (w, n, value, ref)

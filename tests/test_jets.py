@@ -163,3 +163,44 @@ def test_derivative_accessor_uses_factorials():
     jet = Jet(tuple(1.0 / _FACTORIAL[k] for k in range(N_COEFFS)), basepoint=0.0)
     for k in range(N_COEFFS):
         assert jet.derivative(k) == pytest.approx(1.0)
+
+
+_TABLE_DOMAINS = {
+    "exp": (-2.0, 2.0), "log": (0.5, 3.0), "sqrt": (0.5, 3.0),
+    "sin": (-3.0, 3.0), "cos": (-3.0, 3.0), "tan": (-1.2, 1.2),
+    "sinh": (-2.0, 2.0), "cosh": (-2.0, 2.0),
+}
+
+
+def _taylor_of_composite(mpmath, name, a):
+    """Taylor coefficients of f(a(t)) at t = 0 for a polynomial a, at 40 digits."""
+    f = getattr(mpmath, name)
+    with mpmath.mp.workdps(40):
+        coeffs = [mpmath.mpf(c) for c in a]
+        ref = mpmath.taylor(lambda t: f(sum(c * t ** k for k, c in enumerate(coeffs))),
+                            0, N_COEFFS - 1)
+    return [float(r) for r in ref]
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_DOMAINS))
+def test_table_composition_matches_mpmath_taylor(name):
+    # every coefficient of the inner jet is nonzero, so all powers of the
+    # increment up to the sixth enter the composition
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    lo, hi = _TABLE_DOMAINS[name]
+
+    def inner():
+        return [rng.uniform(lo, hi)] + list(0.3 * rng.uniform(-1.0, 1.0, N_COEFFS - 1))
+
+    scalar_cases = [inner() for _ in range(3)]
+    lanes = [inner() for _ in range(4)]
+    array_jet = Jet([np.array(c) for c in zip(*lanes)], basepoint=0.0)
+    array_coeffs = [np.asarray(c) for c in jet_compose(name, array_jet).coeffs]
+    got = [coeffs(jet_compose(name, Jet(a, basepoint=0.0))) for a in scalar_cases]
+    got += [np.array([c[lane] for c in array_coeffs]) for lane in range(len(lanes))]
+    for a, value in zip(scalar_cases + lanes, got):
+        reference = _taylor_of_composite(mpmath, name, a)
+        for n in range(N_COEFFS):
+            assert abs(value[n] - reference[n]) <= 1e-13 * max(1.0, abs(reference[n])), \
+                (name, a, n, value[n], reference[n])
