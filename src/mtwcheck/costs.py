@@ -13,9 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AdmissibilityError, ConvergenceFailure, OutOfRangeError
+from .errors import (AdmissibilityError, ConvergenceFailure, DegenerateJetError, DomainError,
+                     OutOfRangeError)
 from .expressions import Expr, evaluate, evaluate_jet, parse_cost, pretty
-from .jets import Jet
+from .jets import N_COEFFS, Jet
 
 EVENNESS_TOL = 1e-10
 SIGN_TOL = 1e-12
@@ -75,9 +76,30 @@ class CostFunction:
         return inverse_lprime(self, y)
 
 
-def eval_cost_jet(cost, z0):
-    """Order-6 jet of l at z0 by structural recursion over the AST."""
-    return evaluate_jet(cost.expression, Jet.variable(z0))
+def eval_cost_jet(cost, z0, length=N_COEFFS):
+    """Jet of l at z0, of the given length (order 6 by default), by
+    structural recursion over the AST."""
+    return evaluate_jet(cost.expression, Jet.variable(z0, length))
+
+
+def _jet_on_interval(jet_of_l, text, z):
+    """jet_of_l(z): the jet of the cost l at z in its working interval.
+
+    z is a scalar or an array.  An l that cannot be evaluated there, with
+    its derivatives, is not an admissible cost: the error names the cost
+    and the first such z.
+    """
+    try:
+        return jet_of_l(z)
+    except (DomainError, DegenerateJetError):
+        for point in np.atleast_1d(z).tolist():
+            try:
+                jet_of_l(point)
+            except (DomainError, DegenerateJetError) as exc:
+                raise AdmissibilityError(
+                    "undefined", point,
+                    f"cost {text!r} is undefined at z = {point!r} ({exc})") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -98,11 +120,12 @@ def validate_admissibility(cost, grid_size=256):
     Evenness: odd-order Taylor coefficients at 0 must vanish, and l(z)-l(-z)
     must vanish at sampled points.  Sign: l'' on a uniform grid must match the
     declared lprime_sign and stay away from zero.  Returns a report; callers
-    that need an exception use report.raise_if_violated().
+    that need an exception use report.raise_if_violated().  An l that is
+    undefined at a point it is evaluated at raises AdmissibilityError.
     """
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
-    jet0 = cost.jet(0.0)
+    jet0 = _jet_on_interval(cost.jet, cost.text, 0.0)
     scale = max(1.0, max(abs(float(c)) for c in jet0.coeffs))
     for k in (1, 3, 5):
         if abs(float(jet0.coeffs[k])) > EVENNESS_TOL * scale:
@@ -114,7 +137,7 @@ def validate_admissibility(cost, grid_size=256):
         return AdmissibilityReport(False, cost.lprime_sign, "not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, grid_size)
-    lpp = 2.0 * np.asarray(cost.jet(grid).coeffs[2])
+    lpp = 2.0 * np.asarray(_jet_on_interval(cost.jet, cost.text, grid).coeffs[2])
     near_zero = np.abs(lpp) <= SIGN_TOL * scale
     if np.any(near_zero):
         return AdmissibilityReport(False, cost.lprime_sign, "lpp-zero", float(grid[near_zero][0]))
@@ -125,9 +148,12 @@ def validate_admissibility(cost, grid_size=256):
     return AdmissibilityReport(True, cost.lprime_sign)
 
 
-def _infer_sign(expression, diameter):
-    probes = np.array([0.0, diameter / 2.0, diameter])
-    lpp = np.array([2.0 * float(evaluate_jet(expression, Jet.variable(z)).coeffs[2])
+def _infer_sign(expression, text, diameter):
+    def jet_of_l(z):
+        return evaluate_jet(expression, Jet.variable(z))
+
+    probes = (0.0, diameter / 2.0, diameter)
+    lpp = np.array([2.0 * float(_jet_on_interval(jet_of_l, text, z).coeffs[2])
                     for z in probes])
     pick = int(np.argmax(np.abs(lpp)))
     return 1 if lpp[pick] >= 0.0 else -1
@@ -144,7 +170,7 @@ def make_cost(text_or_expr, diameter, lprime_sign=None, analytic_inverse=None, n
         text = pretty(expression)
     check_diameter(diameter)  # before _infer_sign probes l at the diameter
     if lprime_sign is None:
-        lprime_sign = _infer_sign(expression, diameter)
+        lprime_sign = _infer_sign(expression, text, diameter)
     return CostFunction(expression=expression, text=text, diameter=float(diameter),
                         lprime_sign=lprime_sign, analytic_inverse=analytic_inverse,
                         name=name)

@@ -25,7 +25,7 @@ import numpy as np
 from .costs import eval_cost_jet, inverse_lprime
 from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
 from .geometry import Point, SpaceForm, TangentVector
-from .jets import N_COEFFS, Jet, _power_coeff, compose_series, jet_compose
+from .jets import Jet, _power_coeff, compose_series, jet_compose
 
 # Below this argument A, B and the coefficient functions switch from direct
 # evaluation at basepoint z to evaluation of their series at basepoint 0,
@@ -82,8 +82,9 @@ class MtwInput:
 def _revert(w):
     """Compositional inverse of a series with zero constant term.
 
-    w must be a formal jet at 0 with w1 != 0.  The inverse g is found order by
-    order: g1 = 1/w1 and, for n = 2..6, coefficient n of w(g(t)) = t gives
+    w must be a formal jet at 0 with w1 != 0; g has w's length L.  The
+    inverse is found order by order: g1 = 1/w1 and, for n = 2..L-1,
+    coefficient n of w(g(t)) = t gives
 
         g_n = -(sum_{k=2..n} w_k [t^n] g^k) / w_1,
 
@@ -92,10 +93,11 @@ def _revert(w):
     is complete before g_n is needed, and each g_n is exact given w_1..w_n.
     """
     c = w.coeffs
-    g = [0.0, 1.0 / c[1]]
+    length = len(c)
+    g = [0.0, 1.0 / c[1]] if length > 1 else [0.0]
     # powers[k][n] = [t^n] g^k, filled column by column as g grows
-    powers = [None, g] + [[0.0] * N_COEFFS for _ in range(2, N_COEFFS)]
-    for n in range(2, N_COEFFS):
+    powers = [None, g] + [[0.0] * length for _ in range(2, length)]
+    for n in range(2, length):
         acc = 0.0
         for k in range(2, n + 1):
             powers[k][n] = _power_coeff(g, powers[k - 1], k, n)
@@ -107,12 +109,13 @@ def _revert(w):
 def _lprime_increment_series(ljet):
     """Formal series of l'(h0 + u) - l'(h0) from the jet of l at h0.
 
-    The degree-6 coefficient would need order 7 of l and is set to zero;
-    at basepoint 0 it genuinely vanishes because l' is odd.
+    The series has the jet's length L.  Its top coefficient would need order
+    L of l and is set to zero; for L = 7 at basepoint 0 it genuinely
+    vanishes because l' is odd.
     """
     c = ljet.coeffs
-    coeffs = [0.0] + [(k + 1) * c[k + 1] for k in range(1, 6)] + [0.0]
-    return Jet(coeffs, basepoint=0.0)
+    coeffs = [0.0] + [(k + 1) * c[k + 1] for k in range(1, len(c) - 1)] + [0.0]
+    return Jet(coeffs[:len(c)], basepoint=0.0)
 
 
 def _check_pole(K, h0):
@@ -123,14 +126,29 @@ def _check_pole(K, h0):
 
 
 def _ab_jets_direct(cost, K, z):
-    """Jets of A and B at basepoint z (scalar or array, entries > 0)."""
+    """Jets of A and B at basepoint z (scalar or array, entries > 0).
+
+    Both are exact through order 2, all that the profiles read, and are
+    built from jets no longer than that needs.  A = 1/h' through order 2
+    needs h through order 3, so g_1..g_3 of the reversion of
+    w(u) = l'(h0 + u) - l'(h0); g_n needs w_1..w_n, and w_n = (n+1) l_(n+1)
+    needs l through order 4.  So l^(4) -> g_3 -> A'' is the longest chain,
+    and l is evaluated at length 5.  B needs h only through order 2.  Every
+    operation on a truncated jet computes its coefficient n from operand
+    coefficients of order <= n, in the same order as at full length, so the
+    coefficients kept are bitwise those of the order-6 computation.
+    """
     h0 = np.asarray(inverse_lprime(cost, z))
     _check_pole(K, h0)
-    ljet = eval_cost_jet(cost, h0)
-    g = _revert(_lprime_increment_series(ljet))
-    hjet = Jet((h0,) + g.coeffs[1:6] + (0.0,), basepoint=z)
-    a_jet = 1.0 / hjet.series_derivative()
-    zjet = Jet.variable(z)
+    ljet = eval_cost_jet(cost, h0, 5)
+    # w_4 would need l^(5); the series is padded with a zero there, so drop it
+    w = _lprime_increment_series(ljet)
+    g = _revert(Jet(w.coeffs[:4]))
+    # h' of a length-4 h has a zero for its order-3 coefficient, so A is
+    # exact through order 2 only
+    a_jet = 1.0 / Jet((h0,) + g.coeffs[1:], basepoint=z).series_derivative()
+    hjet = Jet((h0,) + g.coeffs[1:3], basepoint=z)
+    zjet = Jet.variable(z, 3)
     if K == -1:
         b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
     elif K == 0:

@@ -252,7 +252,7 @@ def evaluate(expr, z):
 def evaluate_jet(expr, jet):
     """Evaluate an AST over a jet argument by structural recursion."""
     if isinstance(expr, Lit):
-        return Jet.constant(expr.value, basepoint=jet.basepoint)
+        return Jet.constant(expr.value, basepoint=jet.basepoint, length=len(jet.coeffs))
     if isinstance(expr, Var):
         return jet
     if isinstance(expr, Neg):

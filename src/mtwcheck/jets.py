@@ -1,10 +1,18 @@
-"""Truncated Taylor arithmetic: scalar jets of fixed order 6.
+"""Truncated Taylor arithmetic: scalar jets of up to order 6.
 
 A jet stores the Taylor-normalized coefficients c_k = f^(k)(z0)/k! of a
-scalar function at a basepoint z0, for k = 0..6.  Arithmetic and composition
-with elementary functions propagate coefficients exactly through order 6,
-which covers fourth derivatives plus the two extra orders consumed by
-series limits at z = 0.
+scalar function at a basepoint z0, for k = 0..L-1 with 1 <= L <= 7.
+Arithmetic and composition with elementary functions propagate coefficients
+exactly through order L-1.  Order 6 covers fourth derivatives plus the two
+extra orders consumed by series limits at z = 0; a computation that reads
+fewer orders asks for a shorter jet.
+
+Truncation rule: a binary operation on jets of lengths L1 and L2 returns a
+jet of length min(L1, L2), and a scalar operand is promoted to a constant
+jet of the other operand's length.  Coefficient n of every result depends
+only on operand coefficients of order <= n, and is accumulated in the same
+order at every length, so the coefficients a shorter jet keeps are bitwise
+equal to those of the full-length computation.
 
 Coefficients may be plain floats or numpy arrays of a common shape, so a
 single jet can carry a whole batch of basepoints at once; all operations
@@ -28,7 +36,7 @@ def _same_basepoint(a, b):
 
 
 class Jet:
-    """Order-6 truncated Taylor expansion of a scalar function at a point."""
+    """Truncated Taylor expansion of a scalar function at a point, order <= 6."""
 
     __slots__ = ("coeffs", "basepoint")
 
@@ -38,19 +46,19 @@ class Jet:
 
     def __init__(self, coeffs, basepoint=0.0):
         coeffs = tuple(coeffs)
-        if len(coeffs) != N_COEFFS:
-            raise ValueError(f"a jet has exactly {N_COEFFS} coefficients, got {len(coeffs)}")
+        if not 1 <= len(coeffs) <= N_COEFFS:
+            raise ValueError(f"a jet has 1 to {N_COEFFS} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
         self.basepoint = basepoint
 
     @classmethod
-    def variable(cls, z0):
+    def variable(cls, z0, length=N_COEFFS):
         """Jet of the identity function z -> z at z0: (z0, 1, 0, ..., 0)."""
-        return cls((z0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=z0)
+        return cls(((z0, 1.0) + (0.0,) * (length - 2))[:length], basepoint=z0)
 
     @classmethod
-    def constant(cls, value, basepoint=0.0):
-        return cls((value, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=basepoint)
+    def constant(cls, value, basepoint=0.0, length=N_COEFFS):
+        return cls((value,) + (0.0,) * (length - 1), basepoint=basepoint)
 
     @property
     def value(self):
@@ -61,20 +69,21 @@ class Jet:
         return self.coeffs[k] * _FACTORIAL[k]
 
     def series_derivative(self):
-        """Jet of f' at the same basepoint.
+        """Jet of f' at the same basepoint, of the same length.
 
-        The top coefficient would need order 7 of f and is set to 0: the
-        result is exact through order 5 only.
+        The top coefficient would need one more order of f and is set to 0:
+        for a jet of length L the result is exact through order L-2 only.
         """
         c = self.coeffs
-        return Jet(tuple((k + 1) * c[k + 1] for k in range(ORDER)) + (0.0,), self.basepoint)
+        return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)) + (0.0,),
+                   self.basepoint)
 
     def _promote(self, other):
         if isinstance(other, Jet):
             if not _same_basepoint(self, other):
                 raise ValueError("jet arithmetic requires a common basepoint")
             return other
-        return Jet.constant(other, basepoint=self.basepoint)
+        return Jet.constant(other, basepoint=self.basepoint, length=len(self.coeffs))
 
     def __neg__(self):
         return Jet(tuple(-c for c in self.coeffs), self.basepoint)
@@ -97,7 +106,7 @@ class Jet:
         other = self._promote(other)
         a, b = self.coeffs, other.coeffs
         out = []
-        for k in range(N_COEFFS):
+        for k in range(min(len(a), len(b))):
             acc = a[0] * b[k]
             for i in range(1, k + 1):
                 acc = acc + a[i] * b[k - i]
@@ -114,7 +123,7 @@ class Jet:
             raise DegenerateJetError("division by a jet with zero constant term")
         a, b = self.coeffs, other.coeffs
         out = [a[0] / b[0]]
-        for k in range(1, N_COEFFS):
+        for k in range(1, min(len(a), len(b))):
             acc = a[k]
             for j in range(k):
                 acc = acc - out[j] * b[k - j]
@@ -122,7 +131,7 @@ class Jet:
         return Jet(out, self.basepoint)
 
     def __rtruediv__(self, other):
-        return Jet.constant(other, basepoint=self.basepoint).__truediv__(self)
+        return self._promote(other).__truediv__(self)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -130,7 +139,7 @@ class Jet:
         n = int(n)
         if n < 0:
             return 1.0 / self.__pow__(-n)
-        result = Jet.constant(1.0, basepoint=self.basepoint)
+        result = Jet.constant(1.0, basepoint=self.basepoint, length=len(self.coeffs))
         base = self
         while n:
             if n & 1:
@@ -180,16 +189,18 @@ def _compose_table(table, a):
     coefficient n of f(a) is sum_{k<=n} table[k] * [t^n] d^k, built from the
     power rows [t^m] d^k = sum_{j>=1} d_j [t^(m-j)] d^(k-1).  The increment d
     has zero constant term, so [t^n] d^k vanishes for k > n: the rows up to
-    k = 6 hold every term through order 6 and the sum is exact there.  Only
-    the previous row is kept while the next one is built, so no more than
-    two rows of batch-wide temporaries are alive at once.
+    k = L-1 hold every term through order L-1, for L the shorter of the
+    table and the jet, and the sum is exact there.  Only the previous row is
+    kept while the next one is built, so no more than two rows of batch-wide
+    temporaries are alive at once.
     """
     d = a.coeffs
-    out = [table[0]] + [table[1] * d[n] for n in range(1, N_COEFFS)]
+    length = min(len(table), len(d))
+    out = [table[0]] + [table[1] * d[n] for n in range(1, length)]
     row = d  # [t^m] d^1; d[0] is never read
-    for k in range(2, N_COEFFS):
-        row = [None] * k + [_power_coeff(d, row, k, m) for m in range(k, N_COEFFS)]
-        for n in range(k, N_COEFFS):
+    for k in range(2, length):
+        row = [None] * k + [_power_coeff(d, row, k, m) for m in range(k, length)]
+        for n in range(k, length):
             out[n] = out[n] + table[k] * row[n]
     return Jet(out, a.basepoint)
 
@@ -197,75 +208,76 @@ def _compose_table(table, a):
 def _integrate(dfda, a, value0):
     """Jet of F(a(z)) from F(a0) and the jet of F'(a(z)).
 
-    Uses F(a)' = F'(a) a'; the antiderivative recurrence is exact through
-    order 6 because the integrand only needs orders 0..5.
+    Uses F(a)' = F'(a) a'; for a jet a of length L the antiderivative
+    recurrence is exact through order L-1 because the integrand only needs
+    orders 0..L-2.
     """
     g = dfda * a.series_derivative()
     coeffs = [value0]
-    for k in range(1, N_COEFFS):
+    for k in range(1, len(a.coeffs)):
         coeffs.append(g.coeffs[k - 1] / k)
     return Jet(coeffs, a.basepoint)
 
 
-def _table_exp(a0):
+def _table_exp(a0, length):
     e = np.exp(a0)
-    return tuple(e / _FACTORIAL[k] for k in range(N_COEFFS))
+    return tuple(e / _FACTORIAL[k] for k in range(length))
 
 
-def _table_log(a0):
+def _table_log(a0, length):
     r = 1.0 / a0
     table = [np.log(a0)]
     p = r
-    for k in range(1, N_COEFFS):
+    for k in range(1, length):
         table.append(p / k if k % 2 == 1 else -p / k)
         p = p * r
     return tuple(table)
 
 
-def _table_sqrt(a0):
+def _table_sqrt(a0, length):
     table = [np.sqrt(a0)]
-    for k in range(1, N_COEFFS):
+    for k in range(1, length):
         table.append(table[-1] * (0.5 - (k - 1)) / (k * a0))
     return tuple(table)
 
 
-def _table_circular(a0, even, odd, signs):
+def _table_circular(a0, even, odd, signs, length):
     vals = (even(a0), odd(a0))
-    return tuple(signs[k % 4] * vals[k % 2] / _FACTORIAL[k] for k in range(N_COEFFS))
+    return tuple(signs[k % 4] * vals[k % 2] / _FACTORIAL[k] for k in range(length))
+
+
+def _compose_circular(a, even, odd, signs):
+    return _compose_table(_table_circular(a.coeffs[0], even, odd, signs, len(a.coeffs)), a)
 
 
 def _compose_sin(a):
-    table = _table_circular(a.coeffs[0], np.sin, np.cos, (1.0, 1.0, -1.0, -1.0))
-    return _compose_table(table, a)
+    return _compose_circular(a, np.sin, np.cos, (1.0, 1.0, -1.0, -1.0))
 
 
 def _compose_cos(a):
-    table = _table_circular(a.coeffs[0], np.cos, np.sin, (1.0, -1.0, -1.0, 1.0))
-    return _compose_table(table, a)
+    return _compose_circular(a, np.cos, np.sin, (1.0, -1.0, -1.0, 1.0))
 
 
 def _compose_sinh(a):
-    table = _table_circular(a.coeffs[0], np.sinh, np.cosh, (1.0, 1.0, 1.0, 1.0))
-    return _compose_table(table, a)
+    return _compose_circular(a, np.sinh, np.cosh, (1.0, 1.0, 1.0, 1.0))
 
 
 def _compose_cosh(a):
-    table = _table_circular(a.coeffs[0], np.cosh, np.sinh, (1.0, 1.0, 1.0, 1.0))
-    return _compose_table(table, a)
+    return _compose_circular(a, np.cosh, np.sinh, (1.0, 1.0, 1.0, 1.0))
 
 
 def _compose_exp(a):
-    return _compose_table(_table_exp(a.coeffs[0]), a)
+    return _compose_table(_table_exp(a.coeffs[0], len(a.coeffs)), a)
 
 
 def _compose_log(a):
     _check_domain("log", np.asarray(a.coeffs[0]) <= 0.0, a.coeffs[0])
-    return _compose_table(_table_log(a.coeffs[0]), a)
+    return _compose_table(_table_log(a.coeffs[0], len(a.coeffs)), a)
 
 
 def _compose_sqrt(a):
     _check_domain("sqrt", np.asarray(a.coeffs[0]) <= 0.0, a.coeffs[0])
-    return _compose_table(_table_sqrt(a.coeffs[0]), a)
+    return _compose_table(_table_sqrt(a.coeffs[0], len(a.coeffs)), a)
 
 
 def _compose_tan(a):
@@ -317,6 +329,7 @@ def jet_compose(name, a):
 def compose_series(table, a):
     """Jet of F o a given the Taylor table of F at a's constant term.
 
-    table[k] = F^(k)(a0)/k! with a0 = a.coeffs[0]; exact through order 6.
+    table[k] = F^(k)(a0)/k! with a0 = a.coeffs[0].  The result has the
+    shorter of the two lengths and is exact through its top order.
     """
     return _compose_table(table, a)

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
-from mtwcheck.cli import CSV_COLUMNS, RunReport, main, resolve_cost
+from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
 
 
 def run(capsys, *argv):
@@ -210,3 +212,38 @@ def test_infinite_diameter_exit_2(capsys, command):
         code, _, err = run(capsys, *command, "--diameter", "inf")
     assert code == 2
     assert "diameter" in err
+
+
+def _csv_writer_reference(path, table):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for row in zip(*(table[name] for name in CSV_COLUMNS)):
+            writer.writerow([f"{value:.17g}" for value in row])
+
+
+@pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_csv_bytes_match_csv_writer(tmp_path, rows):
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7e308, -1.7e308,
+               0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]
+    rng = np.random.default_rng(rows)
+    table = {}
+    for i, name in enumerate(CSV_COLUMNS):
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
+        picks = rng.integers(0, len(special), rows)
+        mask = rng.uniform(size=rows) < 0.3
+        values[mask] = np.array(special)[picks[mask]]
+        values[0] = special[i % len(special)]
+        table[name] = values
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    _write_csv(got, table)
+    _csv_writer_reference(expected, table)
+    assert got.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("cost,K", [("-log(1-cos(z))", "1"), ("1/z", "0")])
+def test_singular_cost_exit_2(capsys, cost, K):
+    code, _, err = run(capsys, "check", f"--cost={cost}", "--K", K, "--dim", "2")
+    assert code == 2
+    assert f"cost {cost!r} is undefined at z = 0.0" in err
+    assert "Traceback" not in err

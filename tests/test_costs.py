@@ -49,6 +49,17 @@ def test_sign_change_detected():
     assert 0.0 < report.witness <= 1.0
 
 
+def test_undefined_cost_names_first_grid_point():
+    # log(4 - z^2) is even and defined at 0, but not from z = 2 on, the
+    # 171st point of the 256-point admissibility grid on [0, 3]
+    cost = make_cost("log(4-z^2)", 3.0, lprime_sign=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(AdmissibilityError) as err:
+            validate_admissibility(cost)
+    assert err.value.kind == "undefined" and err.value.witness == 2.0
+    assert "'log(4-z^2)' is undefined at z = 2.0" in str(err.value)
+
+
 def test_inverse_identity_cost():
     cost = preset("sq", 1.0)
     assert inverse_lprime(cost, 0.3) == pytest.approx(0.3, abs=1e-14)

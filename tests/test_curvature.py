@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import random_orthogonal_pair
+from helpers import CANONICAL_CASES, random_orthogonal_pair
 
 from mtwcheck import (MtwInput, SpaceForm, coefficients, compute_AB, decompose,
                       jacobi_map_closed, make_cost, mtw_closed, mtw_via_jacobi,
                       preset)
-from mtwcheck.curvature import _revert, coefficient_arrays
+from mtwcheck.cli import resolve_cost
+from mtwcheck.costs import eval_cost_jet, inverse_lprime
+from mtwcheck.curvature import (SERIES_SWITCH, _lprime_increment_series, _revert,
+                                coefficient_arrays)
+from mtwcheck.jets import jet_compose
 from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
 from mtwcheck.jets import Jet
 
@@ -353,3 +357,41 @@ def test_revert_matches_sympy_reversion(w1_sign):
         reference = [float(c) for c in _sympy_reversion(w)[1:]]
         for n, (value, ref) in enumerate(zip(g, reference), start=1):
             assert abs(value - ref) <= 1e-13 * abs(ref), (w, n, value, ref)
+
+
+def _direct_profiles_full_order(cost, K, z):
+    """A, B and alpha..delta on the direct branch from order-6 jets throughout."""
+    h0 = np.asarray(inverse_lprime(cost, z))
+    g = _revert(_lprime_increment_series(eval_cost_jet(cost, h0)))
+    hjet = Jet((h0,) + g.coeffs[1:6] + (0.0,), basepoint=z)
+    a_jet = 1.0 / hjet.series_derivative()
+    zjet = Jet.variable(z)
+    if K == -1:
+        b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
+    elif K == 0:
+        b_jet = zjet / hjet
+    else:
+        b_jet = zjet * jet_compose("cos", hjet) / jet_compose("sin", hjet)
+    A, Ap, Add = a_jet.coeffs[0], a_jet.coeffs[1], 2.0 * a_jet.coeffs[2]
+    B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2.0 * b_jet.coeffs[2]
+    amb = A - B
+    return {"A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
+            "alpha": (z * z * Add + 6.0 * amb - 4.0 * z * (Ap - Bp)) / (z * z),
+            "beta": (z * Ap - 2.0 * amb) / (z * z), "gamma": Bdd, "delta": Bp / z}
+
+
+_IDENTITY_CASES = [(name if eps is None else f"quartic({eps!r})", K, D)
+                   for name, K, D, eps in CANONICAL_CASES] + [("log(cosh(z))", -1, 2.0)]
+
+
+@pytest.mark.parametrize("text,K,D", _IDENTITY_CASES)
+def test_direct_branch_matches_full_order_jets(text, K, D):
+    # the direct branch truncates l, h, A and B to the orders it reads; the
+    # coefficients it keeps must equal those of order-6 jets bit for bit
+    cost = resolve_cost(text, D)
+    z = np.linspace(0.0, cost.zmax, 4096)
+    z = z[z >= SERIES_SWITCH]
+    prof = coefficient_arrays(cost, K, z)
+    reference = _direct_profiles_full_order(cost, K, z)
+    for key, expected in reference.items():
+        assert np.array_equal(prof[key], expected), key

@@ -5,10 +5,13 @@ import zlib
 import numpy as np
 import pytest
 from helpers import central_derivative
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtwcheck import Jet, jet_arith, jet_compose
+from mtwcheck.curvature import _revert
 from mtwcheck.errors import DegenerateJetError, DomainError
-from mtwcheck.jets import _FACTORIAL, N_COEFFS
+from mtwcheck.jets import _COMPOSITIONS, _FACTORIAL, N_COEFFS, compose_series
 
 
 def coeffs(jet):
@@ -204,3 +207,48 @@ def test_table_composition_matches_mpmath_taylor(name):
         for n in range(N_COEFFS):
             assert abs(value[n] - reference[n]) <= 1e-13 * max(1.0, abs(reference[n])), \
                 (name, a, n, value[n], reference[n])
+
+
+def test_jet_length_bounds():
+    with pytest.raises(ValueError):
+        Jet(())
+    with pytest.raises(ValueError):
+        Jet((1.0,) * (N_COEFFS + 1))
+    assert Jet.variable(0.5, 1).coeffs == (0.5,)
+    assert Jet.variable(0.5, 3).coeffs == (0.5, 1.0, 0.0)
+    assert Jet.constant(2.0, length=2).coeffs == (2.0, 0.0)
+
+
+_COEFF = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+_TAIL = st.lists(_COEFF, min_size=N_COEFFS - 1, max_size=N_COEFFS - 1)
+# a0 in the domain of every elementary function, b0 away from zero
+_A0 = st.floats(0.1, 0.9)
+_B0 = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
+
+
+def _head(jet, length):
+    return Jet(jet.coeffs[:length], basepoint=jet.basepoint)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_A0, _TAIL, _B0, _TAIL, st.integers(-3, 5))
+def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail, n):
+    # a jet cut to its first L coefficients gives the first L coefficients of
+    # the full-length result exactly, whatever L and whichever operation
+    a, b = Jet([a0] + a_tail), Jet([b0] + b_tail)
+    w = Jet([0.0] + [b0] + b_tail[:-1])
+    ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+           lambda x, y: x / y, lambda x, y: y / x, lambda x, y: 2.5 - x,
+           lambda x, y: 0.75 / x, lambda x, y: x ** n]
+    ops += [lambda x, y, f=f: f(x) for f in _COMPOSITIONS.values()]
+    ops += [lambda x, y: compose_series(y.coeffs, x)]
+    for length in range(1, N_COEFFS + 1):
+        short_a, short_b = _head(a, length), _head(b, length)
+        for op in ops:
+            full = op(a, b).coeffs
+            assert op(short_a, short_b).coeffs == full[:length]
+            assert op(short_a, b).coeffs == full[:length]
+            assert op(a, short_b).coeffs[:length] == full[:length]
+        assert _revert(_head(w, length)).coeffs == _revert(w).coeffs[:length]
+        assert (short_a.series_derivative().coeffs[:length - 1]
+                == a.series_derivative().coeffs[:length - 1])
