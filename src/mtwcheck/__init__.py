@@ -8,33 +8,28 @@ The checker turns the coefficient inequalities into per-scan verdicts.
 """
 
 from . import errors
-from .checker import (A3S, A3W_ONLY, FAILS, PerturbationResult, PointClassification,
-                      ScanConfig, Verdict, classify_point, perturbation_check,
-                      scan_conditions, scan_table)
+from .checker import (A3S, A3W_ONLY, FAILS, Classification, PerturbationResult, ScanConfig,
+                      Verdict, classify, perturbation_check, scan_conditions, scan_table)
 from .costs import (PRESETS, AdmissibilityReport, CostFunction, eval_cost_jet,
                     inverse_lprime, make_cost, preset, validate_admissibility)
-from .curvature import (ABDerivatives, CoefficientProfile, MtwInput, coefficient_arrays,
-                        coefficients, compute_AB, decompose, jacobi_map_closed,
+from .curvature import (MtwInput, coefficient_arrays, decompose, jacobi_map_closed,
                         mtw_closed, mtw_via_jacobi)
 from .expressions import evaluate, evaluate_jet, parse_cost, pretty
 from .geometry import (Point, SpaceForm, TangentVector, cost_exp, minus_grad_x_cost,
                        orthonormal_tangent_frame)
-from .jets import Jet, jet_arith, jet_compose
-from .oracle import StencilConfig, fd_derivative_check, jacobi_residual, mtw_definitional
+from .jets import Jet, jet_compose
+from .oracle import StencilConfig, jacobi_residual, mtw_definitional
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "A3S", "A3W_ONLY", "FAILS", "ABDerivatives", "AdmissibilityReport",
-    "CoefficientProfile", "CostFunction", "Jet", "MtwInput", "PRESETS",
-    "PerturbationResult", "Point", "PointClassification", "ScanConfig",
-    "SpaceForm", "StencilConfig", "TangentVector", "Verdict",
-    "classify_point", "coefficient_arrays", "coefficients", "compute_AB",
-    "cost_exp", "decompose", "errors", "eval_cost_jet", "evaluate",
-    "evaluate_jet", "fd_derivative_check", "inverse_lprime",
-    "jacobi_map_closed", "jacobi_residual", "jet_arith", "jet_compose",
-    "make_cost", "minus_grad_x_cost", "mtw_closed", "mtw_definitional",
-    "mtw_via_jacobi", "orthonormal_tangent_frame", "parse_cost",
-    "perturbation_check", "preset", "pretty", "scan_conditions", "scan_table",
-    "validate_admissibility",
+    "A3S", "A3W_ONLY", "FAILS", "AdmissibilityReport", "Classification",
+    "CostFunction", "Jet", "MtwInput", "PRESETS", "PerturbationResult", "Point",
+    "ScanConfig", "SpaceForm", "StencilConfig", "TangentVector", "Verdict",
+    "classify", "coefficient_arrays", "cost_exp", "decompose", "errors",
+    "eval_cost_jet", "evaluate", "evaluate_jet", "inverse_lprime",
+    "jacobi_map_closed", "jacobi_residual", "jet_compose", "make_cost",
+    "minus_grad_x_cost", "mtw_closed", "mtw_definitional", "mtw_via_jacobi",
+    "orthonormal_tangent_frame", "parse_cost", "perturbation_check", "preset",
+    "pretty", "scan_conditions", "scan_table", "validate_admissibility",
 ]

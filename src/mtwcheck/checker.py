@@ -11,8 +11,8 @@ their computed values carry noise that grows like eps/z^2 as z -> 0.  The scan
 therefore widens the pass/fail boundary by a per-point band of that shape.
 Costs whose coefficients are identically zero then land in the boundary band
 (weak, not strict) instead of flipping to "fails" on roundoff, while any
-genuine violation dwarfs the band away from z = 0.  classify_point itself
-applies no band unless one is passed in.
+genuine violation dwarfs the band away from z = 0.  classify itself applies
+no band unless one is passed in.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .costs import check_diameter, validate_admissibility
 from .curvature import SERIES_SWITCH, coefficient_arrays
-from .errors import AdmissibilityError
 from .expressions import evaluate_jet
 from .jets import Jet
 
@@ -57,55 +56,56 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
-class PointClassification:
-    """Per-condition slacks at one scan point (slack = -LHS of each <= 0)."""
-
-    z: float
-    slack_beta: float
-    slack_gamma: float
-    slack_delta: float
-    slack_combo: Optional[float]
-    weak: bool
-    strict: bool
-
-
-@dataclass(frozen=True)
 class Verdict:
     status: str
     witness: Optional[float]
     min_slacks: dict
 
 
-def classify_point(alpha, beta, gamma, delta, n, *, strict_margin=1e-12,
-                   noise_tolerance=0.0, z=float("nan")):
-    """Classify one coefficient tuple against the dimension-appropriate set.
+@dataclass(frozen=True)
+class Classification:
+    """Per-point outcome of the inequality set (slack = -LHS of each <= 0).
 
-    For n = 2 the delta condition is ignored.  weak holds iff every active
-    slack is >= -noise_tolerance; strict additionally needs every active slack
-    above max(strict_margin, noise_tolerance).  The combo slack
-    2*sqrt(beta*gamma) - (alpha + delta) is only defined when beta and gamma
-    are nonpositive (up to the tolerance); sqrt runs on the clamped negations
-    so that roundoff-level positive values do not raise.
+    slacks maps each sign condition in force to its slack array: beta,
+    gamma, and delta above dimension two.  combo = 2*sqrt(beta*gamma) -
+    (alpha + delta) is meaningful only where combo_defined holds.  slack_min
+    is the smallest slack of each point, taken over the defined conditions.
     """
-    slack_beta = -beta
-    slack_gamma = -gamma
-    slack_delta = -delta
-    if beta > noise_tolerance or gamma > noise_tolerance:
-        slack_combo = None
-    else:
-        root = math.sqrt(max(0.0, -beta)) * math.sqrt(max(0.0, -gamma))
-        slack_combo = 2.0 * root - (alpha + delta)
-    active = [slack_beta, slack_gamma]
+
+    slacks: dict
+    combo: np.ndarray
+    combo_defined: np.ndarray
+    slack_min: np.ndarray
+    weak: np.ndarray
+    strict: np.ndarray
+
+
+def classify(alpha, beta, gamma, delta, n, *, band=0.0, strict_margin=1e-12):
+    """Classify arrays of coefficient values against the set for dimension n.
+
+    For n = 2 the delta condition is ignored.  band is the per-point (or
+    scalar) widening of the pass/fail boundary: weak holds iff every active
+    slack is >= -band, and strict additionally needs every active slack above
+    max(strict_margin, band).  The combo slack is only defined where beta and
+    gamma are <= band; sqrt runs on the clamped negations so that
+    roundoff-level positive values do not raise.
+    """
+    alpha, beta, gamma, delta = (np.asarray(c, dtype=float)
+                                 for c in (alpha, beta, gamma, delta))
+    slacks = {"beta": -beta, "gamma": -gamma}
     if n > 2:
-        active.append(slack_delta)
-    if slack_combo is not None:
-        active.append(slack_combo)
-    weak = slack_combo is not None and all(s >= -noise_tolerance for s in active)
-    hurdle = max(strict_margin, noise_tolerance)
-    strict = weak and all(s > hurdle for s in active)
-    return PointClassification(z=z, slack_beta=slack_beta, slack_gamma=slack_gamma,
-                               slack_delta=slack_delta, slack_combo=slack_combo,
-                               weak=weak, strict=strict)
+        slacks["delta"] = -delta
+    combo_defined = (beta <= band) & (gamma <= band)
+    root = np.sqrt(np.maximum(0.0, -beta)) * np.sqrt(np.maximum(0.0, -gamma))
+    combo = 2.0 * root - (alpha + delta)
+    # where the combo condition is undefined the point already fails on beta
+    # or gamma, so exclude it from minima rather than propagating a sentinel
+    stacked = np.vstack(list(slacks.values()) + [np.where(combo_defined, combo, np.inf)])
+    slack_min = stacked.min(axis=0)
+    weak = combo_defined & np.all(stacked >= -band, axis=0)
+    hurdle = np.maximum(strict_margin, band)
+    strict = weak & np.all(stacked > hurdle, axis=0)
+    return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
 
 
 def _noise_band(z, profile):
@@ -130,57 +130,34 @@ def scan_table(cost, K, cfg):
     Returns (verdict, table) where table maps column names (z, A, B, alpha,
     beta, gamma, delta, slack_min) to arrays of length cfg.grid_points.
     """
-    report = validate_admissibility(cost)
-    report.raise_if_violated()
-    if report.lprime_sign != cost.lprime_sign:
-        raise AdmissibilityError("lpp-sign-change", 0.0, "declared l'' sign is wrong")
+    validate_admissibility(cost).raise_if_violated()
     if K == 1 and cfg.diameter >= math.pi:
         raise ValueError("on the sphere the scan diameter must satisfy D < pi")
     if abs(cost.diameter - cfg.diameter) > 1e-12:
         raise ValueError("scan diameter differs from the cost's working interval")
 
-    zmax = cost.zmax
-    z = np.linspace(0.0, zmax, cfg.grid_points)
+    z = np.linspace(0.0, cost.zmax, cfg.grid_points)
     prof = coefficient_arrays(cost, K, z)
-    band = _noise_band(z, prof)
-
-    alpha, beta = prof["alpha"], prof["beta"]
-    gamma, delta = prof["gamma"], prof["delta"]
     for name in ("alpha", "beta", "gamma", "delta"):
         if not np.all(np.isfinite(prof[name])):
             raise FloatingPointError(f"non-finite {name} encountered during the scan")
-    slack_beta, slack_gamma, slack_delta = -beta, -gamma, -delta
-    combo_defined = (beta <= band) & (gamma <= band)
-    root = np.sqrt(np.maximum(0.0, -beta)) * np.sqrt(np.maximum(0.0, -gamma))
-    slack_combo = 2.0 * root - (alpha + delta)
+    c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], cfg.dimension,
+                 band=_noise_band(z, prof), strict_margin=cfg.strict_margin)
 
-    active = {"beta": slack_beta, "gamma": slack_gamma}
-    if cfg.dimension > 2:
-        active["delta"] = slack_delta
-    # where the combo condition is undefined the point already fails on beta
-    # or gamma, so exclude it from minima rather than propagating a sentinel
-    stacked = np.vstack(list(active.values())
-                        + [np.where(combo_defined, slack_combo, np.inf)])
-    slack_min = stacked.min(axis=0)
-
-    weak_ok = combo_defined & np.all(stacked >= -band, axis=0)
-    hurdle = np.maximum(cfg.strict_margin, band)
-    strict_ok = weak_ok & np.all(stacked > hurdle, axis=0)
-
-    if not np.all(weak_ok):
+    if not np.all(c.weak):
         status = FAILS
-    elif np.all(strict_ok):
+    elif np.all(c.strict):
         status = A3S
     else:
         status = A3W_ONLY
-    witness = float(z[int(np.argmin(slack_min))])
-    min_slacks = {name: float(np.min(col)) for name, col in active.items()}
-    if np.any(combo_defined):
-        min_slacks["combo"] = float(np.min(slack_combo[combo_defined]))
+    witness = float(z[int(np.argmin(c.slack_min))])
+    min_slacks = {name: float(np.min(col)) for name, col in c.slacks.items()}
+    if np.any(c.combo_defined):
+        min_slacks["combo"] = float(np.min(c.combo[c.combo_defined]))
 
     table = {
-        "z": z, "A": prof["A"], "B": prof["B"], "alpha": alpha, "beta": beta,
-        "gamma": gamma, "delta": delta, "slack_min": slack_min,
+        "z": z, "A": prof["A"], "B": prof["B"], "alpha": prof["alpha"], "beta": prof["beta"],
+        "gamma": prof["gamma"], "delta": prof["delta"], "slack_min": c.slack_min,
     }
     return Verdict(status=status, witness=witness, min_slacks=min_slacks), table
 

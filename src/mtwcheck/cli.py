@@ -68,10 +68,8 @@ _QUARTIC_RE = re.compile(r"^quartic\(([^)]*)\)$")
 def resolve_cost(text, diameter):
     """Interpret --cost as a preset name, quartic(eps), or an expression."""
     text = text.strip()
-    if text in PRESETS and text != "quartic":
+    if text in PRESETS:
         return preset(text, diameter)
-    if text == "quartic":
-        return preset("quartic", diameter)
     m = _QUARTIC_RE.match(text)
     if m:
         return preset("quartic", diameter, eps=float(m.group(1)))

@@ -72,9 +72,6 @@ class CostFunction:
             object.__setattr__(self, "_zmax", abs(float(self.lprime(self.diameter))))
         return self._zmax
 
-    def h(self, y):
-        return inverse_lprime(self, y)
-
 
 def eval_cost_jet(cost, z0, length=N_COEFFS):
     """Jet of l at z0, of the given length (order 6 by default), by
@@ -105,7 +102,6 @@ def _jet_on_interval(jet_of_l, text, z):
 @dataclass(frozen=True)
 class AdmissibilityReport:
     ok: bool
-    lprime_sign: int
     kind: Optional[str] = None
     witness: Optional[float] = None
 
@@ -114,38 +110,35 @@ class AdmissibilityReport:
             raise AdmissibilityError(self.kind, self.witness)
 
 
-def validate_admissibility(cost, grid_size=256):
+def validate_admissibility(cost):
     """Check evenness of l and the constant sign of l'' on [0, diameter].
 
     Evenness: odd-order Taylor coefficients at 0 must vanish, and l(z)-l(-z)
-    must vanish at sampled points.  Sign: l'' on a uniform grid must match the
-    declared lprime_sign and stay away from zero.  Returns a report; callers
-    that need an exception use report.raise_if_violated().  An l that is
+    must vanish at sampled points.  Sign: l'' on a uniform 256-point grid must
+    match the declared lprime_sign and stay away from zero.  Returns a report;
+    callers that need an exception use report.raise_if_violated().  An l that is
     undefined at a point it is evaluated at raises AdmissibilityError.
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
     jet0 = _jet_on_interval(cost.jet, cost.text, 0.0)
     scale = max(1.0, max(abs(float(c)) for c in jet0.coeffs))
     for k in (1, 3, 5):
         if abs(float(jet0.coeffs[k])) > EVENNESS_TOL * scale:
-            return AdmissibilityReport(False, cost.lprime_sign, "not-even", 0.0)
+            return AdmissibilityReport(False, "not-even", 0.0)
     zs = np.linspace(cost.diameter / 8.0, cost.diameter, 8)
     diff = np.abs(cost(zs) - cost(-zs))
     bad = diff > 1e-12 * np.maximum(1.0, np.abs(cost(zs)))
     if np.any(bad):
-        return AdmissibilityReport(False, cost.lprime_sign, "not-even", float(zs[bad][0]))
+        return AdmissibilityReport(False, "not-even", float(zs[bad][0]))
 
-    grid = np.linspace(0.0, cost.diameter, grid_size)
+    grid = np.linspace(0.0, cost.diameter, 256)
     lpp = 2.0 * np.asarray(_jet_on_interval(cost.jet, cost.text, grid).coeffs[2])
     near_zero = np.abs(lpp) <= SIGN_TOL * scale
     if np.any(near_zero):
-        return AdmissibilityReport(False, cost.lprime_sign, "lpp-zero", float(grid[near_zero][0]))
+        return AdmissibilityReport(False, "lpp-zero", float(grid[near_zero][0]))
     wrong_sign = lpp * cost.lprime_sign < 0.0
     if np.any(wrong_sign):
-        return AdmissibilityReport(False, cost.lprime_sign, "lpp-sign-change",
-                                   float(grid[wrong_sign][0]))
-    return AdmissibilityReport(True, cost.lprime_sign)
+        return AdmissibilityReport(False, "lpp-sign-change", float(grid[wrong_sign][0]))
+    return AdmissibilityReport(True)
 
 
 def _infer_sign(expression, text, diameter):

@@ -18,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .costs import eval_cost_jet, inverse_lprime
 from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
-from .geometry import Point, SpaceForm, TangentVector
-from .jets import Jet, _power_coeff, compose_series, jet_compose
+from .geometry import Point, TangentVector
+from .jets import Jet, _compose_table, _power_coeff, jet_compose
 
 # Below this argument A, B and the coefficient functions switch from direct
 # evaluation at basepoint z to evaluation of their series at basepoint 0,
@@ -34,32 +33,6 @@ SERIES_SWITCH = 1e-4
 
 _LIMIT_TOL = 1e-7
 _POLE_TOL = 1e-9
-
-
-class ABDerivatives(NamedTuple):
-    A: float
-    Aprime: float
-    Adprime: float
-    B: float
-    Bprime: float
-    Bdprime: float
-
-
-@dataclass(frozen=True)
-class CoefficientProfile:
-    """A, B, their derivatives, and the four coefficient functions at one z."""
-
-    z: float
-    A: float
-    Aprime: float
-    Adprime: float
-    B: float
-    Bprime: float
-    Bdprime: float
-    alpha: float
-    beta: float
-    gamma: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -197,15 +170,6 @@ def _poly(coeffs, z, weight, shift):
     return acc
 
 
-def shift_series(coeffs, dz):
-    """Recenter a Taylor-coefficient tuple from basepoint p to p + dz."""
-    n = len(coeffs)
-    return tuple(
-        sum(math.comb(k, j) * coeffs[k] * dz ** (k - j) for k in range(j, n))
-        for j in range(n)
-    )
-
-
 _PROFILE_KEYS = ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime",
                  "alpha", "beta", "gamma", "delta")
 
@@ -257,25 +221,18 @@ def _profiles(cost, K, z):
     return out
 
 
-def compute_AB(cost, K, z):
-    """A, A', A'', B, B', B'' at z (scalar in, floats out; array in, arrays out)."""
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
-    prof = _profiles(cost, K, np.atleast_1d(np.asarray(z, dtype=float)))
-    vals = [prof[k] for k in ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime")]
-    if scalar:
-        return ABDerivatives(*(float(v[0]) for v in vals))
-    return ABDerivatives(*vals)
-
-
 def coefficient_arrays(cost, K, z):
-    """Vectorized profile over an array of scan points."""
+    """A, B, their first two derivatives and alpha..delta at each z >= 0.
+
+    The one public entry point of the profiles: z is a scalar or an array,
+    and every value comes back as an array of z's size.
+    """
     return _profiles(cost, K, np.atleast_1d(np.asarray(z, dtype=float)))
 
 
-def coefficients(cost, K, z):
-    """CoefficientProfile at a single scan point (z = 0 handled by limits)."""
-    prof = _profiles(cost, K, np.atleast_1d(float(z)))
-    return CoefficientProfile(z=float(z), **{k: float(prof[k][0]) for k in _PROFILE_KEYS})
+def _profile_row(cost, K, z):
+    """The profile quantities at one z >= 0, as floats."""
+    return {key: float(col[0]) for key, col in _profiles(cost, K, np.array([z])).items()}
 
 
 def decompose(form, u, v):
@@ -321,7 +278,7 @@ def mtw_closed(cost, form, inp):
     """
     inp.validate(form)
     z = form.norm(inp.v)
-    ab = compute_AB(cost, form.curvature, z)
+    ab = _profile_row(cost, form.curvature, z)
     u0, u1 = decompose(form, inp.u, inp.v)
     w0, w1 = decompose(form, inp.w, inp.v)
     u0sq, u1sq = form.inner(u0, u0), form.inner(u1, u1)
@@ -329,24 +286,13 @@ def mtw_closed(cost, form, inp):
     cross = form.inner(u0, w0) * form.inner(u1, w1)
     u1w1 = form.inner(u1, w1)
     total = (
-        ab.Adprime * u0sq * w0sq
-        + ab.Bdprime * u1sq * w0sq
-        + ab.Aprime / z * (u0sq * w1sq + 4.0 * cross)
-        + ab.Bprime / z * (u1sq * w1sq - 4.0 * cross)
-        + 2.0 * (ab.A - ab.B) / (z * z) * (u1w1 * u1w1 - u0sq * w1sq - 2.0 * cross)
+        ab["Adprime"] * u0sq * w0sq
+        + ab["Bdprime"] * u1sq * w0sq
+        + ab["Aprime"] / z * (u0sq * w1sq + 4.0 * cross)
+        + ab["Bprime"] / z * (u1sq * w1sq - 4.0 * cross)
+        + 2.0 * (ab["A"] - ab["B"]) / (z * z) * (u1w1 * u1w1 - u0sq * w1sq - 2.0 * cross)
     )
     return -1.5 * total
-
-
-def _ab_tables_at(cost, K, z0):
-    """Taylor tables of A and B at basepoint z0, for composition in s."""
-    if z0 >= SERIES_SWITCH:
-        a_jet, b_jet = _ab_jets_direct(cost, K, np.atleast_1d(z0))
-        a = tuple(float(np.atleast_1d(c)[0]) for c in a_jet.coeffs)
-        b = tuple(float(np.atleast_1d(c)[0]) for c in b_jet.coeffs)
-        return a, b
-    a, b = _ab_series_origin(cost, K)
-    return shift_series(a, z0), shift_series(b, z0)
 
 
 def mtw_via_jacobi(cost, form, inp):
@@ -354,18 +300,21 @@ def mtw_via_jacobi(cost, form, inp):
 
     The scalar s -> A(|v+sw|)|u0(s)|^2 + B(|v+sw|)|u1(s)|^2 is differentiated
     twice at s = 0 with a jet in s, so this route and the closed formula share
-    only the A/B series and differ in every algebraic step after that.
+    only A, B and their first two derivatives at |v|, read from the same
+    profile row, and differ in every algebraic step after that.  The s-jets
+    have length 3, the orders that coefficient 2 of the result reads.
     """
     inp.validate(form)
     v, w, u = inp.v, inp.w, inp.u
     z0 = form.norm(v)
-    a_table, b_table = _ab_tables_at(cost, form.curvature, z0)
-    q = Jet((z0 * z0, 2.0 * form.inner(v, w), form.inner(w, w), 0.0, 0.0, 0.0, 0.0),
-            basepoint=0.0)
+    ab = _profile_row(cost, form.curvature, z0)
+    a_table = (ab["A"], ab["Aprime"], 0.5 * ab["Adprime"])
+    b_table = (ab["B"], ab["Bprime"], 0.5 * ab["Bdprime"])
+    q = Jet((z0 * z0, 2.0 * form.inner(v, w), form.inner(w, w)), basepoint=0.0)
     r = jet_compose("sqrt", q)
-    a_of_r = compose_series(a_table, r)
-    b_of_r = compose_series(b_table, r)
-    p = Jet((form.inner(u, v), form.inner(u, w), 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=0.0)
+    a_of_r = _compose_table(a_table, r)
+    b_of_r = _compose_table(b_table, r)
+    p = Jet((form.inner(u, v), form.inner(u, w), 0.0), basepoint=0.0)
     u0sq = p * p / q
     g = a_of_r * u0sq + b_of_r * (form.inner(u, u) - u0sq)
     return -3.0 * float(g.coeffs[2])

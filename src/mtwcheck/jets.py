@@ -152,19 +152,6 @@ class Jet:
         return f"Jet({list(self.coeffs)!r}, basepoint={self.basepoint!r})"
 
 
-def jet_arith(a, b, op):
-    """Combine two jets with one of {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown jet operation {op!r}")
-
-
 def _check_domain(name, bad_mask, values):
     bad_mask = np.asarray(bad_mask)
     if np.any(bad_mask):
@@ -325,11 +312,3 @@ def jet_compose(name, a):
         raise ValueError(f"unknown elementary function {name!r}") from None
     return fn(a)
 
-
-def compose_series(table, a):
-    """Jet of F o a given the Taylor table of F at a's constant term.
-
-    table[k] = F^(k)(a0)/k! with a0 = a.coeffs[0].  The result has the
-    shorter of the two lengths and is exact through its top order.
-    """
-    return _compose_table(table, a)

@@ -11,7 +11,7 @@ import pytest
 from helpers import random_orthogonal_pair
 
 from mtwcheck import (A3S, A3W_ONLY, MtwInput, ScanConfig, SpaceForm,
-                      StencilConfig, classify_point, cost_exp, jacobi_residual,
+                      StencilConfig, classify, cost_exp, jacobi_residual,
                       minus_grad_x_cost, mtw_closed, mtw_definitional,
                       mtw_via_jacobi, parse_cost, perturbation_check, preset,
                       scan_conditions)
@@ -179,12 +179,12 @@ def test_criterion_6_perturbation_criterion():
 
 
 def test_criterion_7_inequality_truth_table():
-    pc3 = classify_point(0.0, -1.0, -1.0, 0.1, n=3)
-    pc2 = classify_point(0.0, -1.0, -1.0, 0.1, n=2)
-    ok = (not pc3.weak) and pc2.weak
+    c3 = classify([0.0], [-1.0], [-1.0], [0.1], n=3)
+    c2 = classify([0.0], [-1.0], [-1.0], [0.1], n=2)
+    ok = bool(not c3.weak[0] and c2.weak[0])
     for n in (2, 3):
-        pc = classify_point(0.0, 0.0, 0.0, 0.0, n=n)
-        ok &= pc.weak and not pc.strict
+        c = classify([0.0], [0.0], [0.0], [0.0], n=n)
+        ok &= bool(c.weak[0] and not c.strict[0])
     _report("criterion 7: 2D-vs-3D inequality split and boundary case", ok)
 
 

@@ -4,49 +4,55 @@ import numpy as np
 import pytest
 from helpers import random_orthogonal_pair
 
-from mtwcheck import (A3S, A3W_ONLY, FAILS, MtwInput, ScanConfig, SpaceForm,
-                      classify_point, mtw_closed, parse_cost, perturbation_check,
-                      preset, scan_conditions, scan_table)
+from mtwcheck import (A3S, A3W_ONLY, FAILS, MtwInput, ScanConfig, SpaceForm, classify,
+                      mtw_closed, parse_cost, perturbation_check, preset, scan_conditions,
+                      scan_table)
 from mtwcheck.checker import _noise_band
 from mtwcheck.costs import make_cost
 from mtwcheck.curvature import coefficient_arrays
 from mtwcheck.errors import AdmissibilityError
 
 
+def _classify_one(alpha, beta, gamma, delta, n):
+    """The inequality set on length-1 arrays of one coefficient tuple."""
+    return classify([alpha], [beta], [gamma], [delta], n)
+
+
 def test_classify_all_negative_is_strict():
-    pc = classify_point(-1.0, -1.0, -1.0, -1.0, n=3)
-    assert pc.slack_beta == 1.0 and pc.slack_gamma == 1.0 and pc.slack_delta == 1.0
-    assert pc.slack_combo == pytest.approx(4.0)
-    assert pc.weak and pc.strict
+    c = _classify_one(-1.0, -1.0, -1.0, -1.0, n=3)
+    assert c.slacks["beta"][0] == 1.0 and c.slacks["gamma"][0] == 1.0
+    assert c.slacks["delta"][0] == 1.0
+    assert c.combo[0] == pytest.approx(4.0)
+    assert c.weak[0] and c.strict[0]
 
 
 def test_classify_zero_profile_weak_not_strict():
     for n in (2, 3):
-        pc = classify_point(0.0, 0.0, 0.0, 0.0, n=n)
-        assert pc.weak and not pc.strict
-        assert pc.slack_combo == pytest.approx(0.0)
+        c = _classify_one(0.0, 0.0, 0.0, 0.0, n=n)
+        assert c.weak[0] and not c.strict[0]
+        assert c.combo[0] == pytest.approx(0.0)
 
 
 def test_classify_dimension_split():
     # delta slightly positive: fails for n >= 3, passes weakly for n = 2
-    pc3 = classify_point(0.0, -1.0, -1.0, 0.1, n=3)
-    assert not pc3.weak
-    assert pc3.slack_delta == pytest.approx(-0.1)
-    pc2 = classify_point(0.0, -1.0, -1.0, 0.1, n=2)
-    assert pc2.weak
-    assert pc2.slack_combo == pytest.approx(1.9)
+    c3 = _classify_one(0.0, -1.0, -1.0, 0.1, n=3)
+    assert not c3.weak[0]
+    assert c3.slacks["delta"][0] == pytest.approx(-0.1)
+    c2 = _classify_one(0.0, -1.0, -1.0, 0.1, n=2)
+    assert c2.weak[0]
+    assert c2.combo[0] == pytest.approx(1.9)
 
 
 def test_classify_combo_undefined_when_beta_positive():
-    pc = classify_point(0.0, 0.5, -1.0, -1.0, n=3)
-    assert pc.slack_combo is None and not pc.weak
+    c = _classify_one(0.0, 0.5, -1.0, -1.0, n=3)
+    assert not c.combo_defined[0] and not c.weak[0]
 
 
 def test_classify_combo_binding():
     # alpha + delta exceeding 2*sqrt(beta*gamma) must fail despite all signs ok
-    pc = classify_point(3.0, -1.0, -1.0, 0.0, n=3)
-    assert pc.slack_combo == pytest.approx(-1.0)
-    assert not pc.weak
+    c = _classify_one(3.0, -1.0, -1.0, 0.0, n=3)
+    assert c.combo[0] == pytest.approx(-1.0)
+    assert not c.weak[0]
 
 
 def test_classify_monotone_in_beta_gamma_delta():
@@ -54,12 +60,12 @@ def test_classify_monotone_in_beta_gamma_delta():
     for _ in range(200):
         alpha = rng.uniform(-2.0, 2.0)
         beta, gamma, delta = rng.uniform(-2.0, 0.0, size=3)
-        pc = classify_point(alpha, beta, gamma, delta, n=3)
-        if not pc.weak:
+        c = _classify_one(alpha, beta, gamma, delta, n=3)
+        if not c.weak[0]:
             continue
         drop = rng.uniform(0.0, 1.0, size=3)
-        pc2 = classify_point(alpha, beta - drop[0], gamma - drop[1], delta - drop[2], n=3)
-        assert pc2.weak
+        c2 = _classify_one(alpha, beta - drop[0], gamma - drop[1], delta - drop[2], n=3)
+        assert c2.weak[0]
 
 
 SCAN_EXPECTATIONS = [

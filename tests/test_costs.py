@@ -16,14 +16,12 @@ def _preset(name, diameter, eps=None):
 
 def test_sq_admissible():
     cost = preset("sq", 1.0)
-    report = validate_admissibility(cost)
-    assert report.ok and report.lprime_sign == 1
+    assert validate_admissibility(cost).ok and cost.lprime_sign == 1
 
 
 def test_neg_cosh_admissible_with_negative_sign():
     cost = preset("neg-cosh", 2.0)
-    report = validate_admissibility(cost)
-    assert report.ok and report.lprime_sign == -1
+    assert validate_admissibility(cost).ok and cost.lprime_sign == -1
 
 
 def test_cubic_not_even():

@@ -1,14 +1,14 @@
 """Closed-form profiles, the Jacobi map, and the two analytic curvature routes."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import CANONICAL_CASES, random_orthogonal_pair
 
-from mtwcheck import (MtwInput, SpaceForm, coefficients, compute_AB, decompose,
-                      jacobi_map_closed, make_cost, mtw_closed, mtw_via_jacobi,
-                      preset)
+from mtwcheck import (MtwInput, SpaceForm, decompose, jacobi_map_closed, make_cost,
+                      mtw_closed, mtw_via_jacobi, preset)
 from mtwcheck.cli import resolve_cost
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
 from mtwcheck.curvature import (SERIES_SWITCH, _lprime_increment_series, _revert,
@@ -18,10 +18,16 @@ from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
 from mtwcheck.jets import Jet
 
 
+def _at(cost, K, z):
+    """The profile quantities at one z, from coefficient_arrays on a length-1 array."""
+    prof = coefficient_arrays(cost, K, [z])
+    return SimpleNamespace(**{key: float(col[0]) for key, col in prof.items()})
+
+
 def test_ab_identity_cost():
     cost = preset("sq", 5.0)
     for z in (0.0, 0.5, 2.0, 4.9):
-        ab = compute_AB(cost, 0, z)
+        ab = _at(cost, 0, z)
         assert ab.A == pytest.approx(1.0, abs=1e-12)
         assert ab.B == pytest.approx(1.0, abs=1e-12)
         for d in (ab.Aprime, ab.Adprime, ab.Bprime, ab.Bdprime):
@@ -32,7 +38,7 @@ def test_ab_neg_cosh():
     # h = -asinh, so A(z) = B(z) = -sqrt(1+z^2)
     cost = preset("neg-cosh", 2.0)
     for z in np.linspace(0.0, cost.zmax, 37):
-        ab = compute_AB(cost, -1, float(z))
+        ab = _at(cost, -1, float(z))
         root = np.sqrt(1.0 + z * z)
         assert ab.A == pytest.approx(-root, abs=1e-10)
         assert ab.B == pytest.approx(-root, abs=1e-10)
@@ -46,7 +52,7 @@ def test_ab_neg_log1p_cos():
     # h = 2*atan, so A(z) = (1+z^2)/2 and B(z) = (1-z^2)/2
     cost = preset("neg-log1p-cos", 2.5)
     for z in np.linspace(0.0, cost.zmax, 37):
-        ab = compute_AB(cost, 1, float(z))
+        ab = _at(cost, 1, float(z))
         assert ab.A == pytest.approx((1.0 + z * z) / 2.0, abs=1e-9)
         assert ab.B == pytest.approx((1.0 - z * z) / 2.0, abs=1e-9)
         assert ab.Adprime == pytest.approx(1.0, abs=1e-9)
@@ -56,15 +62,15 @@ def test_ab_neg_log1p_cos():
 def test_ab_out_of_range():
     cost = preset("neg-cosh", 2.0)
     with pytest.raises(OutOfRangeError):
-        compute_AB(cost, -1, cost.zmax * 1.01)
+        _at(cost, -1, cost.zmax * 1.01)
     with pytest.raises(OutOfRangeError):
-        compute_AB(cost, -1, -0.5)
+        _at(cost, -1, -0.5)
 
 
 def test_coefficients_identity_cost():
     cost = preset("sq", 5.0)
     for z in (0.0, 1.0, 3.0):
-        prof = coefficients(cost, 0, z)
+        prof = _at(cost, 0, z)
         for c in (prof.alpha, prof.beta, prof.gamma, prof.delta):
             assert c == pytest.approx(0.0, abs=1e-12)
 
@@ -72,7 +78,7 @@ def test_coefficients_identity_cost():
 def test_coefficients_neg_log1p_cosh_constant():
     cost = preset("neg-log1p-cosh", 2.0)
     for z in np.linspace(0.0, cost.zmax, 23):
-        prof = coefficients(cost, -1, float(z))
+        prof = _at(cost, -1, float(z))
         for c in (prof.alpha, prof.beta, prof.gamma, prof.delta):
             assert c == pytest.approx(-1.0, abs=1e-9)
 
@@ -80,7 +86,7 @@ def test_coefficients_neg_log1p_cosh_constant():
 def test_coefficients_log_cosh_zero():
     cost = preset("log-cosh", 2.0)
     for z in np.linspace(0.0, cost.zmax, 23):
-        prof = coefficients(cost, -1, float(z))
+        prof = _at(cost, -1, float(z))
         for c in (prof.alpha, prof.beta, prof.gamma, prof.delta):
             assert c == pytest.approx(0.0, abs=1e-8)
 
@@ -90,7 +96,7 @@ def test_coefficient_profile_internal_consistency():
                        ("log-cosh", -1, 2.0)]:
         cost = preset(name, D)
         for z in np.linspace(0.01, cost.zmax, 50):
-            p = coefficients(cost, K, float(z))
+            p = _at(cost, K, float(z))
             lhs_alpha = p.alpha * z * z
             rhs_alpha = z * z * p.Adprime + 6.0 * (p.A - p.B) - 4.0 * z * (p.Aprime - p.Bprime)
             assert lhs_alpha == pytest.approx(rhs_alpha, abs=1e-10)
@@ -106,8 +112,8 @@ def test_limit_consistency_across_branch_switch():
     # cancellation floor of a few eps/z^2 ~ 1e-7 right at the switch
     for name, K in [("neg-cosh", -1), ("neg-log1p-cos", 1), ("quartic", 0)]:
         cost = preset(name, 2.5 if K == 1 else 1.0) if name != "neg-cosh" else preset(name, 2.0)
-        below = coefficients(cost, K, 0.99e-4)
-        above = coefficients(cost, K, 1.01e-4)
+        below = _at(cost, K, 0.99e-4)
+        above = _at(cost, K, 1.01e-4)
         for field in ("A", "B", "alpha", "beta", "gamma", "delta"):
             assert getattr(below, field) == pytest.approx(getattr(above, field), abs=2e-6)
 
@@ -117,7 +123,7 @@ def test_limit_error_on_inconsistent_cost():
     # must catch it when the origin series is requested
     cost = make_cost("z^2/2 + z^3", 1.0, lprime_sign=1)
     with pytest.raises(LimitError):
-        coefficients(cost, 0, 0.0)
+        _at(cost, 0, 0.0)
 
 
 def test_decompose_parallel_and_orthogonal():
@@ -271,6 +277,27 @@ def test_route_equivalence_closed_vs_jacobi(K, n, name, diameter, eps):
         assert abs(closed - jacobi) <= 1e-8 * max(1.0, abs(closed))
 
 
+@pytest.mark.parametrize("K,n,name,diameter,eps", _ROUTE_CASES,
+                         ids=[f"K{c[0]:+d}n{c[1]}" for c in _ROUTE_CASES])
+def test_route_equivalence_on_series_branch(K, n, name, diameter, eps):
+    # below SERIES_SWITCH both routes read A and B from the origin series; the
+    # Jacobi route's s-jets divide by q_0 = |v|^2, so its roundoff grows like
+    # eps/|v|^2 relative to the size |u|^2 |w|^2 of the quadratic form
+    cost = preset(name, diameter, eps=eps) if eps else preset(name, diameter)
+    form = SpaceForm(K, n)
+    x = form.canonical_base()
+    rng = np.random.default_rng(2000 + 10 * K + n)
+    for _ in range(12):
+        u = form.random_tangent(x, rng)
+        w = form.random_tangent(x, rng)
+        z = SERIES_SWITCH * 10.0 ** rng.uniform(-2.0, 0.0)
+        v = form.random_tangent(x, rng, unit=True) * z
+        inp = MtwInput(x=x, u=u, v=v, w=w)
+        gap = abs(mtw_closed(cost, form, inp) - mtw_via_jacobi(cost, form, inp))
+        scale = form.inner(u, u) * form.inner(w, w)
+        assert gap <= (1e-8 + 1e-15 / z ** 2) * scale, (z, gap, scale)
+
+
 def test_orthogonal_reduction_matches_coefficients():
     # for <u,w> = 0 the closed formula collapses to
     # -(3/2)[alpha|u0|^2|w0|^2 + beta|u0|^2|w1|^2 + gamma|u1|^2|w0|^2 + delta|u1|^2|w1|^2]
@@ -284,7 +311,7 @@ def test_orthogonal_reduction_matches_coefficients():
             z = rng.uniform(0.05, 0.9 * cost.zmax)
             v = form.random_tangent(x, rng, unit=True) * z
             direct = mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w))
-            prof = coefficients(cost, K, z)
+            prof = _at(cost, K, z)
             u0, u1 = decompose(form, u, v)
             w0, w1 = decompose(form, w, v)
             reduced = -1.5 * (
@@ -320,7 +347,7 @@ def test_vectorized_profile_matches_scalar():
     zs = np.linspace(0.0, cost.zmax, 50)
     prof = coefficient_arrays(cost, -1, zs)
     for i in (0, 1, 17, 49):
-        scalar = coefficients(cost, -1, float(zs[i]))
+        scalar = _at(cost, -1, float(zs[i]))
         assert prof["alpha"][i] == pytest.approx(scalar.alpha, abs=1e-14)
         assert prof["delta"][i] == pytest.approx(scalar.delta, abs=1e-14)
 

@@ -8,10 +8,10 @@ from helpers import central_derivative
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtwcheck import Jet, jet_arith, jet_compose
+from mtwcheck import Jet, jet_compose
 from mtwcheck.curvature import _revert
 from mtwcheck.errors import DegenerateJetError, DomainError
-from mtwcheck.jets import _COMPOSITIONS, _FACTORIAL, N_COEFFS, compose_series
+from mtwcheck.jets import _COMPOSITIONS, _FACTORIAL, N_COEFFS, _compose_table
 
 
 def coeffs(jet):
@@ -44,16 +44,6 @@ def test_division_by_degenerate_jet():
 def test_basepoint_mismatch_rejected():
     with pytest.raises(ValueError):
         Jet.variable(1.0) + Jet.variable(2.0)
-
-
-def test_jet_arith_dispatch():
-    a, b = Jet.variable(1.0), Jet.constant(2.0, basepoint=1.0)
-    assert np.allclose(coeffs(jet_arith(a, b, "add")), coeffs(a + b))
-    assert np.allclose(coeffs(jet_arith(a, b, "sub")), coeffs(a - b))
-    assert np.allclose(coeffs(jet_arith(a, b, "mul")), coeffs(a * b))
-    assert np.allclose(coeffs(jet_arith(a, b, "div")), coeffs(a / b))
-    with pytest.raises(ValueError):
-        jet_arith(a, b, "pow")
 
 
 def test_double_angle_identity():
@@ -241,7 +231,7 @@ def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail,
            lambda x, y: x / y, lambda x, y: y / x, lambda x, y: 2.5 - x,
            lambda x, y: 0.75 / x, lambda x, y: x ** n]
     ops += [lambda x, y, f=f: f(x) for f in _COMPOSITIONS.values()]
-    ops += [lambda x, y: compose_series(y.coeffs, x)]
+    ops += [lambda x, y: _compose_table(y.coeffs, x)]
     for length in range(1, N_COEFFS + 1):
         short_a, short_b = _head(a, length), _head(b, length)
         for op in ops:

@@ -1,10 +1,11 @@
-"""Definitional stencil, Jacobi ODE residual, and the FD self-check."""
+"""Definitional stencil and Jacobi ODE residual."""
 
 import numpy as np
 import pytest
+from helpers import central_derivative
 
-from mtwcheck import (MtwInput, SpaceForm, StencilConfig, fd_derivative_check,
-                      jacobi_residual, mtw_closed, mtw_definitional, preset)
+from mtwcheck import (MtwInput, SpaceForm, StencilConfig, jacobi_residual, mtw_closed,
+                      mtw_definitional, preset)
 from mtwcheck.errors import ZeroVectorError
 
 
@@ -144,30 +145,13 @@ def test_jacobi_residual_zero_v():
                         form.tangent(x, np.zeros(4)), steps=10)
 
 
-def test_fd_check_cosh_second_derivative():
-    assert fd_derivative_check(np.cosh, 0.0, 2) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_fd_check_quartic_fourth_derivative():
-    # small |z| meets the 1e-6 example directly; elsewhere the roundoff floor
-    # scales with |f| on the stencil, i.e. like max(1, z^4)
-    assert fd_derivative_check(lambda t: t ** 4, 0.3, 4) == pytest.approx(24.0, abs=1e-6)
-    for z in (-1.0, 0.5, 2.0):
-        tol = 1e-5 * max(1.0, z ** 4)
-        assert fd_derivative_check(lambda t: t ** 4, z, 4) == pytest.approx(24.0, abs=tol)
-
-
 def test_fd_check_against_jet_lprime():
+    # l'' from the jets against a finite difference of l'
     cost = preset("neg-log1p-cos", 2.5)
 
     def lprime(z):
         return float(cost.lprime(z))
 
-    fd = fd_derivative_check(lprime, 0.5, 1)
+    fd = central_derivative(lprime, 0.5, 1, h=0.02)
     jet_value = float(cost.jet(0.5).derivative(2))
     assert fd == pytest.approx(jet_value, abs=1e-6)
-
-
-def test_fd_check_order_validation():
-    with pytest.raises(ValueError):
-        fd_derivative_check(np.cosh, 0.0, 5)
