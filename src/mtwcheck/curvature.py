@@ -99,7 +99,7 @@ def _check_pole(K, h0):
 
 
 def _ab_jets_direct(cost, K, z):
-    """Jets of A and B at basepoint z (scalar or array, entries > 0).
+    """Jets of A and B at basepoint z (scalar or array, entries > 0), and zeff.
 
     Both are exact through order 2, all that the profiles read, and are
     built from jets no longer than that needs.  A = 1/h' through order 2
@@ -110,10 +110,17 @@ def _ab_jets_direct(cost, K, z):
     operation on a truncated jet computes its coefficient n from operand
     coefficients of order <= n, in the same order as at full length, so the
     coefficients kept are bitwise those of the order-6 computation.
+
+    h0 = h(z) is exact only as the inverse of zeff = l'(h0), which differs
+    from z by the inverse's residual (up to 1e-13 relative for the Newton
+    inverse).  B = z*coth(h) cancels against A to second order, so B is
+    built at zeff, the argument that matches h0, and the profiles divide by
+    zeff as well.
     """
     h0 = np.asarray(inverse_lprime(cost, z))
     _check_pole(K, h0)
     ljet = eval_cost_jet(cost, h0, 5)
+    zeff = ljet.coeffs[1]
     # w_4 would need l^(5); the series is padded with a zero there, so drop it
     w = _lprime_increment_series(ljet)
     g = _revert(Jet(w.coeffs[:4]))
@@ -121,14 +128,14 @@ def _ab_jets_direct(cost, K, z):
     # exact through order 2 only
     a_jet = 1.0 / Jet((h0,) + g.coeffs[1:], basepoint=z).series_derivative()
     hjet = Jet((h0,) + g.coeffs[1:3], basepoint=z)
-    zjet = Jet.variable(z, 3)
+    zjet = Jet((zeff, 1.0, 0.0), basepoint=z)
     if K == -1:
         b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
     elif K == 0:
         b_jet = zjet / hjet
     else:
         b_jet = zjet * jet_compose("cos", hjet) / jet_compose("sin", hjet)
-    return a_jet, b_jet
+    return a_jet, b_jet, zeff
 
 
 @lru_cache(maxsize=64)
@@ -207,17 +214,17 @@ def _profiles(cost, K, z):
         out["delta"][small] = _poly(b, zs, lambda k: k, 2)
     large = ~small
     if np.any(large):
-        zl = z[large]
-        a_jet, b_jet = _ab_jets_direct(cost, K, zl)
+        a_jet, b_jet, zeff = _ab_jets_direct(cost, K, z[large])
         A, Ap, Add = a_jet.coeffs[0], a_jet.coeffs[1], 2.0 * a_jet.coeffs[2]
         B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2.0 * b_jet.coeffs[2]
         amb = A - B
         out["A"][large], out["Aprime"][large], out["Adprime"][large] = A, Ap, Add
         out["B"][large], out["Bprime"][large], out["Bdprime"][large] = B, Bp, Bdd
-        out["alpha"][large] = (zl * zl * Add + 6.0 * amb - 4.0 * zl * (Ap - Bp)) / (zl * zl)
-        out["beta"][large] = (zl * Ap - 2.0 * amb) / (zl * zl)
+        zsq = zeff * zeff
+        out["alpha"][large] = (zsq * Add + 6.0 * amb - 4.0 * zeff * (Ap - Bp)) / zsq
+        out["beta"][large] = (zeff * Ap - 2.0 * amb) / zsq
         out["gamma"][large] = Bdd
-        out["delta"][large] = Bp / zl
+        out["delta"][large] = Bp / zeff
     return out
 
 

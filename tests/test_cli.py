@@ -31,6 +31,18 @@ def test_check_sq_weak_only(capsys):
     assert "A3w-only" in out
 
 
+@pytest.mark.parametrize("cost", ["log(cosh(z))", "-log(cosh(z))"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_newton_inverse_cost_matches_paper_verdict(capsys, cost, dim):
+    # an expression cost has no analytic inverse of l', so h comes from the
+    # Newton inverse; the paper, and the presets log-cosh and neg-log-cosh,
+    # give A3w-only at K = -1
+    code, out, _ = run(capsys, "check", f"--cost={cost}", "--K", "-1", "--dim", dim,
+                       "--diameter", "2", "--grid", "4096", "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "A3w-only"
+
+
 def test_check_not_even_exit_2(capsys):
     code, _, err = run(capsys, "check", "--cost", "z^3", "--K", "0",
                        "--dim", "3", "--diameter", "1")

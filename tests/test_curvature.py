@@ -387,12 +387,18 @@ def test_revert_matches_sympy_reversion(w1_sign):
 
 
 def _direct_profiles_full_order(cost, K, z):
-    """A, B and alpha..delta on the direct branch from order-6 jets throughout."""
+    """A, B and alpha..delta on the direct branch from order-6 jets throughout.
+
+    B is built, and alpha..delta divide, at zeff = l'(h0), the argument that
+    h0 inverts exactly.
+    """
     h0 = np.asarray(inverse_lprime(cost, z))
-    g = _revert(_lprime_increment_series(eval_cost_jet(cost, h0)))
+    ljet = eval_cost_jet(cost, h0)
+    zeff = ljet.coeffs[1]
+    g = _revert(_lprime_increment_series(ljet))
     hjet = Jet((h0,) + g.coeffs[1:6] + (0.0,), basepoint=z)
     a_jet = 1.0 / hjet.series_derivative()
-    zjet = Jet.variable(z)
+    zjet = Jet((zeff, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=z)
     if K == -1:
         b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
     elif K == 0:
@@ -403,8 +409,8 @@ def _direct_profiles_full_order(cost, K, z):
     B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2.0 * b_jet.coeffs[2]
     amb = A - B
     return {"A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
-            "alpha": (z * z * Add + 6.0 * amb - 4.0 * z * (Ap - Bp)) / (z * z),
-            "beta": (z * Ap - 2.0 * amb) / (z * z), "gamma": Bdd, "delta": Bp / z}
+            "alpha": (zeff * zeff * Add + 6.0 * amb - 4.0 * zeff * (Ap - Bp)) / (zeff * zeff),
+            "beta": (zeff * Ap - 2.0 * amb) / (zeff * zeff), "gamma": Bdd, "delta": Bp / zeff}
 
 
 _IDENTITY_CASES = [(name if eps is None else f"quartic({eps!r})", K, D)
