@@ -13,6 +13,12 @@ Costs whose coefficients are identically zero then land in the boundary band
 (weak, not strict) instead of flipping to "fails" on roundoff, while any
 genuine violation dwarfs the band away from z = 0.  classify itself applies
 no band unless one is passed in.
+
+Each grid point is decided on its own, so the scan is one streaming fold over
+chunks of SCAN_CHUNK consecutive grid points: a chunk is generated, profiled
+and classified, then folded into the verdict, the per-condition minima and
+the witness, and dropped.  Peak memory does not grow with the grid size, and
+every value is bitwise the one a single full-grid pass gives.
 """
 
 from __future__ import annotations
@@ -36,6 +42,10 @@ FAILS = "fails"
 # part of the grid (z >= SERIES_SWITCH); measured pipeline noise sits about
 # an order and a half below the resulting band.
 _NOISE_BAND_COEFF = 500.0 * np.finfo(float).eps
+
+# Grid points profiled and classified at once: the scan's working set is a
+# few dozen arrays of this length, whatever the grid size.
+SCAN_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -99,12 +109,16 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0, strict_margin=1e-12):
     root = np.sqrt(np.maximum(0.0, -beta)) * np.sqrt(np.maximum(0.0, -gamma))
     combo = 2.0 * root - (alpha + delta)
     # where the combo condition is undefined the point already fails on beta
-    # or gamma, so exclude it from minima rather than propagating a sentinel
-    stacked = np.vstack(list(slacks.values()) + [np.where(combo_defined, combo, np.inf)])
-    slack_min = stacked.min(axis=0)
-    weak = combo_defined & np.all(stacked >= -band, axis=0)
+    # or gamma, so exclude it from minima rather than propagating a sentinel.
+    # The rows are folded in the order beta, gamma, [delta], combo: of two
+    # equal zeros of opposite sign np.minimum keeps the one the order gives.
+    rows = list(slacks.values()) + [np.where(combo_defined, combo, np.inf)]
+    slack_min = rows[0]
+    for row in rows[1:]:
+        slack_min = np.minimum(slack_min, row)
+    weak = combo_defined & (slack_min >= -band)
     hurdle = np.maximum(strict_margin, band)
-    strict = weak & np.all(stacked > hurdle, axis=0)
+    strict = weak & (slack_min > hurdle)
     return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
 
 
@@ -124,11 +138,28 @@ def _noise_band(z, profile):
     return np.where(z >= SERIES_SWITCH, direct, 1e-12 * scale)
 
 
-def scan_table(cost, K, cfg):
-    """Full scan: verdict plus per-point columns for reporting.
+def _grid_chunk(zmax, grid_points, lo, hi):
+    """Points lo..hi-1 of np.linspace(0.0, zmax, grid_points), bitwise.
 
-    Returns (verdict, table) where table maps column names (z, A, B, alpha,
-    beta, gamma, delta, slack_min) to arrays of length cfg.grid_points.
+    linspace computes point i as i*step + 0.0 and sets the last to zmax.
+    """
+    z = np.arange(lo, hi, dtype=float) * (zmax / (grid_points - 1)) + 0.0
+    if hi == grid_points:
+        z[-1] = zmax
+    return z
+
+
+def scan_conditions(cost, K, cfg, on_chunk=None):
+    """Verdict over a uniform grid on [0, |l'(D)|], endpoints included.
+
+    The grid is scanned in chunks of SCAN_CHUNK consecutive points.  Each
+    chunk is profiled and classified, then folded into the verdict (weak and
+    strict at every point so far), the minimum of each condition's slack, the
+    minimum combo slack over the points where it is defined, and the witness,
+    the first grid point of smallest slack_min: a later chunk replaces it only
+    with a strictly smaller slack.  When on_chunk is given, it is called with
+    each chunk's table, in grid order, before the chunk is dropped; the table
+    maps z, A, B, alpha, beta, gamma, delta and slack_min to arrays.
     """
     validate_admissibility(cost).raise_if_violated()
     if K == 1 and cfg.diameter >= math.pi:
@@ -136,36 +167,50 @@ def scan_table(cost, K, cfg):
     if abs(cost.diameter - cfg.diameter) > 1e-12:
         raise ValueError("scan diameter differs from the cost's working interval")
 
-    z = np.linspace(0.0, cost.zmax, cfg.grid_points)
-    prof = coefficient_arrays(cost, K, z)
-    for name in ("alpha", "beta", "gamma", "delta"):
-        if not np.all(np.isfinite(prof[name])):
-            raise FloatingPointError(f"non-finite {name} encountered during the scan")
-    c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], cfg.dimension,
-                 band=_noise_band(z, prof), strict_margin=cfg.strict_margin)
+    zmax, grid_points = cost.zmax, cfg.grid_points
+    weak = strict = True
+    min_slacks = {}
+    witness, witness_slack = None, None
+    for lo in range(0, grid_points, SCAN_CHUNK):
+        z = _grid_chunk(zmax, grid_points, lo, min(lo + SCAN_CHUNK, grid_points))
+        prof = coefficient_arrays(cost, K, z)
+        for name in ("alpha", "beta", "gamma", "delta"):
+            if not np.all(np.isfinite(prof[name])):
+                raise FloatingPointError(f"non-finite {name} encountered during the scan")
+        c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], cfg.dimension,
+                     band=_noise_band(z, prof), strict_margin=cfg.strict_margin)
 
-    if not np.all(c.weak):
-        status = FAILS
-    elif np.all(c.strict):
-        status = A3S
-    else:
-        status = A3W_ONLY
-    witness = float(z[int(np.argmin(c.slack_min))])
-    min_slacks = {name: float(np.min(col)) for name, col in c.slacks.items()}
-    if np.any(c.combo_defined):
-        min_slacks["combo"] = float(np.min(c.combo[c.combo_defined]))
+        weak = weak and bool(np.all(c.weak))
+        strict = strict and bool(np.all(c.strict))
+        chunk_mins = {name: np.min(col) for name, col in c.slacks.items()}
+        if np.any(c.combo_defined):
+            chunk_mins["combo"] = np.min(c.combo[c.combo_defined])
+        for name, value in chunk_mins.items():
+            min_slacks[name] = np.minimum(min_slacks.get(name, value), value)
+        i = int(np.argmin(c.slack_min))
+        if witness is None or c.slack_min[i] < witness_slack:
+            witness, witness_slack = float(z[i]), c.slack_min[i]
+        if on_chunk is not None:
+            on_chunk({"z": z, "A": prof["A"], "B": prof["B"], "alpha": prof["alpha"],
+                      "beta": prof["beta"], "gamma": prof["gamma"], "delta": prof["delta"],
+                      "slack_min": c.slack_min})
 
-    table = {
-        "z": z, "A": prof["A"], "B": prof["B"], "alpha": prof["alpha"], "beta": prof["beta"],
-        "gamma": prof["gamma"], "delta": prof["delta"], "slack_min": c.slack_min,
-    }
-    return Verdict(status=status, witness=witness, min_slacks=min_slacks), table
+    status = FAILS if not weak else A3S if strict else A3W_ONLY
+    return Verdict(status=status, witness=witness,
+                   min_slacks={name: float(v) for name, v in min_slacks.items()})
 
 
-def scan_conditions(cost, K, cfg):
-    """Verdict over a uniform grid on [0, |l'(D)|], endpoints included."""
-    verdict, _ = scan_table(cost, K, cfg)
-    return verdict
+def scan_table(cost, K, cfg):
+    """Full scan: verdict plus per-point columns for reporting.
+
+    Returns (verdict, table) where table maps column names (z, A, B, alpha,
+    beta, gamma, delta, slack_min) to arrays of length cfg.grid_points,
+    collected from the chunks of scan_conditions.
+    """
+    chunks = []
+    verdict = scan_conditions(cost, K, cfg, on_chunk=chunks.append)
+    table = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
+    return verdict, table
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ inadmissible cost, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 import time
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import checker
-from .checker import ScanConfig, perturbation_check, scan_table
+from .checker import ScanConfig, perturbation_check, scan_conditions
 from .costs import PRESETS, make_cost, preset
 from .curvature import MtwInput, mtw_closed, mtw_via_jacobi
 from .errors import (AdmissibilityError, MtwError, OutOfRangeError, ParseError,
@@ -96,13 +98,29 @@ CSV_CHUNK_ROWS = 4096
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
 
 
-def _write_csv(path, table):
-    columns = [table[name] for name in CSV_COLUMNS]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-            chunk = np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in columns])
-            fh.write(_CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
+@contextlib.contextmanager
+def _write_csv(path):
+    """Yield write(table), which appends a table's rows to the CSV file at path.
+
+    The header and rows go to a sibling file, which replaces path only when
+    the block completes; if it raises, path is left as it was.
+    """
+    partial = f"{path}.partial"
+    try:
+        with open(partial, "w", newline="") as fh:
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+
+            def write(table):
+                columns = [table[name] for name in CSV_COLUMNS]
+                for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+                    rows = np.column_stack([c[start:start + CSV_CHUNK_ROWS] for c in columns])
+                    fh.write(_CSV_ROW * len(rows) % tuple(rows.ravel().tolist()))
+
+            yield write
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 def cmd_check(args):
@@ -110,9 +128,9 @@ def cmd_check(args):
     cost = resolve_cost(args.cost, args.diameter)
     cfg = ScanConfig(diameter=args.diameter, dimension=args.dim,
                      grid_points=args.grid, strict_margin=args.strict_margin)
-    verdict, table = scan_table(cost, args.K, cfg)
-    if args.csv:
-        _write_csv(args.csv, table)
+    # the CSV rows are written chunk by chunk as the scan produces them
+    with (_write_csv(args.csv) if args.csv else contextlib.nullcontext()) as write:
+        verdict = scan_conditions(cost, args.K, cfg, on_chunk=write)
     report = RunReport(
         command="check", cost=cost.text, curvature=args.K, dimension=args.dim,
         diameter=args.diameter, grid=args.grid, verdict=verdict.status,

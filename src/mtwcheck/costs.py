@@ -193,32 +193,42 @@ def _newton_inverse(cost, targets, residual_tol=1e-13, max_iter=200):
 
     g(t) = lprime_sign * l'(t) increases from 0 to |l'(D)| on [0, D]; Newton
     steps are kept inside a maintained bracket, falling back to bisection.
+    Each point stops at its first iterate within residual_tol, and only the
+    points still moving are evaluated, so a point's result does not depend
+    on the other points of the batch.
     """
+    shape = np.shape(targets)
+    targets = np.ravel(targets)
     d = cost.diameter
+    x = np.clip(d * targets / cost.zmax, 0.0, d)
     lo = np.zeros_like(targets)
     hi = np.full_like(targets, d)
-    gmax = cost.zmax
-    x = np.clip(d * targets / gmax, 0.0, d)
     tol = residual_tol * np.maximum(1.0, targets)
+    moving = np.arange(targets.size)
     for _ in range(max_iter):
-        jet = cost.jet(x)
-        g = cost.lprime_sign * np.asarray(jet.coeffs[1])
-        gp = cost.lprime_sign * 2.0 * np.asarray(jet.coeffs[2])
-        f = g - targets
-        if np.all(np.abs(f) <= tol):
+        xm = x[moving]
+        # l' and l'' are coefficients 1 and 2: a jet of length 3 gives them
+        # bitwise as at full length
+        jet = eval_cost_jet(cost, xm, 3)
+        f = cost.lprime_sign * np.asarray(jet.coeffs[1]) - targets[moving]
+        keep = ~(np.abs(f) <= tol[moving])
+        if not np.any(keep):
             break
-        hi = np.where(f > 0.0, x, hi)
-        lo = np.where(f <= 0.0, x, lo)
+        moving, xm, f = moving[keep], xm[keep], f[keep]
+        gp = cost.lprime_sign * 2.0 * np.asarray(jet.coeffs[2])[keep]
+        hi[moving] = np.where(f > 0.0, xm, hi[moving])
+        lo[moving] = np.where(f <= 0.0, xm, lo[moving])
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(gp != 0.0, f / gp, np.inf)
-        candidate = x - step
-        inside = (candidate > lo) & (candidate < hi)
-        x = np.where(inside, candidate, 0.5 * (lo + hi))
+        candidate = xm - step
+        inside = (candidate > lo[moving]) & (candidate < hi[moving])
+        x[moving] = np.where(inside, candidate, 0.5 * (lo[moving] + hi[moving]))
     else:
-        final = cost.lprime_sign * np.asarray(cost.jet(x).coeffs[1])
-        if np.any(np.abs(final - targets) > 1e-12 * np.maximum(1.0, targets)):
+        final = cost.lprime_sign * np.asarray(eval_cost_jet(cost, x[moving], 2).coeffs[1])
+        ends = targets[moving]
+        if np.any(np.abs(final - ends) > 1e-12 * np.maximum(1.0, ends)):
             raise ConvergenceFailure("Newton inverse of l' did not converge")
-    return x
+    return x.reshape(shape)
 
 
 def _h_sq(y):

@@ -24,7 +24,7 @@ import numpy as np
 from .costs import eval_cost_jet, inverse_lprime
 from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
 from .geometry import Point, TangentVector
-from .jets import Jet, _compose_table, _power_coeff, jet_compose
+from .jets import Jet, _compose_table, _power_coeff, jet_compose, jet_compose_pair
 
 # Below this argument A, B and the coefficient functions switch from direct
 # evaluation at basepoint z to evaluation of their series at basepoint 0,
@@ -46,7 +46,8 @@ class MtwInput:
 
     def validate(self, form):
         for vec in (self.u, self.v, self.w):
-            if not np.allclose(vec.base.coords, self.x.coords, atol=1e-9):
+            if vec.base is not self.x and not np.allclose(vec.base.coords, self.x.coords,
+                                                          atol=1e-9):
                 raise ValueError("all tangent vectors must share the base point")
         if form.norm(self.v) == 0.0:
             raise ZeroVectorError("v must be nonzero")
@@ -129,12 +130,11 @@ def _ab_jets_direct(cost, K, z):
     a_jet = 1.0 / Jet((h0,) + g.coeffs[1:], basepoint=z).series_derivative()
     hjet = Jet((h0,) + g.coeffs[1:3], basepoint=z)
     zjet = Jet((zeff, 1.0, 0.0), basepoint=z)
-    if K == -1:
-        b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
-    elif K == 0:
+    if K == 0:
         b_jet = zjet / hjet
     else:
-        b_jet = zjet * jet_compose("cos", hjet) / jet_compose("sin", hjet)
+        num, den = jet_compose_pair("cosh" if K == -1 else "cos", hjet)
+        b_jet = zjet * num / den
     return a_jet, b_jet, zeff
 
 
@@ -151,12 +151,10 @@ def _ab_series_origin(cost, K):
     # is exact through order 6 here
     g = _revert(_lprime_increment_series(ljet))
     a_jet = 1.0 / g.series_derivative()
-    if K == -1:
-        num, den = jet_compose("cosh", g), jet_compose("sinh", g)
-    elif K == 0:
+    if K == 0:
         num, den = Jet.constant(1.0), g
     else:
-        num, den = jet_compose("cos", g), jet_compose("sin", g)
+        num, den = jet_compose_pair("cosh" if K == -1 else "cos", g)
     shifted = Jet(den.coeffs[1:] + (0.0,), basepoint=0.0)
     b_jet = num / shifted
     a = tuple(float(c) for c in a_jet.coeffs)
@@ -181,50 +179,60 @@ _PROFILE_KEYS = ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime",
                  "alpha", "beta", "gamma", "delta")
 
 
+def _direct_profiles(cost, K, z):
+    """All profile quantities at an array of z >= SERIES_SWITCH, each
+    evaluated directly at its own basepoint."""
+    a_jet, b_jet, zeff = _ab_jets_direct(cost, K, z)
+    A, Ap, Add = a_jet.coeffs[0], a_jet.coeffs[1], 2.0 * a_jet.coeffs[2]
+    B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2.0 * b_jet.coeffs[2]
+    amb = A - B
+    zsq = zeff * zeff
+    return {
+        "A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
+        "alpha": (zsq * Add + 6.0 * amb - 4.0 * zeff * (Ap - Bp)) / zsq,
+        "beta": (zeff * Ap - 2.0 * amb) / zsq,
+        "gamma": Bdd,
+        "delta": Bp / zeff,
+    }
+
+
 def _profiles(cost, K, z):
     """All profile quantities at an array of z >= 0 values.
 
     Entries below SERIES_SWITCH use the origin series (limits); the rest are
-    evaluated directly at their own basepoint.
+    evaluated directly at their own basepoint.  An array with no entry below
+    SERIES_SWITCH gets the direct-branch arrays as they are.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise OutOfRangeError("profile arguments must be nonnegative")
     if np.any(z > cost.zmax * (1.0 + 1e-9) + 1e-15):
         raise OutOfRangeError(f"z beyond |l'(D)| = {cost.zmax}")
-    out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
     small = z < SERIES_SWITCH
-    if np.any(small):
-        a, b = _ab_series_origin(cost, K)
-        zs = z[small]
-        amb = tuple(ai - bi for ai, bi in zip(a, b))
-        out["A"][small] = _poly(a, zs, lambda k: 1, 0)
-        out["Aprime"][small] = _poly(a, zs, lambda k: k, 1)
-        out["Adprime"][small] = _poly(a, zs, lambda k: k * (k - 1), 2)
-        out["B"][small] = _poly(b, zs, lambda k: 1, 0)
-        out["Bprime"][small] = _poly(b, zs, lambda k: k, 1)
-        out["Bdprime"][small] = _poly(b, zs, lambda k: k * (k - 1), 2)
-        # alpha and beta come from the numerator series shifted down by z^2;
-        # the degree-0/1 terms vanish (checked in _ab_series_origin)
-        n_coeffs = tuple(k * (k - 1) * a[k] + (6 - 4 * k) * amb[k] for k in range(7))
-        m_coeffs = tuple(k * a[k] - 2 * amb[k] for k in range(7))
-        out["alpha"][small] = _poly(n_coeffs, zs, lambda k: 1, 2)
-        out["beta"][small] = _poly(m_coeffs, zs, lambda k: 1, 2)
-        out["gamma"][small] = _poly(b, zs, lambda k: k * (k - 1), 2)
-        out["delta"][small] = _poly(b, zs, lambda k: k, 2)
+    if not np.any(small):
+        return _direct_profiles(cost, K, z)
+    out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
+    a, b = _ab_series_origin(cost, K)
+    zs = z[small]
+    amb = tuple(ai - bi for ai, bi in zip(a, b))
+    out["A"][small] = _poly(a, zs, lambda k: 1, 0)
+    out["Aprime"][small] = _poly(a, zs, lambda k: k, 1)
+    out["Adprime"][small] = _poly(a, zs, lambda k: k * (k - 1), 2)
+    out["B"][small] = _poly(b, zs, lambda k: 1, 0)
+    out["Bprime"][small] = _poly(b, zs, lambda k: k, 1)
+    out["Bdprime"][small] = _poly(b, zs, lambda k: k * (k - 1), 2)
+    # alpha and beta come from the numerator series shifted down by z^2;
+    # the degree-0/1 terms vanish (checked in _ab_series_origin)
+    n_coeffs = tuple(k * (k - 1) * a[k] + (6 - 4 * k) * amb[k] for k in range(7))
+    m_coeffs = tuple(k * a[k] - 2 * amb[k] for k in range(7))
+    out["alpha"][small] = _poly(n_coeffs, zs, lambda k: 1, 2)
+    out["beta"][small] = _poly(m_coeffs, zs, lambda k: 1, 2)
+    out["gamma"][small] = _poly(b, zs, lambda k: k * (k - 1), 2)
+    out["delta"][small] = _poly(b, zs, lambda k: k, 2)
     large = ~small
     if np.any(large):
-        a_jet, b_jet, zeff = _ab_jets_direct(cost, K, z[large])
-        A, Ap, Add = a_jet.coeffs[0], a_jet.coeffs[1], 2.0 * a_jet.coeffs[2]
-        B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2.0 * b_jet.coeffs[2]
-        amb = A - B
-        out["A"][large], out["Aprime"][large], out["Adprime"][large] = A, Ap, Add
-        out["B"][large], out["Bprime"][large], out["Bdprime"][large] = B, Bp, Bdd
-        zsq = zeff * zeff
-        out["alpha"][large] = (zsq * Add + 6.0 * amb - 4.0 * zeff * (Ap - Bp)) / zsq
-        out["beta"][large] = (zeff * Ap - 2.0 * amb) / zsq
-        out["gamma"][large] = Bdd
-        out["delta"][large] = Bp / zeff
+        for key, col in _direct_profiles(cost, K, z[large]).items():
+            out[key][large] = col
     return out
 
 

@@ -36,7 +36,9 @@ class TangentVector:
     components: np.ndarray
 
     def _check_base(self, other):
-        if not np.allclose(self.base.coords, other.base.coords, atol=1e-9):
+        # vectors built at one Point share the object; compare only distinct ones
+        if other.base is not self.base and not np.allclose(self.base.coords,
+                                                           other.base.coords, atol=1e-9):
             raise GeometryError("tangent vectors have different base points")
 
     def __add__(self, other):

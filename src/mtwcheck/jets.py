@@ -228,29 +228,55 @@ def _table_sqrt(a0, length):
     return tuple(table)
 
 
-def _table_circular(a0, even, odd, signs, length):
-    vals = (even(a0), odd(a0))
+# f, its partner g, and the signs in f^(k) = signs[k % 4] * (f, g)[k % 2]
+_CIRCULAR = {
+    "sin": (np.sin, np.cos, (1.0, 1.0, -1.0, -1.0)),
+    "cos": (np.cos, np.sin, (1.0, -1.0, -1.0, 1.0)),
+    "sinh": (np.sinh, np.cosh, (1.0, 1.0, 1.0, 1.0)),
+    "cosh": (np.cosh, np.sinh, (1.0, 1.0, 1.0, 1.0)),
+}
+_PARTNER = {"cos": "sin", "cosh": "sinh"}
+
+
+def _table_circular(name, vals, length):
+    """Derivative-coefficient table of f from vals = (f(a0), g(a0))."""
+    signs = _CIRCULAR[name][2]
     return tuple(signs[k % 4] * vals[k % 2] / _FACTORIAL[k] for k in range(length))
 
 
-def _compose_circular(a, even, odd, signs):
-    return _compose_table(_table_circular(a.coeffs[0], even, odd, signs, len(a.coeffs)), a)
+def _compose_circular(name, a):
+    f, g, _ = _CIRCULAR[name]
+    a0 = a.coeffs[0]
+    return _compose_table(_table_circular(name, (f(a0), g(a0)), len(a.coeffs)), a)
 
 
 def _compose_sin(a):
-    return _compose_circular(a, np.sin, np.cos, (1.0, 1.0, -1.0, -1.0))
+    return _compose_circular("sin", a)
 
 
 def _compose_cos(a):
-    return _compose_circular(a, np.cos, np.sin, (1.0, -1.0, -1.0, 1.0))
+    return _compose_circular("cos", a)
 
 
 def _compose_sinh(a):
-    return _compose_circular(a, np.sinh, np.cosh, (1.0, 1.0, 1.0, 1.0))
+    return _compose_circular("sinh", a)
 
 
 def _compose_cosh(a):
-    return _compose_circular(a, np.cosh, np.sinh, (1.0, 1.0, 1.0, 1.0))
+    return _compose_circular("cosh", a)
+
+
+def jet_compose_pair(name, a):
+    """Jets of (cos o a, sin o a) for name "cos", (cosh o a, sinh o a) for "cosh".
+
+    Both tables read the same two function values at a.coeffs[0], so these
+    are evaluated once; each jet is bitwise the one jet_compose returns.
+    """
+    f, g, _ = _CIRCULAR[name]
+    a0, length = a.coeffs[0], len(a.coeffs)
+    vals = (f(a0), g(a0))
+    return (_compose_table(_table_circular(name, vals, length), a),
+            _compose_table(_table_circular(_PARTNER[name], vals[::-1], length), a))
 
 
 def _compose_exp(a):

@@ -7,7 +7,8 @@ from helpers import random_orthogonal_pair
 from mtwcheck import (A3S, A3W_ONLY, FAILS, MtwInput, ScanConfig, SpaceForm, classify,
                       mtw_closed, parse_cost, perturbation_check, preset, scan_conditions,
                       scan_table)
-from mtwcheck.checker import _noise_band
+from mtwcheck import checker
+from mtwcheck.checker import _grid_chunk, _noise_band
 from mtwcheck.costs import make_cost
 from mtwcheck.curvature import coefficient_arrays
 from mtwcheck.errors import AdmissibilityError
@@ -143,6 +144,69 @@ def test_scan_table_columns():
     assert all(len(col) == 512 for col in table.values())
     assert table["z"][0] == 0.0 and table["z"][-1] == pytest.approx(cost.zmax)
     assert np.all(table["slack_min"] > 0.0)
+
+
+def _full_grid_scan(cost, K, cfg):
+    """The scan as one pass over the whole grid, the reference for the fold:
+    (status, witness, min_slacks, table)."""
+    z = np.linspace(0.0, cost.zmax, cfg.grid_points)
+    prof = coefficient_arrays(cost, K, z)
+    band = _noise_band(z, prof)
+    alpha, beta, gamma, delta = (prof[k] for k in ("alpha", "beta", "gamma", "delta"))
+    slacks = {"beta": -beta, "gamma": -gamma}
+    if cfg.dimension > 2:
+        slacks["delta"] = -delta
+    defined = (beta <= band) & (gamma <= band)
+    combo = 2.0 * np.sqrt(np.maximum(0.0, -beta)) * np.sqrt(np.maximum(0.0, -gamma)) \
+        - (alpha + delta)
+    stacked = np.vstack(list(slacks.values()) + [np.where(defined, combo, np.inf)])
+    slack_min = stacked.min(axis=0)
+    weak = defined & np.all(stacked >= -band, axis=0)
+    strict = weak & np.all(stacked > np.maximum(cfg.strict_margin, band), axis=0)
+    status = FAILS if not np.all(weak) else A3S if np.all(strict) else A3W_ONLY
+    min_slacks = {name: float(np.min(col)) for name, col in slacks.items()}
+    if np.any(defined):
+        min_slacks["combo"] = float(np.min(combo[defined]))
+    table = {"z": z, "A": prof["A"], "B": prof["B"], "alpha": alpha, "beta": beta,
+             "gamma": gamma, "delta": delta, "slack_min": slack_min}
+    return status, float(z[int(np.argmin(slack_min))]), min_slacks, table
+
+
+CHUNK_COSTS = [(name, K, D, eps) for name, K, D, eps, _ in SCAN_EXPECTATIONS] + [
+    ("log(cosh(z))", -1, 2.0, None),  # h from the Newton inverse
+]
+
+
+@pytest.mark.parametrize("chunk,grid", [(1000, 4096), (1, 256), (None, 8193)])
+@pytest.mark.parametrize("name,K,D,eps", CHUNK_COSTS)
+def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D, eps):
+    if chunk is not None:
+        monkeypatch.setattr(checker, "SCAN_CHUNK", chunk)
+    cost = (preset(name, D, eps=eps) if eps else preset(name, D)) if "(" not in name \
+        else make_cost(name, D)
+    for n in (2, 3):
+        cfg = ScanConfig(diameter=D, dimension=n, grid_points=grid)
+        status, witness, min_slacks, ref = _full_grid_scan(cost, K, cfg)
+        verdict, table = scan_table(cost, K, cfg)
+        assert set(table) == set(ref)
+        for col in ref:
+            # tobytes: np.array_equal would take -0.0 and 0.0 as equal
+            assert table[col].tobytes() == ref[col].tobytes(), (col, n)
+        assert verdict.status == status and verdict.witness == witness
+        assert list(verdict.min_slacks) == list(min_slacks)
+        for key, value in min_slacks.items():
+            assert np.float64(verdict.min_slacks[key]).tobytes() == np.float64(value).tobytes()
+        assert scan_conditions(cost, K, cfg) == verdict
+
+
+@pytest.mark.parametrize("grid", [256, 257, 4096, 8193, 65536])
+def test_grid_chunks_equal_linspace(grid):
+    rng = np.random.default_rng(grid)
+    for zmax in np.concatenate([[1.0, np.tanh(2.0), np.sinh(2.0), 5.0], rng.uniform(0.01, 50.0, 6)]):
+        for chunk in (1, 1000, 8192) if grid <= 257 else (1000, 8192):
+            z = np.concatenate([_grid_chunk(zmax, grid, lo, min(lo + chunk, grid))
+                                for lo in range(0, grid, chunk)])
+            assert z.tobytes() == np.linspace(0.0, zmax, grid).tobytes(), (zmax, chunk)
 
 
 def test_scan_weak_points_have_nonnegative_curvature():

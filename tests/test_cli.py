@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mtwcheck import ScanConfig, checker, preset, scan_table
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
 
 
@@ -248,9 +249,58 @@ def test_csv_bytes_match_csv_writer(tmp_path, rows):
         values[0] = special[i % len(special)]
         table[name] = values
     got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
-    _write_csv(got, table)
+    with _write_csv(got) as write:
+        write(table)
     _csv_writer_reference(expected, table)
     assert got.read_bytes() == expected.read_bytes()
+
+
+def test_check_csv_streams_chunks(tmp_path, capsys, monkeypatch):
+    # scan chunks that do not line up with the writer's row blocks
+    monkeypatch.setattr(checker, "SCAN_CHUNK", 1000)
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    code, _, _ = run(capsys, "check", "--cost", "neg-cosh", "--K", "-1", "--dim", "3",
+                     "--grid", "4500", "--csv", str(got))
+    assert code == 0
+    _, table = scan_table(preset("neg-cosh", 2.0), -1,
+                          ScanConfig(diameter=2.0, dimension=3, grid_points=4500))
+    _csv_writer_reference(expected, table)
+    assert got.read_bytes() == expected.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "got.csv"]
+
+
+def _fail_on_second_chunk(monkeypatch):
+    profiles = checker.coefficient_arrays
+    calls = []
+
+    def failing(cost, K, z):
+        calls.append(len(z))
+        if len(calls) == 2:
+            raise FloatingPointError("injected failure in the second chunk")
+        return profiles(cost, K, z)
+
+    monkeypatch.setattr(checker, "SCAN_CHUNK", 1000)
+    monkeypatch.setattr(checker, "coefficient_arrays", failing)
+
+
+@pytest.mark.parametrize("exists", [False, True])
+@pytest.mark.parametrize("cost,expected_code", [("z^3", 2), ("neg-cosh", 3)])
+def test_failed_check_leaves_csv_target(tmp_path, capsys, monkeypatch, exists, cost,
+                                        expected_code):
+    # "z^3" is inadmissible (exit 2); neg-cosh fails after one chunk's rows (exit 3)
+    if expected_code == 3:
+        _fail_on_second_chunk(monkeypatch)
+    path = tmp_path / "scan.csv"
+    if exists:
+        path.write_bytes(b"earlier contents\r\n")
+    code, _, err = run(capsys, "check", "--cost", cost, "--K", "-1", "--dim", "3",
+                       "--grid", "4096", "--csv", str(path))
+    assert code == expected_code, err
+    if exists:
+        assert path.read_bytes() == b"earlier contents\r\n"
+    else:
+        assert not path.exists()
+    assert [p.name for p in tmp_path.iterdir()] == (["scan.csv"] if exists else [])
 
 
 @pytest.mark.parametrize("cost,K", [("-log(1-cos(z))", "1"), ("1/z", "0")])

@@ -253,6 +253,22 @@ def test_mtw_zero_v_rejected():
         mtw_closed(cost, form, MtwInput(x=x, u=u, v=zero, w=u))
 
 
+def test_mtw_input_base_points_compared():
+    cost = preset("neg-cosh", 2.0)
+    form = SpaceForm(-1, 3)
+    x = form.canonical_base()
+    x_again = form.point(x.coords.copy())
+    elsewhere = form.project_point([0.5, 0.0, 0.0, 0.0])
+    u = form.frame_tangent(x, [1.0, 0.0, 0.0])
+    v = form.frame_tangent(x, [0.0, 0.5, 0.0])
+    w = form.frame_tangent(x_again, [0.0, 0.0, 1.0])
+    assert mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w)) \
+        == mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=form.frame_tangent(x, [0.0, 0.0, 1.0])))
+    stray = form.project_tangent(elsewhere, [0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="share the base point"):
+        mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=stray))
+
+
 _ROUTE_CASES = [(-1, 2, "neg-cosh", 2.0, None), (-1, 3, "neg-log1p-cosh", 2.0, None),
                 (-1, 4, "neg-cosh", 2.0, None), (0, 2, "quartic", 1.0, 1e-3),
                 (0, 3, "quartic", 1.0, 1e-3), (0, 4, "quartic", 1.0, 1e-3),

@@ -31,6 +31,21 @@ def test_tangency_validation():
         sphere.tangent(north, [0.0, 0.0, 0.4])
 
 
+def test_distinct_base_points_are_compared():
+    form = SpaceForm(1, 2)
+    north = form.point([0.0, 0.0, 1.0])
+    north_again = form.point([0.0, 0.0, 1.0])
+    east = form.point([1.0, 0.0, 0.0])
+    u = form.tangent(north, [0.3, -0.2, 0.0])
+    same = form.tangent(north_again, [0.1, 0.4, 0.0])
+    other = form.tangent(east, [0.0, 0.5, 0.0])
+    assert form.inner(u, same) == pytest.approx(-0.05)
+    assert np.array_equal((u + same).components, [0.4, 0.2, 0.0])
+    for op in (lambda: u + other, lambda: u - other, lambda: form.inner(u, other)):
+        with pytest.raises(GeometryError):
+            op()
+
+
 def test_exp_zero_is_base():
     for form in FORMS:
         base = form.canonical_base()
