@@ -33,8 +33,9 @@ SCHEMA_VERSION = 1
 
 CSV_COLUMNS = ["z", "A", "B", "alpha", "beta", "gamma", "delta", "slack_min"]
 
+# OSError: a --csv path that cannot be written
 _INPUT_ERRORS = (ParseError, AdmissibilityError, OutOfRangeError,
-                 ZeroVectorError, ValueError)
+                 ZeroVectorError, ValueError, OSError)
 
 
 @dataclass
@@ -102,12 +103,14 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
 def _write_csv(path):
     """Yield write(table), which appends a table's rows to the CSV file at path.
 
-    The header and rows go to a sibling file, which replaces path only when
-    the block completes; if it raises, path is left as it was.
+    The header and rows go to the new sibling file path + ".partial", which
+    replaces path only when the block completes; if it raises, path is left
+    as it was.  An existing file of the sibling's name is never overwritten.
     """
     partial = f"{path}.partial"
+    fh = open(partial, "x", newline="")
     try:
-        with open(partial, "w", newline="") as fh:
+        with fh:
             fh.write(",".join(CSV_COLUMNS) + "\r\n")
 
             def write(table):
@@ -118,9 +121,9 @@ def _write_csv(path):
 
             yield write
         os.replace(partial, path)
-    finally:
-        if os.path.exists(partial):
-            os.remove(partial)
+    except BaseException:
+        os.remove(partial)
+        raise
 
 
 def cmd_check(args):

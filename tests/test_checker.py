@@ -196,7 +196,6 @@ def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D, ep
         assert list(verdict.min_slacks) == list(min_slacks)
         for key, value in min_slacks.items():
             assert np.float64(verdict.min_slacks[key]).tobytes() == np.float64(value).tobytes()
-        assert scan_conditions(cost, K, cfg) == verdict
 
 
 @pytest.mark.parametrize("grid", [256, 257, 4096, 8193, 65536])

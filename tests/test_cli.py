@@ -303,6 +303,18 @@ def test_failed_check_leaves_csv_target(tmp_path, capsys, monkeypatch, exists, c
     assert [p.name for p in tmp_path.iterdir()] == (["scan.csv"] if exists else [])
 
 
+def test_unwritable_csv_exit_2(tmp_path, capsys):
+    argv = ("check", "--cost", "neg-cosh", "--K", "-1", "--dim", "3", "--csv")
+    code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "scan.csv"))
+    assert code == 2 and "Traceback" not in err
+    # a file in the way of the sibling the rows go to is left alone
+    (tmp_path / "scan.csv.partial").write_bytes(b"not ours\r\n")
+    code, _, err = run(capsys, *argv, str(tmp_path / "scan.csv"))
+    assert code == 2 and "Traceback" not in err
+    assert (tmp_path / "scan.csv.partial").read_bytes() == b"not ours\r\n"
+    assert not (tmp_path / "scan.csv").exists()
+
+
 @pytest.mark.parametrize("cost,K", [("-log(1-cos(z))", "1"), ("1/z", "0")])
 def test_singular_cost_exit_2(capsys, cost, K):
     code, _, err = run(capsys, "check", f"--cost={cost}", "--K", K, "--dim", "2")
