@@ -201,7 +201,8 @@ def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D, ep
 @pytest.mark.parametrize("grid", [256, 257, 4096, 8193, 65536])
 def test_grid_chunks_equal_linspace(grid):
     rng = np.random.default_rng(grid)
-    for zmax in np.concatenate([[1.0, np.tanh(2.0), np.sinh(2.0), 5.0], rng.uniform(0.01, 50.0, 6)]):
+    zmaxes = np.concatenate([[1.0, np.tanh(2.0), np.sinh(2.0), 5.0], rng.uniform(0.01, 50.0, 6)])
+    for zmax in zmaxes:
         for chunk in (1, 1000, 8192) if grid <= 257 else (1000, 8192):
             z = np.concatenate([_grid_chunk(zmax, grid, lo, min(lo + chunk, grid))
                                 for lo in range(0, grid, chunk)])

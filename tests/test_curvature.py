@@ -261,9 +261,10 @@ def test_mtw_input_base_points_compared():
     elsewhere = form.project_point([0.5, 0.0, 0.0, 0.0])
     u = form.frame_tangent(x, [1.0, 0.0, 0.0])
     v = form.frame_tangent(x, [0.0, 0.5, 0.0])
-    w = form.frame_tangent(x_again, [0.0, 0.0, 1.0])
-    assert mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w)) \
-        == mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=form.frame_tangent(x, [0.0, 0.0, 1.0])))
+    w = form.frame_tangent(x, [0.0, 0.0, 1.0])
+    w_again = form.frame_tangent(x_again, [0.0, 0.0, 1.0])
+    assert mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w_again)) \
+        == mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w))
     stray = form.project_tangent(elsewhere, [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="share the base point"):
         mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=stray))
