@@ -161,11 +161,11 @@ def scan_conditions(cost, K, cfg, on_chunk=None):
     each chunk's table, in grid order, before the chunk is dropped; the table
     maps z, A, B, alpha, beta, gamma, delta and slack_min to arrays.
     """
-    validate_admissibility(cost).raise_if_violated()
     if K == 1 and cfg.diameter >= math.pi:
         raise ValueError("on the sphere the scan diameter must satisfy D < pi")
     if abs(cost.diameter - cfg.diameter) > 1e-12:
         raise ValueError("scan diameter differs from the cost's working interval")
+    validate_admissibility(cost).raise_if_violated()
 
     zmax, grid_points = cost.zmax, cfg.grid_points
     weak = strict = True

@@ -115,7 +115,8 @@ def validate_admissibility(cost):
 
     Evenness: odd-order Taylor coefficients at 0 must vanish, and l(z)-l(-z)
     must vanish at sampled points.  Sign: l'' on a uniform 256-point grid must
-    match the declared lprime_sign and stay away from zero.  Returns a report;
+    match the declared lprime_sign and stay away from zero, and lprime_sign * l'
+    must not decrease from one grid point to the next.  Returns a report;
     callers that need an exception use report.raise_if_violated().  An l that is
     undefined at a point it is evaluated at raises AdmissibilityError.
     """
@@ -131,13 +132,21 @@ def validate_admissibility(cost):
         return AdmissibilityReport(False, "not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
-    lpp = 2.0 * np.asarray(_jet_on_interval(cost.jet, cost.text, grid).coeffs[2])
+    jet = _jet_on_interval(cost.jet, cost.text, grid)
+    # a coefficient that does not depend on z (l = 0, say) is a scalar
+    lprime = np.broadcast_to(jet.coeffs[1], grid.shape)
+    lpp = 2.0 * np.broadcast_to(jet.coeffs[2], grid.shape)
     near_zero = np.abs(lpp) <= SIGN_TOL * scale
     if np.any(near_zero):
         return AdmissibilityReport(False, "lpp-zero", float(grid[near_zero][0]))
     wrong_sign = lpp * cost.lprime_sign < 0.0
     if np.any(wrong_sign):
         return AdmissibilityReport(False, "lpp-sign-change", float(grid[wrong_sign][0]))
+    # sign * l'' > 0 makes sign * l' increase, so a drop between two samples
+    # is a pole or a sign change of l'' that the samples missed
+    drops = np.diff(cost.lprime_sign * lprime) < 0.0
+    if np.any(drops):
+        return AdmissibilityReport(False, "lprime-not-monotone", float(grid[:-1][drops][0]))
     return AdmissibilityReport(True)
 
 

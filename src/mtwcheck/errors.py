@@ -33,9 +33,10 @@ class ParseError(MtwError):
 class AdmissibilityError(MtwError):
     """Cost function violates evenness or the constant-sign requirement on l''.
 
-    kind is one of "not-even", "lpp-sign-change", "lpp-zero", "undefined"
-    (l or one of its derivatives cannot be evaluated); witness is the first
-    offending argument.
+    kind is one of "not-even", "lpp-sign-change", "lpp-zero",
+    "lprime-not-monotone" (sign * l' drops between two samples, as at a pole
+    of l'), "undefined" (l or one of its derivatives cannot be evaluated);
+    witness is the first offending argument.
     """
 
     def __init__(self, kind, witness, message=None):

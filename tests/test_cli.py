@@ -1,15 +1,22 @@
 """CLI surface: exit codes, JSON reports, CSV tables, presets listing."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtwcheck import ScanConfig, checker, preset, scan_table
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
+from mtwcheck.csvtext import format_rows
+from mtwcheck.jets import ELEMENTARY_FUNCTIONS
 
 
 def run(capsys, *argv):
@@ -235,7 +242,9 @@ def _csv_writer_reference(path, table):
             writer.writerow([f"{value:.17g}" for value in row])
 
 
-@pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+# one row, the edges of one block, and eight blocks around a ragged last one
+@pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+                                  4095, 4096, 4097])
 def test_csv_bytes_match_csv_writer(tmp_path, rows):
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7e308, -1.7e308,
                0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]
@@ -321,3 +330,118 @@ def test_singular_cost_exit_2(capsys, cost, K):
     assert code == 2
     assert f"cost {cost!r} is undefined at z = 0.0" in err
     assert "Traceback" not in err
+
+
+def test_pole_between_admissibility_samples_exit_2(capsys):
+    # l = log((z^2-1)^2) has a pole at z = 1, between two samples, where l'
+    # drops from +inf to -inf while l'' keeps its sign
+    code, _, err = run(capsys, "check", "--cost=log((z^2-1)^2)", "--K", "0", "--dim", "2",
+                       "--diameter", "2.2")
+    assert code == 2, err
+    assert "lprime-not-monotone" in err and "Traceback" not in err
+
+
+def _percent_rows(values, ncols):
+    """The reference: each value as "%.17g" formats it, as csv.writer joins them."""
+    row = ",".join(["%.17g"] * ncols) + "\r\n"
+    return (row * (len(values) // ncols) % tuple(values)).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=16), st.integers(1, 8))
+def test_format_rows_matches_percent_g(values, ncols):
+    values = values * ncols
+    assert format_rows(np.array(values), ncols) == _percent_rows(values, ncols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=16), st.integers(1, 8))
+def test_format_rows_matches_percent_g_on_bit_patterns(bits, ncols):
+    values = np.array(bits * ncols, dtype=np.uint64).view(np.float64)
+    assert format_rows(values, ncols) == _percent_rows(values.tolist(), ncols)
+
+
+def _with_neighbours(values):
+    values = np.array(values)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+def _ties():
+    """Values exactly halfway between two 17-digit decimals, which "%.17g"
+    rounds to even: M * 2**-e for odd M with M * 5**e of 18 digits."""
+    ties = [1234567890123456.75, 999999999999999.125]
+    for e in range(1, 26):
+        m = -(-10 ** 17 // 5 ** e)
+        m += 1 - m % 2
+        if m + 2 < 2 ** 53:
+            ties += [math.ldexp(m, -e), math.ldexp(m + 2, -e)]
+    return ties
+
+
+_BOUNDARY = np.concatenate([
+    _with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    _with_neighbours([math.ldexp(1.0, e) for e in range(-1074, 1024)]),
+    _ties(),
+    [0.0, math.inf, math.nan, 5e-324, 1.7976931348623157e308, 0.1, 123.456, 1e16 - 2],
+    np.arange(-1000, 1001) * 0.1,
+])
+_BOUNDARY = np.concatenate([_BOUNDARY, -_BOUNDARY])
+
+
+def test_ties_are_exact():
+    for value in _ties():
+        digits = format(Decimal(value), "f").replace(".", "").strip("0")
+        assert len(digits) == 18 and digits[-1] == "5", value
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 8])
+def test_format_rows_boundary_values(ncols):
+    # every value lands in every column, the last one ending its row with \r\n
+    for shift in range(ncols):
+        values = np.roll(_BOUNDARY, shift)[:len(_BOUNDARY) // ncols * ncols]
+        assert format_rows(values, ncols) == _percent_rows(values.tolist(), ncols)
+
+
+def test_format_rows_rejects_ragged_block():
+    with pytest.raises(ValueError):
+        format_rows(np.zeros(7), 8)
+
+
+_NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "0.001", "3.5e2"])
+
+
+def _cost_texts():
+    return st.recursive(
+        st.one_of(st.just("z"), _NUMBERS),
+        lambda sub: st.one_of(
+            sub.map(lambda a: f"(-{a})"),
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(sub, st.integers(-2, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(sorted(ELEMENTARY_FUNCTIONS)), sub).map(
+                lambda t: f"{t[0]}({t[1]})"),
+        ),
+        max_leaves=6,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cost=_cost_texts(), K=st.sampled_from(["-1", "0", "1"]), dim=st.integers(1, 4),
+       diameter=st.sampled_from(["0", "-1", "inf", "nan", "1e-3", "0.5", "2", "5"]),
+       grid=st.integers(256, 1024), with_csv=st.booleans())
+def test_check_exits_with_a_code_and_never_raises(tmp_path_factory, cost, K, dim, diameter,
+                                                   grid, with_csv):
+    path = tmp_path_factory.mktemp("check") / "scan.csv"
+    argv = ["check", f"--cost={cost}", "--K", K, "--dim", str(dim),
+            f"--diameter={diameter}", "--grid", str(grid)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with np.errstate(all="ignore"):
+            code = main(argv + (["--csv", str(path)] if with_csv else []))
+    assert code in (0, 1, 2, 3)
+    if with_csv and code in (0, 1):
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_COLUMNS and len(rows) == 1 + grid
+        assert all(len(row) == 8 for row in rows[1:])
+        np.array(rows[1:], dtype=float)
+    else:
+        assert not path.exists()

@@ -47,6 +47,21 @@ def test_sign_change_detected():
     assert 0.0 < report.witness <= 1.0
 
 
+def test_pole_between_samples_detected():
+    # l = log((z^2-1)^2): l'' < 0 on both sides of the pole at z = 1, which
+    # falls between two samples, but -l' drops across it
+    cost = make_cost("log((z^2-1)^2)", 2.2)
+    report = validate_admissibility(cost)
+    assert not report.ok and report.kind == "lprime-not-monotone"
+    assert report.witness < 1.0 < report.witness + 2.2 / 255
+
+
+def test_constant_cost_rejected():
+    # the jet of a constant has scalar coefficients, not one per sample
+    report = validate_admissibility(make_cost("0", 1.0))
+    assert not report.ok and report.kind == "lpp-zero" and report.witness == 0.0
+
+
 def test_undefined_cost_names_first_grid_point():
     # log(4 - z^2) is even and defined at 0, but not from z = 2 on, the
     # 171st point of the 256-point admissibility grid on [0, 3]
