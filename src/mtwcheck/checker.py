@@ -227,10 +227,10 @@ def perturbation_check(f, k, b, grid_points=1024):
     f''(z) < k and (z^2 f'''(z) - z f''(z) + 2 f'(z))/z < k at every grid
     point of the uniform grid with left endpoint b/grid_points.
     """
-    if k >= 0.0:
-        raise ValueError("the threshold k must be negative")
-    if b <= 0.0:
-        raise ValueError("the interval bound b must be positive")
+    if not -math.inf < k < 0.0:
+        raise ValueError(f"the threshold k must be finite and negative, got {k!r}")
+    if not 0.0 < b < math.inf:
+        raise ValueError(f"the interval bound b must be finite and positive, got {b!r}")
     if grid_points < 1:
         raise ValueError("grid_points must be positive")
     z = np.linspace(b / grid_points, b, grid_points)

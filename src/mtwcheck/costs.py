@@ -32,35 +32,29 @@ def check_diameter(diameter):
 class CostFunction:
     """A radial cost l with its working interval [0, diameter].
 
-    lprime_sign is the constant sign of l'' on [0, diameter]; since l' is odd
-    with l'(0) = 0, it is also the sign of l' on (0, diameter].
     analytic_inverse, when present, is a vectorized closed form for h.
+    Nothing is evaluated at construction: validate_admissibility checks l
+    on [0, diameter].
     """
 
     expression: Expr
     text: str
     diameter: float
-    lprime_sign: int
     analytic_inverse: Optional[Callable] = None
     name: Optional[str] = None
-    # memo of zmax; a plain property rather than functools.cached_property,
-    # which would bypass wrappers installed on the property
+    # memos of zmax and lprime_sign; plain properties rather than
+    # functools.cached_property, which would bypass wrappers installed on them
     _zmax: Optional[float] = field(default=None, init=False, repr=False, compare=False)
+    _lprime_sign: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_diameter(self.diameter)
-        if self.lprime_sign not in (-1, 1):
-            raise ValueError("lprime_sign must be -1 or +1")
 
     def __call__(self, z):
         return evaluate(self.expression, z)
 
-    def jet(self, z0):
-        """Order-6 jet of l at z0 (scalar or array basepoint)."""
-        return eval_cost_jet(self, z0)
-
     def lprime(self, z):
-        return self.jet(z).derivative(1)
+        return eval_cost_jet(self, z).derivative(1)
 
     @property
     def zmax(self):
@@ -72,30 +66,39 @@ class CostFunction:
             object.__setattr__(self, "_zmax", abs(float(self.lprime(self.diameter))))
         return self._zmax
 
+    @property
+    def lprime_sign(self):
+        """The sign of l''(0): +1, or -1 when l''(0) < 0.
+
+        On an admissible cost l'' keeps this sign on all of [0, diameter],
+        which validate_admissibility checks on its grid; since l' is odd, it
+        is then also the sign of l' on (0, diameter].  Computed on first
+        access, from a jet of length 3 at 0.
+        """
+        if self._lprime_sign is None:
+            lpp0 = float(eval_cost_jet(self, 0.0, 3).coeffs[2])
+            object.__setattr__(self, "_lprime_sign", 1 if lpp0 >= 0.0 else -1)
+        return self._lprime_sign
+
 
 def eval_cost_jet(cost, z0, length=N_COEFFS):
-    """Jet of l at z0, of the given length (order 6 by default), by
-    structural recursion over the AST."""
-    return evaluate_jet(cost.expression, Jet.variable(z0, length))
+    """Jet of l at z0 (scalar or array), of the given length (order 6 by
+    default), by structural recursion over the AST.
 
-
-def _jet_on_interval(jet_of_l, text, z):
-    """jet_of_l(z): the jet of the cost l at z in its working interval.
-
-    z is a scalar or an array.  An l that cannot be evaluated there, with
-    its derivatives, is not an admissible cost: the error names the cost
-    and the first such z.
+    An l that cannot be evaluated at z0, with its derivatives, is not an
+    admissible cost: the AdmissibilityError names the cost and the first
+    such z.
     """
     try:
-        return jet_of_l(z)
+        return evaluate_jet(cost.expression, Jet.variable(z0, length))
     except (DomainError, DegenerateJetError):
-        for point in np.atleast_1d(z).tolist():
+        for point in np.atleast_1d(z0).tolist():
             try:
-                jet_of_l(point)
+                evaluate_jet(cost.expression, Jet.variable(point, length))
             except (DomainError, DegenerateJetError) as exc:
                 raise AdmissibilityError(
                     "undefined", point,
-                    f"cost {text!r} is undefined at z = {point!r} ({exc})") from None
+                    f"cost {cost.text!r} is undefined at z = {point!r} ({exc})") from None
         raise
 
 
@@ -115,12 +118,13 @@ def validate_admissibility(cost):
 
     Evenness: odd-order Taylor coefficients at 0 must vanish, and l(z)-l(-z)
     must vanish at sampled points.  Sign: l'' on a uniform 256-point grid must
-    match the declared lprime_sign and stay away from zero, and lprime_sign * l'
-    must not decrease from one grid point to the next.  Returns a report;
-    callers that need an exception use report.raise_if_violated().  An l that is
-    undefined at a point it is evaluated at raises AdmissibilityError.
+    stay away from zero and keep the sign it has at 0 (cost.lprime_sign), and
+    lprime_sign * l' must not decrease from one grid point to the next.
+    Returns a report; callers that need an exception use
+    report.raise_if_violated().  An l that is undefined at a point it is
+    evaluated at raises AdmissibilityError.
     """
-    jet0 = _jet_on_interval(cost.jet, cost.text, 0.0)
+    jet0 = eval_cost_jet(cost, 0.0)
     scale = max(1.0, max(abs(float(c)) for c in jet0.coeffs))
     for k in (1, 3, 5):
         if abs(float(jet0.coeffs[k])) > EVENNESS_TOL * scale:
@@ -132,7 +136,7 @@ def validate_admissibility(cost):
         return AdmissibilityReport(False, "not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
-    jet = _jet_on_interval(cost.jet, cost.text, grid)
+    jet = eval_cost_jet(cost, grid)
     # a coefficient that does not depend on z (l = 0, say) is a scalar
     lprime = np.broadcast_to(jet.coeffs[1], grid.shape)
     lpp = 2.0 * np.broadcast_to(jet.coeffs[2], grid.shape)
@@ -150,32 +154,20 @@ def validate_admissibility(cost):
     return AdmissibilityReport(True)
 
 
-def _infer_sign(expression, text, diameter):
-    def jet_of_l(z):
-        return evaluate_jet(expression, Jet.variable(z))
+def make_cost(text_or_expr, diameter, analytic_inverse=None, name=None):
+    """Build a CostFunction from expression text or an AST.
 
-    probes = (0.0, diameter / 2.0, diameter)
-    lpp = np.array([2.0 * float(_jet_on_interval(jet_of_l, text, z).coeffs[2])
-                    for z in probes])
-    pick = int(np.argmax(np.abs(lpp)))
-    return 1 if lpp[pick] >= 0.0 else -1
-
-
-def make_cost(text_or_expr, diameter, lprime_sign=None, analytic_inverse=None, name=None):
-    """Build a CostFunction from expression text or an AST, inferring the
-    sign of l'' when not declared."""
+    l is not evaluated here; the sign of l'' is read from l''(0) when first
+    needed (CostFunction.lprime_sign).
+    """
     if isinstance(text_or_expr, str):
         expression = parse_cost(text_or_expr)
         text = text_or_expr.strip()
     else:
         expression = text_or_expr
         text = pretty(expression)
-    check_diameter(diameter)  # before _infer_sign probes l at the diameter
-    if lprime_sign is None:
-        lprime_sign = _infer_sign(expression, text, diameter)
     return CostFunction(expression=expression, text=text, diameter=float(diameter),
-                        lprime_sign=lprime_sign, analytic_inverse=analytic_inverse,
-                        name=name)
+                        analytic_inverse=analytic_inverse, name=name)
 
 
 def inverse_lprime(cost, y):
@@ -224,7 +216,8 @@ def _newton_inverse(cost, targets, residual_tol=1e-13, max_iter=200):
         if not np.any(keep):
             break
         moving, xm, f = moving[keep], xm[keep], f[keep]
-        gp = cost.lprime_sign * 2.0 * np.asarray(jet.coeffs[2])[keep]
+        # l'' is a scalar when it does not depend on z (l = z, say)
+        gp = cost.lprime_sign * 2.0 * np.broadcast_to(jet.coeffs[2], keep.shape)[keep]
         hi[moving] = np.where(f > 0.0, xm, hi[moving])
         lo[moving] = np.where(f <= 0.0, xm, lo[moving])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -285,31 +278,22 @@ def _make_h_quartic(eps):
 
 @dataclass(frozen=True)
 class PresetInfo:
-    name: str
     text: str
-    lprime_sign: int
     curvatures: tuple
     verdict_note: str
+    # quartic's inverse depends on EPS: preset() builds it with _make_h_quartic
+    analytic_inverse: Optional[Callable]
 
 
 PRESETS = {
-    "sq": PresetInfo("sq", "z^2/2", 1, (-1, 0, 1), "A3w-only at K=0 (all coefficients zero)"),
-    "neg-cosh": PresetInfo("neg-cosh", "-cosh(z)", -1, (-1,), "A3s at K=-1"),
-    "neg-log1p-cosh": PresetInfo("neg-log1p-cosh", "-log(1+cosh(z))", -1, (-1,), "A3s at K=-1"),
-    "log-cosh": PresetInfo("log-cosh", "log(cosh(z))", 1, (-1,), "A3w-only at K=-1"),
-    "neg-log-cosh": PresetInfo("neg-log-cosh", "-log(cosh(z))", -1, (-1,), "A3w-only at K=-1"),
-    "neg-log1p-cos": PresetInfo("neg-log1p-cos", "-log(1+cos(z))", 1, (1,), "A3s at K=+1"),
-    "quartic": PresetInfo("quartic", "z^2/2 - EPS*z^4", 1, (0,),
-                          "A3s at K=0 for small EPS (perturbation family)"),
-}
-
-_ANALYTIC_INVERSES = {
-    "sq": _h_sq,
-    "neg-cosh": _h_neg_cosh,
-    "neg-log1p-cosh": _h_neg_log1p_cosh,
-    "log-cosh": _h_log_cosh,
-    "neg-log-cosh": _h_neg_log_cosh,
-    "neg-log1p-cos": _h_neg_log1p_cos,
+    "sq": PresetInfo("z^2/2", (-1, 0, 1), "A3w-only at K=0 (all coefficients zero)", _h_sq),
+    "neg-cosh": PresetInfo("-cosh(z)", (-1,), "A3s at K=-1", _h_neg_cosh),
+    "neg-log1p-cosh": PresetInfo("-log(1+cosh(z))", (-1,), "A3s at K=-1", _h_neg_log1p_cosh),
+    "log-cosh": PresetInfo("log(cosh(z))", (-1,), "A3w-only at K=-1", _h_log_cosh),
+    "neg-log-cosh": PresetInfo("-log(cosh(z))", (-1,), "A3w-only at K=-1", _h_neg_log_cosh),
+    "neg-log1p-cos": PresetInfo("-log(1+cos(z))", (1,), "A3s at K=+1", _h_neg_log1p_cos),
+    "quartic": PresetInfo("z^2/2 - EPS*z^4", (0,),
+                          "A3s at K=0 for small EPS (perturbation family)", None),
 }
 
 DEFAULT_QUARTIC_EPS = 1e-3
@@ -328,12 +312,11 @@ def preset(name, diameter, eps=None):
         if 12.0 * eps * diameter * diameter >= 1.0:
             raise ValueError("quartic preset needs 12*eps*D^2 < 1 for admissibility")
         text = f"z^2/2 - {eps!r}*z^4"
-        return make_cost(text, diameter, lprime_sign=1,
-                         analytic_inverse=_make_h_quartic(eps), name=f"quartic({eps!r})")
+        return make_cost(text, diameter, analytic_inverse=_make_h_quartic(eps),
+                         name=f"quartic({eps!r})")
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
     if eps is not None:
         raise ValueError("eps applies only to the quartic preset")
     info = PRESETS[name]
-    return make_cost(info.text, diameter, lprime_sign=info.lprime_sign,
-                     analytic_inverse=_ANALYTIC_INVERSES[name], name=name)
+    return make_cost(info.text, diameter, analytic_inverse=info.analytic_inverse, name=name)

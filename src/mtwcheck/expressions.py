@@ -217,14 +217,6 @@ def pretty(expr):
     return _fmt(expr, 0)
 
 
-_NUMPY_FUNCS = {
-    "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "sinh": np.sinh, "cosh": np.cosh,
-    "atan": np.arctan, "asinh": np.arcsinh, "atanh": np.arctanh,
-}
-
-
 def evaluate(expr, z):
     """Evaluate an AST at a float or numpy array argument."""
     if isinstance(expr, Lit):
@@ -246,7 +238,7 @@ def evaluate(expr, z):
         base = evaluate(expr.base, z)
         return np.power(base, expr.exponent, dtype=float) if expr.exponent >= 0 \
             else 1.0 / np.power(base, -expr.exponent, dtype=float)
-    return _NUMPY_FUNCS[expr.func](evaluate(expr.arg, z))
+    return ELEMENTARY_FUNCTIONS[expr.func][0](evaluate(expr.arg, z))
 
 
 def evaluate_jet(expr, jet):

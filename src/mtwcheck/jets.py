@@ -21,6 +21,8 @@ broadcast.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DegenerateJetError, DomainError
@@ -206,14 +208,9 @@ def _integrate(dfda, a, value0):
     return Jet(coeffs, a.basepoint)
 
 
-def _table_exp(a0, length):
-    e = np.exp(a0)
-    return tuple(e / _FACTORIAL[k] for k in range(length))
-
-
-def _table_log(a0, length):
+def _table_log(a0, log_a0, length):
     r = 1.0 / a0
-    table = [np.log(a0)]
+    table = [log_a0]
     p = r
     for k in range(1, length):
         table.append(p / k if k % 2 == 1 else -p / k)
@@ -221,49 +218,32 @@ def _table_log(a0, length):
     return tuple(table)
 
 
-def _table_sqrt(a0, length):
-    table = [np.sqrt(a0)]
+def _table_sqrt(a0, sqrt_a0, length):
+    table = [sqrt_a0]
     for k in range(1, length):
         table.append(table[-1] * (0.5 - (k - 1)) / (k * a0))
     return tuple(table)
 
 
-# f, its partner g, and the signs in f^(k) = signs[k % 4] * (f, g)[k % 2]
+# f -> its partner g and the signs in f^(k) = signs[k % 4] * (f, g)[k % 2]
 _CIRCULAR = {
-    "sin": (np.sin, np.cos, (1.0, 1.0, -1.0, -1.0)),
-    "cos": (np.cos, np.sin, (1.0, -1.0, -1.0, 1.0)),
-    "sinh": (np.sinh, np.cosh, (1.0, 1.0, 1.0, 1.0)),
-    "cosh": (np.cosh, np.sinh, (1.0, 1.0, 1.0, 1.0)),
+    "sin": ("cos", (1.0, 1.0, -1.0, -1.0)),
+    "cos": ("sin", (1.0, -1.0, -1.0, 1.0)),
+    "sinh": ("cosh", (1.0, 1.0, 1.0, 1.0)),
+    "cosh": ("sinh", (1.0, 1.0, 1.0, 1.0)),
 }
-_PARTNER = {"cos": "sin", "cosh": "sinh"}
 
 
 def _table_circular(name, vals, length):
     """Derivative-coefficient table of f from vals = (f(a0), g(a0))."""
-    signs = _CIRCULAR[name][2]
+    signs = _CIRCULAR[name][1]
     return tuple(signs[k % 4] * vals[k % 2] / _FACTORIAL[k] for k in range(length))
 
 
-def _compose_circular(name, a):
-    f, g, _ = _CIRCULAR[name]
+def _compose_circular(name, f, a):
     a0 = a.coeffs[0]
+    g = ELEMENTARY_FUNCTIONS[_CIRCULAR[name][0]][0]
     return _compose_table(_table_circular(name, (f(a0), g(a0)), len(a.coeffs)), a)
-
-
-def _compose_sin(a):
-    return _compose_circular("sin", a)
-
-
-def _compose_cos(a):
-    return _compose_circular("cos", a)
-
-
-def _compose_sinh(a):
-    return _compose_circular("sinh", a)
-
-
-def _compose_cosh(a):
-    return _compose_circular("cosh", a)
 
 
 def jet_compose_pair(name, a):
@@ -272,69 +252,76 @@ def jet_compose_pair(name, a):
     Both tables read the same two function values at a.coeffs[0], so these
     are evaluated once; each jet is bitwise the one jet_compose returns.
     """
-    f, g, _ = _CIRCULAR[name]
+    partner = _CIRCULAR[name][0]
     a0, length = a.coeffs[0], len(a.coeffs)
-    vals = (f(a0), g(a0))
+    vals = (ELEMENTARY_FUNCTIONS[name][0](a0), ELEMENTARY_FUNCTIONS[partner][0](a0))
     return (_compose_table(_table_circular(name, vals, length), a),
-            _compose_table(_table_circular(_PARTNER[name], vals[::-1], length), a))
+            _compose_table(_table_circular(partner, vals[::-1], length), a))
 
 
-def _compose_exp(a):
-    return _compose_table(_table_exp(a.coeffs[0], len(a.coeffs)), a)
+# Each composition takes the numpy function f of its own row of
+# ELEMENTARY_FUNCTIONS, which gives the value f(a0).
+
+def _compose_exp(f, a):
+    e = f(a.coeffs[0])
+    return _compose_table(tuple(e / _FACTORIAL[k] for k in range(len(a.coeffs))), a)
 
 
-def _compose_log(a):
-    _check_domain("log", np.asarray(a.coeffs[0]) <= 0.0, a.coeffs[0])
-    return _compose_table(_table_log(a.coeffs[0], len(a.coeffs)), a)
+def _compose_log(f, a):
+    a0 = a.coeffs[0]
+    _check_domain("log", np.asarray(a0) <= 0.0, a0)
+    return _compose_table(_table_log(a0, f(a0), len(a.coeffs)), a)
 
 
-def _compose_sqrt(a):
-    _check_domain("sqrt", np.asarray(a.coeffs[0]) <= 0.0, a.coeffs[0])
-    return _compose_table(_table_sqrt(a.coeffs[0], len(a.coeffs)), a)
+def _compose_sqrt(f, a):
+    a0 = a.coeffs[0]
+    _check_domain("sqrt", np.asarray(a0) <= 0.0, a0)
+    return _compose_table(_table_sqrt(a0, f(a0), len(a.coeffs)), a)
 
 
-def _compose_tan(a):
-    return _compose_sin(a) / _compose_cos(a)
+def _compose_tan(f, a):
+    cos, sin = jet_compose_pair("cos", a)
+    return sin / cos
 
 
-def _compose_atan(a):
+def _compose_atan(f, a):
     dfda = 1.0 / (1.0 + a * a)
-    return _integrate(dfda, a, np.arctan(a.coeffs[0]))
+    return _integrate(dfda, a, f(a.coeffs[0]))
 
 
-def _compose_asinh(a):
-    dfda = 1.0 / _compose_sqrt(1.0 + a * a)
-    return _integrate(dfda, a, np.arcsinh(a.coeffs[0]))
+def _compose_asinh(f, a):
+    dfda = 1.0 / jet_compose("sqrt", 1.0 + a * a)
+    return _integrate(dfda, a, f(a.coeffs[0]))
 
 
-def _compose_atanh(a):
+def _compose_atanh(f, a):
     _check_domain("atanh", np.abs(np.asarray(a.coeffs[0])) >= 1.0, a.coeffs[0])
     dfda = 1.0 / (1.0 - a * a)
-    return _integrate(dfda, a, np.arctanh(a.coeffs[0]))
+    return _integrate(dfda, a, f(a.coeffs[0]))
 
 
-_COMPOSITIONS = {
-    "exp": _compose_exp,
-    "log": _compose_log,
-    "sqrt": _compose_sqrt,
-    "sin": _compose_sin,
-    "cos": _compose_cos,
-    "tan": _compose_tan,
-    "sinh": _compose_sinh,
-    "cosh": _compose_cosh,
-    "atan": _compose_atan,
-    "asinh": _compose_asinh,
-    "atanh": _compose_atanh,
+# The one table of elementary functions: name -> (numpy function, jet
+# composition).  The parser accepts its names, expressions.evaluate applies
+# the numpy functions, and jet_compose the compositions.
+ELEMENTARY_FUNCTIONS = {
+    "exp": (np.exp, _compose_exp),
+    "log": (np.log, _compose_log),
+    "sqrt": (np.sqrt, _compose_sqrt),
+    "sin": (np.sin, functools.partial(_compose_circular, "sin")),
+    "cos": (np.cos, functools.partial(_compose_circular, "cos")),
+    "tan": (np.tan, _compose_tan),
+    "sinh": (np.sinh, functools.partial(_compose_circular, "sinh")),
+    "cosh": (np.cosh, functools.partial(_compose_circular, "cosh")),
+    "atan": (np.arctan, _compose_atan),
+    "asinh": (np.arcsinh, _compose_asinh),
+    "atanh": (np.arctanh, _compose_atanh),
 }
-
-ELEMENTARY_FUNCTIONS = frozenset(_COMPOSITIONS)
 
 
 def jet_compose(name, a):
     """Jet of f o a for an elementary function f named by tag."""
     try:
-        fn = _COMPOSITIONS[name]
+        f, compose = ELEMENTARY_FUNCTIONS[name]
     except KeyError:
         raise ValueError(f"unknown elementary function {name!r}") from None
-    return fn(a)
-
+    return compose(f, a)

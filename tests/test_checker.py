@@ -128,7 +128,7 @@ def test_scan_dimension_consistency():
 def test_scan_failure_has_negative_witness_slack():
     # flipping the sign of the quartic perturbation flips all four
     # coefficients positive, so the flat-space scan must fail
-    cost = make_cost("z^2/2 + 0.05*z^4", 1.0, lprime_sign=1)
+    cost = make_cost("z^2/2 + 0.05*z^4", 1.0)
     verdict, table = scan_table(cost, 0, ScanConfig(diameter=1.0, dimension=3))
     assert verdict.status == FAILS
     assert verdict.witness is not None

@@ -166,9 +166,29 @@ def test_perturb_boundary_fails(capsys):
     assert code == 1
 
 
-def test_perturb_bad_k_exit_2(capsys):
-    code, _, _ = run(capsys, "perturb", "--f=-4*z^2", "--k", "1", "--b", "1")
-    assert code == 2
+@pytest.mark.parametrize("k,b", [("1", "1"), ("nan", "1"), ("-inf", "1"), ("-1", "nan"),
+                                 ("-1", "inf"), ("-1", "0")],
+                         ids=["k-positive", "k-nan", "k-minus-inf", "b-nan", "b-inf", "b-zero"])
+def test_perturb_bad_k_exit_2(capsys, k, b):
+    # a non-finite k or b would give a verdict on nan values ("holds" for k = nan)
+    code, out, err = run(capsys, "perturb", "--f=0", "--k", k, "--b", b)
+    assert code == 2 and out == ""
+    assert "must be finite" in err and "Traceback" not in err
+
+
+def test_perturb_k_in_exponent_notation(capsys):
+    # --k is always negative, so its value may start with "-" in any notation
+    code, out, _ = run(capsys, "perturb", "--f=-4*z^2", "--k", "-1e-3", "--b", "1")
+    assert code == 0 and "holds" in out
+
+
+def test_eval_newton_failure_on_constant_lpp(capsys):
+    # l = z: l'' = 0 is a scalar jet coefficient, l' = 1 has no inverse on
+    # (0, 1), and eval runs no admissibility check yet: Newton fails, exit 3
+    code, _, err = run(capsys, "eval", "--cost=z", "--K", "0", "--dim", "2",
+                       "--u", "1,0", "--v", "0,0.5", "--w", "1,1")
+    assert code == 3
+    assert "Newton inverse of l' did not converge" in err and "Traceback" not in err
 
 
 def test_presets_listing(capsys):

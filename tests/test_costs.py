@@ -24,6 +24,20 @@ def test_neg_cosh_admissible_with_negative_sign():
     assert validate_admissibility(cost).ok and cost.lprime_sign == -1
 
 
+_PRESET_SIGNS = {"sq": 1, "log-cosh": 1, "neg-log1p-cos": 1, "quartic": 1,
+                 "neg-cosh": -1, "neg-log1p-cosh": -1, "neg-log-cosh": -1}
+
+
+@pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
+def test_lprime_sign_derived_from_lpp_at_zero(name, K, diameter, eps):
+    # the sign of l'' on [0, D], read at 0, for both the preset and the same
+    # expression without its analytic inverse
+    cost = _preset(name, diameter, eps)
+    assert cost.lprime_sign == _PRESET_SIGNS[name]
+    assert make_cost(cost.text, diameter).lprime_sign == _PRESET_SIGNS[name]
+    assert validate_admissibility(cost).ok
+
+
 def test_cubic_not_even():
     cost = make_cost("z^3", 1.0)
     report = validate_admissibility(cost)
@@ -41,10 +55,11 @@ def test_pure_quartic_rejected_at_zero():
 
 def test_sign_change_detected():
     # l'' = 1 - 3z^2 changes sign inside [0, 1]
-    cost = make_cost("z^2/2 - z^4/4", 1.0, lprime_sign=1)
+    cost = make_cost("z^2/2 - z^4/4", 1.0)
     report = validate_admissibility(cost)
     assert not report.ok and report.kind == "lpp-sign-change"
-    assert 0.0 < report.witness <= 1.0
+    # l''(0) = 1 > 0: the first grid point past 1/sqrt(3) is 148/255
+    assert cost.lprime_sign == 1 and report.witness == np.linspace(0.0, 1.0, 256)[148]
 
 
 def test_pole_between_samples_detected():
@@ -64,8 +79,9 @@ def test_constant_cost_rejected():
 
 def test_undefined_cost_names_first_grid_point():
     # log(4 - z^2) is even and defined at 0, but not from z = 2 on, the
-    # 171st point of the 256-point admissibility grid on [0, 3]
-    cost = make_cost("log(4-z^2)", 3.0, lprime_sign=-1)
+    # 171st point of the 256-point admissibility grid on [0, 3]; make_cost
+    # evaluates nothing, so the admissibility check is the first to see it
+    cost = make_cost("log(4-z^2)", 3.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(AdmissibilityError) as err:
             validate_admissibility(cost)
@@ -117,7 +133,7 @@ def test_inverse_is_odd(name, K, diameter, eps):
 @pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
 def test_newton_matches_analytic_inverse(name, K, diameter, eps):
     cost = _preset(name, diameter, eps)
-    numeric = make_cost(cost.text, diameter, lprime_sign=cost.lprime_sign)
+    numeric = make_cost(cost.text, diameter)
     assert numeric.analytic_inverse is None
     ys = np.linspace(-0.999 * cost.zmax, 0.999 * cost.zmax, 41)
     ha = np.asarray(inverse_lprime(cost, ys))

@@ -121,7 +121,7 @@ def test_limit_consistency_across_branch_switch():
 def test_limit_error_on_inconsistent_cost():
     # an odd cost sneaks past no admissibility check here; the A-B limit guard
     # must catch it when the origin series is requested
-    cost = make_cost("z^2/2 + z^3", 1.0, lprime_sign=1)
+    cost = make_cost("z^2/2 + z^3", 1.0)
     with pytest.raises(LimitError):
         _at(cost, 0, 0.0)
 
