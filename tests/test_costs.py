@@ -1,5 +1,7 @@
 """Cost construction, admissibility, the inverse of l', and cost jets."""
 
+import warnings
+
 import numpy as np
 import pytest
 from helpers import CANONICAL_CASES
@@ -82,7 +84,8 @@ def test_undefined_cost_names_first_grid_point():
     # 171st point of the 256-point admissibility grid on [0, 3]; make_cost
     # evaluates nothing, so the admissibility check is the first to see it
     cost = make_cost("log(4-z^2)", 3.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and without a numpy warning
         with pytest.raises(AdmissibilityError) as err:
             validate_admissibility(cost)
     assert err.value.kind == "undefined" and err.value.witness == 2.0
