@@ -60,10 +60,18 @@ class CostFunction:
     def zmax(self):
         """|l'(diameter)|: the radius of the invertible range of l'.
 
-        Computed on first access; the fields it depends on are frozen.
+        Computed on first access; the fields it depends on are frozen.  An
+        l' that is not finite at the diameter (it overflows, say) raises
+        AdmissibilityError.
         """
         if self._zmax is None:
-            object.__setattr__(self, "_zmax", abs(float(self.lprime(self.diameter))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                zmax = abs(float(self.lprime(self.diameter)))
+            if not math.isfinite(zmax):
+                raise AdmissibilityError(
+                    "not-finite", self.diameter,
+                    f"cost {self.text!r} has a non-finite l' at z = {self.diameter!r}")
+            object.__setattr__(self, "_zmax", zmax)
         return self._zmax
 
     @property
@@ -117,9 +125,10 @@ def validate_admissibility(cost):
     """Check evenness of l and the constant sign of l'' on [0, diameter].
 
     Evenness: odd-order Taylor coefficients at 0 must vanish, and l(z)-l(-z)
-    must vanish at sampled points.  Sign: l'' on a uniform 256-point grid must
-    stay away from zero and keep the sign it has at 0 (cost.lprime_sign), and
-    lprime_sign * l' must not decrease from one grid point to the next.
+    must vanish at sampled points.  Sign: on a uniform 256-point grid, l' and
+    l'' must be finite, l'' must stay away from zero and keep the sign it has
+    at 0 (cost.lprime_sign), and lprime_sign * l' must not decrease from one
+    grid point to the next.
     Returns a report; callers that need an exception use
     report.raise_if_violated().  An l that is undefined at a point it is
     evaluated at raises AdmissibilityError.
@@ -132,7 +141,7 @@ def validate_admissibility(cost):
     zs = np.linspace(cost.diameter / 8.0, cost.diameter, 8)
     # where l is undefined numpy gives nan, which passes here; the jet check
     # below names the first such point, so numpy's warning is not wanted
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         lz = cost(zs)
         diff = np.abs(lz - cost(-zs))
     bad = diff > 1e-12 * np.maximum(1.0, np.abs(lz))
@@ -140,10 +149,15 @@ def validate_admissibility(cost):
         return AdmissibilityReport(False, "not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
-    jet = eval_cost_jet(cost, grid)
+    # an overflow is reported below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        jet = eval_cost_jet(cost, grid)
     # a coefficient that does not depend on z (l = 0, say) is a scalar
     lprime = np.broadcast_to(jet.coeffs[1], grid.shape)
     lpp = 2.0 * np.broadcast_to(jet.coeffs[2], grid.shape)
+    not_finite = ~(np.isfinite(lprime) & np.isfinite(lpp))
+    if np.any(not_finite):
+        return AdmissibilityReport(False, "not-finite", float(grid[not_finite][0]))
     near_zero = np.abs(lpp) <= SIGN_TOL * scale
     if np.any(near_zero):
         return AdmissibilityReport(False, "lpp-zero", float(grid[near_zero][0]))

@@ -35,7 +35,8 @@ class AdmissibilityError(MtwError):
 
     kind is one of "not-even", "lpp-sign-change", "lpp-zero",
     "lprime-not-monotone" (sign * l' drops between two samples, as at a pole
-    of l'), "undefined" (l or one of its derivatives cannot be evaluated);
+    of l'), "not-finite" (l' or l'' overflows or is nan), "undefined" (l or
+    one of its derivatives cannot be evaluated);
     witness is the first offending argument.
     """
 

@@ -254,6 +254,21 @@ def test_infinite_diameter_exit_2(capsys, command):
     assert "diameter" in err
 
 
+@pytest.mark.parametrize("command,message", [
+    (["check"], "not-finite at z="),
+    (["eval", "--u=1,0", "--v=0,0.5", "--w=1,1"], "has a non-finite l' at z = 2.0"),
+])
+def test_overflowing_cost_exit_2(capsys, command, message):
+    # l' of exp(z^2)^400 overflows from z = 1.33 on: both commands name the z,
+    # and no numpy warning is printed on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, command[0], "--cost=exp(z^2)^400", "--K", "0", "--dim", "2",
+                           "--diameter", "2", *command[1:])
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def _csv_writer_reference(path, table):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -195,3 +195,19 @@ def test_zmax_evaluated_once(monkeypatch):
     fresh = preset("neg-cosh", 2.0)
     assert fresh == cost and hash(fresh) == hash(cost)
     assert "zmax" not in repr(cost)
+
+
+def test_overflowing_cost_is_not_admissible():
+    # l' = 800 z exp(400 z^2) overflows float64 near z = 1.33: the first
+    # grid sample where l' or l'' is not finite is reported, and zmax, which
+    # eval reads without validate_admissibility, raises
+    cost = make_cost("exp(z^2)^400", 2.0)
+    grid = np.linspace(0.0, 2.0, 256)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_admissibility(cost)
+        with pytest.raises(AdmissibilityError) as exc:
+            cost.zmax
+    assert report.kind == "not-finite"
+    assert report.witness in grid and 1.0 < report.witness < 1.4
+    assert exc.value.kind == "not-finite" and exc.value.witness == 2.0
