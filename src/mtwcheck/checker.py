@@ -61,8 +61,9 @@ class ScanConfig:
             raise ValueError("dimension must be at least 2")
         if self.grid_points < 256:
             raise ValueError("grid_points must be at least 256")
-        if self.strict_margin < 0.0:
-            raise ValueError("strict_margin must be nonnegative")
+        if not 0.0 <= self.strict_margin < math.inf:
+            raise ValueError(f"strict_margin must be finite and nonnegative, "
+                             f"got {self.strict_margin!r}")
 
 
 @dataclass(frozen=True)

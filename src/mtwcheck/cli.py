@@ -81,9 +81,12 @@ def resolve_cost(text, diameter):
 
 def _parse_vector(text, what):
     try:
-        return np.array([float(part) for part in text.split(",")], dtype=float)
+        vec = np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError:
         raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{what} must have finite components, got {text!r}")
+    return vec
 
 
 # Rows formatted per write: it bounds the text and the formatter's temporaries

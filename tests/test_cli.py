@@ -254,6 +254,27 @@ def test_infinite_diameter_exit_2(capsys, command):
     assert "diameter" in err
 
 
+@pytest.mark.parametrize("margin", ["nan", "inf"])
+def test_non_finite_strict_margin_exit_2(capsys, margin):
+    # a nan margin or an inf one would make no point strict, so neg-cosh,
+    # A3s at K = -1, would read A3w-only
+    code, out, err = run(capsys, "check", "--cost=neg-cosh", "--K", "-1", "--dim", "2",
+                         "--strict-margin", margin)
+    assert code == 2 and out == ""
+    assert "strict_margin must be finite" in err
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["--u", "--v", "--w"])
+def test_non_finite_vector_component_exit_2(capsys, option, component):
+    vectors = {"--u": "1,0", "--v": "0.5,0", "--w": "0,1"}
+    vectors[option] = f"{component},0"
+    code, out, err = run(capsys, "eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2",
+                         *(f"{name}={text}" for name, text in vectors.items()), "--json")
+    assert code == 2 and out == ""
+    assert f"{option} must have finite components" in err
+
+
 @pytest.mark.parametrize("command,message", [
     (["check"], "not-finite at z="),
     (["eval", "--u=1,0", "--v=0,0.5", "--w=1,1"], "has a non-finite l' at z = 2.0"),
