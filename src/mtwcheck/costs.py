@@ -54,7 +54,8 @@ class CostFunction:
         return evaluate(self.expression, z)
 
     def lprime(self, z):
-        return eval_cost_jet(self, z).derivative(1)
+        # l' is coefficient 1: a jet of length 2 gives it bitwise as at full length
+        return eval_cost_jet(self, z, 2).derivative(1)
 
     @property
     def zmax(self):
@@ -149,9 +150,10 @@ def validate_admissibility(cost):
         return AdmissibilityReport(False, "not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
-    # an overflow is reported below, not warned of
+    # l' and l'' are coefficients 1 and 2: a jet of length 3 gives them
+    # bitwise as at full length; an overflow is reported below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = eval_cost_jet(cost, grid)
+        jet = eval_cost_jet(cost, grid, 3)
     # a coefficient that does not depend on z (l = 0, say) is a scalar
     lprime = np.broadcast_to(jet.coeffs[1], grid.shape)
     lpp = 2.0 * np.broadcast_to(jet.coeffs[2], grid.shape)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -245,9 +246,16 @@ def coefficient_arrays(cost, K, z):
     return _profiles(cost, K, np.atleast_1d(np.asarray(z, dtype=float)))
 
 
+@lru_cache(maxsize=64)
 def _profile_row(cost, K, z):
-    """The profile quantities at one z >= 0, as floats."""
-    return {key: float(col[0]) for key, col in _profiles(cost, K, np.array([z])).items()}
+    """The profile quantities at one z >= 0, as floats.
+
+    _profiles gives the same bits on the scalar z as on np.array([z]), at
+    less cost.  The row is memoised, so that the closed and Jacobi routes of
+    one evaluation share it, and read-only, since every caller gets the same
+    one.
+    """
+    return MappingProxyType({key: float(col) for key, col in _profiles(cost, K, z).items()})
 
 
 def decompose(form, u, v):

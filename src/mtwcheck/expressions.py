@@ -242,22 +242,43 @@ def evaluate(expr, z):
 
 
 def evaluate_jet(expr, jet):
-    """Evaluate an AST over a jet argument by structural recursion."""
+    """Evaluate an AST over a jet argument by structural recursion.
+
+    A literal, and arithmetic on literals only, stays a float, which acts on
+    the coefficients of a jet operand (see the jets module); it becomes a
+    constant jet only where an operation needs one: a power, a function call,
+    or an expression without z.
+    """
+    return _as_jet(_evaluate_jet(expr, jet), jet)
+
+
+def _as_jet(value, jet):
+    """value if it is a jet, else the constant jet of value at the basepoint
+    and of the length of jet."""
+    if isinstance(value, Jet):
+        return value
+    return Jet.constant(value, basepoint=jet.basepoint, length=len(jet.coeffs))
+
+
+def _evaluate_jet(expr, jet):
     if isinstance(expr, Lit):
-        return Jet.constant(expr.value, basepoint=jet.basepoint, length=len(jet.coeffs))
+        return expr.value
     if isinstance(expr, Var):
         return jet
     if isinstance(expr, Neg):
-        return -evaluate_jet(expr.arg, jet)
+        return -_evaluate_jet(expr.arg, jet)
     if isinstance(expr, BinOp):
-        a, b = evaluate_jet(expr.left, jet), evaluate_jet(expr.right, jet)
+        a, b = _evaluate_jet(expr.left, jet), _evaluate_jet(expr.right, jet)
         if expr.op == "+":
             return a + b
         if expr.op == "-":
             return a - b
         if expr.op == "*":
             return a * b
-        return a / b
+        if isinstance(a, Jet) or isinstance(b, Jet) or b != 0.0:
+            return a / b
+        # a float divided by 0.0 fails as the jet division does
+        return _as_jet(a, jet) / b
     if isinstance(expr, Pow):
-        return evaluate_jet(expr.base, jet) ** expr.exponent
-    return jet_compose(expr.func, evaluate_jet(expr.arg, jet))
+        return _as_jet(_evaluate_jet(expr.base, jet), jet) ** expr.exponent
+    return jet_compose(expr.func, _as_jet(_evaluate_jet(expr.arg, jet), jet))

@@ -8,11 +8,22 @@ extra orders consumed by series limits at z = 0; a computation that reads
 fewer orders asks for a shorter jet.
 
 Truncation rule: a binary operation on jets of lengths L1 and L2 returns a
-jet of length min(L1, L2), and a scalar operand is promoted to a constant
-jet of the other operand's length.  Coefficient n of every result depends
-only on operand coefficients of order <= n, and is accumulated in the same
-order at every length, so the coefficients a shorter jet keeps are bitwise
-equal to those of the full-length computation.
+jet of length min(L1, L2), and an operation with a scalar returns a jet of
+the jet operand's length.  Coefficient n of every result depends only on
+operand coefficients of order <= n, and is accumulated in the same order at
+every length, so the coefficients a shorter jet keeps are bitwise equal to
+those of the full-length computation.
+
+A scalar operand s of + - * and of division by s acts on each coefficient:
+J + s and J - s change only the constant term, J * s and J / s scale every
+coefficient.  (s / J needs the division recursion and runs it on the
+constant jet of s.)  The result is bitwise the one of the computation with s
+promoted to the constant jet (s, 0, ..., 0), whose extra terms are products
+with an exact zero, with two exceptions: a coefficient that is an exact
+zero may differ in sign, and an inf or nan coefficient, which times 0 gives
+nan, no longer spreads nan to the other coefficients.  The same holds where
+J ** n starts from J rather than from the product with the constant 1, and
+where _compose_table skips the terms of a variable jet's zero orders.
 
 Coefficients may be plain floats or numpy arrays of a common shape, so a
 single jet can carry a whole batch of basepoints at once; all operations
@@ -31,10 +42,6 @@ ORDER = 6
 N_COEFFS = ORDER + 1
 
 _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
-
-
-def _same_basepoint(a, b):
-    return np.array_equal(np.asarray(a.basepoint), np.asarray(b.basepoint))
 
 
 class Jet:
@@ -80,33 +87,42 @@ class Jet:
         return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)) + (0.0,),
                    self.basepoint)
 
-    def _promote(self, other):
-        if isinstance(other, Jet):
-            if not _same_basepoint(self, other):
-                raise ValueError("jet arithmetic requires a common basepoint")
-            return other
-        return Jet.constant(other, basepoint=self.basepoint, length=len(self.coeffs))
+    def _check_basepoint(self, other):
+        # the jets of one computation share their basepoint object, so the
+        # O(N) comparison runs only for jets built apart
+        if self.basepoint is not other.basepoint and not np.array_equal(
+                np.asarray(self.basepoint), np.asarray(other.basepoint)):
+            raise ValueError("jet arithmetic requires a common basepoint")
 
     def __neg__(self):
         return Jet(tuple(-c for c in self.coeffs), self.basepoint)
 
     def __add__(self, other):
-        other = self._promote(other)
-        return Jet(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.basepoint)
+        c = self.coeffs
+        if not isinstance(other, Jet):
+            return Jet((c[0] + other,) + c[1:], self.basepoint)
+        self._check_basepoint(other)
+        return Jet(tuple(a + b for a, b in zip(c, other.coeffs)), self.basepoint)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        other = self._promote(other)
-        return Jet(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.basepoint)
+        c = self.coeffs
+        if not isinstance(other, Jet):
+            return Jet((c[0] - other,) + c[1:], self.basepoint)
+        self._check_basepoint(other)
+        return Jet(tuple(a - b for a, b in zip(c, other.coeffs)), self.basepoint)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = self._promote(other)
-        a, b = self.coeffs, other.coeffs
+        a = self.coeffs
+        if not isinstance(other, Jet):
+            return Jet(tuple(c * other for c in a), self.basepoint)
+        self._check_basepoint(other)
+        b = other.coeffs
         out = []
         for k in range(min(len(a), len(b))):
             acc = a[0] * b[k]
@@ -119,21 +135,27 @@ class Jet:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        other = self._promote(other)
-        b0 = np.asarray(other.coeffs[0])
-        if np.any(b0 == 0.0):
+        a = self.coeffs
+        is_jet = isinstance(other, Jet)
+        if is_jet:
+            self._check_basepoint(other)
+        b0 = other.coeffs[0] if is_jet else other
+        if np.any(np.asarray(b0) == 0.0):
             raise DegenerateJetError("division by a jet with zero constant term")
-        a, b = self.coeffs, other.coeffs
-        out = [a[0] / b[0]]
+        if not is_jet:
+            return Jet(tuple(c / other for c in a), self.basepoint)
+        b = other.coeffs
+        out = [a[0] / b0]
         for k in range(1, min(len(a), len(b))):
             acc = a[k]
             for j in range(k):
                 acc = acc - out[j] * b[k - j]
-            out.append(acc / b[0])
+            out.append(acc / b0)
         return Jet(out, self.basepoint)
 
     def __rtruediv__(self, other):
-        return self._promote(other).__truediv__(self)
+        return Jet.constant(other, basepoint=self.basepoint,
+                            length=len(self.coeffs)).__truediv__(self)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -141,11 +163,13 @@ class Jet:
         n = int(n)
         if n < 0:
             return 1.0 / self.__pow__(-n)
-        result = Jet.constant(1.0, basepoint=self.basepoint, length=len(self.coeffs))
+        if n == 0:
+            return Jet.constant(1.0, basepoint=self.basepoint, length=len(self.coeffs))
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result
@@ -171,6 +195,17 @@ def _power_coeff(d, prev, k, m):
     return sum(d[j] * prev[m - j] for j in range(1, m - k + 2))
 
 
+def _term(entry, multiplier):
+    """entry * multiplier; None (no term) for the Python float 0.0, and entry
+    itself for 1.0, the multipliers that a variable jet's orders give."""
+    if type(multiplier) is float:
+        if multiplier == 0.0:
+            return None
+        if multiplier == 1.0:
+            return entry
+    return entry * multiplier
+
+
 def _compose_table(table, a):
     """Compose a derivative-coefficient table with jet a from a power table.
 
@@ -181,17 +216,21 @@ def _compose_table(table, a):
     k = L-1 hold every term through order L-1, for L the shorter of the
     table and the jet, and the sum is exact there.  Only the previous row is
     kept while the next one is built, so no more than two rows of batch-wide
-    temporaries are alive at once.
+    temporaries are alive at once.  For a variable jet, d = (., 1, 0, ...)
+    and the rows hold Python floats 0.0 and 1.0, so coefficient n is
+    table[n] with no arithmetic at all.
     """
     d = a.coeffs
     length = min(len(table), len(d))
-    out = [table[0]] + [table[1] * d[n] for n in range(1, length)]
+    out = [table[0]] + [_term(table[1], d[n]) for n in range(1, length)]
     row = d  # [t^m] d^1; d[0] is never read
     for k in range(2, length):
         row = [None] * k + [_power_coeff(d, row, k, m) for m in range(k, length)]
         for n in range(k, length):
-            out[n] = out[n] + table[k] * row[n]
-    return Jet(out, a.basepoint)
+            term = _term(table[k], row[n])
+            if term is not None:
+                out[n] = term if out[n] is None else out[n] + term
+    return Jet([0.0 if c is None else c for c in out], a.basepoint)
 
 
 def _integrate(dfda, a, value0):

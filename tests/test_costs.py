@@ -182,15 +182,16 @@ def test_unknown_preset():
 def test_zmax_evaluated_once(monkeypatch):
     calls = []
 
-    def counting(cost, z0):
-        calls.append(z0)
-        return eval_cost_jet(cost, z0)
+    def counting(cost, z0, length):
+        calls.append((z0, length))
+        return eval_cost_jet(cost, z0, length)
 
     monkeypatch.setattr(costs, "eval_cost_jet", counting)
     cost = preset("neg-cosh", 2.0)
     values = [cost.zmax for _ in range(5)]
     assert values == [pytest.approx(np.sinh(2.0), rel=1e-15)] * 5
-    assert calls == [2.0]
+    # l'(D) is coefficient 1, read from a jet of length 2
+    assert calls == [(2.0, 2)]
     # the memo is not part of the cost's identity
     fresh = preset("neg-cosh", 2.0)
     assert fresh == cost and hash(fresh) == hash(cost)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from helpers import CANONICAL_CASES, random_orthogonal_pair
 
-from mtwcheck import (MtwInput, SpaceForm, decompose, jacobi_map_closed, make_cost,
-                      mtw_closed, mtw_via_jacobi, preset)
-from mtwcheck.cli import resolve_cost
+from mtwcheck import (MtwInput, SpaceForm, curvature, decompose, jacobi_map_closed,
+                      make_cost, mtw_closed, mtw_via_jacobi, preset)
+from mtwcheck.cli import main, resolve_cost
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
-from mtwcheck.curvature import (SERIES_SWITCH, _lprime_increment_series, _revert,
-                                coefficient_arrays)
+from mtwcheck.curvature import (SERIES_SWITCH, _lprime_increment_series, _profile_row,
+                                _profiles, _revert, coefficient_arrays)
 from mtwcheck.jets import jet_compose
 from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
 from mtwcheck.jets import Jet
@@ -445,3 +445,38 @@ def test_direct_branch_matches_full_order_jets(text, K, D):
     reference = _direct_profiles_full_order(cost, K, z)
     for key, expected in reference.items():
         assert np.array_equal(prof[key], expected), key
+
+
+@pytest.mark.parametrize("length", [0.5, 0.5 * SERIES_SWITCH])
+def test_eval_all_makes_one_profiles_call(capsys, monkeypatch, length):
+    # the closed and Jacobi routes read one profile row, computed once, on
+    # the direct branch and on the series branch
+    calls = []
+
+    def counting(cost, K, z):
+        calls.append(z)
+        return _profiles(cost, K, z)
+
+    monkeypatch.setattr(curvature, "_profiles", counting)
+    _profile_row.cache_clear()
+    code = main(["eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--u=1,0.3",
+                 f"--v={length!r},0", "--w=0.2,1", "--method", "all", "--json"])
+    assert code == 0, capsys.readouterr().err
+    assert len(calls) == 1 and calls[0] == length
+
+
+@pytest.mark.parametrize("newton", [False, True], ids=["analytic", "newton"])
+@pytest.mark.parametrize("name,K,D,eps", CANONICAL_CASES)
+def test_profiles_on_a_scalar_match_a_length_one_array(name, K, D, eps, newton):
+    # _profile_row passes its scalar z to _profiles: every quantity must be
+    # bitwise the one of np.array([z]), on both branches, for the analytic
+    # inverse of each preset and for the Newton inverse of its expression
+    cost = preset(name, D, eps)
+    if newton:
+        cost = make_cost(cost.text, D)
+    for z in (0.0, 0.3 * SERIES_SWITCH, SERIES_SWITCH, 0.01, 0.37 * cost.zmax, cost.zmax):
+        scalar = _profiles(cost, K, z)
+        array = _profiles(cost, K, np.array([z]))
+        for key, col in array.items():
+            assert np.shape(scalar[key]) == ()
+            assert np.asarray(scalar[key]).tobytes() == col[0].tobytes(), (z, key)

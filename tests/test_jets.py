@@ -242,3 +242,70 @@ def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail,
         assert _revert(_head(w, length)).coeffs == _revert(w).coeffs[:length]
         assert (short_a.series_derivative().coeffs[:length - 1]
                 == a.series_derivative().coeffs[:length - 1])
+
+
+def _promoted(s, jet):
+    """The scalar s as the constant jet (s, 0, ..., 0) of jet's length."""
+    return Jet.constant(s, basepoint=jet.basepoint, length=len(jet.coeffs))
+
+
+def _pow_promoted(jet, n):
+    """jet ** n by binary powering from the constant jet 1, with jet products."""
+    if n < 0:
+        return _promoted(1.0, jet) / _pow_promoted(jet, -n)
+    result, base = _promoted(1.0, jet), jet
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _bits(jet):
+    return [(np.shape(c), np.asarray(c, dtype=float).tobytes()) for c in jet.coeffs]
+
+
+# finite nonzero magnitudes whose products and quotients, and powers up to
+# the 9th, stay normal: no exact zero, whose sign may differ, and no inf, for
+# which inf * 0 is nan, arises
+_magnitudes = st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30)
+
+
+@st.composite
+def _jet_and_scalar(draw):
+    """A jet of length 1-7 with float or array coefficients, and a scalar."""
+    length = draw(st.integers(1, N_COEFFS))
+    width = draw(st.sampled_from([None, 1, 3]))
+    if width is None:
+        values = [draw(_magnitudes) for _ in range(length)]
+    else:
+        values = [np.array(draw(st.lists(_magnitudes, min_size=width, max_size=width)))
+                  for _ in range(length)]
+    return Jet(values, basepoint=0.5), draw(_magnitudes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jet_and_scalar(), st.integers(-4, 9))
+def test_scalar_operands_match_the_promoted_constant_jet(jet_and_scalar, n):
+    # a scalar acts on the coefficients; the result is bitwise the one of the
+    # Cauchy product or division recursion with the constant jet of s
+    jet, s = jet_and_scalar
+    c = _promoted(s, jet)
+    assert _bits(jet + s) == _bits(jet + c)
+    assert _bits(s + jet) == _bits(c + jet)
+    assert _bits(jet - s) == _bits(jet - c)
+    assert _bits(s - jet) == _bits(c - jet)
+    assert _bits(jet * s) == _bits(jet * c)
+    assert _bits(s * jet) == _bits(c * jet)
+    assert _bits(jet / s) == _bits(jet / c)
+    # 1 / jet ** -n may overflow, in the same division recursion on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(jet ** n) == _bits(_pow_promoted(jet, n))
+
+
+def test_scalar_division_by_zero_raises():
+    with pytest.raises(DegenerateJetError):
+        Jet.variable(1.0) / 0.0
+    with pytest.raises(DegenerateJetError):
+        Jet.variable(np.array([1.0, 2.0])) / np.array([1.0, 0.0])
