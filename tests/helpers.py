@@ -1,5 +1,8 @@
 """Shared oracles and generators for the test suite."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
@@ -68,3 +71,20 @@ CANONICAL_CASES = [
     ("neg-log1p-cos", 1, 2.5, None),
     ("quartic", 0, 1.0, 1e-3),
 ]
+
+
+def cli_report(argv):
+    """(exit code, JSON report or None) of one in-process CLI invocation.
+
+    The report leaves out wall_time_ms, which no two runs share.
+    """
+    from mtwcheck.cli import main
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    text = stdout.getvalue().strip()
+    report = json.loads(text) if text else None
+    if report is not None:
+        report.pop("wall_time_ms")
+    return code, report
