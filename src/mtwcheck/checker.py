@@ -29,10 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import check_diameter, validate_admissibility
+from .costs import check_diameter, eval_defined_jet, validate_admissibility
 from .curvature import SERIES_SWITCH, coefficient_arrays
-from .expressions import evaluate_jet
-from .jets import Jet
 
 A3S = "A3s"
 A3W_ONLY = "A3w-only"
@@ -127,9 +125,9 @@ def _noise_band(z, profile):
     """Per-point widening of the pass/fail boundary; see the module docstring.
 
     Two roundoff amplifiers shape the band on the direct branch: the division
-    of cancelling differences by z^2, and the conditioning of the series
-    reversion behind A and B, which grows like (scale/|A|)^3 where l'' gets
-    small.  Series-branch points near zero are evaluated from exact shifted
+    of cancelling differences by z^2, and the factor 1/l''^3 in A'' and B''
+    (A = l''), which grows like (scale/|A|)^3 where l'' gets small.
+    Series-branch points near zero are evaluated from exact shifted
     coefficients and only need an absolute floor at the roundoff scale.
     """
     scale = np.maximum(1.0, np.maximum(np.abs(profile["A"]), np.abs(profile["B"])))
@@ -226,7 +224,8 @@ def perturbation_check(f, k, b, grid_points=1024):
 
     f is the AST of the perturbation profile; the conditions are
     f''(z) < k and (z^2 f'''(z) - z f''(z) + 2 f'(z))/z < k at every grid
-    point of the uniform grid with left endpoint b/grid_points.
+    point of the uniform grid with left endpoint b/grid_points.  An f
+    undefined there raises AdmissibilityError naming the first such point.
     """
     if not -math.inf < k < 0.0:
         raise ValueError(f"the threshold k must be finite and negative, got {k!r}")
@@ -235,7 +234,7 @@ def perturbation_check(f, k, b, grid_points=1024):
     if grid_points < 1:
         raise ValueError("grid_points must be positive")
     z = np.linspace(b / grid_points, b, grid_points)
-    jet = evaluate_jet(f, Jet.variable(z))
+    jet = eval_defined_jet(f, z, 4, "the profile")
     fp = np.asarray(jet.derivative(1))
     fpp = np.asarray(jet.derivative(2))
     fppp = np.asarray(jet.derivative(3))

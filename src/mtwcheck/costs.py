@@ -92,22 +92,27 @@ class CostFunction:
 
 def eval_cost_jet(cost, z0, length=N_COEFFS):
     """Jet of l at z0 (scalar or array), of the given length (order 6 by
-    default), by structural recursion over the AST.
+    default).  An l undefined at z0 is not an admissible cost."""
+    return eval_defined_jet(cost.expression, z0, length, f"cost {cost.text!r}")
 
-    An l that cannot be evaluated at z0, with its derivatives, is not an
-    admissible cost: the AdmissibilityError names the cost and the first
-    such z.
+
+def eval_defined_jet(expression, z0, length, what):
+    """Jet of an expression at z0 (scalar or array), of the given length, by
+    structural recursion over the AST.
+
+    Where it cannot be evaluated, with its derivatives, AdmissibilityError
+    names what is evaluated (a cost, say) and the first such z.
     """
     try:
-        return evaluate_jet(cost.expression, Jet.variable(z0, length))
+        return evaluate_jet(expression, Jet.variable(z0, length))
     except (DomainError, DegenerateJetError):
         for point in np.atleast_1d(z0).tolist():
             try:
-                evaluate_jet(cost.expression, Jet.variable(point, length))
+                evaluate_jet(expression, Jet.variable(point, length))
             except (DomainError, DegenerateJetError) as exc:
                 raise AdmissibilityError(
                     "undefined", point,
-                    f"cost {cost.text!r} is undefined at z = {point!r} ({exc})") from None
+                    f"{what} is undefined at z = {point!r} ({exc})") from None
         raise
 
 

@@ -9,8 +9,10 @@ with h the inverse of l'.  Their first two derivatives feed a five-term
 closed formula for the curvature of the transport cost, the four coefficient
 functions alpha, beta, gamma, delta that drive the inequality checker, and a
 second analytic route that differentiates A and B along s -> |v + s*w| with
-an s-jet.  A and B are obtained by series reversion of the l' expansion, so
-no finite differences enter anywhere in this module.
+an s-jet.  Away from z = 0, A, B and their derivatives are explicit in the
+derivatives of l at h(z); at z = 0 their Taylor series come from series
+reversion of the l' expansion.  No finite differences enter anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -100,45 +102,6 @@ def _check_pole(K, h0):
             raise PoleError("h(z) within tolerance of the cot pole at pi")
 
 
-def _ab_jets_direct(cost, K, z):
-    """Jets of A and B at basepoint z (scalar or array, entries > 0), and zeff.
-
-    Both are exact through order 2, all that the profiles read, and are
-    built from jets no longer than that needs.  A = 1/h' through order 2
-    needs h through order 3, so g_1..g_3 of the reversion of
-    w(u) = l'(h0 + u) - l'(h0); g_n needs w_1..w_n, and w_n = (n+1) l_(n+1)
-    needs l through order 4.  So l^(4) -> g_3 -> A'' is the longest chain,
-    and l is evaluated at length 5.  B needs h only through order 2.  Every
-    operation on a truncated jet computes its coefficient n from operand
-    coefficients of order <= n, in the same order as at full length, so the
-    coefficients kept are bitwise those of the order-6 computation.
-
-    h0 = h(z) is exact only as the inverse of zeff = l'(h0), which differs
-    from z by the inverse's residual (up to 1e-13 relative for the Newton
-    inverse).  B = z*coth(h) cancels against A to second order, so B is
-    built at zeff, the argument that matches h0, and the profiles divide by
-    zeff as well.
-    """
-    h0 = np.asarray(inverse_lprime(cost, z))
-    _check_pole(K, h0)
-    ljet = eval_cost_jet(cost, h0, 5)
-    zeff = ljet.coeffs[1]
-    # w_4 would need l^(5); the series is padded with a zero there, so drop it
-    w = _lprime_increment_series(ljet)
-    g = _revert(Jet(w.coeffs[:4]))
-    # h' of a length-4 h has a zero for its order-3 coefficient, so A is
-    # exact through order 2 only
-    a_jet = 1.0 / Jet((h0,) + g.coeffs[1:], basepoint=z).series_derivative()
-    hjet = Jet((h0,) + g.coeffs[1:3], basepoint=z)
-    zjet = Jet((zeff, 1.0, 0.0), basepoint=z)
-    if K == 0:
-        b_jet = zjet / hjet
-    else:
-        num, den = jet_compose_pair("cosh" if K == -1 else "cos", hjet)
-        b_jet = zjet * num / den
-    return a_jet, b_jet, zeff
-
-
 @lru_cache(maxsize=64)
 def _ab_series_origin(cost, K):
     """Taylor coefficients of A and B at z = 0, exact through order 5.
@@ -182,10 +145,37 @@ _PROFILE_KEYS = ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime",
 
 def _direct_profiles(cost, K, z):
     """All profile quantities at an array of z >= SERIES_SWITCH, each
-    evaluated directly at its own basepoint."""
-    a_jet, b_jet, zeff = _ab_jets_direct(cost, K, z)
-    A, Ap, Add = a_jet.coeffs[0], a_jet.coeffs[1], 2.0 * a_jet.coeffs[2]
-    B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2.0 * b_jet.coeffs[2]
+    evaluated directly at its own basepoint.
+
+    With d/dz = (1/l'') d/dh, each quantity is explicit in l' .. l'''' at
+    h0 = h(z) and in C(h) = coth h, 1/h or cot h for K = -1, 0, +1:
+
+        A = l'',  A' = l'''/l'',  A'' = (l'''' - l''' A')/l''^2,
+        B = l' C,  B' = C + s C',  B'' = (2C' + s (C'' - C' A'))/l'',
+
+    with s = l'/l'', C' = -K - C^2 and C'' = -2 C C'.
+
+    h0 is exact only as the inverse of zeff = l'(h0), which differs from z
+    by the inverse's residual (up to 1e-13 relative for the Newton inverse).
+    B cancels against A to second order, so B is built at zeff, the argument
+    that matches h0, and alpha..delta divide by zeff as well.
+    """
+    h0 = np.asarray(inverse_lprime(cost, z))
+    _check_pole(K, h0)
+    # l^(k) = k! c_k, written into arrays of z's shape: a coefficient that
+    # does not depend on z (c_2 of z^2/2, say) is a float.  No name holds
+    # the jet, so its arrays are freed before the formulas below run.
+    zeff, l2, l3, l4 = (np.multiply(c, math.factorial(k), out=np.empty_like(h0))
+                        for k, c in enumerate(eval_cost_jet(cost, h0, 5).coeffs[1:], 1))
+    r = 1.0 / l2
+    A, Ap = l2, l3 * r
+    Add = (l4 - l3 * Ap) * (r * r)
+    C = 1.0 / (np.tanh(h0) if K == -1 else np.tan(h0) if K == 1 else h0)
+    Cp = -K - C * C
+    Cpp = -2.0 * C * Cp
+    s = zeff * r
+    B, Bp = zeff * C, C + s * Cp
+    Bdd = (2.0 * Cp + s * (Cpp - Cp * Ap)) * r
     amb = A - B
     zsq = zeff * zeff
     return {

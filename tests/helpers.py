@@ -7,6 +7,11 @@ import math
 
 import numpy as np
 
+from mtwcheck.checker import _noise_band
+from mtwcheck.costs import eval_cost_jet, inverse_lprime
+from mtwcheck.curvature import _lprime_increment_series, _revert, coefficient_arrays
+from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, jet_compose
+
 
 def central_derivative(f, x, order, h=0.05, points=9):
     """Central finite difference of f^(order) at x, in float64.
@@ -88,3 +93,82 @@ def cli_report(argv):
     if report is not None:
         report.pop("wall_time_ms")
     return code, report
+
+
+REFERENCE_DPS = 50
+
+
+@contextlib.contextmanager
+def _mpmath_functions(mpmath):
+    """Swap the numpy column of jets.ELEMENTARY_FUNCTIONS for mpmath's functions."""
+    saved = dict(ELEMENTARY_FUNCTIONS)
+    try:
+        for name, (_, compose) in saved.items():
+            ELEMENTARY_FUNCTIONS[name] = (getattr(mpmath, name), compose)
+        yield
+    finally:
+        ELEMENTARY_FUNCTIONS.update(saved)
+
+
+def reference_profiles(cost, K, z):
+    """The profile quantities at one z >= SERIES_SWITCH, to 50 digits.
+
+    The route is independent of the program's direct branch: the order-6
+    jet of l at h0 = h(z), the series reversion of l'(h0 + u) - l'(h0) for
+    the jet of h at z, then A = 1/h' and B = z C(h) as jets, with C = coth,
+    1/h or cot for K = -1, 0, +1.  It runs on mpmath numbers at
+    REFERENCE_DPS digits, with mpmath's functions in place of numpy's in
+    jets.ELEMENTARY_FUNCTIONS, at the float h0 that the program computes;
+    so it measures the profile arithmetic, not the inverse of l'.  B is
+    built, and alpha..delta divide, at zeff = l'(h0), the argument that h0
+    inverts exactly.  Returns a dict of mpmath numbers.
+    """
+    import mpmath
+
+    h0 = float(inverse_lprime(cost, z))
+    with mpmath.mp.workdps(REFERENCE_DPS), _mpmath_functions(mpmath):
+        ljet = eval_cost_jet(cost, mpmath.mpf(h0))
+        zeff = ljet.coeffs[1]
+        g = _revert(_lprime_increment_series(ljet))
+        hjet = Jet((mpmath.mpf(h0),) + g.coeffs[1:6] + (0.0,), basepoint=z)
+        a_jet = 1.0 / hjet.series_derivative()
+        zjet = Jet((zeff, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=z)
+        if K == -1:
+            b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
+        elif K == 0:
+            b_jet = zjet / hjet
+        else:
+            b_jet = zjet * jet_compose("cos", hjet) / jet_compose("sin", hjet)
+        A, Ap, Add = a_jet.coeffs[0], a_jet.coeffs[1], 2 * a_jet.coeffs[2]
+        B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2 * b_jet.coeffs[2]
+        amb = A - B
+        zsq = zeff * zeff
+        return {"A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
+                "alpha": (zsq * Add + 6 * amb - 4 * zeff * (Ap - Bp)) / zsq,
+                "beta": (zeff * Ap - 2 * amb) / zsq, "gamma": Bdd, "delta": Bp / zeff}
+
+
+def reference_errors(cost, K, z):
+    """Errors of coefficient_arrays at the points z >= SERIES_SWITCH, against
+    reference_profiles.  Maps each key to an array of errors: for A and B
+    relative to max(1, |value|), for alpha..delta in units of the scan's
+    noise band (checker._noise_band).
+
+    A and B are not held to a purely relative bound below 1: l'' of
+    log(cosh(z)) is 1/2 - tanh^2/2 in the cost's jet, which loses digits
+    where it is small (up to 5e-15 relative at z = tanh 2), and no profile
+    formula gets them back.
+    """
+    import mpmath
+
+    z = np.asarray(z, dtype=float)
+    prof = coefficient_arrays(cost, K, z)
+    scale = {key: np.maximum(1.0, np.abs(prof[key])) for key in ("A", "B")}
+    band = _noise_band(z, prof)
+    errors = {key: np.empty_like(z) for key in ("A", "B", "alpha", "beta", "gamma", "delta")}
+    for i, point in enumerate(z.tolist()):
+        ref = reference_profiles(cost, K, point)
+        for key, col in errors.items():
+            error = float(abs(mpmath.mpf(float(prof[key][i])) - ref[key]))
+            col[i] = error / (scale[key][i] if key in scale else band[i])
+    return errors

@@ -182,6 +182,14 @@ def test_perturb_k_in_exponent_notation(capsys):
     assert code == 0 and "holds" in out
 
 
+@pytest.mark.parametrize("profile", ["log(z-1)", "1/0*z"])
+def test_perturb_undefined_profile_exit_2(capsys, profile):
+    # the message names the first grid point b/grid, not the argument of log
+    code, out, err = run(capsys, "perturb", f"--f={profile}", "--k", "-1", "--b", "1")
+    assert code == 2 and out == ""
+    assert "the profile is undefined at z = 0.0009765625" in err and "Traceback" not in err
+
+
 def test_eval_newton_failure_on_constant_lpp(capsys):
     # l = z: l'' = 0 is a scalar jet coefficient, l' = 1 has no inverse on
     # (0, 1), and eval runs no admissibility check yet: Newton fails, exit 3

@@ -5,15 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import CANONICAL_CASES, random_orthogonal_pair
+from helpers import CANONICAL_CASES, random_orthogonal_pair, reference_errors
 
 from mtwcheck import (MtwInput, SpaceForm, curvature, decompose, jacobi_map_closed,
                       make_cost, mtw_closed, mtw_via_jacobi, preset)
 from mtwcheck.cli import main, resolve_cost
-from mtwcheck.costs import eval_cost_jet, inverse_lprime
-from mtwcheck.curvature import (SERIES_SWITCH, _lprime_increment_series, _profile_row,
-                                _profiles, _revert, coefficient_arrays)
-from mtwcheck.jets import jet_compose
+from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, _revert, coefficient_arrays
 from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
 from mtwcheck.jets import Jet
 
@@ -403,48 +400,21 @@ def test_revert_matches_sympy_reversion(w1_sign):
             assert abs(value - ref) <= 1e-13 * abs(ref), (w, n, value, ref)
 
 
-def _direct_profiles_full_order(cost, K, z):
-    """A, B and alpha..delta on the direct branch from order-6 jets throughout.
-
-    B is built, and alpha..delta divide, at zeff = l'(h0), the argument that
-    h0 inverts exactly.
-    """
-    h0 = np.asarray(inverse_lprime(cost, z))
-    ljet = eval_cost_jet(cost, h0)
-    zeff = ljet.coeffs[1]
-    g = _revert(_lprime_increment_series(ljet))
-    hjet = Jet((h0,) + g.coeffs[1:6] + (0.0,), basepoint=z)
-    a_jet = 1.0 / hjet.series_derivative()
-    zjet = Jet((zeff, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=z)
-    if K == -1:
-        b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
-    elif K == 0:
-        b_jet = zjet / hjet
-    else:
-        b_jet = zjet * jet_compose("cos", hjet) / jet_compose("sin", hjet)
-    A, Ap, Add = a_jet.coeffs[0], a_jet.coeffs[1], 2.0 * a_jet.coeffs[2]
-    B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2.0 * b_jet.coeffs[2]
-    amb = A - B
-    return {"A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
-            "alpha": (zeff * zeff * Add + 6.0 * amb - 4.0 * zeff * (Ap - Bp)) / (zeff * zeff),
-            "beta": (zeff * Ap - 2.0 * amb) / (zeff * zeff), "gamma": Bdd, "delta": Bp / zeff}
+_REFERENCE_CASES = [(text, K, D) for name, K, D, eps in CANONICAL_CASES
+                    for text in (preset(name, D, eps).name, preset(name, D, eps).text)]
 
 
-_IDENTITY_CASES = [(name if eps is None else f"quartic({eps!r})", K, D)
-                   for name, K, D, eps in CANONICAL_CASES] + [("log(cosh(z))", -1, 2.0)]
-
-
-@pytest.mark.parametrize("text,K,D", _IDENTITY_CASES)
-def test_direct_branch_matches_full_order_jets(text, K, D):
-    # the direct branch truncates l, h, A and B to the orders it reads; the
-    # coefficients it keeps must equal those of order-6 jets bit for bit
+@pytest.mark.parametrize("text,K,D", _REFERENCE_CASES)
+def test_direct_branch_matches_50_digit_reference(text, K, D):
+    # the direct branch against the full-order series-reversion route run
+    # at 50 digits, on the preset's analytic inverse and on the Newton
+    # inverse of its expression text
     cost = resolve_cost(text, D)
-    z = np.linspace(0.0, cost.zmax, 4096)
-    z = z[z >= SERIES_SWITCH]
-    prof = coefficient_arrays(cost, K, z)
-    reference = _direct_profiles_full_order(cost, K, z)
-    for key, expected in reference.items():
-        assert np.array_equal(prof[key], expected), key
+    errors = reference_errors(cost, K, np.geomspace(SERIES_SWITCH, cost.zmax, 40))
+    for key in ("A", "B"):
+        assert np.max(errors[key]) <= 1e-15, key
+    for key in ("alpha", "beta", "gamma", "delta"):
+        assert np.max(errors[key]) <= 0.1, key
 
 
 @pytest.mark.parametrize("length", [0.5, 0.5 * SERIES_SWITCH])
