@@ -10,8 +10,8 @@ The checker turns the coefficient inequalities into per-scan verdicts.
 from . import errors
 from .checker import (A3S, A3W_ONLY, FAILS, Classification, PerturbationResult, ScanConfig,
                       Verdict, classify, perturbation_check, scan_conditions, scan_table)
-from .costs import (PRESETS, AdmissibilityReport, CostFunction, eval_cost_jet,
-                    inverse_lprime, make_cost, preset, validate_admissibility)
+from .costs import (PRESETS, CostFunction, eval_cost_jet, inverse_lprime, make_cost, preset,
+                    validate_admissibility)
 from .curvature import (MtwInput, coefficient_arrays, decompose, jacobi_map_closed,
                         mtw_closed, mtw_via_jacobi)
 from .expressions import evaluate, evaluate_jet, parse_cost, pretty
@@ -23,7 +23,7 @@ from .oracle import StencilConfig, jacobi_residual, mtw_definitional
 __version__ = "0.1.0"
 
 __all__ = [
-    "A3S", "A3W_ONLY", "FAILS", "AdmissibilityReport", "Classification",
+    "A3S", "A3W_ONLY", "FAILS", "Classification",
     "CostFunction", "Jet", "MtwInput", "PRESETS", "PerturbationResult", "Point",
     "ScanConfig", "SpaceForm", "StencilConfig", "TangentVector", "Verdict",
     "classify", "coefficient_arrays", "cost_exp", "decompose", "errors",

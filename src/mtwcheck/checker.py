@@ -127,8 +127,10 @@ def _noise_band(z, profile):
     Two roundoff amplifiers shape the band on the direct branch: the division
     of cancelling differences by z^2, and the factor 1/l''^3 in A'' and B''
     (A = l''), which grows like (scale/|A|)^3 where l'' gets small.
-    Series-branch points near zero are evaluated from exact shifted
-    coefficients and only need an absolute floor at the roundoff scale.
+    Series-branch points Horner-evaluate at h(z) the Taylor series in h of
+    each quantity, in which the divisions by z and z^2 are exact shifts, so
+    they carry no cancellation and only need an absolute floor at the
+    roundoff scale.
     """
     scale = np.maximum(1.0, np.maximum(np.abs(profile["A"]), np.abs(profile["B"])))
     tiny = np.clip(np.minimum(1.0, np.abs(profile["A"])), 1e-3, 1.0)
@@ -137,14 +139,21 @@ def _noise_band(z, profile):
     return np.where(z >= SERIES_SWITCH, direct, 1e-12 * scale)
 
 
-def _grid_chunk(zmax, grid_points, lo, hi):
-    """Points lo..hi-1 of np.linspace(0.0, zmax, grid_points), bitwise.
+def _grid_chunk(start, stop, grid_points, lo, hi):
+    """Points lo..hi-1 of np.linspace(start, stop, grid_points), bitwise.
 
-    linspace computes point i as i*step + 0.0 and sets the last to zmax.
+    linspace computes point i as i*step + start, with step = (stop - start)
+    / (grid_points - 1), or as (i / (grid_points - 1)) * (stop - start) + start
+    where that step underflows to 0, and sets the last point to stop when
+    there are two points or more.
     """
-    z = np.arange(lo, hi, dtype=float) * (zmax / (grid_points - 1)) + 0.0
-    if hi == grid_points:
-        z[-1] = zmax
+    div = max(grid_points - 1, 1)
+    delta = stop - start
+    step = delta / div
+    z = np.arange(lo, hi, dtype=float)
+    z = (z * step if step != 0.0 else z / div * delta) + start
+    if hi == grid_points > 1:
+        z[-1] = stop
     return z
 
 
@@ -164,14 +173,14 @@ def scan_conditions(cost, K, cfg, on_chunk=None):
         raise ValueError("on the sphere the scan diameter must satisfy D < pi")
     if abs(cost.diameter - cfg.diameter) > 1e-12:
         raise ValueError("scan diameter differs from the cost's working interval")
-    validate_admissibility(cost).raise_if_violated()
+    validate_admissibility(cost)
 
     zmax, grid_points = cost.zmax, cfg.grid_points
     weak = strict = True
     min_slacks = {}
     witness, witness_slack = None, None
     for lo in range(0, grid_points, SCAN_CHUNK):
-        z = _grid_chunk(zmax, grid_points, lo, min(lo + SCAN_CHUNK, grid_points))
+        z = _grid_chunk(0.0, zmax, grid_points, lo, min(lo + SCAN_CHUNK, grid_points))
         prof = coefficient_arrays(cost, K, z)
         for name in ("alpha", "beta", "gamma", "delta"):
             if not np.all(np.isfinite(prof[name])):
@@ -226,6 +235,11 @@ def perturbation_check(f, k, b, grid_points=1024):
     f''(z) < k and (z^2 f'''(z) - z f''(z) + 2 f'(z))/z < k at every grid
     point of the uniform grid with left endpoint b/grid_points.  An f
     undefined there raises AdmissibilityError naming the first such point.
+
+    The grid, np.linspace(b/grid_points, b, grid_points), is checked in
+    chunks of SCAN_CHUNK consecutive points, so peak memory does not grow
+    with grid_points.  The witness is the first failing point and worst_lhs
+    the maximum over the chunks, as in one pass over the whole grid.
     """
     if not -math.inf < k < 0.0:
         raise ValueError(f"the threshold k must be finite and negative, got {k!r}")
@@ -233,15 +247,18 @@ def perturbation_check(f, k, b, grid_points=1024):
         raise ValueError(f"the interval bound b must be finite and positive, got {b!r}")
     if grid_points < 1:
         raise ValueError("grid_points must be positive")
-    z = np.linspace(b / grid_points, b, grid_points)
-    jet = eval_defined_jet(f, z, 4, "the profile")
-    fp = np.asarray(jet.derivative(1))
-    fpp = np.asarray(jet.derivative(2))
-    fppp = np.asarray(jet.derivative(3))
-    lhs1 = fpp
-    lhs2 = (z * z * fppp - z * fpp + 2.0 * fp) / z
-    bad = (lhs1 >= k) | (lhs2 >= k)
-    worst = float(np.max(np.maximum(lhs1, lhs2)))
-    if np.any(bad):
-        return PerturbationResult(False, float(z[bad][0]), worst)
-    return PerturbationResult(True, None, worst)
+    witness, worst = None, -math.inf
+    for lo in range(0, grid_points, SCAN_CHUNK):
+        z = _grid_chunk(b / grid_points, b, grid_points, lo, min(lo + SCAN_CHUNK, grid_points))
+        jet = eval_defined_jet(f, z, 4, "the profile")
+        fp = np.asarray(jet.derivative(1))
+        fpp = np.asarray(jet.derivative(2))
+        fppp = np.asarray(jet.derivative(3))
+        lhs1 = fpp
+        lhs2 = (z * z * fppp - z * fpp + 2.0 * fp) / z
+        bad = (lhs1 >= k) | (lhs2 >= k)
+        # np.maximum keeps a nan LHS, as np.max over the whole grid does
+        worst = np.maximum(worst, np.max(np.maximum(lhs1, lhs2)))
+        if witness is None and np.any(bad):
+            witness = float(z[bad][0])
+    return PerturbationResult(witness is None, witness, float(worst))

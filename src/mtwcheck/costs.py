@@ -116,17 +116,6 @@ def eval_defined_jet(expression, z0, length, what):
         raise
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    kind: Optional[str] = None
-    witness: Optional[float] = None
-
-    def raise_if_violated(self):
-        if not self.ok:
-            raise AdmissibilityError(self.kind, self.witness)
-
-
 def validate_admissibility(cost):
     """Check evenness of l and the constant sign of l'' on [0, diameter].
 
@@ -135,15 +124,15 @@ def validate_admissibility(cost):
     l'' must be finite, l'' must stay away from zero and keep the sign it has
     at 0 (cost.lprime_sign), and lprime_sign * l' must not decrease from one
     grid point to the next.
-    Returns a report; callers that need an exception use
-    report.raise_if_violated().  An l that is undefined at a point it is
-    evaluated at raises AdmissibilityError.
+    A violation raises AdmissibilityError(kind, witness), with witness the
+    first offending argument; so does an l that is undefined at a point it
+    is evaluated at.
     """
     jet0 = eval_cost_jet(cost, 0.0)
     scale = max(1.0, max(abs(float(c)) for c in jet0.coeffs))
     for k in (1, 3, 5):
         if abs(float(jet0.coeffs[k])) > EVENNESS_TOL * scale:
-            return AdmissibilityReport(False, "not-even", 0.0)
+            raise AdmissibilityError("not-even", 0.0)
     zs = np.linspace(cost.diameter / 8.0, cost.diameter, 8)
     # where l is undefined numpy gives nan, which passes here; the jet check
     # below names the first such point, so numpy's warning is not wanted
@@ -152,7 +141,7 @@ def validate_admissibility(cost):
         diff = np.abs(lz - cost(-zs))
     bad = diff > 1e-12 * np.maximum(1.0, np.abs(lz))
     if np.any(bad):
-        return AdmissibilityReport(False, "not-even", float(zs[bad][0]))
+        raise AdmissibilityError("not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
     # l' and l'' are coefficients 1 and 2: a jet of length 3 gives them
@@ -164,19 +153,18 @@ def validate_admissibility(cost):
     lpp = 2.0 * np.broadcast_to(jet.coeffs[2], grid.shape)
     not_finite = ~(np.isfinite(lprime) & np.isfinite(lpp))
     if np.any(not_finite):
-        return AdmissibilityReport(False, "not-finite", float(grid[not_finite][0]))
+        raise AdmissibilityError("not-finite", float(grid[not_finite][0]))
     near_zero = np.abs(lpp) <= SIGN_TOL * scale
     if np.any(near_zero):
-        return AdmissibilityReport(False, "lpp-zero", float(grid[near_zero][0]))
+        raise AdmissibilityError("lpp-zero", float(grid[near_zero][0]))
     wrong_sign = lpp * cost.lprime_sign < 0.0
     if np.any(wrong_sign):
-        return AdmissibilityReport(False, "lpp-sign-change", float(grid[wrong_sign][0]))
+        raise AdmissibilityError("lpp-sign-change", float(grid[wrong_sign][0]))
     # sign * l'' > 0 makes sign * l' increase, so a drop between two samples
     # is a pole or a sign change of l'' that the samples missed
     drops = np.diff(cost.lprime_sign * lprime) < 0.0
     if np.any(drops):
-        return AdmissibilityReport(False, "lprime-not-monotone", float(grid[:-1][drops][0]))
-    return AdmissibilityReport(True)
+        raise AdmissibilityError("lprime-not-monotone", float(grid[:-1][drops][0]))
 
 
 def make_cost(text_or_expr, diameter, analytic_inverse=None, name=None):

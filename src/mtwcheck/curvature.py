@@ -9,10 +9,11 @@ with h the inverse of l'.  Their first two derivatives feed a five-term
 closed formula for the curvature of the transport cost, the four coefficient
 functions alpha, beta, gamma, delta that drive the inequality checker, and a
 second analytic route that differentiates A and B along s -> |v + s*w| with
-an s-jet.  Away from z = 0, A, B and their derivatives are explicit in the
-derivatives of l at h(z); at z = 0 their Taylor series come from series
-reversion of the l' expansion.  No finite differences enter anywhere in this
-module.
+an s-jet.  With d/dz = (1/l'') d/dh, A, B and their derivatives are
+functions of h, built from the derivatives of l: away from z = 0 they are
+explicit in the derivatives of l at h(z), and near z = 0 their Taylor series
+in h come from the jet of l at 0 and are evaluated at h(z).  No finite
+differences and no series reversion enter anywhere in this module.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import numpy as np
 from .costs import eval_cost_jet, inverse_lprime
 from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
 from .geometry import Point, TangentVector
-from .jets import Jet, _compose_table, _power_coeff, jet_compose, jet_compose_pair
+from .jets import Jet, _compose_table, jet_compose, jet_compose_pair
 
 # Below this argument A, B and the coefficient functions switch from direct
-# evaluation at basepoint z to evaluation of their series at basepoint 0,
+# evaluation at basepoint h(z) to evaluation of their series in h at 0,
 # whose shifted coefficients give the z -> 0 limits exactly.
 SERIES_SWITCH = 1e-4
 
@@ -56,45 +57,6 @@ class MtwInput:
             raise ZeroVectorError("v must be nonzero")
 
 
-def _revert(w):
-    """Compositional inverse of a series with zero constant term.
-
-    w must be a formal jet at 0 with w1 != 0; g has w's length L.  The
-    inverse is found order by order: g1 = 1/w1 and, for n = 2..L-1,
-    coefficient n of w(g(t)) = t gives
-
-        g_n = -(sum_{k=2..n} w_k [t^n] g^k) / w_1,
-
-    with the power table [t^n] g^k = sum_{j>=1} g_j [t^(n-j)] g^(k-1).  For
-    k >= 2 that entry only involves g_1..g_(n-k+1), so column n of the table
-    is complete before g_n is needed, and each g_n is exact given w_1..w_n.
-    """
-    c = w.coeffs
-    length = len(c)
-    g = [0.0, 1.0 / c[1]] if length > 1 else [0.0]
-    # powers[k][n] = [t^n] g^k, filled column by column as g grows
-    powers = [None, g] + [[0.0] * length for _ in range(2, length)]
-    for n in range(2, length):
-        acc = 0.0
-        for k in range(2, n + 1):
-            powers[k][n] = _power_coeff(g, powers[k - 1], k, n)
-            acc = acc + c[k] * powers[k][n]
-        g.append(-acc * g[1])
-    return Jet(g, basepoint=w.basepoint)
-
-
-def _lprime_increment_series(ljet):
-    """Formal series of l'(h0 + u) - l'(h0) from the jet of l at h0.
-
-    The series has the jet's length L.  Its top coefficient would need order
-    L of l and is set to zero; for L = 7 at basepoint 0 it genuinely
-    vanishes because l' is odd.
-    """
-    c = ljet.coeffs
-    coeffs = [0.0] + [(k + 1) * c[k + 1] for k in range(1, len(c) - 1)] + [0.0]
-    return Jet(coeffs[:len(c)], basepoint=0.0)
-
-
 def _check_pole(K, h0):
     if K == 1:
         gap = np.pi - np.abs(np.asarray(h0))
@@ -102,50 +64,75 @@ def _check_pole(K, h0):
             raise PoleError("h(z) within tolerance of the cot pole at pi")
 
 
-@lru_cache(maxsize=64)
-def _ab_series_origin(cost, K):
-    """Taylor coefficients of A and B at z = 0, exact through order 5.
-
-    Both series exist because h is odd with h'(0) = 1/l''(0) != 0; the
-    apparent 0/0 in B cancels after shifting the vanishing numerator and
-    denominator series by one order.
-    """
-    ljet = eval_cost_jet(cost, 0.0)
-    # degree-6 coefficient of l' vanishes exactly by parity, so the reversion
-    # is exact through order 6 here
-    g = _revert(_lprime_increment_series(ljet))
-    a_jet = 1.0 / g.series_derivative()
-    if K == 0:
-        num, den = Jet.constant(1.0), g
-    else:
-        num, den = jet_compose_pair("cosh" if K == -1 else "cos", g)
-    shifted = Jet(den.coeffs[1:] + (0.0,), basepoint=0.0)
-    b_jet = num / shifted
-    a = tuple(float(c) for c in a_jet.coeffs)
-    b = tuple(float(c) for c in b_jet.coeffs)
-    scale = max(1.0, abs(a[0]), abs(b[0]))
-    if abs(a[0] - b[0]) > _LIMIT_TOL * scale or abs(a[1] - b[1]) > _LIMIT_TOL * scale \
-            or abs(a[1]) > _LIMIT_TOL * scale or abs(b[1]) > _LIMIT_TOL * scale:
-        raise LimitError("A - B does not vanish to second order at z = 0; "
-                         "cost is inadmissible or h is inconsistent")
-    return a, b
-
-
-def _poly(coeffs, z, weight, shift):
-    """sum_k weight(k) * coeffs[k] * z^(k-shift), Horner-evaluated."""
-    acc = np.zeros_like(np.asarray(z, dtype=float))
-    for k in reversed(range(shift, len(coeffs))):
-        acc = acc * z + weight(k) * coeffs[k]
-    return acc
-
-
 _PROFILE_KEYS = ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime",
                  "alpha", "beta", "gamma", "delta")
 
 
-def _direct_profiles(cost, K, z):
-    """All profile quantities at an array of z >= SERIES_SWITCH, each
-    evaluated directly at its own basepoint.
+def _shift(jet, k):
+    """jet / h^k for a jet at 0 whose orders below k vanish."""
+    return Jet(jet.coeffs[k:], jet.basepoint)
+
+
+def _times_h(jet):
+    """jet * h for a jet at 0: one order longer, with a zero constant term."""
+    return Jet((0.0,) + jet.coeffs, jet.basepoint)
+
+
+@lru_cache(maxsize=64)
+def _origin_series(cost, K):
+    """Taylor coefficients in h at h = 0 of every profile quantity.
+
+    Let lp be the jet of l' at 0 and P = lp/h, so that z = h P(h).  With
+    d/dz = (1/l'') d/dh:
+
+        A = l'',  A' = (dA/dh)/A,  A'' = (dA'/dh)/A,
+        B = P (h C(h)),  B' = (dB/dh)/A,  B'' = (dB'/dh)/A,
+
+    with h C(h) = cosh/(sinh/h), 1 or cos/(sin/h) for K = -1, 0, +1.  The
+    divisions by z and z^2 in alpha..delta are shifts by one and two orders
+    of h followed by a division by P or P^2, whose constant term l''(0) is
+    nonzero.  Each series keeps the orders that the order-6 jet of l makes
+    exact: orders 0..2 for A'', B'' and alpha..delta, which are even in h,
+    so their truncation error is of order h^4.
+    """
+    lp = eval_cost_jet(cost, 0.0).series_derivative()
+    P = _shift(lp, 1)
+    A = lp.series_derivative()
+    if K == 0:
+        B = P
+    else:
+        cosh, sinh = jet_compose_pair("cosh" if K == -1 else "cos", Jet.variable(0.0))
+        B = P * (cosh / _shift(sinh, 1))
+    amb = A - B
+    scale = max(1.0, abs(A.coeffs[0]), abs(B.coeffs[0]))
+    if abs(amb.coeffs[0]) > _LIMIT_TOL * scale or abs(amb.coeffs[1]) > _LIMIT_TOL * scale:
+        raise LimitError("A - B does not vanish to second order at z = 0; "
+                         "cost is inadmissible or h is inconsistent")
+    Ap, Bp = A.series_derivative() / A, B.series_derivative() / A
+    Add, Bdd = Ap.series_derivative() / A, Bp.series_derivative() / A
+    Psq = P * P
+    series = {
+        "A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
+        "alpha": Add + _shift(6.0 * amb - 4.0 * _times_h(P * (Ap - Bp)), 2) / Psq,
+        "beta": _shift(_times_h(P * Ap) - 2.0 * amb, 2) / Psq,
+        "gamma": Bdd,
+        "delta": _shift(Bp, 1) / P,
+    }
+    return MappingProxyType({key: tuple(float(c) for c in jet.coeffs)
+                             for key, jet in series.items()})
+
+
+def _horner(coeffs, h):
+    """sum_k coeffs[k] * h^k."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * h + c
+    return acc
+
+
+def _direct_profiles(cost, K, h0):
+    """All profile quantities at an array of h0 = h(z), z >= SERIES_SWITCH,
+    each evaluated directly at its own basepoint.
 
     With d/dz = (1/l'') d/dh, each quantity is explicit in l' .. l'''' at
     h0 = h(z) and in C(h) = coth h, 1/h or cot h for K = -1, 0, +1:
@@ -160,9 +147,8 @@ def _direct_profiles(cost, K, z):
     B cancels against A to second order, so B is built at zeff, the argument
     that matches h0, and alpha..delta divide by zeff as well.
     """
-    h0 = np.asarray(inverse_lprime(cost, z))
     _check_pole(K, h0)
-    # l^(k) = k! c_k, written into arrays of z's shape: a coefficient that
+    # l^(k) = k! c_k, written into arrays of h0's shape: a coefficient that
     # does not depend on z (c_2 of z^2/2, say) is a float.  No name holds
     # the jet, so its arrays are freed before the formulas below run.
     zeff, l2, l3, l4 = (np.multiply(c, math.factorial(k), out=np.empty_like(h0))
@@ -192,39 +178,27 @@ def _direct_profiles(cost, K, z):
 def _profiles(cost, K, z):
     """All profile quantities at an array of z >= 0 values.
 
-    Entries below SERIES_SWITCH use the origin series (limits); the rest are
-    evaluated directly at their own basepoint.  An array with no entry below
-    SERIES_SWITCH gets the direct-branch arrays as they are.
+    h0 = h(z) is computed once for all of z.  Entries below SERIES_SWITCH
+    Horner-evaluate the origin series at h0; the rest are evaluated directly
+    at their own basepoint.  An array with no entry below SERIES_SWITCH gets
+    the direct-branch arrays as they are.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise OutOfRangeError("profile arguments must be nonnegative")
     if np.any(z > cost.zmax * (1.0 + 1e-9) + 1e-15):
         raise OutOfRangeError(f"z beyond |l'(D)| = {cost.zmax}")
+    h0 = np.asarray(inverse_lprime(cost, z))
     small = z < SERIES_SWITCH
     if not np.any(small):
-        return _direct_profiles(cost, K, z)
+        return _direct_profiles(cost, K, h0)
     out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
-    a, b = _ab_series_origin(cost, K)
-    zs = z[small]
-    amb = tuple(ai - bi for ai, bi in zip(a, b))
-    out["A"][small] = _poly(a, zs, lambda k: 1, 0)
-    out["Aprime"][small] = _poly(a, zs, lambda k: k, 1)
-    out["Adprime"][small] = _poly(a, zs, lambda k: k * (k - 1), 2)
-    out["B"][small] = _poly(b, zs, lambda k: 1, 0)
-    out["Bprime"][small] = _poly(b, zs, lambda k: k, 1)
-    out["Bdprime"][small] = _poly(b, zs, lambda k: k * (k - 1), 2)
-    # alpha and beta come from the numerator series shifted down by z^2;
-    # the degree-0/1 terms vanish (checked in _ab_series_origin)
-    n_coeffs = tuple(k * (k - 1) * a[k] + (6 - 4 * k) * amb[k] for k in range(7))
-    m_coeffs = tuple(k * a[k] - 2 * amb[k] for k in range(7))
-    out["alpha"][small] = _poly(n_coeffs, zs, lambda k: 1, 2)
-    out["beta"][small] = _poly(m_coeffs, zs, lambda k: 1, 2)
-    out["gamma"][small] = _poly(b, zs, lambda k: k * (k - 1), 2)
-    out["delta"][small] = _poly(b, zs, lambda k: k, 2)
+    hs = h0[small]
+    for key, coeffs in _origin_series(cost, K).items():
+        out[key][small] = _horner(coeffs, hs)
     large = ~small
     if np.any(large):
-        for key, col in _direct_profiles(cost, K, z[large]).items():
+        for key, col in _direct_profiles(cost, K, h0[large]).items():
             out[key][large] = col
     return out
 

@@ -3,9 +3,10 @@
 A jet stores the Taylor-normalized coefficients c_k = f^(k)(z0)/k! of a
 scalar function at a basepoint z0, for k = 0..L-1 with 1 <= L <= 7.
 Arithmetic and composition with elementary functions propagate coefficients
-exactly through order L-1.  Order 6 covers fourth derivatives plus the two
-extra orders consumed by series limits at z = 0; a computation that reads
-fewer orders asks for a shorter jet.
+exactly through order L-1.  Order 6 covers fourth derivatives, and at
+z = 0 it gives the series in h of the profiles' second derivatives and of
+their quotients by z^2 through order 2; a computation that reads fewer
+orders asks for a shorter jet.
 
 Truncation rule: a binary operation on jets of lengths L1 and L2 returns a
 jet of length min(L1, L2), and an operation with a scalar returns a jet of
@@ -78,14 +79,13 @@ class Jet:
         return self.coeffs[k] * _FACTORIAL[k]
 
     def series_derivative(self):
-        """Jet of f' at the same basepoint, of the same length.
+        """Jet of f' at the same basepoint, one coefficient shorter.
 
-        The top coefficient would need one more order of f and is set to 0:
-        for a jet of length L the result is exact through order L-2 only.
+        A jet of length L gives f' exactly through order L-2, and the result
+        holds those orders only; a jet of length 1 has no derivative orders.
         """
         c = self.coeffs
-        return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)) + (0.0,),
-                   self.basepoint)
+        return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)), self.basepoint)
 
     def _check_basepoint(self, other):
         # the jets of one computation share their basepoint object, so the
@@ -238,13 +238,12 @@ def _integrate(dfda, a, value0):
 
     Uses F(a)' = F'(a) a'; for a jet a of length L the antiderivative
     recurrence is exact through order L-1 because the integrand only needs
-    orders 0..L-2.
+    orders 0..L-2, which is what a.series_derivative() holds.
     """
+    if len(a.coeffs) == 1:
+        return Jet((value0,), a.basepoint)
     g = dfda * a.series_derivative()
-    coeffs = [value0]
-    for k in range(1, len(a.coeffs)):
-        coeffs.append(g.coeffs[k - 1] / k)
-    return Jet(coeffs, a.basepoint)
+    return Jet([value0] + [g.coeffs[k - 1] / k for k in range(1, len(a.coeffs))], a.basepoint)
 
 
 def _table_log(a0, log_a0, length):

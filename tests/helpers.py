@@ -10,8 +10,8 @@ import numpy as np
 from mtwcheck.checker import _noise_band
 from mtwcheck.cli import main
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
-from mtwcheck.curvature import _lprime_increment_series, _revert, coefficient_arrays
-from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, jet_compose
+from mtwcheck.curvature import coefficient_arrays
+from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, _power_coeff, jet_compose
 
 
 def central_derivative(f, x, order, h=0.05, points=9):
@@ -97,6 +97,44 @@ def cli_report(argv):
 REFERENCE_DPS = 50
 
 
+def revert(w):
+    """Compositional inverse of a series with zero constant term.
+
+    w must be a formal jet at 0 with w1 != 0; g has w's length L.  The
+    inverse is found order by order: g1 = 1/w1 and, for n = 2..L-1,
+    coefficient n of w(g(t)) = t gives
+
+        g_n = -(sum_{k=2..n} w_k [t^n] g^k) / w_1,
+
+    with the power table [t^n] g^k = sum_{j>=1} g_j [t^(n-j)] g^(k-1).  For
+    k >= 2 that entry only involves g_1..g_(n-k+1), so column n of the table
+    is complete before g_n is needed, and each g_n is exact given w_1..w_n.
+    """
+    c = w.coeffs
+    length = len(c)
+    g = [0.0, 1.0 / c[1]] if length > 1 else [0.0]
+    # powers[k][n] = [t^n] g^k, filled column by column as g grows
+    powers = [None, g] + [[0.0] * length for _ in range(2, length)]
+    for n in range(2, length):
+        acc = 0.0
+        for k in range(2, n + 1):
+            powers[k][n] = _power_coeff(g, powers[k - 1], k, n)
+            acc = acc + c[k] * powers[k][n]
+        g.append(-acc * g[1])
+    return Jet(g, basepoint=w.basepoint)
+
+
+def lprime_increment_series(ljet):
+    """Formal series of l'(h0 + u) - l'(h0) from the jet of l at h0.
+
+    The series has the jet's length L.  Its top coefficient would need order
+    L of l and is set to zero.
+    """
+    c = ljet.coeffs
+    coeffs = [0.0] + [(k + 1) * c[k + 1] for k in range(1, len(c) - 1)] + [0.0]
+    return Jet(coeffs[:len(c)], basepoint=0.0)
+
+
 @contextlib.contextmanager
 def _mpmath_functions(mpmath):
     """Swap the numpy column of jets.ELEMENTARY_FUNCTIONS for mpmath's functions."""
@@ -110,12 +148,12 @@ def _mpmath_functions(mpmath):
 
 
 def reference_profiles(cost, K, z):
-    """The profile quantities at one z >= SERIES_SWITCH, to 50 digits.
+    """The profile quantities at one z > 0, to 50 digits.
 
-    The route is independent of the program's direct branch: the order-6
-    jet of l at h0 = h(z), the series reversion of l'(h0 + u) - l'(h0) for
-    the jet of h at z, then A = 1/h' and B = z C(h) as jets, with C = coth,
-    1/h or cot for K = -1, 0, +1.  It runs on mpmath numbers at
+    The route is independent of the program's, on both of its branches: the
+    order-6 jet of l at h0 = h(z), the series reversion of
+    l'(h0 + u) - l'(h0) for the jet of h at z, then A = 1/h' and B = z C(h)
+    as jets in z, with C = coth, 1/h or cot for K = -1, 0, +1.  It runs on mpmath numbers at
     REFERENCE_DPS digits, with mpmath's functions in place of numpy's in
     jets.ELEMENTARY_FUNCTIONS, at the float h0 that the program computes;
     so it measures the profile arithmetic, not the inverse of l'.  B is
@@ -128,8 +166,9 @@ def reference_profiles(cost, K, z):
     with mpmath.mp.workdps(REFERENCE_DPS), _mpmath_functions(mpmath):
         ljet = eval_cost_jet(cost, mpmath.mpf(h0))
         zeff = ljet.coeffs[1]
-        g = _revert(_lprime_increment_series(ljet))
-        hjet = Jet((mpmath.mpf(h0),) + g.coeffs[1:6] + (0.0,), basepoint=z)
+        # the top coefficient of the reversion is not exact: drop it
+        g = revert(lprime_increment_series(ljet))
+        hjet = Jet((mpmath.mpf(h0),) + g.coeffs[1:6], basepoint=z)
         a_jet = 1.0 / hjet.series_derivative()
         zjet = Jet((zeff, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=z)
         if K == -1:
@@ -148,7 +187,7 @@ def reference_profiles(cost, K, z):
 
 
 def reference_errors(cost, K, z):
-    """Errors of coefficient_arrays at the points z >= SERIES_SWITCH, against
+    """Errors of coefficient_arrays at the points z > 0, against
     reference_profiles.  Maps each key to an array of errors: for A and B
     relative to max(1, |value|), for alpha..delta in units of the scan's
     noise band (checker._noise_band).

@@ -204,9 +204,19 @@ def test_grid_chunks_equal_linspace(grid):
     zmaxes = np.concatenate([[1.0, np.tanh(2.0), np.sinh(2.0), 5.0], rng.uniform(0.01, 50.0, 6)])
     for zmax in zmaxes:
         for chunk in (1, 1000, 8192) if grid <= 257 else (1000, 8192):
-            z = np.concatenate([_grid_chunk(zmax, grid, lo, min(lo + chunk, grid))
-                                for lo in range(0, grid, chunk)])
-            assert z.tobytes() == np.linspace(0.0, zmax, grid).tobytes(), (zmax, chunk)
+            for start in (0.0, zmax / grid):
+                z = np.concatenate([_grid_chunk(start, zmax, grid, lo, min(lo + chunk, grid))
+                                    for lo in range(0, grid, chunk)])
+                assert z.tobytes() == np.linspace(start, zmax, grid).tobytes(), (zmax, chunk)
+
+
+@pytest.mark.parametrize("start,stop,grid", [(0.0, 3.0, 1), (2.5, 2.5, 1), (1e-322 / 5, 1e-322, 5),
+                                             (5e-324 / 7, 5e-324, 7), (0.0, 1e-320, 300)])
+def test_grid_chunk_edge_cases_equal_linspace(start, stop, grid):
+    # one point, and a step that underflows to zero
+    z = np.concatenate([_grid_chunk(start, stop, grid, lo, min(lo + 2, grid))
+                        for lo in range(0, grid, 2)])
+    assert z.tobytes() == np.linspace(start, stop, grid).tobytes()
 
 
 def test_scan_weak_points_have_nonnegative_curvature():
@@ -249,6 +259,21 @@ def test_perturbation_zero_profile_fails():
 def test_perturbation_threshold_boundary():
     result = perturbation_check(parse_cost("-4*z^2"), -9.0, 1.0)
     assert not result.holds
+
+
+@pytest.mark.parametrize("text,k", [("-4*z^2", -1.0), ("-4*z^2 + z^4", -3.0), ("0", -1.0)])
+def test_chunked_perturbation_matches_one_pass(monkeypatch, text, k):
+    # 2500 points in chunks of 1000, against one chunk of all of them: the
+    # same witness (the first failing point) and the same worst LHS, bitwise.
+    # -4*z^2 + z^4 first fails at k = -3 near z = 0.5, in the second chunk,
+    # and has its worst LHS at z = 1, in the third
+    f = parse_cost(text)
+    monkeypatch.setattr(checker, "SCAN_CHUNK", 1000)
+    chunked = perturbation_check(f, k, 1.0, grid_points=2500)
+    monkeypatch.setattr(checker, "SCAN_CHUNK", 2500)
+    one_pass = perturbation_check(f, k, 1.0, grid_points=2500)
+    assert chunked.holds == one_pass.holds and chunked.witness == one_pass.witness
+    assert np.float64(chunked.worst_lhs).tobytes() == np.float64(one_pass.worst_lhs).tobytes()
 
 
 def test_perturbation_input_validation():

@@ -18,12 +18,14 @@ def _preset(name, diameter, eps=None):
 
 def test_sq_admissible():
     cost = preset("sq", 1.0)
-    assert validate_admissibility(cost).ok and cost.lprime_sign == 1
+    validate_admissibility(cost)
+    assert cost.lprime_sign == 1
 
 
 def test_neg_cosh_admissible_with_negative_sign():
     cost = preset("neg-cosh", 2.0)
-    assert validate_admissibility(cost).ok and cost.lprime_sign == -1
+    validate_admissibility(cost)
+    assert cost.lprime_sign == -1
 
 
 _PRESET_SIGNS = {"sq": 1, "log-cosh": 1, "neg-log1p-cos": 1, "quartic": 1,
@@ -37,46 +39,50 @@ def test_lprime_sign_derived_from_lpp_at_zero(name, K, diameter, eps):
     cost = _preset(name, diameter, eps)
     assert cost.lprime_sign == _PRESET_SIGNS[name]
     assert make_cost(cost.text, diameter).lprime_sign == _PRESET_SIGNS[name]
-    assert validate_admissibility(cost).ok
+    validate_admissibility(cost)
 
 
 def test_cubic_not_even():
     cost = make_cost("z^3", 1.0)
-    report = validate_admissibility(cost)
-    assert not report.ok and report.kind == "not-even"
-    with pytest.raises(AdmissibilityError):
-        report.raise_if_violated()
+    with pytest.raises(AdmissibilityError) as err:
+        validate_admissibility(cost)
+    assert err.value.kind == "not-even" and err.value.witness == 0.0
+    assert str(err.value) == "admissibility violation: not-even at z=0.0"
 
 
 def test_pure_quartic_rejected_at_zero():
     # z^4 is even but l''(0) = 0, which breaks the strict-sign requirement
     cost = make_cost("z^4", 1.0)
-    report = validate_admissibility(cost)
-    assert not report.ok and report.kind == "lpp-zero" and report.witness == 0.0
+    with pytest.raises(AdmissibilityError) as err:
+        validate_admissibility(cost)
+    assert err.value.kind == "lpp-zero" and err.value.witness == 0.0
 
 
 def test_sign_change_detected():
     # l'' = 1 - 3z^2 changes sign inside [0, 1]
     cost = make_cost("z^2/2 - z^4/4", 1.0)
-    report = validate_admissibility(cost)
-    assert not report.ok and report.kind == "lpp-sign-change"
+    with pytest.raises(AdmissibilityError) as err:
+        validate_admissibility(cost)
+    assert err.value.kind == "lpp-sign-change"
     # l''(0) = 1 > 0: the first grid point past 1/sqrt(3) is 148/255
-    assert cost.lprime_sign == 1 and report.witness == np.linspace(0.0, 1.0, 256)[148]
+    assert cost.lprime_sign == 1 and err.value.witness == np.linspace(0.0, 1.0, 256)[148]
 
 
 def test_pole_between_samples_detected():
     # l = log((z^2-1)^2): l'' < 0 on both sides of the pole at z = 1, which
     # falls between two samples, but -l' drops across it
     cost = make_cost("log((z^2-1)^2)", 2.2)
-    report = validate_admissibility(cost)
-    assert not report.ok and report.kind == "lprime-not-monotone"
-    assert report.witness < 1.0 < report.witness + 2.2 / 255
+    with pytest.raises(AdmissibilityError) as err:
+        validate_admissibility(cost)
+    assert err.value.kind == "lprime-not-monotone"
+    assert err.value.witness < 1.0 < err.value.witness + 2.2 / 255
 
 
 def test_constant_cost_rejected():
     # the jet of a constant has scalar coefficients, not one per sample
-    report = validate_admissibility(make_cost("0", 1.0))
-    assert not report.ok and report.kind == "lpp-zero" and report.witness == 0.0
+    with pytest.raises(AdmissibilityError) as err:
+        validate_admissibility(make_cost("0", 1.0))
+    assert err.value.kind == "lpp-zero" and err.value.witness == 0.0
 
 
 def test_undefined_cost_names_first_grid_point():
@@ -206,9 +212,10 @@ def test_overflowing_cost_is_not_admissible():
     grid = np.linspace(0.0, 2.0, 256)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = validate_admissibility(cost)
+        with pytest.raises(AdmissibilityError) as err:
+            validate_admissibility(cost)
         with pytest.raises(AdmissibilityError) as exc:
             cost.zmax
-    assert report.kind == "not-finite"
-    assert report.witness in grid and 1.0 < report.witness < 1.4
+    assert err.value.kind == "not-finite"
+    assert err.value.witness in grid and 1.0 < err.value.witness < 1.4
     assert exc.value.kind == "not-finite" and exc.value.witness == 2.0

@@ -5,12 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import CANONICAL_CASES, random_orthogonal_pair, reference_errors
+from helpers import CANONICAL_CASES, random_orthogonal_pair, reference_errors, revert
 
 from mtwcheck import (MtwInput, SpaceForm, curvature, decompose, jacobi_map_closed,
                       make_cost, mtw_closed, mtw_via_jacobi, preset)
 from mtwcheck.cli import main, resolve_cost
-from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, _revert, coefficient_arrays
+from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, coefficient_arrays
 from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
 from mtwcheck.jets import Jet
 
@@ -312,6 +312,27 @@ def test_route_equivalence_on_series_branch(K, n, name, diameter, eps):
         assert gap <= (1e-8 + 1e-15 / z ** 2) * scale, (z, gap, scale)
 
 
+@pytest.mark.parametrize("name,K,D,eps", CANONICAL_CASES)
+def test_series_branch_preset_matches_expression_text(name, K, D, eps):
+    # below SERIES_SWITCH the profiles are the origin series evaluated at
+    # h(z), so they carry the residual of the Newton inverse of l' that the
+    # expression text uses, against the preset's analytic inverse.  The
+    # closed formula adds its own roundoff: one ulp of A or B in its term
+    # 2(A - B)/z^2 is about 2e-16/z^2 relative to |u|^2 |w|^2
+    cost = preset(name, D, eps)
+    text = make_cost(cost.text, D)
+    form = SpaceForm(K, 3)
+    x = form.canonical_base()
+    rng = np.random.default_rng(3000 + K)
+    for _ in range(24):
+        u = form.random_tangent(x, rng)
+        w = form.random_tangent(x, rng)
+        z = SERIES_SWITCH * 10.0 ** rng.uniform(-5.0, 0.0)
+        inp = MtwInput(x=x, u=u, v=form.random_tangent(x, rng, unit=True) * z, w=w)
+        gap = abs(mtw_closed(cost, form, inp) - mtw_closed(text, form, inp))
+        assert gap <= (2e-8 + 1e-15 / z ** 2) * form.inner(u, u) * form.inner(w, w), (z, gap)
+
+
 def test_orthogonal_reduction_matches_coefficients():
     # for <u,w> = 0 the closed formula collapses to
     # -(3/2)[alpha|u0|^2|w0|^2 + beta|u0|^2|w1|^2 + gamma|u1|^2|w0|^2 + delta|u1|^2|w1|^2]
@@ -390,9 +411,9 @@ def test_revert_matches_sympy_reversion(w1_sign):
         w = [Fraction(0), w1_sign * Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 10)))]
         lanes.append(w + _random_rationals(rng, 5))
     scalar_lanes, array_lanes = lanes[:5], lanes[5:]
-    got = [_revert(Jet([float(c) for c in w])).coeffs[1:] for w in scalar_lanes]
+    got = [revert(Jet([float(c) for c in w])).coeffs[1:] for w in scalar_lanes]
     # the same reversion on coefficient arrays of shape (5,), one lane per series
-    batch = _revert(Jet([np.array([float(w[k]) for w in array_lanes]) for k in range(7)]))
+    batch = revert(Jet([np.array([float(w[k]) for w in array_lanes]) for k in range(7)]))
     got += [[c[lane] for c in batch.coeffs[1:]] for lane in range(len(array_lanes))]
     for w, g in zip(lanes, got):
         reference = [float(c) for c in _sympy_reversion(w)[1:]]
@@ -405,12 +426,14 @@ _REFERENCE_CASES = [(text, K, D) for name, K, D, eps in CANONICAL_CASES
 
 
 @pytest.mark.parametrize("text,K,D", _REFERENCE_CASES)
-def test_direct_branch_matches_50_digit_reference(text, K, D):
-    # the direct branch against the full-order series-reversion route run
-    # at 50 digits, on the preset's analytic inverse and on the Newton
-    # inverse of its expression text
+def test_both_branches_match_50_digit_reference(text, K, D):
+    # the series and the direct branch against the full-order
+    # series-reversion route run at 50 digits, on the preset's analytic
+    # inverse and on the Newton inverse of its expression text
     cost = resolve_cost(text, D)
-    errors = reference_errors(cost, K, np.geomspace(SERIES_SWITCH, cost.zmax, 40))
+    z = np.concatenate([np.geomspace(1e-9, 0.999 * SERIES_SWITCH, 12),
+                        np.geomspace(SERIES_SWITCH, cost.zmax, 40)])
+    errors = reference_errors(cost, K, z)
     for key in ("A", "B"):
         assert np.max(errors[key]) <= 1e-15, key
     for key in ("alpha", "beta", "gamma", "delta"):

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtwcheck import Jet, jet_compose
-from mtwcheck.curvature import _revert
 from mtwcheck.errors import DegenerateJetError, DomainError
 from mtwcheck.jets import _FACTORIAL, ELEMENTARY_FUNCTIONS, N_COEFFS, _compose_table
 
@@ -226,7 +225,6 @@ def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail,
     # a jet cut to its first L coefficients gives the first L coefficients of
     # the full-length result exactly, whatever L and whichever operation
     a, b = Jet([a0] + a_tail), Jet([b0] + b_tail)
-    w = Jet([0.0] + [b0] + b_tail[:-1])
     ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
            lambda x, y: x / y, lambda x, y: y / x, lambda x, y: 2.5 - x,
            lambda x, y: 0.75 / x, lambda x, y: x ** n]
@@ -239,9 +237,8 @@ def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail,
             assert op(short_a, short_b).coeffs == full[:length]
             assert op(short_a, b).coeffs == full[:length]
             assert op(a, short_b).coeffs[:length] == full[:length]
-        assert _revert(_head(w, length)).coeffs == _revert(w).coeffs[:length]
-        assert (short_a.series_derivative().coeffs[:length - 1]
-                == a.series_derivative().coeffs[:length - 1])
+        if length > 1:
+            assert short_a.series_derivative().coeffs == a.series_derivative().coeffs[:length - 1]
 
 
 def _promoted(s, jet):
