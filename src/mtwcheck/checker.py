@@ -30,15 +30,15 @@ from typing import Optional
 import numpy as np
 
 from .costs import check_diameter, eval_defined_jet, validate_admissibility
-from .curvature import SERIES_SWITCH, coefficient_arrays
+from .curvature import SPHERE_MAX_DIAMETER, coefficient_arrays, series_limit
 
 A3S = "A3s"
 A3W_ONLY = "A3w-only"
 FAILS = "fails"
 
 # Multiple of machine epsilon for the roundoff band on the directly-evaluated
-# part of the grid (z >= SERIES_SWITCH); measured pipeline noise sits about
-# an order and a half below the resulting band.
+# part of the grid (z >= curvature.series_limit); measured pipeline noise
+# sits about an order and a half below the resulting band.
 _NOISE_BAND_COEFF = 500.0 * np.finfo(float).eps
 
 # Grid points profiled and classified at once: the scan's working set is a
@@ -121,8 +121,11 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0, strict_margin=1e-12):
     return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
 
 
-def _noise_band(z, profile):
+def _noise_band(z, profile, limit):
     """Per-point widening of the pass/fail boundary; see the module docstring.
+
+    limit is series_limit(cost, K), below which the profiles take the
+    origin series.
 
     Two roundoff amplifiers shape the band on the direct branch: the division
     of cancelling differences by z^2, and the factor 1/l''^3 in A'' and B''
@@ -135,8 +138,8 @@ def _noise_band(z, profile):
     scale = np.maximum(1.0, np.maximum(np.abs(profile["A"]), np.abs(profile["B"])))
     tiny = np.clip(np.minimum(1.0, np.abs(profile["A"])), 1e-3, 1.0)
     cond = (scale / tiny) ** 3
-    direct = _NOISE_BAND_COEFF * cond * (1.0 + 1.0 / np.maximum(z, SERIES_SWITCH) ** 2)
-    return np.where(z >= SERIES_SWITCH, direct, 1e-12 * scale)
+    direct = _NOISE_BAND_COEFF * cond * (1.0 + 1.0 / np.maximum(z, limit) ** 2)
+    return np.where(z >= limit, direct, 1e-12 * scale)
 
 
 def _grid_chunk(start, stop, grid_points, lo, hi):
@@ -169,8 +172,9 @@ def scan_conditions(cost, K, cfg, on_chunk=None):
     each chunk's table, in grid order, before the chunk is dropped; the table
     maps z, A, B, alpha, beta, gamma, delta and slack_min to arrays.
     """
-    if K == 1 and cfg.diameter >= math.pi:
-        raise ValueError("on the sphere the scan diameter must satisfy D < pi")
+    if K == 1 and cfg.diameter > SPHERE_MAX_DIAMETER:
+        raise ValueError(f"on the sphere the scan diameter must be at most "
+                         f"{SPHERE_MAX_DIAMETER!r}, clear of the cot pole at pi")
     if abs(cost.diameter - cfg.diameter) > 1e-12:
         raise ValueError("scan diameter differs from the cost's working interval")
     validate_admissibility(cost)
@@ -185,8 +189,9 @@ def scan_conditions(cost, K, cfg, on_chunk=None):
         for name in ("alpha", "beta", "gamma", "delta"):
             if not np.all(np.isfinite(prof[name])):
                 raise FloatingPointError(f"non-finite {name} encountered during the scan")
+        band = _noise_band(z, prof, series_limit(cost, K))
         c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], cfg.dimension,
-                     band=_noise_band(z, prof), strict_margin=cfg.strict_margin)
+                     band=band, strict_margin=cfg.strict_margin)
 
         weak = weak and bool(np.all(c.weak))
         strict = strict and bool(np.all(c.strict))

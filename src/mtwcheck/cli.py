@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -22,12 +23,12 @@ import numpy as np
 from . import checker
 from .checker import ScanConfig, perturbation_check, scan_conditions
 from .costs import PRESETS, make_cost, preset
-from .curvature import MtwInput, mtw_closed, mtw_via_jacobi
+from .curvature import SPHERE_MAX_DIAMETER, mtw_closed, mtw_via_jacobi
 from .errors import (AdmissibilityError, MtwError, OutOfRangeError, ParseError,
                      ZeroVectorError)
 from .expressions import parse_cost
 from .geometry import SpaceForm
-from .oracle import StencilConfig, mtw_definitional
+from .oracle import mtw_definitional
 
 SCHEMA_VERSION = 1
 
@@ -128,8 +129,15 @@ def _write_csv(path):
         raise
 
 
+def _check_sphere_diameter(K, diameter):
+    if K == 1 and diameter > SPHERE_MAX_DIAMETER:
+        raise ValueError(f"--diameter must be at most {SPHERE_MAX_DIAMETER!r} on the sphere "
+                         f"(K = 1), clear of the cot pole at pi; got {diameter!r}")
+
+
 def cmd_check(args):
     started = time.perf_counter()
+    _check_sphere_diameter(args.K, args.diameter)
     cost = resolve_cost(args.cost, args.diameter)
     cfg = ScanConfig(diameter=args.diameter, dimension=args.dim,
                      grid_points=args.grid, strict_margin=args.strict_margin)
@@ -150,16 +158,9 @@ def cmd_check(args):
     return 0 if verdict.status in (checker.A3S, checker.A3W_ONLY) else 1
 
 
-def _canonical_input(form, u, v, w):
-    base = form.canonical_base()
-    return MtwInput(x=base,
-                    u=form.frame_tangent(base, u),
-                    v=form.frame_tangent(base, v),
-                    w=form.frame_tangent(base, w))
-
-
 def cmd_eval(args):
     started = time.perf_counter()
+    _check_sphere_diameter(args.K, args.diameter)
     cost = resolve_cost(args.cost, args.diameter)
     form = SpaceForm(curvature=args.K, dimension=args.dim)
     vectors = [_parse_vector(text, name)
@@ -167,14 +168,16 @@ def cmd_eval(args):
     for vec in vectors:
         if vec.shape != (args.dim,):
             raise ValueError(f"vectors must have {args.dim} components")
-    inp = _canonical_input(form, *vectors)
+    u, v, w = (form.frame_tangent(vec) for vec in vectors)
+    routes = {"closed": lambda: mtw_closed(cost, form, u, v, w),
+              "jacobi": lambda: mtw_via_jacobi(cost, form, u, v, w),
+              "oracle": lambda: mtw_definitional(cost, form, form.canonical_base(), u, v, w)}
     values = {}
-    if args.method in ("closed", "all"):
-        values["closed"] = float(mtw_closed(cost, form, inp))
-    if args.method in ("jacobi", "all"):
-        values["jacobi"] = float(mtw_via_jacobi(cost, form, inp))
-    if args.method in ("oracle", "all"):
-        values["oracle"] = float(mtw_definitional(cost, form, inp, StencilConfig()))
+    for name, route in routes.items():
+        if args.method in (name, "all"):
+            values[name] = float(route())
+            if not math.isfinite(values[name]):
+                raise FloatingPointError(f"the {name} route gave {values[name]!r}")
     deviations = None
     if args.method == "all":
         names = sorted(values)

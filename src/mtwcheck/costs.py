@@ -320,8 +320,8 @@ def preset(name, diameter, eps=None):
     """
     if name == "quartic":
         eps = DEFAULT_QUARTIC_EPS if eps is None else float(eps)
-        if eps <= 0.0:
-            raise ValueError("quartic eps must be positive")
+        if not 0.0 < eps < math.inf:
+            raise ValueError(f"quartic eps must be finite and positive, got {eps!r}")
         if 12.0 * eps * diameter * diameter >= 1.0:
             raise ValueError("quartic preset needs 12*eps*D^2 < 1 for admissibility")
         text = f"z^2/2 - {eps!r}*z^4"

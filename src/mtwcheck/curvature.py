@@ -9,17 +9,19 @@ with h the inverse of l'.  Their first two derivatives feed a five-term
 closed formula for the curvature of the transport cost, the four coefficient
 functions alpha, beta, gamma, delta that drive the inequality checker, and a
 second analytic route that differentiates A and B along s -> |v + s*w| with
-an s-jet.  With d/dz = (1/l'') d/dh, A, B and their derivatives are
-functions of h, built from the derivatives of l: away from z = 0 they are
-explicit in the derivatives of l at h(z), and near z = 0 their Taylor series
-in h come from the jet of l at 0 and are evaluated at h(z).  No finite
-differences and no series reversion enter anywhere in this module.
+an s-jet.  Both routes take u, v and w as ambient arrays: tangent vectors at
+one point of a SpaceForm, which neither route reads.
+
+With d/dz = (1/l'') d/dh, A, B and their derivatives are functions of h,
+built from the derivatives of l: away from z = 0 they are explicit in the
+derivatives of l at h(z), and near z = 0 their Taylor series in h come from
+the jet of l at 0 and are evaluated at h(z).  No finite differences and no
+series reversion enter anywhere in this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -27,7 +29,6 @@ import numpy as np
 
 from .costs import eval_cost_jet, inverse_lprime
 from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
-from .geometry import Point, TangentVector
 from .jets import Jet, _compose_table, jet_compose, jet_compose_pair
 
 # Below this argument A, B and the coefficient functions switch from direct
@@ -35,26 +36,18 @@ from .jets import Jet, _compose_table, jet_compose, jet_compose_pair
 # whose shifted coefficients give the z -> 0 limits exactly.
 SERIES_SWITCH = 1e-4
 
+# Where l''(0) is small, the series' radius in h can be tiny and h(z) can
+# leave it at z < SERIES_SWITCH.  A point takes the series only where h(z)
+# lies within this fraction of the radius, so that the first order the
+# series drop, h^4, is below 1e-12 of the leading one.
+SERIES_RADIUS_FRACTION = 1e-3
+
 _LIMIT_TOL = 1e-7
 _POLE_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class MtwInput:
-    """Base point with the three tangent vectors of a curvature evaluation."""
-
-    x: Point
-    u: TangentVector
-    v: TangentVector
-    w: TangentVector
-
-    def validate(self, form):
-        for vec in (self.u, self.v, self.w):
-            if vec.base is not self.x and not np.allclose(vec.base.coords, self.x.coords,
-                                                          atol=1e-9):
-                raise ValueError("all tangent vectors must share the base point")
-        if form.norm(self.v) == 0.0:
-            raise ZeroVectorError("v must be nonzero")
+# The largest working diameter on the sphere: h(z) runs up to D, which
+# stays ten pole tolerances clear of the cot pole at pi.
+SPHERE_MAX_DIAMETER = math.pi - 10.0 * _POLE_TOL
 
 
 def _check_pole(K, h0):
@@ -122,6 +115,27 @@ def _origin_series(cost, K):
                              for key, jet in series.items()})
 
 
+@lru_cache(maxsize=64)
+def series_limit(cost, K):
+    """The z below which the profiles take the origin series.
+
+    That is SERIES_SWITCH, or less where h(z) would leave
+    SERIES_RADIUS_FRACTION of the series' radius in h.  The radius is
+    estimated as r = min_k |a_0/a_k|^(1/k) over the Taylor coefficients a_k
+    of A = l'' at 0: by Fujiwara's bound no zero of the truncated l'', each
+    a pole of the profiles, lies within r/2 of 0.  It is capped at pi for
+    K = -1, +1, where h C(h) has its poles at i pi or pi.  Since |l'| grows
+    on [0, D], h(z) < h_max holds where z < |l'(h_max)|.
+    """
+    a = _origin_series(cost, K)["A"]
+    radius = min([abs(a[0] / c) ** (1.0 / k) for k, c in enumerate(a) if k and c]
+                 + [math.inf if K == 0 else math.pi])
+    h_max = SERIES_RADIUS_FRACTION * radius
+    if h_max >= cost.diameter:
+        return SERIES_SWITCH
+    return min(SERIES_SWITCH, abs(float(cost.lprime(h_max))))
+
+
 def _horner(coeffs, h):
     """sum_k coeffs[k] * h^k."""
     acc = coeffs[-1]
@@ -178,10 +192,10 @@ def _direct_profiles(cost, K, h0):
 def _profiles(cost, K, z):
     """All profile quantities at an array of z >= 0 values.
 
-    h0 = h(z) is computed once for all of z.  Entries below SERIES_SWITCH
-    Horner-evaluate the origin series at h0; the rest are evaluated directly
-    at their own basepoint.  An array with no entry below SERIES_SWITCH gets
-    the direct-branch arrays as they are.
+    h0 = h(z) is computed once for all of z.  Entries below
+    series_limit(cost, K) Horner-evaluate the origin series at h0; the rest
+    are evaluated directly at their own basepoint.  An array with no entry
+    below that limit gets the direct-branch arrays as they are.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
@@ -190,6 +204,11 @@ def _profiles(cost, K, z):
         raise OutOfRangeError(f"z beyond |l'(D)| = {cost.zmax}")
     h0 = np.asarray(inverse_lprime(cost, z))
     small = z < SERIES_SWITCH
+    if np.any(small):
+        # only here, so that no z above SERIES_SWITCH builds the series
+        limit = series_limit(cost, K)
+        if limit < SERIES_SWITCH:
+            small = z < limit
     if not np.any(small):
         return _direct_profiles(cost, K, h0)
     out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
@@ -259,17 +278,25 @@ def jacobi_map_closed(form, u, v):
     return -u0 - _tangential_factor(form.curvature, d) * u1
 
 
-def mtw_closed(cost, form, inp):
+def _speed(form, v):
+    """|v|, which every route needs nonzero."""
+    z = form.norm(v)
+    if z == 0.0:
+        raise ZeroVectorError("v must be nonzero")
+    return z
+
+
+def mtw_closed(cost, form, u, v, w):
     """Transport-cost curvature by the five-term closed formula.
 
-    u and w are decomposed against v; no orthogonality between u and w is
-    assumed.
+    u, v and w are tangent vectors at one point, which the formula does not
+    read.  u and w are decomposed against v; no orthogonality between u and
+    w is assumed.
     """
-    inp.validate(form)
-    z = form.norm(inp.v)
+    z = _speed(form, v)
     ab = _profile_row(cost, form.curvature, z)
-    u0, u1 = decompose(form, inp.u, inp.v)
-    w0, w1 = decompose(form, inp.w, inp.v)
+    u0, u1 = decompose(form, u, v)
+    w0, w1 = decompose(form, w, v)
     u0sq, u1sq = form.inner(u0, u0), form.inner(u1, u1)
     w0sq, w1sq = form.inner(w0, w0), form.inner(w1, w1)
     cross = form.inner(u0, w0) * form.inner(u1, w1)
@@ -284,7 +311,7 @@ def mtw_closed(cost, form, inp):
     return -1.5 * total
 
 
-def mtw_via_jacobi(cost, form, inp):
+def mtw_via_jacobi(cost, form, u, v, w):
     """Transport-cost curvature as -(3/2) d^2/ds^2 of the Jacobi-map reduction.
 
     The scalar s -> A(|v+sw|)|u0(s)|^2 + B(|v+sw|)|u1(s)|^2 is differentiated
@@ -293,9 +320,7 @@ def mtw_via_jacobi(cost, form, inp):
     profile row, and differ in every algebraic step after that.  The s-jets
     have length 3, the orders that coefficient 2 of the result reads.
     """
-    inp.validate(form)
-    v, w, u = inp.v, inp.w, inp.u
-    z0 = form.norm(v)
+    z0 = _speed(form, v)
     ab = _profile_row(cost, form.curvature, z0)
     a_table = (ab["A"], ab["Aprime"], 0.5 * ab["Adprime"])
     b_table = (ab["B"], ab["Bprime"], 0.5 * ab["Bdprime"])

@@ -4,6 +4,12 @@ K = -1 is the hyperboloid sheet <p,p> = -1, last coordinate positive, in
 Minkowski space with signature (+,...,+,-); K = +1 is the unit sphere; K = 0
 is Euclidean space.  All maps are closed-form, so they serve as ground truth
 for the definitional curvature oracle.
+
+Points and tangent vectors are float64 arrays of ambient coordinates.  A
+tangent vector does not carry its base point: every map that needs one
+takes it as an argument, as in exp_map(x, v).  SpaceForm.point and
+SpaceForm.tangent check outside input against the model constraints and
+return the array.
 """
 
 from __future__ import annotations
@@ -20,45 +26,6 @@ from .errors import (CutLocusError, GeometryError, InjectivityRadiusError,
 MODEL_TOL = 1e-10
 CLAMP_SLACK = 1e-12
 ZERO_TANGENT = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class Point:
-    coords: np.ndarray
-
-    def __repr__(self):
-        return f"Point({np.array2string(self.coords, precision=6)})"
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    base: Point
-    components: np.ndarray
-
-    def _check_base(self, other):
-        # vectors built at one Point share the object; compare only distinct ones
-        if other.base is not self.base and not np.allclose(self.base.coords,
-                                                           other.base.coords, atol=1e-9):
-            raise GeometryError("tangent vectors have different base points")
-
-    def __add__(self, other):
-        self._check_base(other)
-        return TangentVector(self.base, self.components + other.components)
-
-    def __sub__(self, other):
-        self._check_base(other)
-        return TangentVector(self.base, self.components - other.components)
-
-    def __mul__(self, scalar):
-        return TangentVector(self.base, self.components * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TangentVector(self.base, -self.components)
-
-    def __repr__(self):
-        return f"TangentVector({np.array2string(self.components, precision=6)})"
 
 
 @dataclass(frozen=True)
@@ -78,7 +45,11 @@ class SpaceForm:
     def ambient_dimension(self):
         return self.dimension if self.curvature == 0 else self.dimension + 1
 
-    def _ambient_inner(self, a, b):
+    def inner(self, a, b):
+        """Ambient inner product: Minkowski for K = -1, Euclidean otherwise.
+
+        On tangent vectors at a common base point it is the Riemannian one.
+        """
         if self.curvature == -1:
             return float(np.dot(a[:-1], b[:-1]) - a[-1] * b[-1])
         return float(np.dot(a, b))
@@ -89,77 +60,68 @@ class SpaceForm:
         if coords.shape != (self.ambient_dimension,):
             raise GeometryError(f"expected {self.ambient_dimension} ambient coordinates")
         if self.curvature == 1:
-            if abs(self._ambient_inner(coords, coords) - 1.0) > MODEL_TOL:
+            if abs(self.inner(coords, coords) - 1.0) > MODEL_TOL:
                 raise GeometryError("point is not on the unit sphere")
         elif self.curvature == -1:
-            if abs(self._ambient_inner(coords, coords) + 1.0) > MODEL_TOL:
+            if abs(self.inner(coords, coords) + 1.0) > MODEL_TOL:
                 raise GeometryError("point is not on the unit hyperboloid")
             if coords[-1] <= 0.0:
                 raise GeometryError("point is on the wrong hyperboloid sheet")
-        return Point(coords)
+        return coords
 
-    def tangent(self, base, components):
-        """Validated tangent vector at base."""
+    def tangent(self, x, components):
+        """Validated tangent vector at the point x."""
         components = np.asarray(components, dtype=float)
         if components.shape != (self.ambient_dimension,):
             raise GeometryError(f"expected {self.ambient_dimension} ambient components")
         if self.curvature != 0:
-            pairing = self._ambient_inner(base.coords, components)
+            pairing = self.inner(x, components)
             scale = max(1.0, float(np.max(np.abs(components))))
             if abs(pairing) > MODEL_TOL * scale:
-                raise GeometryError("vector is not tangent to the model at base")
-        return TangentVector(base, components)
+                raise GeometryError("vector is not tangent to the model at x")
+        return components
 
     def project_point(self, raw):
         """Nearest model point to raw ambient coordinates."""
         raw = np.asarray(raw, dtype=float)
         if self.curvature == 0:
-            return Point(raw.copy())
+            return raw.copy()
         if self.curvature == 1:
-            return Point(raw / np.linalg.norm(raw))
+            return raw / np.linalg.norm(raw)
         spatial = raw[:-1]
-        return Point(np.append(spatial, math.sqrt(1.0 + float(np.dot(spatial, spatial)))))
+        return np.append(spatial, math.sqrt(1.0 + float(np.dot(spatial, spatial))))
 
-    def project_tangent(self, base, raw):
-        """Orthogonal projection of raw ambient components onto T_base."""
+    def project_tangent(self, x, raw):
+        """Orthogonal projection of raw ambient components onto T_x."""
         raw = np.asarray(raw, dtype=float)
-        p = base.coords
         if self.curvature == 0:
-            comp = raw.copy()
-        elif self.curvature == 1:
-            comp = raw - np.dot(p, raw) * p
-        else:
-            comp = raw + self._ambient_inner(p, raw) * p
-        return TangentVector(base, comp)
-
-    def inner(self, u, v):
-        """Riemannian inner product of tangent vectors at a shared base."""
-        u._check_base(v)
-        return self._ambient_inner(u.components, v.components)
+            return raw.copy()
+        if self.curvature == 1:
+            return raw - np.dot(x, raw) * x
+        return raw + self.inner(x, raw) * x
 
     def norm(self, v):
-        return math.sqrt(max(0.0, self._ambient_inner(v.components, v.components)))
+        return math.sqrt(max(0.0, self.inner(v, v)))
 
-    def exp_map(self, v):
-        """Geodesic exponential of a tangent vector."""
+    def exp_map(self, x, v):
+        """Geodesic exponential at x of the tangent vector v."""
         r = self.norm(v)
-        p = v.base.coords
         if r < ZERO_TANGENT:
-            return Point(p.copy())
+            return x.copy()
         if self.curvature == 0:
-            return Point(p + v.components)
-        direction = v.components / r
+            return x + v
+        direction = v / r
         if self.curvature == 1:
             if r >= math.pi:
                 raise InjectivityRadiusError(f"|v| = {r} reaches the sphere cut locus")
-            return Point(math.cos(r) * p + math.sin(r) * direction)
-        return Point(math.cosh(r) * p + math.sinh(r) * direction)
+            return math.cos(r) * x + math.sin(r) * direction
+        return math.cosh(r) * x + math.sinh(r) * direction
 
     def distance(self, x, y):
         """Geodesic distance from ambient inner products."""
         if self.curvature == 0:
-            return float(np.linalg.norm(y.coords - x.coords))
-        c = self._ambient_inner(x.coords, y.coords)
+            return float(np.linalg.norm(y - x))
+        c = self.inner(x, y)
         if self.curvature == 1:
             if abs(c) > 1.0 + CLAMP_SLACK:
                 raise GeometryError(f"sphere inner product {c} outside [-1, 1]")
@@ -170,96 +132,92 @@ class SpaceForm:
         return math.acosh(max(1.0, m))
 
     def log_map(self, x, y):
-        """Initial velocity of the minimizing geodesic from x to y."""
+        """Initial velocity at x of the minimizing geodesic from x to y."""
         if self.curvature == 0:
-            return TangentVector(x, y.coords - x.coords)
+            return y - x
         d = self.distance(x, y)
         if d < ZERO_TANGENT:
-            return TangentVector(x, np.zeros(self.ambient_dimension))
-        c = self._ambient_inner(x.coords, y.coords)
+            return np.zeros(self.ambient_dimension)
+        c = self.inner(x, y)
         if self.curvature == 1:
             if c <= -1.0 + CLAMP_SLACK:
                 raise CutLocusError("points are antipodal on the sphere")
-            w = y.coords - c * x.coords
+            w = y - c * x
         else:
-            w = y.coords + c * x.coords
-        wnorm = math.sqrt(max(0.0, self._ambient_inner(w, w)))
-        return TangentVector(x, (d / wnorm) * w)
+            w = y + c * x
+        wnorm = math.sqrt(max(0.0, self.inner(w, w)))
+        return (d / wnorm) * w
 
-    def parallel_transport(self, v, to):
-        """Transport v along the minimizing geodesic from its base to `to`."""
-        x = v.base
+    def parallel_transport(self, x, v, y):
+        """Transport v from x to y along the minimizing geodesic."""
         if self.curvature == 0:
-            return TangentVector(to, v.components.copy())
-        xi = self.log_map(x, to)
+            return v.copy()
+        xi = self.log_map(x, y)
         d = self.norm(xi)
         if d < ZERO_TANGENT:
-            return self.project_tangent(to, v.components)
-        e = xi.components / d
-        vt = self._ambient_inner(v.components, e)
-        vperp = v.components - vt * e
+            return self.project_tangent(y, v)
+        e = xi / d
+        vt = self.inner(v, e)
+        vperp = v - vt * e
         if self.curvature == 1:
-            e_at_to = math.cos(d) * e - math.sin(d) * x.coords
+            e_at_y = math.cos(d) * e - math.sin(d) * x
         else:
-            e_at_to = math.cosh(d) * e + math.sinh(d) * x.coords
-        return TangentVector(to, vperp + vt * e_at_to)
+            e_at_y = math.cosh(d) * e + math.sinh(d) * x
+        return vperp + vt * e_at_y
 
     def curvature_action(self, a, b):
-        """R(a, b)a = K(|a|^2 b - <a, b> a), at the common base point."""
-        a._check_base(b)
+        """R(a, b)a = K(|a|^2 b - <a, b> a), for a and b at a common base point."""
         if self.curvature == 0:
-            return TangentVector(a.base, np.zeros(self.ambient_dimension))
-        aa = self._ambient_inner(a.components, a.components)
-        ab = self._ambient_inner(a.components, b.components)
-        comps = self.curvature * (aa * b.components - ab * a.components)
-        return TangentVector(a.base, comps)
+            return np.zeros(self.ambient_dimension)
+        aa = self.inner(a, a)
+        ab = self.inner(a, b)
+        return self.curvature * (aa * b - ab * a)
 
     def canonical_base(self):
         """Origin (K=0), north pole (K=+1), or hyperboloid apex (K=-1)."""
-        if self.curvature == 0:
-            return Point(np.zeros(self.dimension))
-        coords = np.zeros(self.dimension + 1)
-        coords[-1] = 1.0
-        return self.point(coords)
+        coords = np.zeros(self.ambient_dimension)
+        if self.curvature != 0:
+            coords[-1] = 1.0
+        return coords
 
-    def frame_tangent(self, base, intrinsic):
-        """Tangent vector from components in the canonical orthonormal frame.
+    def frame_tangent(self, intrinsic):
+        """Tangent vector at canonical_base() from its canonical frame components.
 
-        Only defined at the canonical base point, where the frame is the
-        first n ambient coordinate directions.
+        The frame is the first n ambient coordinate directions, which are
+        tangent at the canonical base point.
         """
         intrinsic = np.asarray(intrinsic, dtype=float)
         if intrinsic.shape != (self.dimension,):
             raise GeometryError(f"expected {self.dimension} frame components")
         if self.curvature == 0:
-            return TangentVector(base, intrinsic.copy())
-        return self.tangent(base, np.append(intrinsic, 0.0))
+            return intrinsic.copy()
+        return np.append(intrinsic, 0.0)
 
     def random_point(self, rng):
         """Gaussian ambient draw projected to the model."""
         return self.project_point(rng.standard_normal(self.ambient_dimension))
 
-    def random_tangent(self, base, rng, unit=False):
-        """Gaussian ambient draw projected onto the tangent space at base."""
-        v = self.project_tangent(base, rng.standard_normal(self.ambient_dimension))
+    def random_tangent(self, x, rng, unit=False):
+        """Gaussian ambient draw projected onto the tangent space at x."""
+        v = self.project_tangent(x, rng.standard_normal(self.ambient_dimension))
         if unit:
             n = self.norm(v)
             if n < 1e-12:
-                return self.random_tangent(base, rng, unit=True)
+                return self.random_tangent(x, rng, unit=True)
             v = v * (1.0 / n)
         return v
 
 
-def cost_exp(cost, form, v):
-    """Cost exponential: exp at v rescaled to length |h(|v|)|, sign of h.
+def cost_exp(cost, form, x, v):
+    """Cost exponential at x: exp of v rescaled to length |h(|v|)|, sign of h.
 
-    Near-zero tangents short-circuit to the base point (h(0) = 0).
+    Near-zero tangents short-circuit to x (h(0) = 0).
     """
     s = form.norm(v)
     if s < ZERO_TANGENT:
-        return Point(v.base.coords.copy())
+        return x.copy()
     hv = inverse_lprime(cost, s)
-    return form.exp_map(v * (hv / s))
+    return form.exp_map(x, v * (hv / s))
 
 
 def minus_grad_x_cost(cost, form, x, y):
@@ -267,13 +225,13 @@ def minus_grad_x_cost(cost, form, x, y):
     u = form.log_map(x, y)
     d = form.norm(u)
     if d < ZERO_TANGENT:
-        return TangentVector(x, np.zeros(form.ambient_dimension))
+        return np.zeros(form.ambient_dimension)
     lp = float(cost.lprime(d))
     return u * (lp / d)
 
 
-def orthonormal_tangent_frame(form, base, first=None):
-    """Orthonormal basis of the tangent space at base.
+def orthonormal_tangent_frame(form, x, first=None):
+    """Orthonormal basis of the tangent space at x.
 
     When `first` is given, the frame starts with first/|first|; the rest is
     built by Gram-Schmidt over projected ambient coordinate directions.
@@ -289,7 +247,7 @@ def orthonormal_tangent_frame(form, base, first=None):
             break
         raw = np.zeros(form.ambient_dimension)
         raw[i] = 1.0
-        cand = form.project_tangent(base, raw)
+        cand = form.project_tangent(x, raw)
         for e in frame:
             cand = cand - e * form.inner(cand, e)
         n = form.norm(cand)

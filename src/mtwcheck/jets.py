@@ -87,7 +87,7 @@ class Jet:
         c = self.coeffs
         return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)), self.basepoint)
 
-    def _check_basepoint(self, other):
+    def _require_common_basepoint(self, other):
         # the jets of one computation share their basepoint object, so the
         # O(N) comparison runs only for jets built apart
         if self.basepoint is not other.basepoint and not np.array_equal(
@@ -101,7 +101,7 @@ class Jet:
         c = self.coeffs
         if not isinstance(other, Jet):
             return Jet((c[0] + other,) + c[1:], self.basepoint)
-        self._check_basepoint(other)
+        self._require_common_basepoint(other)
         return Jet(tuple(a + b for a, b in zip(c, other.coeffs)), self.basepoint)
 
     def __radd__(self, other):
@@ -111,7 +111,7 @@ class Jet:
         c = self.coeffs
         if not isinstance(other, Jet):
             return Jet((c[0] - other,) + c[1:], self.basepoint)
-        self._check_basepoint(other)
+        self._require_common_basepoint(other)
         return Jet(tuple(a - b for a, b in zip(c, other.coeffs)), self.basepoint)
 
     def __rsub__(self, other):
@@ -121,7 +121,7 @@ class Jet:
         a = self.coeffs
         if not isinstance(other, Jet):
             return Jet(tuple(c * other for c in a), self.basepoint)
-        self._check_basepoint(other)
+        self._require_common_basepoint(other)
         b = other.coeffs
         out = []
         for k in range(min(len(a), len(b))):
@@ -138,7 +138,7 @@ class Jet:
         a = self.coeffs
         is_jet = isinstance(other, Jet)
         if is_jet:
-            self._check_basepoint(other)
+            self._require_common_basepoint(other)
         b0 = other.coeffs[0] if is_jet else other
         if np.any(np.asarray(b0) == 0.0):
             raise DegenerateJetError("division by a jet with zero constant term")

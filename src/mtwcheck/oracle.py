@@ -2,43 +2,32 @@
 
 Two independent checks live here: the transport-cost curvature computed
 straight from its definition as a fourth mixed derivative of
-l(d(exp(t*u), cost-exp(v+s*w))) on an explicit model, and direct integration
-of the Jacobi field equation along a geodesic.  The definitional route uses
-nothing from the closed-form layer; the Jacobi integration consumes the
+l(d(exp_x(t*u), cost-exp_x(v+s*w))) on an explicit model, and direct
+integration of the Jacobi field equation along a geodesic.  Both take the
+point x and tangent vectors at x as ambient arrays.  The definitional route
+uses nothing from the closed-form layer; the Jacobi integration consumes the
 closed Jacobi map only as the initial data whose correctness it is testing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StencilDegenerateError, ZeroVectorError
 from .geometry import cost_exp, orthonormal_tangent_frame
 
-
-@dataclass(frozen=True)
-class StencilConfig:
-    """Perturbation sizes for the mixed-derivative stencil."""
-
-    step_t: float = 1e-2
-    step_s: float = 1e-2
-    richardson: bool = True
-
-    def __post_init__(self):
-        for step in (self.step_t, self.step_s):
-            if not 1e-4 <= step <= 1e-1:
-                raise ValueError("stencil steps must lie in [1e-4, 1e-1]")
+# Step in t and in s of the mixed-derivative stencil.  mtw_definitional
+# halves both once and Richardson-extrapolates the two stencils.
+STENCIL_STEP = 1e-2
 
 
-def _mixed_second_differences(cost, form, inp, ht, hs):
+def _mixed_second_differences(cost, form, x, u, v, w, ht, hs):
     """(d^2/dt^2)(d^2/ds^2) F at 0 via the 3x3 product of central stencils."""
-    targets = [cost_exp(cost, form, inp.v + (j * hs) * inp.w) for j in (-1, 0, 1)]
+    targets = [cost_exp(cost, form, x, v + (j * hs) * w) for j in (-1, 0, 1)]
     weights = (1.0, -2.0, 1.0)
     acc = 0.0
     for i, wi in zip((-1, 0, 1), weights):
-        xi = form.exp_map(inp.u * (i * ht))
+        xi = form.exp_map(x, u * (i * ht))
         for y, wj in zip(targets, weights):
             value = float(cost(form.distance(xi, y)))
             if not np.isfinite(value):
@@ -47,25 +36,26 @@ def _mixed_second_differences(cost, form, inp, ht, hs):
     return acc / (ht * ht * hs * hs)
 
 
-def mtw_definitional(cost, form, inp, cfg=StencilConfig()):
+def mtw_definitional(cost, form, x, u, v, w):
     """Curvature straight from the definition: -(3/2) of the 4th mixed derivative.
 
-    The stencil is second order in each step; with richardson=True both steps
-    are halved once and extrapolated, removing the leading error term.
+    u, v and w are tangent vectors at the point x, as ambient arrays.  The
+    stencil is second order in each step; it runs at STENCIL_STEP and at half
+    of it, and the extrapolation of the two removes the leading error term.
     """
-    inp.validate(form)
-    coarse = _mixed_second_differences(cost, form, inp, cfg.step_t, cfg.step_s)
-    if cfg.richardson:
-        fine = _mixed_second_differences(cost, form, inp, cfg.step_t / 2.0, cfg.step_s / 2.0)
-        coarse = (4.0 * fine - coarse) / 3.0
-    return -1.5 * coarse
+    if form.norm(v) == 0.0:
+        raise ZeroVectorError("v must be nonzero")
+    coarse = _mixed_second_differences(cost, form, x, u, v, w, STENCIL_STEP, STENCIL_STEP)
+    fine = _mixed_second_differences(cost, form, x, u, v, w,
+                                     STENCIL_STEP / 2.0, STENCIL_STEP / 2.0)
+    return -1.5 * ((4.0 * fine - coarse) / 3.0)
 
 
-def jacobi_residual(form, u, v, steps=1000):
+def jacobi_residual(form, x, u, v, steps=1000):
     """|J(1)| after integrating the Jacobi equation with the closed-map initial data.
 
     The field J(0) = u, DJ(0) = jacobi_map_closed(u, v) is integrated along
-    exp(tau*v) with classical RK4 in parallel-frame coordinates, where the
+    exp_x(tau*v) with classical RK4 in parallel-frame coordinates, where the
     curvature term reduces to a constant matrix M built from curvature_action.
     The state (J, DJ) then obeys y' = L y with L = [[0, I], [-M, 0]], so one
     RK4 step of size h is the matrix I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24
@@ -76,8 +66,7 @@ def jacobi_residual(form, u, v, steps=1000):
 
     if form.norm(v) == 0.0:
         raise ZeroVectorError("jacobi_residual needs a nonzero geodesic direction")
-    base = v.base
-    frame = orthonormal_tangent_frame(form, base, first=v)
+    frame = orthonormal_tangent_frame(form, x, first=v)
     n = form.dimension
 
     def coords(vec):

@@ -10,7 +10,7 @@ import numpy as np
 from mtwcheck.checker import _noise_band
 from mtwcheck.cli import main
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
-from mtwcheck.curvature import coefficient_arrays
+from mtwcheck.curvature import coefficient_arrays, series_limit
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, _power_coeff, jet_compose
 
 
@@ -47,7 +47,7 @@ def random_unit(rng, n):
 
 def model_violation(form, point):
     """Defect of the model constraint, relative to the point's magnitude."""
-    c = point.coords
+    c = np.asarray(point)
     scale = max(1.0, float(np.dot(c, c)))
     if form.curvature == 1:
         return abs(np.dot(c, c) - 1.0) / scale
@@ -77,6 +77,10 @@ CANONICAL_CASES = [
     ("neg-log1p-cos", 1, 2.5, None),
     ("quartic", 0, 1.0, 1e-3),
 ]
+
+# (expression, curvature, diameter) of costs with a small l''(0): the radius
+# in h of their origin series is far below the h(z) of most z < SERIES_SWITCH
+SMALL_LPP_CASES = [("1e-6*z^2/2 + z^4", 0, 1.0), ("1e-4*z^2/2 + z^4", 0, 1.0)]
 
 
 def cli_report(argv):
@@ -202,7 +206,7 @@ def reference_errors(cost, K, z):
     z = np.asarray(z, dtype=float)
     prof = coefficient_arrays(cost, K, z)
     scale = {key: np.maximum(1.0, np.abs(prof[key])) for key in ("A", "B")}
-    band = _noise_band(z, prof)
+    band = _noise_band(z, prof, series_limit(cost, K))
     errors = {key: np.empty_like(z) for key in ("A", "B", "alpha", "beta", "gamma", "delta")}
     for i, point in enumerate(z.tolist()):
         ref = reference_profiles(cost, K, point)

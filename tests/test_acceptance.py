@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from helpers import random_orthogonal_pair
 
-from mtwcheck import (A3S, A3W_ONLY, MtwInput, ScanConfig, SpaceForm,
-                      StencilConfig, classify, cost_exp, jacobi_residual,
-                      minus_grad_x_cost, mtw_closed, mtw_definitional,
+from mtwcheck import (A3S, A3W_ONLY, ScanConfig, SpaceForm, classify, cost_exp,
+                      jacobi_residual, minus_grad_x_cost, mtw_closed, mtw_definitional,
                       mtw_via_jacobi, parse_cost, perturbation_check, preset,
                       scan_conditions)
 from mtwcheck.curvature import coefficient_arrays
@@ -85,7 +84,6 @@ def test_criterion_3_three_route_agreement():
     started = time.perf_counter()
     presets_for_K = {-1: ("neg-cosh", 2.0, None), 0: ("quartic", 1.0, 1e-3),
                      1: ("neg-log1p-cos", 2.5, None)}
-    cfg = StencilConfig(step_t=1e-2, step_s=1e-2, richardson=True)
     ok = True
     for K in (-1, 0, 1):
         name, D, eps = presets_for_K[K]
@@ -98,10 +96,10 @@ def test_criterion_3_three_route_agreement():
                 u = form.random_tangent(x, rng, unit=True)
                 w = form.random_tangent(x, rng, unit=True)
                 zv = rng.uniform(0.1, 0.9 * cost.zmax)
-                inp = MtwInput(x=x, u=u, v=form.random_tangent(x, rng, unit=True) * zv, w=w)
-                closed = mtw_closed(cost, form, inp)
-                jacobi = mtw_via_jacobi(cost, form, inp)
-                oracle = mtw_definitional(cost, form, inp, cfg)
+                v = form.random_tangent(x, rng, unit=True) * zv
+                closed = mtw_closed(cost, form, u, v, w)
+                jacobi = mtw_via_jacobi(cost, form, u, v, w)
+                oracle = mtw_definitional(cost, form, x, u, v, w)
                 ref = max(1.0, abs(closed))
                 ok &= abs(closed - jacobi) <= 1e-8 * ref
                 ok &= abs(closed - oracle) <= 5e-3 * ref
@@ -120,14 +118,14 @@ def test_criterion_4_jacobi_map_validation():
             u = form.random_tangent(x, rng)
             length = rng.uniform(0.1, 3.0)
             v = form.random_tangent(x, rng, unit=True) * length
-            ok &= jacobi_residual(form, u, v, steps=1000) <= 1e-8
+            ok &= jacobi_residual(form, x, u, v, steps=1000) <= 1e-8
     form = SpaceForm(0, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(403)
     for _ in range(50):
         u = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 4.0)
-        ok &= jacobi_residual(form, u, v, steps=1000) <= 1e-12
+        ok &= jacobi_residual(form, x, u, v, steps=1000) <= 1e-12
     _report("criterion 4: Jacobi residual <= 1e-8 (K=+-1), <= 1e-12 (K=0)", ok)
 
 
@@ -145,9 +143,9 @@ def test_criterion_5_cost_exponential_roundtrip():
             for _ in range(100):
                 x = form.random_point(rng)
                 t = rng.uniform(0.05, 0.95 * D)
-                y = form.exp_map(form.random_tangent(x, rng, unit=True) * t)
-                back = cost_exp(cost, form, minus_grad_x_cost(cost, form, x, y))
-                ok &= float(np.max(np.abs(back.coords - y.coords))) < 1e-9
+                y = form.exp_map(x, form.random_tangent(x, rng, unit=True) * t)
+                back = cost_exp(cost, form, x, minus_grad_x_cost(cost, form, x, y))
+                ok &= float(np.max(np.abs(back - y))) < 1e-9
     # for the identity-inverse cost the two exponentials coincide
     cost = preset("sq", 2.0)
     for K in (-1, 0, 1):
@@ -155,8 +153,8 @@ def test_criterion_5_cost_exponential_roundtrip():
         for _ in range(50):
             x = form.random_point(rng)
             v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.05, 1.9)
-            ok &= float(np.max(np.abs(cost_exp(cost, form, v).coords
-                                      - form.exp_map(v).coords))) < 1e-12
+            ok &= float(np.max(np.abs(cost_exp(cost, form, x, v)
+                                      - form.exp_map(x, v)))) < 1e-12
     _report("criterion 5: cost-exponential round trips (1e-9; sq vs exp 1e-12)", ok)
 
 
@@ -209,7 +207,7 @@ def test_criterion_8_module_invariant_spotchecks():
     form = SpaceForm(-1, 3)
     for _ in range(100):
         x = form.random_point(rng)
-        y = form.exp_map(form.random_tangent(x, rng))
+        y = form.exp_map(x, form.random_tangent(x, rng))
         ok &= model_violation(form, y) < 1e-9
     # quadratic homogeneity through both analytic routes
     cost = preset("neg-log1p-cosh", 2.0)
@@ -220,8 +218,8 @@ def test_criterion_8_module_invariant_spotchecks():
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 0.7)
         lam = rng.uniform(0.5, 2.0)
         for route in (mtw_closed, mtw_via_jacobi):
-            base_val = route(cost, form, MtwInput(x=x, u=u, v=v, w=w))
-            scaled = route(cost, form, MtwInput(x=x, u=u * lam, v=v, w=w))
+            base_val = route(cost, form, u, v, w)
+            scaled = route(cost, form, u * lam, v, w)
             ok &= abs(scaled - lam ** 2 * base_val) <= 1e-10 * max(1.0, abs(base_val)) * lam ** 2
     # grid refinement stability
     for name, K, D in [("neg-cosh", -1, 2.0), ("log-cosh", -1, 2.0)]:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from helpers import random_orthogonal_pair
 
-from mtwcheck import (A3S, A3W_ONLY, FAILS, MtwInput, ScanConfig, SpaceForm, classify,
-                      mtw_closed, parse_cost, perturbation_check, preset, scan_conditions,
-                      scan_table)
+from mtwcheck import (A3S, A3W_ONLY, FAILS, ScanConfig, SpaceForm, classify, mtw_closed,
+                      parse_cost, perturbation_check, preset, scan_conditions, scan_table)
 from mtwcheck import checker
 from mtwcheck.checker import _grid_chunk, _noise_band
 from mtwcheck.costs import make_cost
-from mtwcheck.curvature import coefficient_arrays
+from mtwcheck.curvature import coefficient_arrays, series_limit
 from mtwcheck.errors import AdmissibilityError
 
 
@@ -151,7 +150,7 @@ def _full_grid_scan(cost, K, cfg):
     (status, witness, min_slacks, table)."""
     z = np.linspace(0.0, cost.zmax, cfg.grid_points)
     prof = coefficient_arrays(cost, K, z)
-    band = _noise_band(z, prof)
+    band = _noise_band(z, prof, series_limit(cost, K))
     alpha, beta, gamma, delta = (prof[k] for k in ("alpha", "beta", "gamma", "delta"))
     slacks = {"beta": -beta, "gamma": -gamma}
     if cfg.dimension > 2:
@@ -230,7 +229,7 @@ def test_scan_weak_points_have_nonnegative_curvature():
         for _ in range(200):
             u, w = random_orthogonal_pair(form, x, rng)
             v = form.random_tangent(x, rng, unit=True) * z
-            value = mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w))
+            value = mtw_closed(cost, form, u, v, w)
             assert value >= -1e-8
 
 
@@ -303,7 +302,7 @@ def test_noise_sits_orders_below_band(name, K):
     cost = preset(name, 2.0)
     z = np.linspace(0.0, cost.zmax, 65536)
     prof = coefficient_arrays(cost, K, z)
-    band = _noise_band(z, prof)
+    band = _noise_band(z, prof, series_limit(cost, K))
     for key in ("beta", "gamma", "delta"):
         ratio = float(np.max(np.abs(prof[key]) / band))
         assert ratio <= 10.0 ** -1.5, (name, key, ratio)

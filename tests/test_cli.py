@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtwcheck import ScanConfig, checker, preset, scan_table
+from mtwcheck import PRESETS, ScanConfig, checker, preset, scan_table
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
 from mtwcheck.csvtext import format_rows
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS
@@ -147,6 +147,37 @@ def test_eval_v_out_of_range_exit_2(capsys):
     code, _, _ = run(capsys, "eval", "--cost", "neg-log1p-cosh", "--K", "-1",
                      "--dim", "3", "--u", "1,0,0", "--v", "0,5,0", "--w", "0,0,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    # D < pi, but h(|l'(D)|) = D lies within the pole tolerance of pi
+    ["check", "--cost", "sq", "--K", "1", "--dim", "2", "--diameter", "3.1415926535"],
+    ["eval", "--cost", "sq", "--K", "1", "--dim", "2", "--diameter", "4", "--u=1,0",
+     "--v=3.2,0", "--w=0,1"],
+])
+def test_sphere_diameter_at_the_cot_pole_exit_2(capsys, command):
+    code, out, err = run(capsys, *command)
+    assert code == 2 and out == ""
+    assert "--diameter" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_quartic_non_finite_eps_exit_2(capsys, eps):
+    # the message names eps, not an offset into the text preset() builds
+    code, out, err = run(capsys, "check", f"--cost=quartic({eps})", "--K", "0", "--dim", "2")
+    assert code == 2 and out == ""
+    assert "quartic eps must be finite and positive" in err and "offset" not in err
+
+
+@pytest.mark.parametrize("method", ["closed", "all"])
+def test_eval_non_finite_route_value_exit_3(capsys, method):
+    # |u|^2 and |w|^2 overflow, and the closed route, which runs first, reads nan
+    with np.errstate(over="ignore"):
+        code, out, err = run(capsys, "eval", "--cost", "neg-cosh", "--K", "-1", "--dim", "2",
+                             "--u=1e200,0", "--v=0.5,0", "--w=1e200,1", "--method", method,
+                             "--json")
+    assert code == 3 and out == ""
+    assert "the closed route gave nan" in err
 
 
 def test_perturb_holds(capsys):
@@ -509,3 +540,33 @@ def test_check_exits_with_a_code_and_never_raises(tmp_path_factory, cost, K, dim
         np.array(rows[1:], dtype=float)
     else:
         assert not path.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_COMPONENTS = st.one_of(st.sampled_from([0.0, 1e200, -1e200, 1.0, -0.5]),
+                        st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cost=st.sampled_from(sorted(PRESETS) + ["quartic(0.01)", "z^2/2 + z^4"]),
+       K=st.sampled_from(["-1", "0", "1"]), dim=st.integers(1, 4),
+       diameter=st.sampled_from(["0.5", "1", "2", "3"]),
+       method=st.sampled_from(["closed", "jacobi", "oracle", "all"]),
+       data=st.data())
+def test_eval_exits_with_a_code_and_never_raises(cost, K, dim, diameter, method, data):
+    vectors = [data.draw(st.lists(_COMPONENTS, min_size=dim, max_size=dim), label=name)
+               for name in "uvw"]
+    argv = ["eval", f"--cost={cost}", "--K", K, "--dim", str(dim), f"--diameter={diameter}",
+            *(f"--{name}=" + ",".join(map(repr, vec)) for name, vec in zip("uvw", vectors)),
+            "--method", method, "--json"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        json.loads(stdout.getvalue(), parse_constant=_reject_constant)

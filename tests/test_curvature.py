@@ -5,10 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import CANONICAL_CASES, random_orthogonal_pair, reference_errors, revert
+from helpers import (CANONICAL_CASES, SMALL_LPP_CASES, random_orthogonal_pair, reference_errors,
+                     revert)
 
-from mtwcheck import (MtwInput, SpaceForm, curvature, decompose, jacobi_map_closed,
-                      make_cost, mtw_closed, mtw_via_jacobi, preset)
+from mtwcheck import (SpaceForm, curvature, decompose, jacobi_map_closed, make_cost, mtw_closed,
+                      mtw_definitional, mtw_via_jacobi, preset)
 from mtwcheck.cli import main, resolve_cost
 from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, coefficient_arrays
 from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
@@ -129,14 +130,14 @@ def test_decompose_parallel_and_orthogonal():
     v = form.tangent(x, [2.0, 0.0, 0.0])
     u_par = form.tangent(x, [3.0, 0.0, 0.0])
     u0, u1 = decompose(form, u_par, v)
-    assert np.allclose(u0.components, u_par.components) and np.allclose(u1.components, 0.0)
+    assert np.allclose(u0, u_par) and np.allclose(u1, 0.0)
     u_perp = form.tangent(x, [0.0, 1.5, 0.0])
     u0, u1 = decompose(form, u_perp, v)
-    assert np.allclose(u0.components, 0.0) and np.allclose(u1.components, u_perp.components)
+    assert np.allclose(u0, 0.0) and np.allclose(u1, u_perp)
     mixed = form.tangent(x, [1.0, 1.0, 0.0])
     u0, u1 = decompose(form, mixed, v)
-    assert np.allclose(u0.components, [1.0, 0.0, 0.0])
-    assert np.allclose(u1.components, [0.0, 1.0, 0.0])
+    assert np.allclose(u0, [1.0, 0.0, 0.0])
+    assert np.allclose(u1, [0.0, 1.0, 0.0])
     assert form.inner(u0, u1) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -153,36 +154,33 @@ def test_jacobi_map_flat():
     u = form.tangent(x, [0.3, -0.7, 1.1])
     v = form.tangent(x, [0.0, 2.0, 0.5])
     out = jacobi_map_closed(form, u, v)
-    assert np.allclose(out.components, -u.components, atol=1e-15)
+    assert np.allclose(out, -u, atol=1e-15)
 
 
 def test_jacobi_map_hyperbolic_orthogonal():
     form = SpaceForm(-1, 3)
-    apex = form.canonical_base()
-    u = form.frame_tangent(apex, [0.0, 1.0, 0.0])
-    v = form.frame_tangent(apex, [1.0, 0.0, 0.0])
+    u = form.frame_tangent([0.0, 1.0, 0.0])
+    v = form.frame_tangent([1.0, 0.0, 0.0])
     out = jacobi_map_closed(form, u, v)
-    assert np.allclose(out.components, -(1.0 / np.tanh(1.0)) * u.components, atol=1e-12)
-    assert out.components[1] == pytest.approx(-1.3130, abs=1e-4)
+    assert np.allclose(out, -(1.0 / np.tanh(1.0)) * u, atol=1e-12)
+    assert out[1] == pytest.approx(-1.3130, abs=1e-4)
 
 
 def test_jacobi_map_parallel_input():
     for K in (-1, 0, 1):
         form = SpaceForm(K, 3)
-        base = form.canonical_base()
-        v = form.frame_tangent(base, [0.9, 0.0, 0.0])
-        u = form.frame_tangent(base, [2.5, 0.0, 0.0])
+        v = form.frame_tangent([0.9, 0.0, 0.0])
+        u = form.frame_tangent([2.5, 0.0, 0.0])
         out = jacobi_map_closed(form, u, v)
-        assert np.allclose(out.components, -u.components, atol=1e-12)
+        assert np.allclose(out, -u, atol=1e-12)
 
 
 def test_jacobi_map_small_v_continuity():
     form = SpaceForm(-1, 3)
-    base = form.canonical_base()
-    u = form.frame_tangent(base, [0.2, 0.7, -0.4])
-    v = form.frame_tangent(base, [0.0, 1e-8, 0.0])
+    u = form.frame_tangent([0.2, 0.7, -0.4])
+    v = form.frame_tangent([0.0, 1e-8, 0.0])
     out = jacobi_map_closed(form, u, v)
-    assert np.max(np.abs(out.components - (-u.components))) < 1e-6
+    assert np.max(np.abs(out - (-u))) < 1e-6
 
 
 def test_mtw_flat_identity_cost_is_zero():
@@ -191,23 +189,22 @@ def test_mtw_flat_identity_cost_is_zero():
     x = form.canonical_base()
     rng = np.random.default_rng(5)
     for _ in range(20):
-        inp = MtwInput(x=x, u=form.random_tangent(x, rng),
-                       v=form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 4.0),
-                       w=form.random_tangent(x, rng))
-        assert mtw_closed(cost, form, inp) == pytest.approx(0.0, abs=1e-12)
-        assert mtw_via_jacobi(cost, form, inp) == pytest.approx(0.0, abs=1e-12)
+        u = form.random_tangent(x, rng)
+        v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 4.0)
+        w = form.random_tangent(x, rng)
+        assert mtw_closed(cost, form, u, v, w) == pytest.approx(0.0, abs=1e-12)
+        assert mtw_via_jacobi(cost, form, u, v, w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mtw_worked_example_neg_log1p_cosh():
     # orthogonal u along v, w orthogonal to v: curvature is -(3/2)*beta = 3/2
     cost = preset("neg-log1p-cosh", 2.0)
     form = SpaceForm(-1, 3)
-    x = form.canonical_base()
-    v = form.frame_tangent(x, [0.5, 0.0, 0.0])
-    u = form.frame_tangent(x, [1.0, 0.0, 0.0])   # u0 = u, |u0| = 1
-    w = form.frame_tangent(x, [0.0, 1.0, 0.0])   # w1 = w, |w1| = 1
-    assert mtw_closed(cost, form, inp := MtwInput(x=x, u=u, v=v, w=w)) == pytest.approx(1.5, abs=1e-10)
-    assert mtw_via_jacobi(cost, form, inp) == pytest.approx(1.5, abs=1e-10)
+    v = form.frame_tangent([0.5, 0.0, 0.0])
+    u = form.frame_tangent([1.0, 0.0, 0.0])   # u0 = u, |u0| = 1
+    w = form.frame_tangent([0.0, 1.0, 0.0])   # w1 = w, |w1| = 1
+    assert mtw_closed(cost, form, u, v, w) == pytest.approx(1.5, abs=1e-10)
+    assert mtw_via_jacobi(cost, form, u, v, w) == pytest.approx(1.5, abs=1e-10)
 
 
 def test_mtw_quadratic_scaling():
@@ -220,9 +217,9 @@ def test_mtw_quadratic_scaling():
         w = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.2, 3.0)
         lam = rng.uniform(0.3, 3.0)
-        base_val = mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w))
-        u_scaled = mtw_closed(cost, form, MtwInput(x=x, u=u * lam, v=v, w=w))
-        w_scaled = mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w * lam))
+        base_val = mtw_closed(cost, form, u, v, w)
+        u_scaled = mtw_closed(cost, form, u * lam, v, w)
+        w_scaled = mtw_closed(cost, form, u, v, w * lam)
         ref = max(1.0, abs(base_val))
         assert abs(u_scaled - lam ** 2 * base_val) <= 1e-10 * ref * lam ** 2
         assert abs(w_scaled - lam ** 2 * base_val) <= 1e-10 * ref * lam ** 2
@@ -231,40 +228,25 @@ def test_mtw_quadratic_scaling():
 def test_mtw_zero_w():
     cost = preset("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
-    x = form.canonical_base()
-    u = form.frame_tangent(x, [0.3, 0.4, 0.0])
-    v = form.frame_tangent(x, [0.0, 1.0, 0.0])
-    w = form.frame_tangent(x, [0.0, 0.0, 0.0])
-    inp = MtwInput(x=x, u=u, v=v, w=w)
-    assert mtw_closed(cost, form, inp) == 0.0
-    assert mtw_via_jacobi(cost, form, inp) == 0.0
+    u = form.frame_tangent([0.3, 0.4, 0.0])
+    v = form.frame_tangent([0.0, 1.0, 0.0])
+    w = form.frame_tangent([0.0, 0.0, 0.0])
+    assert mtw_closed(cost, form, u, v, w) == 0.0
+    assert mtw_via_jacobi(cost, form, u, v, w) == 0.0
 
 
 def test_mtw_zero_v_rejected():
     cost = preset("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
-    u = form.frame_tangent(x, [1.0, 0.0, 0.0])
-    zero = form.frame_tangent(x, [0.0, 0.0, 0.0])
-    with pytest.raises(ZeroVectorError):
-        mtw_closed(cost, form, MtwInput(x=x, u=u, v=zero, w=u))
-
-
-def test_mtw_input_base_points_compared():
-    cost = preset("neg-cosh", 2.0)
-    form = SpaceForm(-1, 3)
-    x = form.canonical_base()
-    x_again = form.point(x.coords.copy())
-    elsewhere = form.project_point([0.5, 0.0, 0.0, 0.0])
-    u = form.frame_tangent(x, [1.0, 0.0, 0.0])
-    v = form.frame_tangent(x, [0.0, 0.5, 0.0])
-    w = form.frame_tangent(x, [0.0, 0.0, 1.0])
-    w_again = form.frame_tangent(x_again, [0.0, 0.0, 1.0])
-    assert mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w_again)) \
-        == mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w))
-    stray = form.project_tangent(elsewhere, [0.0, 0.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="share the base point"):
-        mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=stray))
+    u = form.frame_tangent([1.0, 0.0, 0.0])
+    zero = form.frame_tangent([0.0, 0.0, 0.0])
+    with pytest.raises(ZeroVectorError, match="v must be nonzero"):
+        mtw_closed(cost, form, u, zero, u)
+    with pytest.raises(ZeroVectorError, match="v must be nonzero"):
+        mtw_via_jacobi(cost, form, u, zero, u)
+    with pytest.raises(ZeroVectorError, match="v must be nonzero"):
+        mtw_definitional(cost, form, x, u, zero, u)
 
 
 _ROUTE_CASES = [(-1, 2, "neg-cosh", 2.0, None), (-1, 3, "neg-log1p-cosh", 2.0, None),
@@ -285,9 +267,8 @@ def test_route_equivalence_closed_vs_jacobi(K, n, name, diameter, eps):
         u = form.random_tangent(x, rng)
         w = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.05, 0.9 * cost.zmax)
-        inp = MtwInput(x=x, u=u, v=v, w=w)
-        closed = mtw_closed(cost, form, inp)
-        jacobi = mtw_via_jacobi(cost, form, inp)
+        closed = mtw_closed(cost, form, u, v, w)
+        jacobi = mtw_via_jacobi(cost, form, u, v, w)
         assert abs(closed - jacobi) <= 1e-8 * max(1.0, abs(closed))
 
 
@@ -306,8 +287,7 @@ def test_route_equivalence_on_series_branch(K, n, name, diameter, eps):
         w = form.random_tangent(x, rng)
         z = SERIES_SWITCH * 10.0 ** rng.uniform(-2.0, 0.0)
         v = form.random_tangent(x, rng, unit=True) * z
-        inp = MtwInput(x=x, u=u, v=v, w=w)
-        gap = abs(mtw_closed(cost, form, inp) - mtw_via_jacobi(cost, form, inp))
+        gap = abs(mtw_closed(cost, form, u, v, w) - mtw_via_jacobi(cost, form, u, v, w))
         scale = form.inner(u, u) * form.inner(w, w)
         assert gap <= (1e-8 + 1e-15 / z ** 2) * scale, (z, gap, scale)
 
@@ -328,8 +308,8 @@ def test_series_branch_preset_matches_expression_text(name, K, D, eps):
         u = form.random_tangent(x, rng)
         w = form.random_tangent(x, rng)
         z = SERIES_SWITCH * 10.0 ** rng.uniform(-5.0, 0.0)
-        inp = MtwInput(x=x, u=u, v=form.random_tangent(x, rng, unit=True) * z, w=w)
-        gap = abs(mtw_closed(cost, form, inp) - mtw_closed(text, form, inp))
+        v = form.random_tangent(x, rng, unit=True) * z
+        gap = abs(mtw_closed(cost, form, u, v, w) - mtw_closed(text, form, u, v, w))
         assert gap <= (2e-8 + 1e-15 / z ** 2) * form.inner(u, u) * form.inner(w, w), (z, gap)
 
 
@@ -345,7 +325,7 @@ def test_orthogonal_reduction_matches_coefficients():
             u, w = random_orthogonal_pair(form, x, rng)
             z = rng.uniform(0.05, 0.9 * cost.zmax)
             v = form.random_tangent(x, rng, unit=True) * z
-            direct = mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w))
+            direct = mtw_closed(cost, form, u, v, w)
             prof = _at(cost, K, z)
             u0, u1 = decompose(form, u, v)
             w0, w1 = decompose(form, w, v)
@@ -359,7 +339,8 @@ def test_orthogonal_reduction_matches_coefficients():
 
 def test_base_point_invariance_via_transport():
     # moving the whole configuration by parallel transport along a geodesic
-    # is an isometry, so the curvature value must not change
+    # is an isometry, so the curvature value must not change; agreement of
+    # the oracle is limited by its stencil roundoff floor
     cost = preset("neg-log1p-cosh", 2.0)
     form = SpaceForm(-1, 3)
     rng = np.random.default_rng(19)
@@ -368,13 +349,14 @@ def test_base_point_invariance_via_transport():
         u = form.random_tangent(x, rng)
         w = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 0.7)
-        y = form.exp_map(form.random_tangent(x, rng, unit=True) * rng.uniform(0.2, 1.5))
-        moved = MtwInput(x=y, u=form.parallel_transport(u, y),
-                         v=form.parallel_transport(v, y),
-                         w=form.parallel_transport(w, y))
-        a = mtw_closed(cost, form, MtwInput(x=x, u=u, v=v, w=w))
-        b = mtw_closed(cost, form, moved)
+        y = form.exp_map(x, form.random_tangent(x, rng, unit=True) * rng.uniform(0.2, 1.5))
+        moved = [form.parallel_transport(x, vec, y) for vec in (u, v, w)]
+        a = mtw_closed(cost, form, u, v, w)
+        b = mtw_closed(cost, form, *moved)
         assert a == pytest.approx(b, abs=1e-10 * max(1.0, abs(a)))
+        # the oracle is the one route that reads the base point
+        c = mtw_definitional(cost, form, x, u, v, w)
+        assert mtw_definitional(cost, form, y, *moved) == pytest.approx(c, abs=1e-5)
 
 
 def test_vectorized_profile_matches_scalar():
@@ -423,13 +405,15 @@ def test_revert_matches_sympy_reversion(w1_sign):
 
 _REFERENCE_CASES = [(text, K, D) for name, K, D, eps in CANONICAL_CASES
                     for text in (preset(name, D, eps).name, preset(name, D, eps).text)]
+_REFERENCE_CASES += SMALL_LPP_CASES
 
 
 @pytest.mark.parametrize("text,K,D", _REFERENCE_CASES)
 def test_both_branches_match_50_digit_reference(text, K, D):
     # the series and the direct branch against the full-order
     # series-reversion route run at 50 digits, on the preset's analytic
-    # inverse and on the Newton inverse of its expression text
+    # inverse and on the Newton inverse of its expression text, and on two
+    # costs whose h(z) leaves the series' radius below SERIES_SWITCH
     cost = resolve_cost(text, D)
     z = np.concatenate([np.geomspace(1e-9, 0.999 * SERIES_SWITCH, 12),
                         np.geomspace(SERIES_SWITCH, cost.zmax, 40)])

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 from helpers import central_derivative
 
-from mtwcheck import (MtwInput, SpaceForm, StencilConfig, eval_cost_jet, jacobi_residual,
-                      mtw_closed, mtw_definitional, preset)
+from mtwcheck import (SpaceForm, eval_cost_jet, jacobi_residual, mtw_closed, mtw_definitional,
+                      preset)
 from mtwcheck.errors import ZeroVectorError
+from mtwcheck.oracle import _mixed_second_differences
 
 
-def test_stencil_config_bounds():
-    StencilConfig(step_t=1e-2, step_s=1e-2)
-    with pytest.raises(ValueError):
-        StencilConfig(step_t=1e-5, step_s=1e-2)
-    with pytest.raises(ValueError):
-        StencilConfig(step_t=1e-2, step_s=0.5)
+def _stencil(cost, form, x, u, v, w, step):
+    """The definitional value from one stencil at step in t and s, without extrapolation."""
+    return -1.5 * _mixed_second_differences(cost, form, x, u, v, w, step, step)
 
 
 def test_definitional_flat_zero():
@@ -25,14 +23,13 @@ def test_definitional_flat_zero():
     form = SpaceForm(0, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(2)
-    wide = StencilConfig(step_t=1e-1, step_s=1e-1, richardson=False)
     for _ in range(5):
-        inp = MtwInput(x=x, u=form.random_tangent(x, rng, unit=True),
-                       v=form.random_tangent(x, rng, unit=True) * rng.uniform(0.3, 1.0),
-                       w=form.random_tangent(x, rng, unit=True))
-        assert abs(mtw_definitional(cost, form, inp, wide)) < 1e-8
+        u = form.random_tangent(x, rng, unit=True)
+        v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.3, 1.0)
+        w = form.random_tangent(x, rng, unit=True)
+        assert abs(_stencil(cost, form, x, u, v, w, 1e-1)) < 1e-8
         # at default steps the roundoff floor dominates but stays small
-        assert abs(mtw_definitional(cost, form, inp)) < 1e-5
+        assert abs(mtw_definitional(cost, form, x, u, v, w)) < 1e-5
 
 
 def test_definitional_matches_closed_neg_cosh():
@@ -41,11 +38,11 @@ def test_definitional_matches_closed_neg_cosh():
     x = form.canonical_base()
     rng = np.random.default_rng(101)
     for _ in range(10):
-        inp = MtwInput(x=x, u=form.random_tangent(x, rng, unit=True),
-                       v=form.random_tangent(x, rng, unit=True),
-                       w=form.random_tangent(x, rng, unit=True))
-        closed = mtw_closed(cost, form, inp)
-        oracle = mtw_definitional(cost, form, inp)
+        u = form.random_tangent(x, rng, unit=True)
+        v = form.random_tangent(x, rng, unit=True)
+        w = form.random_tangent(x, rng, unit=True)
+        closed = mtw_closed(cost, form, u, v, w)
+        oracle = mtw_definitional(cost, form, x, u, v, w)
         assert abs(closed - oracle) <= 5e-3 * max(1.0, abs(closed))
 
 
@@ -53,10 +50,10 @@ def test_definitional_zero_w():
     cost = preset("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
-    inp = MtwInput(x=x, u=form.frame_tangent(x, [1.0, 0.0, 0.0]),
-                   v=form.frame_tangent(x, [0.0, 1.0, 0.0]),
-                   w=form.frame_tangent(x, [0.0, 0.0, 0.0]))
-    assert mtw_definitional(cost, form, inp) == pytest.approx(0.0, abs=1e-12)
+    u = form.frame_tangent([1.0, 0.0, 0.0])
+    v = form.frame_tangent([0.0, 1.0, 0.0])
+    w = form.frame_tangent([0.0, 0.0, 0.0])
+    assert mtw_definitional(cost, form, x, u, v, w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_definitional_even_in_perturbations():
@@ -64,12 +61,12 @@ def test_definitional_even_in_perturbations():
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(103)
-    inp = MtwInput(x=x, u=form.random_tangent(x, rng, unit=True),
-                   v=form.random_tangent(x, rng, unit=True) * 0.5,
-                   w=form.random_tangent(x, rng, unit=True))
-    base = mtw_definitional(cost, form, inp)
-    flip_u = mtw_definitional(cost, form, MtwInput(x=x, u=-1.0 * inp.u, v=inp.v, w=inp.w))
-    flip_w = mtw_definitional(cost, form, MtwInput(x=x, u=inp.u, v=inp.v, w=-1.0 * inp.w))
+    u = form.random_tangent(x, rng, unit=True)
+    v = form.random_tangent(x, rng, unit=True) * 0.5
+    w = form.random_tangent(x, rng, unit=True)
+    base = mtw_definitional(cost, form, x, u, v, w)
+    flip_u = mtw_definitional(cost, form, x, -1.0 * u, v, w)
+    flip_w = mtw_definitional(cost, form, x, u, v, -1.0 * w)
     # agreement is limited by the stencil roundoff floor, not by symmetry
     assert flip_u == pytest.approx(base, abs=1e-5)
     assert flip_w == pytest.approx(base, abs=1e-5)
@@ -83,12 +80,12 @@ def test_definitional_step_convergence():
     rng = np.random.default_rng(107)
     improved = 0
     for _ in range(8):
-        inp = MtwInput(x=x, u=form.random_tangent(x, rng, unit=True),
-                       v=form.random_tangent(x, rng, unit=True),
-                       w=form.random_tangent(x, rng, unit=True))
-        closed = mtw_closed(cost, form, inp)
-        coarse = mtw_definitional(cost, form, inp, StencilConfig(4e-2, 4e-2, richardson=False))
-        fine = mtw_definitional(cost, form, inp, StencilConfig(2e-2, 2e-2, richardson=False))
+        u = form.random_tangent(x, rng, unit=True)
+        v = form.random_tangent(x, rng, unit=True)
+        w = form.random_tangent(x, rng, unit=True)
+        closed = mtw_closed(cost, form, u, v, w)
+        coarse = _stencil(cost, form, x, u, v, w, 4e-2)
+        fine = _stencil(cost, form, x, u, v, w, 2e-2)
         if abs(fine - closed) * 3.0 <= abs(coarse - closed):
             improved += 1
     assert improved >= 7
@@ -103,7 +100,7 @@ def test_jacobi_residual_curved(K):
         u = form.random_tangent(x, rng)
         length = rng.uniform(0.1, 3.0)
         v = form.random_tangent(x, rng, unit=True) * length
-        assert jacobi_residual(form, u, v, steps=1000) <= 1e-8
+        assert jacobi_residual(form, x, u, v, steps=1000) <= 1e-8
 
 
 def test_jacobi_residual_flat_machine_precision():
@@ -113,7 +110,7 @@ def test_jacobi_residual_flat_machine_precision():
     for _ in range(20):
         u = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 4.0)
-        assert jacobi_residual(form, u, v, steps=200) <= 1e-12
+        assert jacobi_residual(form, x, u, v, steps=200) <= 1e-12
 
 
 def test_jacobi_residual_large_sphere_arc():
@@ -122,7 +119,7 @@ def test_jacobi_residual_large_sphere_arc():
     rng = np.random.default_rng(307)
     u = form.random_tangent(x, rng)
     v = form.random_tangent(x, rng, unit=True) * 3.0
-    assert jacobi_residual(form, u, v, steps=1000) <= 1e-8
+    assert jacobi_residual(form, x, u, v, steps=1000) <= 1e-8
 
 
 def test_jacobi_residual_rk4_order():
@@ -131,8 +128,8 @@ def test_jacobi_residual_rk4_order():
     rng = np.random.default_rng(309)
     u = form.random_tangent(x, rng)
     v = form.random_tangent(x, rng, unit=True) * 2.0
-    coarse = jacobi_residual(form, u, v, steps=50)
-    fine = jacobi_residual(form, u, v, steps=100)
+    coarse = jacobi_residual(form, x, u, v, steps=50)
+    fine = jacobi_residual(form, x, u, v, steps=100)
     assert fine <= coarse / 12.0  # comfortably within the h^4 = 16 factor
 
 
@@ -141,7 +138,7 @@ def test_jacobi_residual_zero_v():
     x = form.canonical_base()
     rng = np.random.default_rng(311)
     with pytest.raises(ZeroVectorError):
-        jacobi_residual(form, form.random_tangent(x, rng),
+        jacobi_residual(form, x, form.random_tangent(x, rng),
                         form.tangent(x, np.zeros(4)), steps=10)
 
 
