@@ -6,12 +6,13 @@ closed five-term formula, a second-derivative-in-s reduction through the
 Jacobi map, and a definitional finite-difference oracle on explicit models.
 Each takes the tangent vectors u, v, w as ambient float64 arrays; the oracle
 also takes their base point x.  The checker turns the coefficient
-inequalities into per-scan verdicts.
+inequalities into per-scan verdicts: scan_conditions(cost, K, dimension)
+scans [0, |l'(D)|], with D the cost's own diameter.
 """
 
 from . import errors
-from .checker import (A3S, A3W_ONLY, FAILS, Classification, PerturbationResult, ScanConfig,
-                      Verdict, classify, perturbation_check, scan_conditions, scan_table)
+from .checker import (A3S, A3W_ONLY, FAILS, Classification, PerturbationResult, Verdict,
+                      classify, perturbation_check, scan_conditions, scan_table)
 from .costs import (PRESETS, CostFunction, eval_cost_jet, inverse_lprime, make_cost, preset,
                     validate_admissibility)
 from .curvature import (coefficient_arrays, decompose, jacobi_map_closed, mtw_closed,
@@ -25,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "A3S", "A3W_ONLY", "FAILS", "Classification",
-    "CostFunction", "Jet", "PRESETS", "PerturbationResult", "ScanConfig", "SpaceForm",
+    "CostFunction", "Jet", "PRESETS", "PerturbationResult", "SpaceForm",
     "Verdict", "classify", "coefficient_arrays", "cost_exp", "decompose", "errors",
     "eval_cost_jet", "evaluate", "evaluate_jet", "inverse_lprime",
     "jacobi_map_closed", "jacobi_residual", "jet_compose", "make_cost",

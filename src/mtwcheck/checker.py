@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import check_diameter, eval_defined_jet, validate_admissibility
+from .costs import eval_defined_jet, validate_admissibility
 from .curvature import SPHERE_MAX_DIAMETER, coefficient_arrays, series_limit
 
 A3S = "A3s"
@@ -44,24 +44,6 @@ _NOISE_BAND_COEFF = 500.0 * np.finfo(float).eps
 # Grid points profiled and classified at once: the scan's working set is a
 # few dozen arrays of this length, whatever the grid size.
 SCAN_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    diameter: float
-    dimension: int
-    grid_points: int = 4096
-    strict_margin: float = 1e-12
-
-    def __post_init__(self):
-        check_diameter(self.diameter)
-        if self.dimension < 2:
-            raise ValueError("dimension must be at least 2")
-        if self.grid_points < 256:
-            raise ValueError("grid_points must be at least 256")
-        if not 0.0 <= self.strict_margin < math.inf:
-            raise ValueError(f"strict_margin must be finite and nonnegative, "
-                             f"got {self.strict_margin!r}")
 
 
 @dataclass(frozen=True)
@@ -160,9 +142,12 @@ def _grid_chunk(start, stop, grid_points, lo, hi):
     return z
 
 
-def scan_conditions(cost, K, cfg, on_chunk=None):
+def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, on_chunk=None):
     """Verdict over a uniform grid on [0, |l'(D)|], endpoints included.
 
+    D is cost.diameter, and the grid has grid_points points, at least 256.
+    The inequality set is the one of dimension n = dimension, at least 2,
+    and strict_margin is the hurdle of the strict condition (see classify).
     The grid is scanned in chunks of SCAN_CHUNK consecutive points.  Each
     chunk is profiled and classified, then folded into the verdict (weak and
     strict at every point so far), the minimum of each condition's slack, the
@@ -172,14 +157,18 @@ def scan_conditions(cost, K, cfg, on_chunk=None):
     each chunk's table, in grid order, before the chunk is dropped; the table
     maps z, A, B, alpha, beta, gamma, delta and slack_min to arrays.
     """
-    if K == 1 and cfg.diameter > SPHERE_MAX_DIAMETER:
+    if dimension < 2:
+        raise ValueError("dimension must be at least 2")
+    if grid_points < 256:
+        raise ValueError("grid_points must be at least 256")
+    if not 0.0 <= strict_margin < math.inf:
+        raise ValueError(f"strict_margin must be finite and nonnegative, got {strict_margin!r}")
+    if K == 1 and cost.diameter > SPHERE_MAX_DIAMETER:
         raise ValueError(f"on the sphere the scan diameter must be at most "
                          f"{SPHERE_MAX_DIAMETER!r}, clear of the cot pole at pi")
-    if abs(cost.diameter - cfg.diameter) > 1e-12:
-        raise ValueError("scan diameter differs from the cost's working interval")
     validate_admissibility(cost)
 
-    zmax, grid_points = cost.zmax, cfg.grid_points
+    zmax = cost.zmax
     weak = strict = True
     min_slacks = {}
     witness, witness_slack = None, None
@@ -190,8 +179,8 @@ def scan_conditions(cost, K, cfg, on_chunk=None):
             if not np.all(np.isfinite(prof[name])):
                 raise FloatingPointError(f"non-finite {name} encountered during the scan")
         band = _noise_band(z, prof, series_limit(cost, K))
-        c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], cfg.dimension,
-                     band=band, strict_margin=cfg.strict_margin)
+        c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], dimension,
+                     band=band, strict_margin=strict_margin)
 
         weak = weak and bool(np.all(c.weak))
         strict = strict and bool(np.all(c.strict))
@@ -213,15 +202,16 @@ def scan_conditions(cost, K, cfg, on_chunk=None):
                    min_slacks={name: float(v) for name, v in min_slacks.items()})
 
 
-def scan_table(cost, K, cfg):
+def scan_table(cost, K, dimension, grid_points=4096, strict_margin=1e-12):
     """Full scan: verdict plus per-point columns for reporting.
 
     Returns (verdict, table) where table maps column names (z, A, B, alpha,
-    beta, gamma, delta, slack_min) to arrays of length cfg.grid_points,
+    beta, gamma, delta, slack_min) to arrays of length grid_points,
     collected from the chunks of scan_conditions.
     """
     chunks = []
-    verdict = scan_conditions(cost, K, cfg, on_chunk=chunks.append)
+    verdict = scan_conditions(cost, K, dimension, grid_points, strict_margin,
+                              on_chunk=chunks.append)
     table = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
     return verdict, table
 
@@ -239,7 +229,8 @@ def perturbation_check(f, k, b, grid_points=1024):
     f is the AST of the perturbation profile; the conditions are
     f''(z) < k and (z^2 f'''(z) - z f''(z) + 2 f'(z))/z < k at every grid
     point of the uniform grid with left endpoint b/grid_points.  An f
-    undefined there raises AdmissibilityError naming the first such point.
+    undefined there raises AdmissibilityError, and a non-finite LHS (an f
+    that overflows, say) FloatingPointError, naming the first such point.
 
     The grid, np.linspace(b/grid_points, b, grid_points), is checked in
     chunks of SCAN_CHUNK consecutive points, so peak memory does not grow
@@ -261,8 +252,11 @@ def perturbation_check(f, k, b, grid_points=1024):
         fppp = np.asarray(jet.derivative(3))
         lhs1 = fpp
         lhs2 = (z * z * fppp - z * fpp + 2.0 * fp) / z
+        not_finite = ~(np.isfinite(lhs1) & np.isfinite(lhs2))
+        if np.any(not_finite):
+            raise FloatingPointError(f"non-finite perturbation LHS at z = "
+                                     f"{float(z[not_finite][0])!r}")
         bad = (lhs1 >= k) | (lhs2 >= k)
-        # np.maximum keeps a nan LHS, as np.max over the whole grid does
         worst = np.maximum(worst, np.max(np.maximum(lhs1, lhs2)))
         if witness is None and np.any(bad):
             witness = float(z[bad][0])

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import checker
-from .checker import ScanConfig, perturbation_check, scan_conditions
+from .checker import perturbation_check, scan_conditions
 from .costs import PRESETS, make_cost, preset
 from .curvature import SPHERE_MAX_DIAMETER, mtw_closed, mtw_via_jacobi
 from .errors import (AdmissibilityError, MtwError, OutOfRangeError, ParseError,
@@ -139,11 +139,10 @@ def cmd_check(args):
     started = time.perf_counter()
     _check_sphere_diameter(args.K, args.diameter)
     cost = resolve_cost(args.cost, args.diameter)
-    cfg = ScanConfig(diameter=args.diameter, dimension=args.dim,
-                     grid_points=args.grid, strict_margin=args.strict_margin)
     # the CSV rows are written chunk by chunk as the scan produces them
     with (_write_csv(args.csv) if args.csv else contextlib.nullcontext()) as write:
-        verdict = scan_conditions(cost, args.K, cfg, on_chunk=write)
+        verdict = scan_conditions(cost, args.K, args.dim, args.grid, args.strict_margin,
+                                  on_chunk=write)
     report = RunReport(
         command="check", cost=cost.text, curvature=args.K, dimension=args.dim,
         diameter=args.diameter, grid=args.grid, verdict=verdict.status,
@@ -299,7 +298,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        # every non-finite value a command reports is checked where it is
+        # computed, so numpy's warnings would only repeat the error message
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

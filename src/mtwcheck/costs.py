@@ -21,11 +21,9 @@ from .jets import N_COEFFS, Jet
 EVENNESS_TOL = 1e-10
 SIGN_TOL = 1e-12
 
-
-def check_diameter(diameter):
-    """Reject a working diameter that is not a finite positive number."""
-    if not 0.0 < diameter < math.inf:
-        raise ValueError(f"diameter must be finite and positive, got {diameter!r}")
+# relative residual and step limit of the Newton inverse of l'
+_NEWTON_TOL = 1e-13
+_NEWTON_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,8 @@ class CostFunction:
     _lprime_sign: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_diameter(self.diameter)
+        if not 0.0 < self.diameter < math.inf:
+            raise ValueError(f"diameter must be finite and positive, got {self.diameter!r}")
 
     def __call__(self, z):
         return evaluate(self.expression, z)
@@ -202,14 +201,15 @@ def inverse_lprime(cost, y):
     return out if isinstance(y, np.ndarray) else float(out)
 
 
-def _newton_inverse(cost, targets, residual_tol=1e-13, max_iter=200):
+def _newton_inverse(cost, targets):
     """Solve sign * l'(t) = target for t in [0, D], vectorized.
 
     g(t) = lprime_sign * l'(t) increases from 0 to |l'(D)| on [0, D]; Newton
     steps are kept inside a maintained bracket, falling back to bisection.
-    Each point stops at its first iterate within residual_tol, and only the
-    points still moving are evaluated, so a point's result does not depend
-    on the other points of the batch.
+    Each point stops at its first iterate within _NEWTON_TOL of its target,
+    relative, so a target of 0 stops at its start t = 0.  Only the points
+    still moving are evaluated, so a point's result does not depend on the
+    other points of the batch.
     """
     shape = np.shape(targets)
     targets = np.ravel(targets)
@@ -217,9 +217,9 @@ def _newton_inverse(cost, targets, residual_tol=1e-13, max_iter=200):
     x = np.clip(d * targets / cost.zmax, 0.0, d)
     lo = np.zeros_like(targets)
     hi = np.full_like(targets, d)
-    tol = residual_tol * np.maximum(1.0, targets)
+    tol = _NEWTON_TOL * targets
     moving = np.arange(targets.size)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         xm = x[moving]
         # l' and l'' are coefficients 1 and 2: a jet of length 3 gives them
         # bitwise as at full length

@@ -32,8 +32,8 @@ from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
 from .jets import Jet, _compose_table, jet_compose, jet_compose_pair
 
 # Below this argument A, B and the coefficient functions switch from direct
-# evaluation at basepoint h(z) to evaluation of their series in h at 0,
-# whose shifted coefficients give the z -> 0 limits exactly.
+# evaluation at h(z) to evaluation of their series in h at 0, whose shifted
+# coefficients give the z -> 0 limits exactly.
 SERIES_SWITCH = 1e-4
 
 # Where l''(0) is small, the series' radius in h can be tiny and h(z) can
@@ -63,12 +63,12 @@ _PROFILE_KEYS = ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime",
 
 def _shift(jet, k):
     """jet / h^k for a jet at 0 whose orders below k vanish."""
-    return Jet(jet.coeffs[k:], jet.basepoint)
+    return Jet(jet.coeffs[k:])
 
 
 def _times_h(jet):
     """jet * h for a jet at 0: one order longer, with a zero constant term."""
-    return Jet((0.0,) + jet.coeffs, jet.basepoint)
+    return Jet((0.0,) + jet.coeffs)
 
 
 @lru_cache(maxsize=64)
@@ -146,7 +146,7 @@ def _horner(coeffs, h):
 
 def _direct_profiles(cost, K, h0):
     """All profile quantities at an array of h0 = h(z), z >= SERIES_SWITCH,
-    each evaluated directly at its own basepoint.
+    each evaluated directly at its own h0.
 
     With d/dz = (1/l'') d/dh, each quantity is explicit in l' .. l'''' at
     h0 = h(z) and in C(h) = coth h, 1/h or cot h for K = -1, 0, +1:
@@ -194,14 +194,12 @@ def _profiles(cost, K, z):
 
     h0 = h(z) is computed once for all of z.  Entries below
     series_limit(cost, K) Horner-evaluate the origin series at h0; the rest
-    are evaluated directly at their own basepoint.  An array with no entry
+    are evaluated directly at their own h0.  An array with no entry
     below that limit gets the direct-branch arrays as they are.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise OutOfRangeError("profile arguments must be nonnegative")
-    if np.any(z > cost.zmax * (1.0 + 1e-9) + 1e-15):
-        raise OutOfRangeError(f"z beyond |l'(D)| = {cost.zmax}")
     h0 = np.asarray(inverse_lprime(cost, z))
     small = z < SERIES_SWITCH
     if np.any(small):
@@ -301,12 +299,15 @@ def mtw_closed(cost, form, u, v, w):
     w0sq, w1sq = form.inner(w0, w0), form.inner(w1, w1)
     cross = form.inner(u0, w0) * form.inner(u1, w1)
     u1w1 = form.inner(u1, w1)
+    # 2(A - B)/z^2 as A'/z - beta, from beta = A'/z - 2(A - B)/z^2: near
+    # z = 0, A - B cancels to roundoff, while the row's beta comes from the
+    # origin series, where the division by z^2 is an exact shift
     total = (
         ab["Adprime"] * u0sq * w0sq
         + ab["Bdprime"] * u1sq * w0sq
         + ab["Aprime"] / z * (u0sq * w1sq + 4.0 * cross)
         + ab["Bprime"] / z * (u1sq * w1sq - 4.0 * cross)
-        + 2.0 * (ab["A"] - ab["B"]) / (z * z) * (u1w1 * u1w1 - u0sq * w1sq - 2.0 * cross)
+        + (ab["Aprime"] / z - ab["beta"]) * (u1w1 * u1w1 - u0sq * w1sq - 2.0 * cross)
     )
     return -1.5 * total
 
@@ -324,11 +325,11 @@ def mtw_via_jacobi(cost, form, u, v, w):
     ab = _profile_row(cost, form.curvature, z0)
     a_table = (ab["A"], ab["Aprime"], 0.5 * ab["Adprime"])
     b_table = (ab["B"], ab["Bprime"], 0.5 * ab["Bdprime"])
-    q = Jet((z0 * z0, 2.0 * form.inner(v, w), form.inner(w, w)), basepoint=0.0)
+    q = Jet((z0 * z0, 2.0 * form.inner(v, w), form.inner(w, w)))
     r = jet_compose("sqrt", q)
     a_of_r = _compose_table(a_table, r)
     b_of_r = _compose_table(b_table, r)
-    p = Jet((form.inner(u, v), form.inner(u, w), 0.0), basepoint=0.0)
+    p = Jet((form.inner(u, v), form.inner(u, w), 0.0))
     u0sq = p * p / q
     g = a_of_r * u0sq + b_of_r * (form.inner(u, u) - u0sq)
     return -3.0 * float(g.coeffs[2])

@@ -253,11 +253,10 @@ def evaluate_jet(expr, jet):
 
 
 def _as_jet(value, jet):
-    """value if it is a jet, else the constant jet of value at the basepoint
-    and of the length of jet."""
+    """value if it is a jet, else the constant jet of value of the length of jet."""
     if isinstance(value, Jet):
         return value
-    return Jet.constant(value, basepoint=jet.basepoint, length=len(jet.coeffs))
+    return Jet.constant(value, length=len(jet.coeffs))
 
 
 def _evaluate_jet(expr, jet):

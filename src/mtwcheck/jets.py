@@ -1,7 +1,9 @@
 """Truncated Taylor arithmetic: scalar jets of up to order 6.
 
-A jet stores the Taylor-normalized coefficients c_k = f^(k)(z0)/k! of a
-scalar function at a basepoint z0, for k = 0..L-1 with 1 <= L <= 7.
+A jet is the tuple of Taylor-normalized coefficients c_k = f^(k)(z0)/k! of
+a scalar function at a point z0, for k = 0..L-1 with 1 <= L <= 7.  The jet
+does not store z0: the caller that builds it knows where it is, and all jets
+of one computation come from one Jet.variable(z0), or are built at 0.
 Arithmetic and composition with elementary functions propagate coefficients
 exactly through order L-1.  Order 6 covers fourth derivatives, and at
 z = 0 it gives the series in h of the profiles' second derivatives and of
@@ -27,7 +29,7 @@ J ** n starts from J rather than from the product with the constant 1, and
 where _compose_table skips the terms of a variable jet's zero orders.
 
 Coefficients may be plain floats or numpy arrays of a common shape, so a
-single jet can carry a whole batch of basepoints at once; all operations
+single jet can carry a whole batch of points z0 at once; all operations
 broadcast.
 """
 
@@ -48,61 +50,48 @@ _FACTORIAL = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
 class Jet:
     """Truncated Taylor expansion of a scalar function at a point, order <= 6."""
 
-    __slots__ = ("coeffs", "basepoint")
+    __slots__ = ("coeffs",)
 
     # make ndarray <op> Jet defer to the reflected Jet operators instead of
     # broadcasting the jet into an object array
     __array_ufunc__ = None
 
-    def __init__(self, coeffs, basepoint=0.0):
+    def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if not 1 <= len(coeffs) <= N_COEFFS:
             raise ValueError(f"a jet has 1 to {N_COEFFS} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
-        self.basepoint = basepoint
 
     @classmethod
     def variable(cls, z0, length=N_COEFFS):
         """Jet of the identity function z -> z at z0: (z0, 1, 0, ..., 0)."""
-        return cls(((z0, 1.0) + (0.0,) * (length - 2))[:length], basepoint=z0)
+        return cls(((z0, 1.0) + (0.0,) * (length - 2))[:length])
 
     @classmethod
-    def constant(cls, value, basepoint=0.0, length=N_COEFFS):
-        return cls((value,) + (0.0,) * (length - 1), basepoint=basepoint)
-
-    @property
-    def value(self):
-        return self.coeffs[0]
+    def constant(cls, value, length=N_COEFFS):
+        return cls((value,) + (0.0,) * (length - 1))
 
     def derivative(self, k):
-        """k-th derivative at the basepoint (coefficient times k!)."""
+        """k-th derivative at z0 (coefficient times k!)."""
         return self.coeffs[k] * _FACTORIAL[k]
 
     def series_derivative(self):
-        """Jet of f' at the same basepoint, one coefficient shorter.
+        """Jet of f' at the same point, one coefficient shorter.
 
         A jet of length L gives f' exactly through order L-2, and the result
         holds those orders only; a jet of length 1 has no derivative orders.
         """
         c = self.coeffs
-        return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)), self.basepoint)
-
-    def _require_common_basepoint(self, other):
-        # the jets of one computation share their basepoint object, so the
-        # O(N) comparison runs only for jets built apart
-        if self.basepoint is not other.basepoint and not np.array_equal(
-                np.asarray(self.basepoint), np.asarray(other.basepoint)):
-            raise ValueError("jet arithmetic requires a common basepoint")
+        return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)))
 
     def __neg__(self):
-        return Jet(tuple(-c for c in self.coeffs), self.basepoint)
+        return Jet(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
         c = self.coeffs
         if not isinstance(other, Jet):
-            return Jet((c[0] + other,) + c[1:], self.basepoint)
-        self._require_common_basepoint(other)
-        return Jet(tuple(a + b for a, b in zip(c, other.coeffs)), self.basepoint)
+            return Jet((c[0] + other,) + c[1:])
+        return Jet(tuple(a + b for a, b in zip(c, other.coeffs)))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -110,9 +99,8 @@ class Jet:
     def __sub__(self, other):
         c = self.coeffs
         if not isinstance(other, Jet):
-            return Jet((c[0] - other,) + c[1:], self.basepoint)
-        self._require_common_basepoint(other)
-        return Jet(tuple(a - b for a, b in zip(c, other.coeffs)), self.basepoint)
+            return Jet((c[0] - other,) + c[1:])
+        return Jet(tuple(a - b for a, b in zip(c, other.coeffs)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -120,8 +108,7 @@ class Jet:
     def __mul__(self, other):
         a = self.coeffs
         if not isinstance(other, Jet):
-            return Jet(tuple(c * other for c in a), self.basepoint)
-        self._require_common_basepoint(other)
+            return Jet(tuple(c * other for c in a))
         b = other.coeffs
         out = []
         for k in range(min(len(a), len(b))):
@@ -129,7 +116,7 @@ class Jet:
             for i in range(1, k + 1):
                 acc = acc + a[i] * b[k - i]
             out.append(acc)
-        return Jet(out, self.basepoint)
+        return Jet(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -137,13 +124,11 @@ class Jet:
     def __truediv__(self, other):
         a = self.coeffs
         is_jet = isinstance(other, Jet)
-        if is_jet:
-            self._require_common_basepoint(other)
         b0 = other.coeffs[0] if is_jet else other
         if np.any(np.asarray(b0) == 0.0):
             raise DegenerateJetError("division by a jet with zero constant term")
         if not is_jet:
-            return Jet(tuple(c / other for c in a), self.basepoint)
+            return Jet(tuple(c / other for c in a))
         b = other.coeffs
         out = [a[0] / b0]
         for k in range(1, min(len(a), len(b))):
@@ -151,11 +136,10 @@ class Jet:
             for j in range(k):
                 acc = acc - out[j] * b[k - j]
             out.append(acc / b0)
-        return Jet(out, self.basepoint)
+        return Jet(out)
 
     def __rtruediv__(self, other):
-        return Jet.constant(other, basepoint=self.basepoint,
-                            length=len(self.coeffs)).__truediv__(self)
+        return Jet.constant(other, length=len(self.coeffs)).__truediv__(self)
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)):
@@ -164,7 +148,7 @@ class Jet:
         if n < 0:
             return 1.0 / self.__pow__(-n)
         if n == 0:
-            return Jet.constant(1.0, basepoint=self.basepoint, length=len(self.coeffs))
+            return Jet.constant(1.0, length=len(self.coeffs))
         result = None
         base = self
         while n:
@@ -175,7 +159,7 @@ class Jet:
         return result
 
     def __repr__(self):
-        return f"Jet({list(self.coeffs)!r}, basepoint={self.basepoint!r})"
+        return f"Jet({list(self.coeffs)!r})"
 
 
 def _check_domain(name, bad_mask, values):
@@ -230,7 +214,7 @@ def _compose_table(table, a):
             term = _term(table[k], row[n])
             if term is not None:
                 out[n] = term if out[n] is None else out[n] + term
-    return Jet([0.0 if c is None else c for c in out], a.basepoint)
+    return Jet([0.0 if c is None else c for c in out])
 
 
 def _integrate(dfda, a, value0):
@@ -241,9 +225,9 @@ def _integrate(dfda, a, value0):
     orders 0..L-2, which is what a.series_derivative() holds.
     """
     if len(a.coeffs) == 1:
-        return Jet((value0,), a.basepoint)
+        return Jet((value0,))
     g = dfda * a.series_derivative()
-    return Jet([value0] + [g.coeffs[k - 1] / k for k in range(1, len(a.coeffs))], a.basepoint)
+    return Jet([value0] + [g.coeffs[k - 1] / k for k in range(1, len(a.coeffs))])
 
 
 def _table_log(a0, log_a0, length):

@@ -125,7 +125,7 @@ def revert(w):
             powers[k][n] = _power_coeff(g, powers[k - 1], k, n)
             acc = acc + c[k] * powers[k][n]
         g.append(-acc * g[1])
-    return Jet(g, basepoint=w.basepoint)
+    return Jet(g)
 
 
 def lprime_increment_series(ljet):
@@ -136,7 +136,7 @@ def lprime_increment_series(ljet):
     """
     c = ljet.coeffs
     coeffs = [0.0] + [(k + 1) * c[k + 1] for k in range(1, len(c) - 1)] + [0.0]
-    return Jet(coeffs[:len(c)], basepoint=0.0)
+    return Jet(coeffs[:len(c)])
 
 
 @contextlib.contextmanager
@@ -172,9 +172,9 @@ def reference_profiles(cost, K, z):
         zeff = ljet.coeffs[1]
         # the top coefficient of the reversion is not exact: drop it
         g = revert(lprime_increment_series(ljet))
-        hjet = Jet((mpmath.mpf(h0),) + g.coeffs[1:6], basepoint=z)
+        hjet = Jet((mpmath.mpf(h0),) + g.coeffs[1:6])
         a_jet = 1.0 / hjet.series_derivative()
-        zjet = Jet((zeff, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=z)
+        zjet = Jet((zeff, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         if K == -1:
             b_jet = zjet * jet_compose("cosh", hjet) / jet_compose("sinh", hjet)
         elif K == 0:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from helpers import random_orthogonal_pair
 
-from mtwcheck import (A3S, A3W_ONLY, ScanConfig, SpaceForm, classify, cost_exp,
+from mtwcheck import (A3S, A3W_ONLY, SpaceForm, classify, cost_exp,
                       jacobi_residual, minus_grad_x_cost, mtw_closed, mtw_definitional,
                       mtw_via_jacobi, parse_cost, perturbation_check, preset,
                       scan_conditions)
@@ -37,8 +37,7 @@ def test_criterion_1_paper_verdict_suite():
         cost = preset(name, D)
         for n in (2, 3):
             started = time.perf_counter()
-            verdict = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=n,
-                                                          grid_points=4096))
+            verdict = scan_conditions(cost, K, n, grid_points=4096)
             elapsed = time.perf_counter() - started
             ok &= verdict.status == expected and elapsed < 1.0
     _report("criterion 1: preset verdicts at grid 4096, n in {2,3}, each scan < 1 s", ok)
@@ -165,8 +164,7 @@ def test_criterion_6_perturbation_criterion():
         ok &= perturbation_check(profile, -1.0, b).holds
     eps = 1e-3
     cost = preset("quartic", 1.0, eps=eps)
-    verdict = scan_conditions(cost, 0, ScanConfig(diameter=1.0, dimension=3,
-                                                  grid_points=4096))
+    verdict = scan_conditions(cost, 0, 3, grid_points=4096)
     ok &= verdict.status == A3S
     zmax = cost.zmax
     z = np.linspace(zmax / 4096.0, zmax, 4096)
@@ -224,7 +222,7 @@ def test_criterion_8_module_invariant_spotchecks():
     # grid refinement stability
     for name, K, D in [("neg-cosh", -1, 2.0), ("log-cosh", -1, 2.0)]:
         cost = preset(name, D)
-        a = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=3, grid_points=512))
-        b = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=3, grid_points=8192))
+        a = scan_conditions(cost, K, 3, grid_points=512)
+        b = scan_conditions(cost, K, 3, grid_points=8192)
         ok &= a.status == b.status
     _report("criterion 8: per-module invariant spot checks", ok)

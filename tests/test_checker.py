@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import random_orthogonal_pair
 
-from mtwcheck import (A3S, A3W_ONLY, FAILS, ScanConfig, SpaceForm, classify, mtw_closed,
+from mtwcheck import (A3S, A3W_ONLY, FAILS, SpaceForm, classify, mtw_closed,
                       parse_cost, perturbation_check, preset, scan_conditions, scan_table)
 from mtwcheck import checker
 from mtwcheck.checker import _grid_chunk, _noise_band
@@ -83,34 +83,34 @@ SCAN_EXPECTATIONS = [
 def test_scan_preset_verdicts(name, K, D, eps, expected):
     cost = preset(name, D, eps=eps) if eps else preset(name, D)
     for n in (2, 3):
-        verdict = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=n))
+        verdict = scan_conditions(cost, K, n)
         assert verdict.status == expected, (name, n)
 
 
 def test_scan_zero_profile_slacks_are_tiny():
     cost = preset("log-cosh", 2.0)
-    verdict = scan_conditions(cost, -1, ScanConfig(diameter=2.0, dimension=3))
+    verdict = scan_conditions(cost, -1, 3)
     assert all(abs(s) < 1e-6 for s in verdict.min_slacks.values())
 
 
 def test_scan_rejects_inadmissible():
     cost = make_cost("z^3", 1.0)
     with pytest.raises(AdmissibilityError) as err:
-        scan_conditions(cost, 0, ScanConfig(diameter=1.0, dimension=3))
+        scan_conditions(cost, 0, 3)
     assert err.value.kind == "not-even"
 
 
 def test_scan_sphere_diameter_guard():
     cost = preset("neg-log1p-cos", 3.2)
     with pytest.raises(ValueError):
-        scan_conditions(cost, 1, ScanConfig(diameter=3.2, dimension=3))
+        scan_conditions(cost, 1, 3)
 
 
 def test_scan_grid_refinement_stable():
     for name, K, D, eps, expected in SCAN_EXPECTATIONS:
         cost = preset(name, D, eps=eps) if eps else preset(name, D)
-        coarse = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=3, grid_points=512))
-        fine = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=3, grid_points=8192))
+        coarse = scan_conditions(cost, K, 3, grid_points=512)
+        fine = scan_conditions(cost, K, 3, grid_points=8192)
         assert coarse.status == fine.status == expected
 
 
@@ -118,9 +118,9 @@ def test_scan_dimension_consistency():
     # strict at n >= 3 implies strict at n = 2 (fewer conditions)
     for name, K, D, eps, expected in SCAN_EXPECTATIONS:
         cost = preset(name, D, eps=eps) if eps else preset(name, D)
-        v3 = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=3))
+        v3 = scan_conditions(cost, K, 3)
         if v3.status == A3S:
-            v2 = scan_conditions(cost, K, ScanConfig(diameter=D, dimension=2))
+            v2 = scan_conditions(cost, K, 2)
             assert v2.status == A3S
 
 
@@ -128,7 +128,7 @@ def test_scan_failure_has_negative_witness_slack():
     # flipping the sign of the quartic perturbation flips all four
     # coefficients positive, so the flat-space scan must fail
     cost = make_cost("z^2/2 + 0.05*z^4", 1.0)
-    verdict, table = scan_table(cost, 0, ScanConfig(diameter=1.0, dimension=3))
+    verdict, table = scan_table(cost, 0, 3)
     assert verdict.status == FAILS
     assert verdict.witness is not None
     assert min(verdict.min_slacks.values()) < 0.0
@@ -136,8 +136,7 @@ def test_scan_failure_has_negative_witness_slack():
 
 def test_scan_table_columns():
     cost = preset("neg-cosh", 2.0)
-    verdict, table = scan_table(cost, -1, ScanConfig(diameter=2.0, dimension=3,
-                                                     grid_points=512))
+    verdict, table = scan_table(cost, -1, 3, grid_points=512)
     assert verdict.status == A3S
     assert set(table) == {"z", "A", "B", "alpha", "beta", "gamma", "delta", "slack_min"}
     assert all(len(col) == 512 for col in table.values())
@@ -145,15 +144,15 @@ def test_scan_table_columns():
     assert np.all(table["slack_min"] > 0.0)
 
 
-def _full_grid_scan(cost, K, cfg):
+def _full_grid_scan(cost, K, n, grid_points, strict_margin=1e-12):
     """The scan as one pass over the whole grid, the reference for the fold:
     (status, witness, min_slacks, table)."""
-    z = np.linspace(0.0, cost.zmax, cfg.grid_points)
+    z = np.linspace(0.0, cost.zmax, grid_points)
     prof = coefficient_arrays(cost, K, z)
     band = _noise_band(z, prof, series_limit(cost, K))
     alpha, beta, gamma, delta = (prof[k] for k in ("alpha", "beta", "gamma", "delta"))
     slacks = {"beta": -beta, "gamma": -gamma}
-    if cfg.dimension > 2:
+    if n > 2:
         slacks["delta"] = -delta
     defined = (beta <= band) & (gamma <= band)
     combo = 2.0 * np.sqrt(np.maximum(0.0, -beta)) * np.sqrt(np.maximum(0.0, -gamma)) \
@@ -161,7 +160,7 @@ def _full_grid_scan(cost, K, cfg):
     stacked = np.vstack(list(slacks.values()) + [np.where(defined, combo, np.inf)])
     slack_min = stacked.min(axis=0)
     weak = defined & np.all(stacked >= -band, axis=0)
-    strict = weak & np.all(stacked > np.maximum(cfg.strict_margin, band), axis=0)
+    strict = weak & np.all(stacked > np.maximum(strict_margin, band), axis=0)
     status = FAILS if not np.all(weak) else A3S if np.all(strict) else A3W_ONLY
     min_slacks = {name: float(np.min(col)) for name, col in slacks.items()}
     if np.any(defined):
@@ -184,9 +183,8 @@ def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D, ep
     cost = (preset(name, D, eps=eps) if eps else preset(name, D)) if "(" not in name \
         else make_cost(name, D)
     for n in (2, 3):
-        cfg = ScanConfig(diameter=D, dimension=n, grid_points=grid)
-        status, witness, min_slacks, ref = _full_grid_scan(cost, K, cfg)
-        verdict, table = scan_table(cost, K, cfg)
+        status, witness, min_slacks, ref = _full_grid_scan(cost, K, n, grid)
+        verdict, table = scan_table(cost, K, n, grid)
         assert set(table) == set(ref)
         for col in ref:
             # tobytes: np.array_equal would take -0.0 and 0.0 as equal
@@ -234,12 +232,13 @@ def test_scan_weak_points_have_nonnegative_curvature():
 
 
 def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(diameter=-1.0, dimension=3)
-    with pytest.raises(ValueError):
-        ScanConfig(diameter=1.0, dimension=1)
-    with pytest.raises(ValueError):
-        ScanConfig(diameter=1.0, dimension=3, grid_points=100)
+    with pytest.raises(ValueError, match="diameter must be finite and positive"):
+        make_cost("z^2/2", -1.0)
+    cost = make_cost("z^2/2", 1.0)
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        scan_conditions(cost, 0, 1)
+    with pytest.raises(ValueError, match="grid_points must be at least 256"):
+        scan_conditions(cost, 0, 3, grid_points=100)
 
 
 def test_perturbation_quartic_profile_holds():
@@ -273,6 +272,14 @@ def test_chunked_perturbation_matches_one_pass(monkeypatch, text, k):
     one_pass = perturbation_check(f, k, 1.0, grid_points=2500)
     assert chunked.holds == one_pass.holds and chunked.witness == one_pass.witness
     assert np.float64(chunked.worst_lhs).tobytes() == np.float64(one_pass.worst_lhs).tobytes()
+
+
+def test_perturbation_non_finite_lhs_raises():
+    # e^(z^2) overflows beyond z = 26.6, where lhs2 is nan and nan >= k is
+    # False: the check must not report "holds" there
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
+        perturbation_check(parse_cost("-exp(z^2)"), -1.0, 30.0)
+    assert "non-finite perturbation LHS at z = 26.30859375" in str(err.value)
 
 
 def test_perturbation_input_validation():

@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal
 
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtwcheck import PRESETS, ScanConfig, checker, preset, scan_table
+import mtwcheck
+from mtwcheck import PRESETS, checker, preset, scan_table
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
 from mtwcheck.csvtext import format_rows
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS
@@ -118,6 +122,32 @@ def test_eval_all_routes_agree(capsys):
     assert values["closed"] == pytest.approx(1.5, abs=1e-9)
     assert abs(values["closed"] - values["jacobi"]) <= 1e-8
     assert abs(values["closed"] - values["oracle"]) <= 5e-3 * max(1.0, abs(values["closed"]))
+
+
+def test_eval_newton_inverse_at_tiny_v_matches_preset(capsys):
+    # |v| = 1e-14 is below the Newton inverse's old absolute residual floor
+    values = {}
+    for cost in ("-cosh(z)", "neg-cosh"):
+        code, out, _ = run(capsys, "eval", f"--cost={cost}", "--K", "-1", "--dim", "2",
+                           "--u=1,0", "--v=1e-14,0", "--w=0.6,0.8", "--method", "closed",
+                           "--json")
+        assert code == 0
+        values[cost] = json.loads(out)["values"]["closed"]
+    assert values["-cosh(z)"] == pytest.approx(values["neg-cosh"], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["perturb", "--f=-exp(z^2)", "--k", "-1", "--b", "30"],
+    ["check", "--cost=z^2/2", "--K", "0", "--dim", "3", "--diameter", "1e300"],
+], ids=["perturb-overflow", "check-overflow"])
+def test_numeric_failure_prints_one_line(argv):
+    # in a fresh interpreter, so that numpy warns as it does for a user: the
+    # message is the only line on stderr, with no RuntimeWarning before it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mtwcheck.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "mtwcheck.cli"] + argv, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("numeric failure: ")
 
 
 def test_eval_zero_w_all_routes(capsys):
@@ -366,8 +396,7 @@ def test_check_csv_streams_chunks(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "check", "--cost", "neg-cosh", "--K", "-1", "--dim", "3",
                      "--grid", "4500", "--csv", str(got))
     assert code == 0
-    _, table = scan_table(preset("neg-cosh", 2.0), -1,
-                          ScanConfig(diameter=2.0, dimension=3, grid_points=4500))
+    _, table = scan_table(preset("neg-cosh", 2.0), -1, 3, grid_points=4500)
     _csv_writer_reference(expected, table)
     assert got.read_bytes() == expected.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "got.csv"]

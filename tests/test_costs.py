@@ -156,6 +156,20 @@ def test_newton_inverse_direct():
     assert _newton_inverse(cost, target)[0] == pytest.approx(1.3, abs=1e-12)
 
 
+@pytest.mark.parametrize("text,D,y,lprime,h_start", [
+    ("-cosh(z)", 2.0, 1e-14, lambda mp, h: -mp.sinh(h), -1e-14),
+    ("1e-6*z^2/2 + z^4", 1.0, 1e-13, lambda mp, h: mp.mpf("1e-6") * h + 4 * h ** 3, 1e-7),
+], ids=["neg-cosh", "small-lpp-quartic"])
+def test_newton_inverse_is_relative_at_tiny_targets(text, D, y, lprime, h_start):
+    # the Newton residual is relative to y: with an absolute floor of 1e-13
+    # a target below it returned the linear start D*y/|l'(D)| unchanged
+    import mpmath
+    cost = make_cost(text, D)
+    with mpmath.mp.workdps(40):
+        ref = mpmath.findroot(lambda h: lprime(mpmath, h) - y, mpmath.mpf(h_start))
+        assert abs(inverse_lprime(cost, y) - ref) <= 1e-13 * abs(ref)
+
+
 def test_eval_cost_jet_neg_cosh_at_zero():
     cost = preset("neg-cosh", 2.0)
     jet = eval_cost_jet(cost, 0.0)

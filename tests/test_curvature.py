@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import (CANONICAL_CASES, SMALL_LPP_CASES, random_orthogonal_pair, reference_errors,
-                     revert)
+from helpers import (CANONICAL_CASES, REFERENCE_DPS, SMALL_LPP_CASES, random_orthogonal_pair,
+                     reference_errors, reference_profiles, revert)
 
 from mtwcheck import (SpaceForm, curvature, decompose, jacobi_map_closed, make_cost, mtw_closed,
                       mtw_definitional, mtw_via_jacobi, preset)
@@ -290,6 +290,46 @@ def test_route_equivalence_on_series_branch(K, n, name, diameter, eps):
         gap = abs(mtw_closed(cost, form, u, v, w) - mtw_via_jacobi(cost, form, u, v, w))
         scale = form.inner(u, u) * form.inner(w, w)
         assert gap <= (1e-8 + 1e-15 / z ** 2) * scale, (z, gap, scale)
+
+
+def _five_term_reference(cost, K, u, v, w):
+    """The five-term closed formula at 50 digits, on reference_profiles at
+    |v|, for frame components u, v, w of a two- or more-dimensional space."""
+    import mpmath
+
+    with mpmath.mp.workdps(REFERENCE_DPS):
+        u, v, w = ([mpmath.mpf(float(x)) for x in vec] for vec in (u, v, w))
+        dot = lambda a, b: mpmath.fsum(x * y for x, y in zip(a, b))
+
+        def split(a):
+            a0 = [x * (dot(a, v) / dot(v, v)) for x in v]
+            return a0, [x - y for x, y in zip(a, a0)]
+
+        (u0, u1), (w0, w1) = split(u), split(w)
+        z = mpmath.sqrt(dot(v, v))
+        ref = reference_profiles(cost, K, float(z))
+        u0sq, u1sq, w0sq, w1sq = dot(u0, u0), dot(u1, u1), dot(w0, w0), dot(w1, w1)
+        cross, u1w1 = dot(u0, w0) * dot(u1, w1), dot(u1, w1)
+        total = (ref["Adprime"] * u0sq * w0sq + ref["Bdprime"] * u1sq * w0sq
+                 + ref["Aprime"] / z * (u0sq * w1sq + 4 * cross)
+                 + ref["Bprime"] / z * (u1sq * w1sq - 4 * cross)
+                 + 2 * (ref["A"] - ref["B"]) / z ** 2 * (u1w1 ** 2 - u0sq * w1sq - 2 * cross))
+        return -1.5 * total
+
+
+@pytest.mark.parametrize("length", [1e-6, 1e-8, 1e-10, 1e-14])
+@pytest.mark.parametrize("K,name,D,eps", [(-1, "neg-cosh", 2.0, None),
+                                          (0, "quartic", 1.0, 1e-3),
+                                          (1, "neg-log1p-cos", 2.5, None)])
+def test_closed_route_keeps_its_digits_at_small_v(K, name, D, eps, length):
+    # the (A - B)/z^2 term cancels to roundoff as |v| -> 0; the closed route
+    # must still match the 50-digit five-term formula
+    cost = preset(name, D, eps=eps) if eps else preset(name, D)
+    form = SpaceForm(K, 2)
+    u, v, w = [1.0, 0.0], [length, 0.0], [0.6, 0.8]
+    ref = _five_term_reference(cost, K, u, v, w)
+    got = mtw_closed(cost, form, *(form.frame_tangent(vec) for vec in (u, v, w)))
+    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, float(ref))
 
 
 @pytest.mark.parametrize("name,K,D,eps", CANONICAL_CASES)

@@ -20,7 +20,6 @@ def coeffs(jet):
 def test_variable_jet_shape():
     j = Jet.variable(1.5)
     assert j.coeffs == (1.5, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert j.basepoint == 1.5
 
 
 def test_variable_squared():
@@ -29,20 +28,15 @@ def test_variable_squared():
 
 
 def test_self_division_is_one():
-    a = Jet((0.7, -1.2, 0.3, 2.0, -0.5, 0.1, 0.9), basepoint=0.2)
+    a = Jet((0.7, -1.2, 0.3, 2.0, -0.5, 0.1, 0.9))
     assert np.allclose(coeffs(a / a), [1, 0, 0, 0, 0, 0, 0], atol=1e-15)
 
 
 def test_division_by_degenerate_jet():
     a = Jet.variable(1.0)
-    zero_head = Jet((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), basepoint=1.0)
+    zero_head = Jet((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(DegenerateJetError):
         a / zero_head
-
-
-def test_basepoint_mismatch_rejected():
-    with pytest.raises(ValueError):
-        Jet.variable(1.0) + Jet.variable(2.0)
 
 
 def test_double_angle_identity():
@@ -84,19 +78,19 @@ def test_domain_errors_carry_value():
 def test_integer_powers():
     j = Jet.variable(1.3)
     assert np.allclose(coeffs(j ** 3), coeffs(j * j * j), atol=1e-14)
-    assert np.allclose(coeffs(j ** 0), coeffs(Jet.constant(1.0, basepoint=1.3)))
+    assert np.allclose(coeffs(j ** 0), coeffs(Jet.constant(1.0)))
     assert np.allclose(coeffs(j ** -2), coeffs(1.0 / (j * j)), atol=1e-14)
 
 
 def test_add_sub_mul_div_roundtrips():
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        a = Jet(rng.standard_normal(N_COEFFS), basepoint=0.0)
+        a = Jet(rng.standard_normal(N_COEFFS))
         b_coeffs = rng.standard_normal(N_COEFFS)
         # keep the division well-conditioned; the algebraic property itself
         # does not depend on the magnitude of b0
         b_coeffs[0] = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-        b = Jet(b_coeffs, basepoint=0.0)
+        b = Jet(b_coeffs)
         assert np.allclose(coeffs((a + b) - b), coeffs(a), atol=1e-12)
         assert np.allclose(coeffs((a * b) / b), coeffs(a), atol=1e-12)
 
@@ -152,7 +146,7 @@ def test_array_coefficients_broadcast():
 
 
 def test_derivative_accessor_uses_factorials():
-    jet = Jet(tuple(1.0 / _FACTORIAL[k] for k in range(N_COEFFS)), basepoint=0.0)
+    jet = Jet(tuple(1.0 / _FACTORIAL[k] for k in range(N_COEFFS)))
     for k in range(N_COEFFS):
         assert jet.derivative(k) == pytest.approx(1.0)
 
@@ -187,9 +181,9 @@ def test_table_composition_matches_mpmath_taylor(name):
 
     scalar_cases = [inner() for _ in range(3)]
     lanes = [inner() for _ in range(4)]
-    array_jet = Jet([np.array(c) for c in zip(*lanes)], basepoint=0.0)
+    array_jet = Jet([np.array(c) for c in zip(*lanes)])
     array_coeffs = [np.asarray(c) for c in jet_compose(name, array_jet).coeffs]
-    got = [coeffs(jet_compose(name, Jet(a, basepoint=0.0))) for a in scalar_cases]
+    got = [coeffs(jet_compose(name, Jet(a))) for a in scalar_cases]
     got += [np.array([c[lane] for c in array_coeffs]) for lane in range(len(lanes))]
     for a, value in zip(scalar_cases + lanes, got):
         reference = _taylor_of_composite(mpmath, name, a)
@@ -216,7 +210,7 @@ _B0 = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
 
 
 def _head(jet, length):
-    return Jet(jet.coeffs[:length], basepoint=jet.basepoint)
+    return Jet(jet.coeffs[:length])
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,7 +237,7 @@ def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail,
 
 def _promoted(s, jet):
     """The scalar s as the constant jet (s, 0, ..., 0) of jet's length."""
-    return Jet.constant(s, basepoint=jet.basepoint, length=len(jet.coeffs))
+    return Jet.constant(s, length=len(jet.coeffs))
 
 
 def _pow_promoted(jet, n):
@@ -279,7 +273,7 @@ def _jet_and_scalar(draw):
     else:
         values = [np.array(draw(st.lists(_magnitudes, min_size=width, max_size=width)))
                   for _ in range(length)]
-    return Jet(values, basepoint=0.5), draw(_magnitudes)
+    return Jet(values), draw(_magnitudes)
 
 
 @settings(max_examples=300, deadline=None)
