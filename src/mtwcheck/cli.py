@@ -76,7 +76,11 @@ def resolve_cost(text, diameter):
         return preset(text, diameter)
     m = _QUARTIC_RE.match(text)
     if m:
-        return preset("quartic", diameter, eps=float(m.group(1)))
+        try:
+            eps = float(m.group(1))
+        except ValueError:
+            raise ValueError(f"quartic eps must be finite and positive, got {m.group(1)!r}") from None
+        return preset("quartic", diameter, eps=eps)
     return make_cost(text, diameter)
 
 

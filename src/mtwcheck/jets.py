@@ -26,7 +26,8 @@ with an exact zero, with two exceptions: a coefficient that is an exact
 zero may differ in sign, and an inf or nan coefficient, which times 0 gives
 nan, no longer spreads nan to the other coefficients.  The same holds where
 J ** n starts from J rather than from the product with the constant 1, and
-where _compose_table skips the terms of a variable jet's zero orders.
+where _compose_table returns the table itself for a variable jet, whose
+coefficients 1 and up are the Python floats (1.0, 0.0, ...).
 
 Coefficients may be plain floats or numpy arrays of a common shape, so a
 single jet can carry a whole batch of points z0 at once; all operations
@@ -170,51 +171,30 @@ def _check_domain(name, bad_mask, values):
         raise DomainError(f"{name} evaluated outside its domain at {offending}", value=offending)
 
 
-def _power_coeff(d, prev, k, m):
-    """[t^m] d^k from the row prev[i] = [t^i] d^(k-1), for d with d[0] = 0.
-
-    Only d[1..m-k+1] and prev[k-1..m-1] enter, since [t^i] d^(k-1) vanishes
-    for i < k-1.
-    """
-    return sum(d[j] * prev[m - j] for j in range(1, m - k + 2))
-
-
-def _term(entry, multiplier):
-    """entry * multiplier; None (no term) for the Python float 0.0, and entry
-    itself for 1.0, the multipliers that a variable jet's orders give."""
-    if type(multiplier) is float:
-        if multiplier == 0.0:
-            return None
-        if multiplier == 1.0:
-            return entry
-    return entry * multiplier
+_VARIABLE_TAIL = (1.0,) + (0.0,) * (N_COEFFS - 2)
 
 
 def _compose_table(table, a):
-    """Compose a derivative-coefficient table with jet a from a power table.
+    """Compose a derivative-coefficient table with jet a by Horner's rule.
 
     table[k] must equal f^(k)(a0)/k! at a0 = a.coeffs[0].  With d = a - a0,
-    coefficient n of f(a) is sum_{k<=n} table[k] * [t^n] d^k, built from the
-    power rows [t^m] d^k = sum_{j>=1} d_j [t^(m-j)] d^(k-1).  The increment d
-    has zero constant term, so [t^n] d^k vanishes for k > n: the rows up to
-    k = L-1 hold every term through order L-1, for L the shorter of the
-    table and the jet, and the sum is exact there.  Only the previous row is
-    kept while the next one is built, so no more than two rows of batch-wide
-    temporaries are alive at once.  For a variable jet, d = (., 1, 0, ...)
-    and the rows hold Python floats 0.0 and 1.0, so coefficient n is
-    table[n] with no arithmetic at all.
+    f(a) = t0 + d (t1 + d (t2 + ...)), for L the shorter of the table and
+    the jet.  d has zero constant term, so the k-th inner sum is needed only
+    through order L-1-k: each step multiplies it by d/t, the jet (d1, d2, ...)
+    one order shorter, whose product Jet.__mul__ truncates to that order, and
+    prepends t_k.  Coefficient n is the same expression at every L.  For a
+    variable jet, d/t = (1, 0, ...) in Python floats and the result is the
+    table itself, with no arithmetic.
     """
-    d = a.coeffs
-    length = min(len(table), len(d))
-    out = [table[0]] + [_term(table[1], d[n]) for n in range(1, length)]
-    row = d  # [t^m] d^1; d[0] is never read
-    for k in range(2, length):
-        row = [None] * k + [_power_coeff(d, row, k, m) for m in range(k, length)]
-        for n in range(k, length):
-            term = _term(table[k], row[n])
-            if term is not None:
-                out[n] = term if out[n] is None else out[n] + term
-    return Jet([0.0 if c is None else c for c in out])
+    length = min(len(table), len(a.coeffs))
+    tail = a.coeffs[1:length]
+    if all(type(c) is float for c in tail) and tail == _VARIABLE_TAIL[:length - 1]:
+        return Jet(table[:length])
+    d_over_t = Jet(tail)
+    acc = Jet((table[length - 1],))
+    for k in range(length - 2, -1, -1):
+        acc = Jet((table[k],) + (d_over_t * acc).coeffs)
+    return acc
 
 
 def _integrate(dfda, a, value0):

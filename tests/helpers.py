@@ -11,7 +11,7 @@ from mtwcheck.checker import _noise_band
 from mtwcheck.cli import main
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
 from mtwcheck.curvature import coefficient_arrays, series_limit
-from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, _power_coeff, jet_compose
+from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, jet_compose
 
 
 def central_derivative(f, x, order, h=0.05, points=9):
@@ -99,6 +99,11 @@ def cli_report(argv):
 
 
 REFERENCE_DPS = 50
+
+
+def _power_coeff(g, prev, k, n):
+    """[t^n] g^k from the row prev[i] = [t^i] g^(k-1), for g with g[0] = 0."""
+    return sum(g[j] * prev[n - j] for j in range(1, n - k + 2))
 
 
 def revert(w):

@@ -191,7 +191,7 @@ def test_sphere_diameter_at_the_cot_pole_exit_2(capsys, command):
     assert "--diameter" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "abc", ""])
 def test_quartic_non_finite_eps_exit_2(capsys, eps):
     # the message names eps, not an offset into the text preset() builds
     code, out, err = run(capsys, "check", f"--cost=quartic({eps})", "--K", "0", "--dim", "2")

@@ -155,6 +155,7 @@ _TABLE_DOMAINS = {
     "exp": (-2.0, 2.0), "log": (0.5, 3.0), "sqrt": (0.5, 3.0),
     "sin": (-3.0, 3.0), "cos": (-3.0, 3.0), "tan": (-1.2, 1.2),
     "sinh": (-2.0, 2.0), "cosh": (-2.0, 2.0),
+    "atan": (-2.0, 2.0), "asinh": (-2.0, 2.0), "atanh": (-0.8, 0.8),
 }
 
 
@@ -170,8 +171,8 @@ def _taylor_of_composite(mpmath, name, a):
 
 @pytest.mark.parametrize("name", sorted(_TABLE_DOMAINS))
 def test_table_composition_matches_mpmath_taylor(name):
-    # every coefficient of the inner jet is nonzero, so all powers of the
-    # increment up to the sixth enter the composition
+    # every coefficient of a random inner jet is nonzero, so all powers of
+    # the increment up to the sixth enter the composition
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     lo, hi = _TABLE_DOMAINS[name]
@@ -181,15 +182,29 @@ def test_table_composition_matches_mpmath_taylor(name):
 
     scalar_cases = [inner() for _ in range(3)]
     lanes = [inner() for _ in range(4)]
+    scaled = [0.5 * rng.uniform(lo, hi) for _ in range(2)]
     array_jet = Jet([np.array(c) for c in zip(*lanes)])
     array_coeffs = [np.asarray(c) for c in jet_compose(name, array_jet).coeffs]
     got = [coeffs(jet_compose(name, Jet(a))) for a in scalar_cases]
     got += [np.array([c[lane] for c in array_coeffs]) for lane in range(len(lanes))]
-    for a, value in zip(scalar_cases + lanes, got):
+    # 2 * Jet.variable(x0) has the Python-float tail (2.0, 0.0, ...), so it
+    # takes Horner's rule, not the variable jet's shortcut
+    got += [coeffs(jet_compose(name, 2.0 * Jet.variable(x0))) for x0 in scaled]
+    for a, value in zip(scalar_cases + lanes + [[2.0 * x0, 2.0] for x0 in scaled], got):
         reference = _taylor_of_composite(mpmath, name, a)
         for n in range(N_COEFFS):
             assert abs(value[n] - reference[n]) <= 1e-13 * max(1.0, abs(reference[n])), \
                 (name, a, n, value[n], reference[n])
+
+
+@pytest.mark.parametrize("z0", [0.7, np.linspace(0.3, 1.4, 5)])
+def test_variable_jet_composes_to_the_table(z0):
+    # a variable jet's increment is t itself, so f(a) is the table, bitwise
+    table = tuple(np.cosh(z0) * (k + 1.0) for k in range(N_COEFFS))
+    for length in range(1, N_COEFFS + 1):
+        got = _compose_table(table, Jet.variable(z0, length))
+        assert len(got.coeffs) == length
+        assert all(c is t for c, t in zip(got.coeffs, table))
 
 
 def test_jet_length_bounds():
@@ -224,10 +239,10 @@ def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail,
            lambda x, y: 0.75 / x, lambda x, y: x ** n]
     ops += [lambda x, y, name=name: jet_compose(name, x) for name in ELEMENTARY_FUNCTIONS]
     ops += [lambda x, y: _compose_table(y.coeffs, x)]
+    fulls = [op(a, b).coeffs for op in ops]
     for length in range(1, N_COEFFS + 1):
         short_a, short_b = _head(a, length), _head(b, length)
-        for op in ops:
-            full = op(a, b).coeffs
+        for op, full in zip(ops, fulls):
             assert op(short_a, short_b).coeffs == full[:length]
             assert op(short_a, b).coeffs == full[:length]
             assert op(a, short_b).coeffs[:length] == full[:length]
