@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtwcheck
-from mtwcheck import PRESETS, checker, preset, scan_table
+from mtwcheck import PRESETS, checker, cli, preset, scan_table
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
 from mtwcheck.csvtext import format_rows
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS
@@ -87,6 +88,80 @@ def test_json_report_roundtrip(capsys):
     assert code == 0
     report = RunReport.from_dict(json.loads(out))
     assert RunReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+
+
+def test_report_to_dict_equals_asdict(capsys, monkeypatch):
+    # to_dict copies the fields shallowly; on the reports that the commands
+    # build it must give what the deep copy of dataclasses.asdict gives
+    reports = []
+    to_dict = RunReport.to_dict
+    monkeypatch.setattr(RunReport, "to_dict", lambda self: reports.append(self) or to_dict(self))
+    for argv in (["check", "--cost=neg-cosh", "--K", "-1", "--dim", "2"],
+                 ["eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2",
+                  "--u=1,0", "--v=0.5,0", "--w=0,1"],
+                 ["perturb", "--f=-4*z^2", "--k", "-1", "--b", "1"]):
+        code, _, err = run(capsys, *argv, "--json")
+        assert code == 0, err
+    assert [report.command for report in reports] == ["check", "eval", "perturb"]
+    for report in reports:
+        assert to_dict(report) == dataclasses.asdict(report)
+
+
+_EVAL = ["eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--u=1,0", "--v=0.5,0",
+         "--w=0,1"]
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # main parses with the parser built at import, never with a new one
+    def build_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    code, out, _ = run(capsys, "check", "--cost=neg-cosh", "--K", "-1", "--dim", "2")
+    assert code == 0 and "A3s" in out
+    code, out, _ = run(capsys, *_EVAL)
+    assert code == 0 and "closed: " in out and "oracle: " in out
+    code, out, _ = run(capsys, "perturb", "--f=-4*z^2", "--k", "-1", "--b", "1")
+    assert code == 0 and "holds" in out
+    code, out, _ = run(capsys, "presets")
+    assert code == 0 and "neg-cosh" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--K", "0", "--dim", "2"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --cost" in capsys.readouterr().err
+
+
+def test_no_state_between_calls(capsys):
+    # options given to one call are not the defaults of the next
+    check = ["check", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--json"]
+    code, out, _ = run(capsys, *check, "--grid", "300", "--diameter", "1")
+    assert code == 0 and json.loads(out)["grid"] == 300 and json.loads(out)["diameter"] == 1.0
+    code, out, _ = run(capsys, *check)
+    assert code == 0 and json.loads(out)["grid"] == 4096 and json.loads(out)["diameter"] == 2.0
+    code, out, _ = run(capsys, *_EVAL, "--method", "closed", "--json")
+    assert code == 0 and set(json.loads(out)["values"]) == {"closed"}
+    code, out, _ = run(capsys, *_EVAL, "--json")
+    report = json.loads(out)
+    assert code == 0 and set(report["values"]) == {"closed", "jacobi", "oracle"}
+    assert len(report["deviations"]) == 3 and report["diameter"] == 2.0
+    code, out, _ = run(capsys, *_EVAL)
+    assert code == 0 and out.startswith("closed: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["check", "--help"], ["eval", "--help"], ["perturb", "--help"],
+    ["presets", "--help"], ["check", "--K", "0", "--dim", "2"], ["nosuch"],
+])
+def test_help_and_usage_match_a_fresh_parser(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    shared = outcome(main)
+    assert shared == outcome(cli.build_parser().parse_args)
+    assert shared[0] == (0 if "--help" in argv else 2) and "usage: mtwcheck" in "".join(shared[1:])
 
 
 def test_check_csv_output(tmp_path, capsys):
@@ -252,12 +327,23 @@ def test_perturb_undefined_profile_exit_2(capsys, profile):
 
 
 def test_eval_newton_failure_on_constant_lpp(capsys):
-    # l = z: l'' = 0 is a scalar jet coefficient, l' = 1 has no inverse on
-    # (0, 1), and eval runs no admissibility check yet: Newton fails, exit 3
+    # l = z: l' = 1 has no inverse on (0, 1), but eval checks admissibility
+    # first, as check does, and l = z is odd: exit 2 before any Newton step
     code, _, err = run(capsys, "eval", "--cost=z", "--K", "0", "--dim", "2",
                        "--u", "1,0", "--v", "0,0.5", "--w", "1,1")
-    assert code == 3
-    assert "Newton inverse of l' did not converge" in err and "Traceback" not in err
+    assert code == 2
+    assert "not-even at z=0.0" in err and "Traceback" not in err
+
+
+def test_eval_inadmissible_cost_exit_2(capsys):
+    # l' of log((z^2-1)^2) has a pole at z = 1: check and eval both exit 2
+    # with the same message, and eval prints no value
+    message = "lprime-not-monotone at z=0.996"
+    for command in (["check"], ["eval", "--u", "1,0", "--v", "0.5,0", "--w", "0,1"]):
+        code, out, err = run(capsys, command[0], "--cost=log((z^2-1)^2)", "--K", "0",
+                             "--dim", "2", *command[1:])
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_presets_listing(capsys):
@@ -346,11 +432,11 @@ def test_non_finite_vector_component_exit_2(capsys, option, component):
 
 @pytest.mark.parametrize("command,message", [
     (["check"], "not-finite at z="),
-    (["eval", "--u=1,0", "--v=0,0.5", "--w=1,1"], "has a non-finite l' at z = 2.0"),
+    (["eval", "--u=1,0", "--v=0,0.5", "--w=1,1"], "not-finite at z=1.3254901960784313"),
 ])
 def test_overflowing_cost_exit_2(capsys, command, message):
-    # l' of exp(z^2)^400 overflows from z = 1.33 on: both commands name the z,
-    # and no numpy warning is printed on the way
+    # l' of exp(z^2)^400 overflows from z = 1.33 on: both commands run the
+    # admissibility check, which names the z, and no numpy warning is printed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(capsys, command[0], "--cost=exp(z^2)^400", "--K", "0", "--dim", "2",

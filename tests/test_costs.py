@@ -9,7 +9,7 @@ from helpers import CANONICAL_CASES
 from mtwcheck import (costs, eval_cost_jet, inverse_lprime, make_cost, preset,
                       validate_admissibility)
 from mtwcheck.costs import _newton_inverse
-from mtwcheck.errors import AdmissibilityError, OutOfRangeError
+from mtwcheck.errors import AdmissibilityError, ConvergenceFailure, OutOfRangeError
 
 
 def _preset(name, diameter, eps=None):
@@ -148,6 +148,13 @@ def test_newton_matches_analytic_inverse(name, K, diameter, eps):
     ha = np.asarray(inverse_lprime(cost, ys))
     hn = np.asarray(inverse_lprime(numeric, ys))
     assert np.max(np.abs(ha - hn)) <= 1e-10
+
+
+def test_newton_inverse_fails_on_constant_lprime():
+    # l = z: l' = 1 never equals 0.5, so Newton cannot converge; eval and
+    # check reject this cost as odd before they invert l'
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        inverse_lprime(make_cost("z", 1.0), 0.5)
 
 
 def test_newton_inverse_direct():
