@@ -4,8 +4,8 @@ Exit codes: 0 verdict computed and not "fails" (or value computed / check
 holds), 1 verdict "fails" or perturbation check fails, 2 invalid input or
 inadmissible cost, 3 numeric failure.
 
-The process has one argument parser, built at import as PARSER; main only
-parses with it, and keeps no state from one call to the next.
+The process has one argument parser, PARSER, built at import. Parsing leaves
+it unchanged, so calls to main share no state.
 """
 
 from __future__ import annotations
@@ -282,9 +282,6 @@ def build_parser():
     return parser
 
 
-# Built once per process, at import: built in every main call, it took half
-# the CPU time of an eval op.  Parsing leaves it unchanged, so every main call
-# starts from the same parser.
 PARSER = build_parser()
 
 
@@ -310,11 +307,7 @@ def _attach_dash_values(argv):
 
 
 def main(argv=None):
-    """Run one command line (sys.argv[1:] when argv is None); return its exit code.
-
-    It parses with the module's PARSER and keeps nothing between calls, so
-    in-process calls behave as separate runs of the mtwcheck command.
-    """
+    """Run one command line (sys.argv[1:] when argv is None); return its exit code."""
     args = PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         # every non-finite value a command reports is checked where it is
