@@ -12,12 +12,11 @@ scans [0, |l'(D)|], with D the cost's own diameter.
 
 from . import errors
 from .checker import (A3S, A3W_ONLY, FAILS, Classification, PerturbationResult, Verdict,
-                      classify, perturbation_check, scan_conditions, scan_table)
-from .costs import (PRESETS, CostFunction, eval_cost_jet, inverse_lprime, make_cost, preset,
-                    validate_admissibility)
+                      classify, perturbation_check, scan_conditions)
+from .costs import PRESETS, CostFunction, eval_cost_jet, inverse_lprime, make_cost, preset
 from .curvature import (coefficient_arrays, decompose, jacobi_map_closed, mtw_closed,
                         mtw_via_jacobi)
-from .expressions import evaluate, evaluate_jet, parse_cost, pretty
+from .expressions import evaluate, evaluate_jet, parse_cost
 from .geometry import SpaceForm, cost_exp, minus_grad_x_cost, orthonormal_tangent_frame
 from .jets import Jet, jet_compose
 from .oracle import jacobi_residual, mtw_definitional
@@ -32,5 +31,5 @@ __all__ = [
     "jacobi_map_closed", "jacobi_residual", "jet_compose", "make_cost",
     "minus_grad_x_cost", "mtw_closed", "mtw_definitional", "mtw_via_jacobi",
     "orthonormal_tangent_frame", "parse_cost", "perturbation_check", "preset",
-    "pretty", "scan_conditions", "scan_table", "validate_admissibility",
+    "scan_conditions",
 ]

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import eval_defined_jet, validate_admissibility
+from .costs import eval_defined_jet
 from .curvature import SPHERE_MAX_DIAMETER, coefficient_arrays, series_limit
 
 A3S = "A3s"
@@ -166,7 +166,6 @@ def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, o
     if K == 1 and cost.diameter > SPHERE_MAX_DIAMETER:
         raise ValueError(f"on the sphere the scan diameter must be at most "
                          f"{SPHERE_MAX_DIAMETER!r}, clear of the cot pole at pi")
-    validate_admissibility(cost)
 
     zmax = cost.zmax
     weak = strict = True
@@ -200,20 +199,6 @@ def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, o
     status = FAILS if not weak else A3S if strict else A3W_ONLY
     return Verdict(status=status, witness=witness,
                    min_slacks={name: float(v) for name, v in min_slacks.items()})
-
-
-def scan_table(cost, K, dimension, grid_points=4096, strict_margin=1e-12):
-    """Full scan: verdict plus per-point columns for reporting.
-
-    Returns (verdict, table) where table maps column names (z, A, B, alpha,
-    beta, gamma, delta, slack_min) to arrays of length grid_points,
-    collected from the chunks of scan_conditions.
-    """
-    chunks = []
-    verdict = scan_conditions(cost, K, dimension, grid_points, strict_margin,
-                              on_chunk=chunks.append)
-    table = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in chunks[0]}
-    return verdict, table
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,6 @@
 """Command-line front end: verdict scans, pointwise curvature, perturbation checks.
 
-Exit codes: 0 verdict computed and not "fails" (or value computed / check
-holds), 1 verdict "fails" or perturbation check fails, 2 invalid input or
-inadmissible cost, 3 numeric failure.
+The exit codes are listed in EXIT_CODES, which --help prints.
 
 The process has one argument parser, PARSER, built at import. Parsing leaves
 it unchanged, so calls to main share no state.
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import checker
 from .checker import perturbation_check, scan_conditions
-from .costs import PRESETS, make_cost, preset, validate_admissibility
+from .costs import PRESETS, make_cost, preset
 from .curvature import SPHERE_MAX_DIAMETER, mtw_closed, mtw_via_jacobi
 from .errors import (AdmissibilityError, MtwError, OutOfRangeError, ParseError,
                      ZeroVectorError)
@@ -34,6 +32,12 @@ from .geometry import SpaceForm
 from .oracle import mtw_definitional
 
 SCHEMA_VERSION = 1
+
+EXIT_CODES = """exit codes:
+  0  verdict computed and not "fails", value computed, or perturbation check holds
+  1  verdict "fails", or perturbation check fails
+  2  invalid input or inadmissible cost
+  3  numeric failure"""
 
 CSV_COLUMNS = ["z", "A", "B", "alpha", "beta", "gamma", "delta", "slack_min"]
 
@@ -64,10 +68,6 @@ class RunReport:
     def to_dict(self):
         # every field is a JSON value already, so a shallow copy is enough
         return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
 
 
 _QUARTIC_RE = re.compile(r"^quartic\(([^)]*)\)$")
@@ -169,7 +169,6 @@ def cmd_eval(args):
     started = time.perf_counter()
     _check_sphere_diameter(args.K, args.diameter)
     cost = resolve_cost(args.cost, args.diameter)
-    validate_admissibility(cost)
     form = SpaceForm(curvature=args.K, dimension=args.dim)
     vectors = [_parse_vector(text, name)
                for text, name in ((args.u, "--u"), (args.v, "--v"), (args.w, "--w"))]
@@ -239,7 +238,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="mtwcheck",
         description="Verify weak/strong curvature conditions for radial "
-                    "transport costs on constant-curvature model spaces.")
+                    "transport costs on constant-curvature model spaces.",
+        epilog=EXIT_CODES, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, with_dim=True):

@@ -28,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .costs import eval_cost_jet, inverse_lprime
-from .errors import LimitError, OutOfRangeError, PoleError, ZeroVectorError
+from .errors import OutOfRangeError, PoleError, ZeroVectorError
 from .jets import Jet, _compose_table, jet_compose, jet_compose_pair
 
 # Below this argument A, B and the coefficient functions switch from direct
@@ -42,7 +42,6 @@ SERIES_SWITCH = 1e-4
 # series drop, h^4, is below 1e-12 of the leading one.
 SERIES_RADIUS_FRACTION = 1e-3
 
-_LIMIT_TOL = 1e-7
 _POLE_TOL = 1e-9
 
 # The largest working diameter on the sphere: h(z) runs up to D, which
@@ -84,9 +83,10 @@ def _origin_series(cost, K):
     with h C(h) = cosh/(sinh/h), 1 or cos/(sin/h) for K = -1, 0, +1.  The
     divisions by z and z^2 in alpha..delta are shifts by one and two orders
     of h followed by a division by P or P^2, whose constant term l''(0) is
-    nonzero.  Each series keeps the orders that the order-6 jet of l makes
-    exact: orders 0..2 for A'', B'' and alpha..delta, which are even in h,
-    so their truncation error is of order h^4.
+    nonzero; the two orders they drop from A - B vanish on an even l, as
+    cost construction checks.  Each series keeps the orders that the
+    order-6 jet of l makes exact: orders 0..2 for A'', B'' and alpha..delta,
+    which are even in h, so their truncation error is of order h^4.
     """
     lp = eval_cost_jet(cost, 0.0).series_derivative()
     P = _shift(lp, 1)
@@ -97,10 +97,6 @@ def _origin_series(cost, K):
         cosh, sinh = jet_compose_pair("cosh" if K == -1 else "cos", Jet.variable(0.0))
         B = P * (cosh / _shift(sinh, 1))
     amb = A - B
-    scale = max(1.0, abs(A.coeffs[0]), abs(B.coeffs[0]))
-    if abs(amb.coeffs[0]) > _LIMIT_TOL * scale or abs(amb.coeffs[1]) > _LIMIT_TOL * scale:
-        raise LimitError("A - B does not vanish to second order at z = 0; "
-                         "cost is inadmissible or h is inconsistent")
     Ap, Bp = A.series_derivative() / A, B.series_derivative() / A
     Add, Bdd = Ap.series_derivative() / A, Bp.series_derivative() / A
     Psq = P * P

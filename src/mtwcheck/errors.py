@@ -74,9 +74,5 @@ class PoleError(MtwError):
     """Evaluation hit a pole of cot/coth within tolerance."""
 
 
-class LimitError(MtwError):
-    """A - B fails to vanish to second order at z = 0."""
-
-
 class StencilDegenerateError(MtwError):
     """Finite-difference stencil produced non-finite values."""

@@ -1,4 +1,4 @@
-"""Parser, printer, and evaluators for the radial-cost expression grammar.
+"""Parser and evaluators for the radial-cost expression grammar.
 
 Grammar: literals, the variable z, unary minus, binary + - * / and ^ with an
 integer exponent, and single-argument calls to the elementary functions known
@@ -177,44 +177,6 @@ def parse_cost(text):
     if not text or not text.strip():
         raise ParseError("empty expression", 0, expected=("expression",))
     return _Parser(text).parse()
-
-
-# Precedence levels for printing: addition 1, multiplication 2,
-# unary minus 3, power 4, atoms 5.
-_ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(expr):
-    if isinstance(expr, BinOp):
-        return _ADD if expr.op in "+-" else _MUL
-    if isinstance(expr, Neg):
-        return _NEG
-    if isinstance(expr, Pow):
-        return _POW
-    return _ATOM
-
-
-def _fmt(expr, ctx):
-    p = _prec(expr)
-    if isinstance(expr, Lit):
-        s = repr(expr.value)
-    elif isinstance(expr, Var):
-        s = "z"
-    elif isinstance(expr, Neg):
-        s = f"-{_fmt(expr.arg, _NEG)}"
-    elif isinstance(expr, BinOp):
-        # left-associative: the right operand needs one level more binding
-        s = f"{_fmt(expr.left, p)}{expr.op}{_fmt(expr.right, p + 1)}"
-    elif isinstance(expr, Pow):
-        s = f"{_fmt(expr.base, _POW + 1)}^{expr.exponent}"
-    else:
-        s = f"{expr.func}({_fmt(expr.arg, 0)})"
-    return f"({s})" if p < ctx else s
-
-
-def pretty(expr):
-    """Render an AST back to parseable text; parse(pretty(e)) == e."""
-    return _fmt(expr, 0)
 
 
 def evaluate(expr, z):

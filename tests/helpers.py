@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from mtwcheck.checker import _noise_band
+from mtwcheck.checker import _noise_band, scan_conditions
 from mtwcheck.cli import main
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
 from mtwcheck.curvature import coefficient_arrays, series_limit
@@ -96,6 +96,17 @@ def cli_report(argv):
     if report is not None:
         report.pop("wall_time_ms")
     return code, report
+
+
+def scan_table(cost, K, dimension, grid_points=4096, strict_margin=1e-12):
+    """(verdict, table) of one scan: table maps each column of the chunks
+    that scan_conditions passes to on_chunk (z, A, B, alpha, beta, gamma,
+    delta, slack_min) to its array over the whole grid."""
+    chunks = []
+    verdict = scan_conditions(cost, K, dimension, grid_points, strict_margin,
+                              on_chunk=chunks.append)
+    return verdict, {name: np.concatenate([chunk[name] for chunk in chunks])
+                     for name in chunks[0]}
 
 
 REFERENCE_DPS = 50

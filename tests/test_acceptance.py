@@ -195,7 +195,7 @@ def test_criterion_8_module_invariant_spotchecks():
     # parser round trip on a nontrivial expression
     text = "-log(1+cosh(z))+z^2/2-0.25*sqrt(1+z^2)"
     expr = parse_cost(text)
-    from mtwcheck.expressions import pretty
+    from test_expressions import pretty
     ok &= parse_cost(pretty(expr)) == expr
     ok &= abs(float(evaluate(expr, 0.7))
               - (-np.log(1 + np.cosh(0.7)) + 0.245 - 0.25 * np.sqrt(1.49))) < 1e-12

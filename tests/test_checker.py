@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from helpers import random_orthogonal_pair
+from helpers import random_orthogonal_pair, scan_table
 
 from mtwcheck import (A3S, A3W_ONLY, FAILS, SpaceForm, classify, mtw_closed,
-                      parse_cost, perturbation_check, preset, scan_conditions, scan_table)
+                      parse_cost, perturbation_check, preset, scan_conditions)
 from mtwcheck import checker
 from mtwcheck.checker import _grid_chunk, _noise_band
 from mtwcheck.costs import make_cost
@@ -94,15 +94,15 @@ def test_scan_zero_profile_slacks_are_tiny():
 
 
 def test_scan_rejects_inadmissible():
-    cost = make_cost("z^3", 1.0)
+    # the check runs when the cost is built, so no scan sees an odd cost
     with pytest.raises(AdmissibilityError) as err:
-        scan_conditions(cost, 0, 3)
+        make_cost("z^3", 1.0)
     assert err.value.kind == "not-even"
 
 
 def test_scan_sphere_diameter_guard():
-    cost = preset("neg-log1p-cos", 3.2)
-    with pytest.raises(ValueError):
+    cost = preset("sq", 3.2)
+    with pytest.raises(ValueError, match="clear of the cot pole"):
         scan_conditions(cost, 1, 3)
 
 

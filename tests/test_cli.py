@@ -14,13 +14,15 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import cli_report, scan_table
 
 import mtwcheck
-from mtwcheck import PRESETS, checker, cli, preset, scan_table
+from mtwcheck import PRESETS, checker, cli, make_cost, preset
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
 from mtwcheck.csvtext import format_rows
+from mtwcheck.errors import AdmissibilityError
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS
 
 
@@ -86,8 +88,8 @@ def test_json_report_roundtrip(capsys):
     code, out, _ = run(capsys, "check", "--cost", "neg-cosh", "--K", "-1",
                        "--dim", "2", "--diameter", "2", "--json")
     assert code == 0
-    report = RunReport.from_dict(json.loads(out))
-    assert RunReport.from_dict(json.loads(json.dumps(report.to_dict()))) == report
+    report = RunReport(**json.loads(out))
+    assert RunReport(**json.loads(json.dumps(report.to_dict()))) == report
 
 
 def test_report_to_dict_equals_asdict(capsys, monkeypatch):
@@ -679,3 +681,68 @@ def test_eval_exits_with_a_code_and_never_raises(cost, K, dim, diameter, method,
     assert code in (0, 1, 2, 3)
     if code == 0:
         json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+
+
+_ODD_PERTURBED = "z^2/2 + 1e-7*z^3 + 1e4*z^6"
+
+
+def _invariant_argvs(cost, K, diameter, zmax):
+    """check and eval argument lists for one cost, with --json, eval at
+    |v| = 0.5 zmax."""
+    common = [f"--cost={cost}", "--K", K, "--dim", "2", f"--diameter={diameter!r}", "--json"]
+    vectors = ["--u=1,0", f"--v={0.3 * zmax!r},{0.4 * zmax!r}", "--w=0.6,0.8"]
+    return [["check", *common, "--grid", "256"], ["eval", *common, *vectors]]
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_odd_perturbed_cost_exit_2(capsys, command):
+    # its z^3 term is below 1e-10 of the largest Taylor coefficient, 1e4,
+    # not of l''(0)/2: it is rejected as odd, not left to the origin series
+    argv = _invariant_argvs(_ODD_PERTURBED, "0", 1e-3, 1e-3)[command == "eval"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "not-even at z=0.0" in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(even=st.lists(st.floats(-1e4, 1e4), min_size=4, max_size=4),
+       c3=st.one_of(st.just(0.0), st.floats(-14.0, 0.0).map(lambda e: 10.0 ** e),
+                    st.floats(-14.0, 0.0).map(lambda e: -10.0 ** e)),
+       K=st.sampled_from(["-1", "0", "1"]), diameter=st.floats(1e-3, 1.0))
+@example(even=[0.0, 0.5, 0.0, 1e4], c3=1e-7, K="0", diameter=1e-3)
+def test_cost_is_rejected_or_never_a_numeric_failure(even, c3, K, diameter):
+    # an even polynomial plus c3*z^3: either construction rejects it, or
+    # neither check nor eval meets a numeric failure (exit 3)
+    cost = " + ".join(f"{c!r}*z^{2 * k}" for k, c in enumerate(even)) + f" + {c3!r}*z^3"
+    try:
+        zmax = make_cost(cost, diameter).zmax
+    except AdmissibilityError:
+        return
+    for argv in _invariant_argvs(cost, K, diameter, zmax):
+        code, _ = cli_report(argv)
+        assert code != 3, argv
+
+
+def test_quartic_tiny_eps_matches_its_expression(capsys):
+    # the analytic inverse of quartic(1e-240) keeps its digits, so check and
+    # eval give what the Newton inverse of the same expression gives
+    for argv in _invariant_argvs("quartic(1e-240)", "0", 1.0, 1.0):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        text_argv = [a.replace("quartic(1e-240)", "z^2/2 - 1e-240*z^4") for a in argv]
+        code, text_out, _ = run(capsys, *text_argv)
+        preset_report, text_report = json.loads(out), json.loads(text_out)
+        for report in (preset_report, text_report):
+            report.pop("cost"), report.pop("wall_time_ms")
+        assert preset_report == text_report
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    for code, meaning in [("0", "not \"fails\""), ("1", "fails"), ("2", "inadmissible cost"),
+                          ("3", "numeric failure")]:
+        assert any(line.split()[:1] == [code] and meaning in line
+                   for line in out.splitlines()), code

@@ -1,14 +1,14 @@
 """Cost construction, admissibility, the inverse of l', and cost jets."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import CANONICAL_CASES
 
-from mtwcheck import (costs, eval_cost_jet, inverse_lprime, make_cost, preset,
-                      validate_admissibility)
-from mtwcheck.costs import _newton_inverse
+from mtwcheck import costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, preset
+from mtwcheck.costs import _make_h_quartic, _newton_inverse
 from mtwcheck.errors import AdmissibilityError, ConvergenceFailure, OutOfRangeError
 
 
@@ -17,15 +17,11 @@ def _preset(name, diameter, eps=None):
 
 
 def test_sq_admissible():
-    cost = preset("sq", 1.0)
-    validate_admissibility(cost)
-    assert cost.lprime_sign == 1
+    assert preset("sq", 1.0).lprime_sign == 1
 
 
 def test_neg_cosh_admissible_with_negative_sign():
-    cost = preset("neg-cosh", 2.0)
-    validate_admissibility(cost)
-    assert cost.lprime_sign == -1
+    assert preset("neg-cosh", 2.0).lprime_sign == -1
 
 
 _PRESET_SIGNS = {"sq": 1, "log-cosh": 1, "neg-log1p-cos": 1, "quartic": 1,
@@ -39,41 +35,36 @@ def test_lprime_sign_derived_from_lpp_at_zero(name, K, diameter, eps):
     cost = _preset(name, diameter, eps)
     assert cost.lprime_sign == _PRESET_SIGNS[name]
     assert make_cost(cost.text, diameter).lprime_sign == _PRESET_SIGNS[name]
-    validate_admissibility(cost)
 
 
 def test_cubic_not_even():
-    cost = make_cost("z^3", 1.0)
     with pytest.raises(AdmissibilityError) as err:
-        validate_admissibility(cost)
+        make_cost("z^3", 1.0)
     assert err.value.kind == "not-even" and err.value.witness == 0.0
     assert str(err.value) == "admissibility violation: not-even at z=0.0"
 
 
 def test_pure_quartic_rejected_at_zero():
     # z^4 is even but l''(0) = 0, which breaks the strict-sign requirement
-    cost = make_cost("z^4", 1.0)
     with pytest.raises(AdmissibilityError) as err:
-        validate_admissibility(cost)
+        make_cost("z^4", 1.0)
     assert err.value.kind == "lpp-zero" and err.value.witness == 0.0
 
 
 def test_sign_change_detected():
     # l'' = 1 - 3z^2 changes sign inside [0, 1]
-    cost = make_cost("z^2/2 - z^4/4", 1.0)
     with pytest.raises(AdmissibilityError) as err:
-        validate_admissibility(cost)
+        make_cost("z^2/2 - z^4/4", 1.0)
     assert err.value.kind == "lpp-sign-change"
     # l''(0) = 1 > 0: the first grid point past 1/sqrt(3) is 148/255
-    assert cost.lprime_sign == 1 and err.value.witness == np.linspace(0.0, 1.0, 256)[148]
+    assert err.value.witness == np.linspace(0.0, 1.0, 256)[148]
 
 
 def test_pole_between_samples_detected():
     # l = log((z^2-1)^2): l'' < 0 on both sides of the pole at z = 1, which
     # falls between two samples, but -l' drops across it
-    cost = make_cost("log((z^2-1)^2)", 2.2)
     with pytest.raises(AdmissibilityError) as err:
-        validate_admissibility(cost)
+        make_cost("log((z^2-1)^2)", 2.2)
     assert err.value.kind == "lprime-not-monotone"
     assert err.value.witness < 1.0 < err.value.witness + 2.2 / 255
 
@@ -81,19 +72,17 @@ def test_pole_between_samples_detected():
 def test_constant_cost_rejected():
     # the jet of a constant has scalar coefficients, not one per sample
     with pytest.raises(AdmissibilityError) as err:
-        validate_admissibility(make_cost("0", 1.0))
+        make_cost("0", 1.0)
     assert err.value.kind == "lpp-zero" and err.value.witness == 0.0
 
 
 def test_undefined_cost_names_first_grid_point():
     # log(4 - z^2) is even and defined at 0, but not from z = 2 on, the
-    # 171st point of the 256-point admissibility grid on [0, 3]; make_cost
-    # evaluates nothing, so the admissibility check is the first to see it
-    cost = make_cost("log(4-z^2)", 3.0)
+    # 171st point of the 256-point admissibility grid on [0, 3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and without a numpy warning
         with pytest.raises(AdmissibilityError) as err:
-            validate_admissibility(cost)
+            make_cost("log(4-z^2)", 3.0)
     assert err.value.kind == "undefined" and err.value.witness == 2.0
     assert "'log(4-z^2)' is undefined at z = 2.0" in str(err.value)
 
@@ -151,10 +140,12 @@ def test_newton_matches_analytic_inverse(name, K, diameter, eps):
 
 
 def test_newton_inverse_fails_on_constant_lprime():
-    # l = z: l' = 1 never equals 0.5, so Newton cannot converge; eval and
-    # check reject this cost as odd before they invert l'
+    # l = z: l' = 1 never equals 0.5, so Newton cannot converge.  make_cost
+    # rejects this cost as odd, so a stand-in carries what Newton reads
+    cost = SimpleNamespace(expression=parse_cost("z"), text="z", diameter=1.0, zmax=1.0,
+                           lprime_sign=1)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
-        inverse_lprime(make_cost("z", 1.0), 0.5)
+        _newton_inverse(cost, np.array([0.5]))
 
 
 def test_newton_inverse_direct():
@@ -209,17 +200,20 @@ def test_unknown_preset():
 def test_zmax_evaluated_once(monkeypatch):
     calls = []
 
-    def counting(cost, z0, length):
+    def counting(cost, z0, length=costs.N_COEFFS):
         calls.append((z0, length))
         return eval_cost_jet(cost, z0, length)
 
     monkeypatch.setattr(costs, "eval_cost_jet", counting)
     cost = preset("neg-cosh", 2.0)
+    # construction reads l'(D) last, as coefficient 1 of a jet of length 2
+    assert calls[-1] == (2.0, 2)
+    built = len(calls)
     values = [cost.zmax for _ in range(5)]
-    assert values == [pytest.approx(np.sinh(2.0), rel=1e-15)] * 5
-    # l'(D) is coefficient 1, read from a jet of length 2
-    assert calls == [(2.0, 2)]
-    # the memo is not part of the cost's identity
+    assert len(calls) == built
+    assert values == [abs(float(cost.lprime(2.0)))] * 5
+    assert values[0] == pytest.approx(np.sinh(2.0), rel=1e-15)
+    # zmax and lprime_sign are not part of the cost's identity
     fresh = preset("neg-cosh", 2.0)
     assert fresh == cost and hash(fresh) == hash(cost)
     assert "zmax" not in repr(cost)
@@ -227,16 +221,32 @@ def test_zmax_evaluated_once(monkeypatch):
 
 def test_overflowing_cost_is_not_admissible():
     # l' = 800 z exp(400 z^2) overflows float64 near z = 1.33: the first
-    # grid sample where l' or l'' is not finite is reported, and zmax, which
-    # eval reads without validate_admissibility, raises
-    cost = make_cost("exp(z^2)^400", 2.0)
+    # grid sample where l' or l'' is not finite is reported
     grid = np.linspace(0.0, 2.0, 256)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AdmissibilityError) as err:
-            validate_admissibility(cost)
-        with pytest.raises(AdmissibilityError) as exc:
-            cost.zmax
+            make_cost("exp(z^2)^400", 2.0)
     assert err.value.kind == "not-finite"
     assert err.value.witness in grid and 1.0 < err.value.witness < 1.4
-    assert exc.value.kind == "not-finite" and exc.value.witness == 2.0
+
+
+@pytest.mark.parametrize("text,D", [("z^2/2 + z^3", 1.0),
+                                    ("z^2/2 + 1e-7*z^3 + 1e4*z^6", 1e-3)])
+def test_odd_part_judged_against_lpp_at_zero(text, D):
+    # the second cost's z^3 term is below 1e-10 of its largest Taylor
+    # coefficient (1e4) but not of l''(0)/2 = 0.5, against which the origin
+    # series of the profiles would drop it
+    with pytest.raises(AdmissibilityError) as err:
+        make_cost(text, D)
+    assert err.value.kind == "not-even" and err.value.witness == 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-100, 1e-240, 1e-300])
+def test_quartic_inverse_residual(eps):
+    # h solves y = h - 4*eps*h^3; at a tiny eps the root's start keeps the
+    # digits of y, which acos(-a) rounds away
+    h = _make_h_quartic(eps)
+    y = np.concatenate([np.linspace(0.0, 0.99, 100), np.geomspace(1e-300, 1.0, 61)])
+    root = h(y)
+    assert np.all(np.abs(root - 4.0 * eps * root ** 3 - y) <= 2.3e-16 * y)

@@ -12,7 +12,7 @@ from mtwcheck import (SpaceForm, curvature, decompose, jacobi_map_closed, make_c
                       mtw_definitional, mtw_via_jacobi, preset)
 from mtwcheck.cli import main, resolve_cost
 from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, coefficient_arrays
-from mtwcheck.errors import LimitError, OutOfRangeError, ZeroVectorError
+from mtwcheck.errors import OutOfRangeError, ZeroVectorError
 from mtwcheck.jets import Jet
 
 
@@ -114,14 +114,6 @@ def test_limit_consistency_across_branch_switch():
         above = _at(cost, K, 1.01e-4)
         for field in ("A", "B", "alpha", "beta", "gamma", "delta"):
             assert getattr(below, field) == pytest.approx(getattr(above, field), abs=2e-6)
-
-
-def test_limit_error_on_inconsistent_cost():
-    # an odd cost sneaks past no admissibility check here; the A-B limit guard
-    # must catch it when the origin series is requested
-    cost = make_cost("z^2/2 + z^3", 1.0)
-    with pytest.raises(LimitError):
-        _at(cost, 0, 0.0)
 
 
 def test_decompose_parallel_and_orthogonal():

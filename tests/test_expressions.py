@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtwcheck.errors import ParseError
-from mtwcheck.expressions import (BinOp, Call, Lit, Neg, Pow, Var, evaluate,
-                                  parse_cost, pretty)
+from mtwcheck.expressions import BinOp, Call, Lit, Neg, Pow, Var, evaluate, parse_cost
 
 
 def test_neg_cosh():
@@ -97,6 +96,33 @@ def _exprs():
         ),
         max_leaves=25,
     )
+
+
+# Binding levels of the printer: + - 1, * / 2, unary minus 3, ^ 4, atoms 5.
+def _level(expr):
+    if isinstance(expr, BinOp):
+        return 1 if expr.op in "+-" else 2
+    return {Neg: 3, Pow: 4}.get(type(expr), 5)
+
+
+def pretty(expr, context=0):
+    """Parseable text of an AST, parenthesised where its level binds less
+    than context asks; parse_cost(pretty(e)) == e."""
+    level = _level(expr)
+    if isinstance(expr, Lit):
+        text = repr(expr.value)
+    elif isinstance(expr, Var):
+        text = "z"
+    elif isinstance(expr, Neg):
+        text = f"-{pretty(expr.arg, 3)}"
+    elif isinstance(expr, BinOp):
+        # left-associative: the right operand needs one level more binding
+        text = f"{pretty(expr.left, level)}{expr.op}{pretty(expr.right, level + 1)}"
+    elif isinstance(expr, Pow):
+        text = f"{pretty(expr.base, 5)}^{expr.exponent}"
+    else:
+        text = f"{expr.func}({pretty(expr.arg)})"
+    return f"({text})" if level < context else text
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """Jet arithmetic and elementary composition against independent oracles."""
 
+import math
 import zlib
 
 import numpy as np
@@ -218,7 +219,7 @@ def test_jet_length_bounds():
 
 
 _COEFF = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
-_TAIL = st.lists(_COEFF, min_size=N_COEFFS - 1, max_size=N_COEFFS - 1)
+_TAIL = st.tuples(*[_COEFF] * (N_COEFFS - 1))
 # a0 in the domain of every elementary function, b0 away from zero
 _A0 = st.floats(0.1, 0.9)
 _B0 = st.floats(0.5, 2.0) | st.floats(-2.0, -0.5)
@@ -233,19 +234,23 @@ def _head(jet, length):
 def test_truncated_arithmetic_keeps_leading_coefficients(a0, a_tail, b0, b_tail, n):
     # a jet cut to its first L coefficients gives the first L coefficients of
     # the full-length result exactly, whatever L and whichever operation
-    a, b = Jet([a0] + a_tail), Jet([b0] + b_tail)
-    ops = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
-           lambda x, y: x / y, lambda x, y: y / x, lambda x, y: 2.5 - x,
-           lambda x, y: 0.75 / x, lambda x, y: x ** n]
-    ops += [lambda x, y, name=name: jet_compose(name, x) for name in ELEMENTARY_FUNCTIONS]
-    ops += [lambda x, y: _compose_table(y.coeffs, x)]
-    fulls = [op(a, b).coeffs for op in ops]
+    a, b = Jet((a0,) + a_tail), Jet((b0,) + b_tail)
+    binary = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+              lambda x, y: x / y, lambda x, y: y / x, lambda x, y: _compose_table(y.coeffs, x)]
+    # an op of x alone has one cut operand, x: op(short_a) stands for
+    # op(short_a, short_b) and op(short_a, b), and op(a, short_b) is op(a)
+    unary = [lambda x: 2.5 - x, lambda x: 0.75 / x, lambda x: x ** n]
+    unary += [lambda x, name=name: jet_compose(name, x) for name in ELEMENTARY_FUNCTIONS]
+    binary_fulls = [op(a, b).coeffs for op in binary]
+    unary_fulls = [op(a).coeffs for op in unary]
     for length in range(1, N_COEFFS + 1):
         short_a, short_b = _head(a, length), _head(b, length)
-        for op, full in zip(ops, fulls):
+        for op, full in zip(binary, binary_fulls):
             assert op(short_a, short_b).coeffs == full[:length]
             assert op(short_a, b).coeffs == full[:length]
             assert op(a, short_b).coeffs[:length] == full[:length]
+        for op, full in zip(unary, unary_fulls):
+            assert op(short_a).coeffs == full[:length]
         if length > 1:
             assert short_a.series_derivative().coeffs == a.series_derivative().coeffs[:length - 1]
 
@@ -274,8 +279,9 @@ def _bits(jet):
 
 # finite nonzero magnitudes whose products and quotients, and powers up to
 # the 9th, stay normal: no exact zero, whose sign may differ, and no inf, for
-# which inf * 0 is nan, arises
-_magnitudes = st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30)
+# which inf * 0 is nan, arises.  One float draw each: a magnitude below
+# 1e-30 becomes +-1e-30, the sign kept.
+_magnitudes = st.floats(-1e30, 1e30).map(lambda v: math.copysign(max(abs(v), 1e-30), v))
 
 
 @st.composite
@@ -283,11 +289,9 @@ def _jet_and_scalar(draw):
     """A jet of length 1-7 with float or array coefficients, and a scalar."""
     length = draw(st.integers(1, N_COEFFS))
     width = draw(st.sampled_from([None, 1, 3]))
-    if width is None:
-        values = [draw(_magnitudes) for _ in range(length)]
-    else:
-        values = [np.array(draw(st.lists(_magnitudes, min_size=width, max_size=width)))
-                  for _ in range(length)]
+    values = [draw(_magnitudes) for _ in range(length * (width or 1))]
+    if width is not None:
+        values = list(np.reshape(values, (length, width)))
     return Jet(values), draw(_magnitudes)
 
 
