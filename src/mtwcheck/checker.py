@@ -19,6 +19,14 @@ chunks of SCAN_CHUNK consecutive grid points: a chunk is generated, profiled
 and classified, then folded into the verdict, the per-condition minima and
 the witness, and dropped.  Peak memory does not grow with the grid size, and
 every value is bitwise the one a single full-grid pass gives.
+
+A chunk allocates arrays of its own length only, and keeps none of them
+past the next chunk: the grid z and h(z), the jet of l at h(z), the profile
+columns (nine arrays, as gamma is B''), three for the noise band, and
+classify's slack rows, combo row, slack_min and masks.  Jet products and
+quotients accumulate into the coefficient they make, and the profiles, the
+band and classify write each step into one of their own arrays, by out= or
+augmented assignment, rather than into a fresh temporary per numpy call.
 """
 
 from __future__ import annotations
@@ -59,8 +67,9 @@ class Classification:
 
     slacks maps each sign condition in force to its slack array: beta,
     gamma, and delta above dimension two.  combo = 2*sqrt(beta*gamma) -
-    (alpha + delta) is meaningful only where combo_defined holds.  slack_min
-    is the smallest slack of each point, taken over the defined conditions.
+    (alpha + delta) where combo_defined holds, and +inf elsewhere, so that
+    it drops out of every minimum.  slack_min is the smallest slack of each
+    point, taken over the defined conditions.
     """
 
     slacks: dict
@@ -74,32 +83,44 @@ class Classification:
 def classify(alpha, beta, gamma, delta, n, *, band=0.0, strict_margin=1e-12):
     """Classify arrays of coefficient values against the set for dimension n.
 
-    For n = 2 the delta condition is ignored.  band is the per-point (or
-    scalar) widening of the pass/fail boundary: weak holds iff every active
-    slack is >= -band, and strict additionally needs every active slack above
-    max(strict_margin, band).  The combo slack is only defined where beta and
-    gamma are <= band; sqrt runs on the clamped negations so that
-    roundoff-level positive values do not raise.
+    alpha..delta are arrays of one shape (a scalar counts as a length-1
+    array), and band, the widening of the pass/fail boundary, is one more or
+    a scalar.  Elementwise, and bitwise:
+
+        slacks = -beta, -gamma [, -delta for n > 2]
+        combo_defined = (beta <= band) & (gamma <= band)
+        combo = where(combo_defined, 2 * (sqrt(maximum(0, -beta))
+                      * sqrt(maximum(0, -gamma))) - (alpha + delta), inf)
+        slack_min = minimum(... minimum(-beta, -gamma) ..., combo)
+        weak = combo_defined & (slack_min >= -band)
+        strict = weak & (slack_min > maximum(strict_margin, band))
+
+    sqrt runs on the clamped negations so that roundoff-level positive
+    values do not raise.  slack_min folds the rows in the order beta, gamma,
+    [delta], combo: of two equal zeros of opposite sign np.minimum keeps the
+    one the order gives.  Each step writes into an array made here.
     """
-    alpha, beta, gamma, delta = (np.asarray(c, dtype=float)
+    alpha, beta, gamma, delta = (np.atleast_1d(np.asarray(c, dtype=float))
                                  for c in (alpha, beta, gamma, delta))
     slacks = {"beta": -beta, "gamma": -gamma}
     if n > 2:
         slacks["delta"] = -delta
     combo_defined = (beta <= band) & (gamma <= band)
-    root = np.sqrt(np.maximum(0.0, -beta)) * np.sqrt(np.maximum(0.0, -gamma))
-    combo = 2.0 * root - (alpha + delta)
+    combo = np.maximum(0.0, slacks["beta"])
+    np.sqrt(combo, out=combo)
+    scratch = np.maximum(0.0, slacks["gamma"])
+    combo *= np.sqrt(scratch, out=scratch)
+    combo *= 2.0
+    combo -= np.add(alpha, delta, out=scratch)
     # where the combo condition is undefined the point already fails on beta
-    # or gamma, so exclude it from minima rather than propagating a sentinel.
-    # The rows are folded in the order beta, gamma, [delta], combo: of two
-    # equal zeros of opposite sign np.minimum keeps the one the order gives.
-    rows = list(slacks.values()) + [np.where(combo_defined, combo, np.inf)]
-    slack_min = rows[0]
-    for row in rows[1:]:
-        slack_min = np.minimum(slack_min, row)
+    # or gamma, so exclude it from minima rather than propagating a sentinel
+    np.copyto(combo, np.inf, where=~combo_defined)
+    rows = list(slacks.values()) + [combo]
+    slack_min = np.minimum(rows[0], rows[1])
+    for row in rows[2:]:
+        np.minimum(slack_min, row, out=slack_min)
     weak = combo_defined & (slack_min >= -band)
-    hurdle = np.maximum(strict_margin, band)
-    strict = weak & (slack_min > hurdle)
+    strict = weak & (slack_min > np.maximum(strict_margin, band))
     return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
 
 
@@ -115,13 +136,31 @@ def _noise_band(z, profile, limit):
     Series-branch points Horner-evaluate at h(z) the Taylor series in h of
     each quantity, in which the divisions by z and z^2 are exact shifts, so
     they carry no cancellation and only need an absolute floor at the
-    roundoff scale.
+    roundoff scale.  Elementwise, and bitwise:
+
+        scale = maximum(1, maximum(|A|, |B|))
+        tiny = clip(minimum(1, |A|), 1e-3, 1)
+        band = where(z >= limit, _NOISE_BAND_COEFF * (scale / tiny)**3
+                     * (1 + 1 / maximum(z, limit)**2), 1e-12 * scale)
+
+    Each step writes into one of three arrays made here.
     """
-    scale = np.maximum(1.0, np.maximum(np.abs(profile["A"]), np.abs(profile["B"])))
-    tiny = np.clip(np.minimum(1.0, np.abs(profile["A"])), 1e-3, 1.0)
-    cond = (scale / tiny) ** 3
-    direct = _NOISE_BAND_COEFF * cond * (1.0 + 1.0 / np.maximum(z, limit) ** 2)
-    return np.where(z >= limit, direct, 1e-12 * scale)
+    tiny = np.abs(profile["A"])
+    scale = np.abs(profile["B"])
+    np.maximum(tiny, scale, out=scale)
+    np.maximum(1.0, scale, out=scale)
+    np.minimum(1.0, tiny, out=tiny)
+    np.clip(tiny, 1e-3, 1.0, out=tiny)
+    direct = np.divide(scale, tiny, out=tiny)
+    np.power(direct, 3, out=direct)
+    direct *= _NOISE_BAND_COEFF
+    zterm = np.maximum(z, limit)
+    np.square(zterm, out=zterm)
+    np.divide(1.0, zterm, out=zterm)
+    direct *= np.add(1.0, zterm, out=zterm)
+    scale *= 1e-12
+    np.copyto(scale, direct, where=z >= limit)
+    return scale
 
 
 def _grid_chunk(start, stop, grid_points, lo, hi):
@@ -136,7 +175,8 @@ def _grid_chunk(start, stop, grid_points, lo, hi):
     delta = stop - start
     step = delta / div
     z = np.arange(lo, hi, dtype=float)
-    z = (z * step if step != 0.0 else z / div * delta) + start
+    z = np.multiply(z, step, out=z) if step != 0.0 else z / div * delta
+    z += start
     if hi == grid_points > 1:
         z[-1] = stop
     return z
@@ -185,7 +225,7 @@ def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, o
         strict = strict and bool(np.all(c.strict))
         chunk_mins = {name: np.min(col) for name, col in c.slacks.items()}
         if np.any(c.combo_defined):
-            chunk_mins["combo"] = np.min(c.combo[c.combo_defined])
+            chunk_mins["combo"] = np.min(c.combo)
         for name, value in chunk_mins.items():
             min_slacks[name] = np.minimum(min_slacks.get(name, value), value)
         i = int(np.argmin(c.slack_min))

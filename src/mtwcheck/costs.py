@@ -151,6 +151,12 @@ def make_cost(text, diameter, analytic_inverse=None, name=None):
                         name=name)
 
 
+def in_lprime_range(cost, y):
+    """Whether every |y| is at most |l'(D)|, up to roundoff: where
+    inverse_lprime accepts y."""
+    return not np.any(np.abs(y) > cost.zmax * (1.0 + 1e-9) + 1e-15)
+
+
 def inverse_lprime(cost, y):
     """h(y): the value with l'(h(y)) = y, for |y| <= |l'(D)|.
 
@@ -159,10 +165,9 @@ def inverse_lprime(cost, y):
     restored afterwards so that h is odd exactly.
     """
     y_arr = np.asarray(y, dtype=float)
-    zmax = cost.zmax
-    if np.any(np.abs(y_arr) > zmax * (1.0 + 1e-9) + 1e-15):
+    if not in_lprime_range(cost, y_arr):
         worst = float(np.max(np.abs(y_arr)))
-        raise OutOfRangeError(f"|y| = {worst} exceeds |l'(D)| = {zmax}")
+        raise OutOfRangeError(f"|y| = {worst} exceeds |l'(D)| = {cost.zmax}")
     if cost.analytic_inverse is not None:
         out = cost.analytic_inverse(y_arr)
     else:

@@ -160,28 +160,59 @@ def _direct_profiles(cost, K, h0):
     _check_pole(K, h0)
     # l^(k) = k! c_k, written into arrays of h0's shape: a coefficient that
     # does not depend on z (c_2 of z^2/2, say) is a float.  No name holds
-    # the jet, so its arrays are freed before the formulas below run.
-    zeff, l2, l3, l4 = (np.multiply(c, math.factorial(k), out=np.empty_like(h0))
+    # the jet, so its arrays are freed before the formulas below run.  On a
+    # 0-d h0, [()] makes them numpy scalars.
+    zeff, l2, l3, l4 = (np.multiply(c, math.factorial(k), out=np.empty_like(h0))[()]
                         for k, c in enumerate(eval_cost_jet(cost, h0, 5).coeffs[1:], 1))
+    # Each step below is one of the formulas' operations, written into an
+    # array made here, by augmented assignment or into scratch (l3, once A''
+    # is formed).  Numpy scalars are rebound instead, and take out=None.
+    scratch = l3 if h0.ndim else None
     r = 1.0 / l2
     A, Ap = l2, l3 * r
-    Add = (l4 - l3 * Ap) * (r * r)
+    l3 *= Ap
+    l4 -= l3
+    Add = l4
+    Add *= np.multiply(r, r, out=scratch)
     # coth from cosh and sinh, whose numpy loops the costs' jets load anyway;
     # a first call of np.tanh maps 128 KB more of numpy into the process
-    C = np.cosh(h0) / np.sinh(h0) if K == -1 else 1.0 / (np.tan(h0) if K == 1 else h0)
-    Cp = -K - C * C
-    Cpp = -2.0 * C * Cp
+    if K == -1:
+        C = np.cosh(h0)
+        C /= np.sinh(h0)
+    else:
+        C = 1.0 / (np.tan(h0) if K == 1 else h0)
+    # C' = -K - C^2 as (-C^2) + (-K), the same bits: a - b is a + (-b), and
+    # -K is the int 0, so +0.0, at K = 0
+    Cp = -C
+    Cp *= C
+    Cp += -K
+    Cpp = -2.0 * C
+    Cpp *= Cp
     s = zeff * r
-    B, Bp = zeff * C, C + s * Cp
-    Bdd = (2.0 * Cp + s * (Cpp - Cp * Ap)) * r
+    B = zeff * C
+    Bp = s * Cp
+    Bp += C
+    Cpp -= np.multiply(Cp, Ap, out=scratch)
+    Cpp *= s
+    Bdd = Cp
+    Bdd *= 2.0
+    Bdd += Cpp
+    Bdd *= r
     amb = A - B
     zsq = zeff * zeff
+    alpha = zsq * Add
+    alpha += np.multiply(6.0, amb, out=scratch)
+    t = np.multiply(4.0, zeff, out=scratch)
+    t *= Ap - Bp
+    alpha -= t
+    alpha /= zsq
+    beta = zeff * Ap
+    amb *= 2.0
+    beta -= amb
+    beta /= zsq
     return {
         "A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
-        "alpha": (zsq * Add + 6.0 * amb - 4.0 * zeff * (Ap - Bp)) / zsq,
-        "beta": (zeff * Ap - 2.0 * amb) / zsq,
-        "gamma": Bdd,
-        "delta": Bp / zeff,
+        "alpha": alpha, "beta": beta, "gamma": Bdd, "delta": Bp / zeff,
     }
 
 
@@ -205,14 +236,16 @@ def _profiles(cost, K, z):
             small = z < limit
     if not np.any(small):
         return _direct_profiles(cost, K, h0)
-    out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
     hs = h0[small]
+    if np.all(small):
+        out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
+    else:
+        # the direct branch on the whole array, each series point standing
+        # in as the first direct one; the series then overwrite those points
+        # (into one array for gamma and B'', which they give equal bits)
+        out = _direct_profiles(cost, K, np.where(small, h0.flat[np.argmin(small)], h0))
     for key, coeffs in _origin_series(cost, K).items():
         out[key][small] = _horner(coeffs, hs)
-    large = ~small
-    if np.any(large):
-        for key, col in _direct_profiles(cost, K, h0[large]).items():
-            out[key][large] = col
     return out
 
 

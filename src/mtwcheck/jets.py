@@ -29,9 +29,12 @@ J ** n starts from J rather than from the product with the constant 1, and
 where _compose_table returns the table itself for a variable jet, whose
 coefficients 1 and up are the Python floats (1.0, 0.0, ...).
 
-Coefficients may be plain floats or numpy arrays of a common shape, so a
+Coefficients may be plain floats or float arrays of a common shape, so a
 single jet can carry a whole batch of points z0 at once; all operations
-broadcast.
+broadcast.  No operation writes into an operand's coefficients: products
+and quotients accumulate in place, but only in arrays they have just made.
+So jets may share coefficient arrays, as a table shares f(a0) with the
+caller and exp's table holds e^a0 twice.
 """
 
 from __future__ import annotations
@@ -113,9 +116,10 @@ class Jet:
         b = other.coeffs
         out = []
         for k in range(min(len(a), len(b))):
+            # a fresh product, so += accumulates in an array no operand holds
             acc = a[0] * b[k]
             for i in range(1, k + 1):
-                acc = acc + a[i] * b[k - i]
+                acc += a[i] * b[k - i]
             out.append(acc)
         return Jet(out)
 
@@ -133,10 +137,12 @@ class Jet:
         b = other.coeffs
         out = [a[0] / b0]
         for k in range(1, min(len(a), len(b))):
-            acc = a[k]
-            for j in range(k):
-                acc = acc - out[j] * b[k - j]
-            out.append(acc / b0)
+            # a fresh difference, so -= and /= work in an array no operand holds
+            acc = a[k] - out[0] * b[k]
+            for j in range(1, k):
+                acc -= out[j] * b[k - j]
+            acc /= b0
+            out.append(acc)
         return Jet(out)
 
     def __rtruediv__(self, other):
@@ -210,13 +216,23 @@ def _integrate(dfda, a, value0):
     return Jet([value0] + [g.coeffs[k - 1] / k for k in range(1, len(a.coeffs))])
 
 
+def _divided(value, divisor):
+    """value / divisor, and value itself where the divisor is 1.
+
+    A divisor s k!, with s = +-1, gives the bits of (s value) / k!.
+    """
+    return value if divisor == 1.0 else value / divisor
+
+
 def _table_log(a0, log_a0, length):
+    # entry k is (-1)^(k+1) r^k / k, r = 1/a0, by one division by +-k
     r = 1.0 / a0
     table = [log_a0]
     p = r
     for k in range(1, length):
-        table.append(p / k if k % 2 == 1 else -p / k)
-        p = p * r
+        table.append(_divided(p, k if k % 2 else -k))
+        if k + 1 < length:
+            p = p * r
     return tuple(table)
 
 
@@ -237,9 +253,13 @@ _CIRCULAR = {
 
 
 def _table_circular(name, vals, length):
-    """Derivative-coefficient table of f from vals = (f(a0), g(a0))."""
+    """Derivative-coefficient table of f from vals = (f(a0), g(a0)).
+
+    Entry k is signs[k % 4] vals[k % 2] / k!; entries 0 and 1 of a plus sign
+    are the values themselves.
+    """
     signs = _CIRCULAR[name][1]
-    return tuple(signs[k % 4] * vals[k % 2] / _FACTORIAL[k] for k in range(length))
+    return tuple(_divided(vals[k % 2], signs[k % 4] * _FACTORIAL[k]) for k in range(length))
 
 
 def _compose_circular(name, f, a):
@@ -266,7 +286,7 @@ def jet_compose_pair(name, a):
 
 def _compose_exp(f, a):
     e = f(a.coeffs[0])
-    return _compose_table(tuple(e / _FACTORIAL[k] for k in range(len(a.coeffs))), a)
+    return _compose_table(tuple(_divided(e, _FACTORIAL[k]) for k in range(len(a.coeffs))), a)
 
 
 def _compose_log(f, a):

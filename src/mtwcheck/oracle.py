@@ -13,12 +13,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import StencilDegenerateError, ZeroVectorError
+from .costs import in_lprime_range
+from .errors import OutOfRangeError, StencilDegenerateError, ZeroVectorError
 from .geometry import cost_exp, orthonormal_tangent_frame
 
-# Step in t and in s of the mixed-derivative stencil.  mtw_definitional
-# halves both once and Richardson-extrapolates the two stencils.
+# Step in t, and in s where the s-stencil fits (see _s_step), of the
+# mixed-derivative stencil.  mtw_definitional halves both once and
+# Richardson-extrapolates the two stencils.
 STENCIL_STEP = 1e-2
+
+
+def _s_step(cost, form, v, w):
+    """The step in s: STENCIL_STEP where every cost-exponential argument
+    v + s w of the two stencils lies in the invertible range of l', and else
+    (|l'(D)| - |v|) / (2 |w|), whose stencils reach at most half way from |v|
+    to |l'(D)|.  Where that step is not positive, or so small that the
+    stencil's divisor (ht hs)^2 would leave the normal floats, no step is
+    usable, and OutOfRangeError names |v|, |w| and |l'(D)|.
+    """
+    zv, zw = form.norm(v), form.norm(w)
+    # |v| + STENCIL_STEP |w| bounds every argument's norm; only where it
+    # leaves the range are the arguments themselves measured
+    if zv + STENCIL_STEP * zw <= cost.zmax or in_lprime_range(
+            cost, max(form.norm(v + (j * hs) * w)
+                      for hs in (STENCIL_STEP, STENCIL_STEP / 2.0) for j in (-1, 1))):
+        return STENCIL_STEP
+    room = cost.zmax - zv
+    step = room / (2.0 * zw) if room > 0.0 else 0.0
+    # the fine stencil divides by (STENCIL_STEP / 2)^2 (step / 2)^2
+    if not (0.25 * STENCIL_STEP * step) ** 2 >= np.finfo(float).tiny:
+        raise OutOfRangeError(
+            f"no usable step in s keeps the oracle's stencil in the invertible range of "
+            f"l': |v| = {zv!r}, |w| = {zw!r}, |l'(D)| = {cost.zmax!r}")
+    return step
 
 
 def _mixed_second_differences(cost, form, x, u, v, w, ht, hs):
@@ -40,14 +67,15 @@ def mtw_definitional(cost, form, x, u, v, w):
     """Curvature straight from the definition: -(3/2) of the 4th mixed derivative.
 
     u, v and w are tangent vectors at the point x, as ambient arrays.  The
-    stencil is second order in each step; it runs at STENCIL_STEP and at half
-    of it, and the extrapolation of the two removes the leading error term.
+    stencil is second order in each step; it runs at steps (STENCIL_STEP,
+    _s_step) in (t, s) and at half of them, and the extrapolation of the two
+    removes the leading error terms.
     """
     if form.norm(v) == 0.0:
         raise ZeroVectorError("v must be nonzero")
-    coarse = _mixed_second_differences(cost, form, x, u, v, w, STENCIL_STEP, STENCIL_STEP)
-    fine = _mixed_second_differences(cost, form, x, u, v, w,
-                                     STENCIL_STEP / 2.0, STENCIL_STEP / 2.0)
+    hs = _s_step(cost, form, v, w)
+    coarse = _mixed_second_differences(cost, form, x, u, v, w, STENCIL_STEP, hs)
+    fine = _mixed_second_differences(cost, form, x, u, v, w, STENCIL_STEP / 2.0, hs / 2.0)
     return -1.5 * ((4.0 * fine - coarse) / 3.0)
 
 

@@ -7,7 +7,7 @@ from helpers import random_orthogonal_pair, scan_table
 from mtwcheck import (A3S, A3W_ONLY, FAILS, SpaceForm, classify, mtw_closed,
                       parse_cost, perturbation_check, preset, scan_conditions)
 from mtwcheck import checker
-from mtwcheck.checker import _grid_chunk, _noise_band
+from mtwcheck.checker import _NOISE_BAND_COEFF, _grid_chunk, _noise_band
 from mtwcheck.costs import make_cost
 from mtwcheck.curvature import coefficient_arrays, series_limit
 from mtwcheck.errors import AdmissibilityError
@@ -313,3 +313,101 @@ def test_noise_sits_orders_below_band(name, K):
     for key in ("beta", "gamma", "delta"):
         ratio = float(np.max(np.abs(prof[key]) / band))
         assert ratio <= 10.0 ** -1.5, (name, key, ratio)
+
+
+def _mixed_values(rng, size):
+    """Seeded values from 1e-12 to 1e2 in magnitude, of either sign, with
+    +0.0 and -0.0 at fixed places."""
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 3, size)
+    values[::17] = 0.0
+    values[8::17] = -0.0
+    return values
+
+
+def _bitwise_equal(got, ref):
+    # tobytes: np.array_equal would take -0.0 and 0.0 as equal
+    return np.shape(got) == np.shape(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("array_band", [False, True], ids=["scalar-band", "array-band"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_classify_equals_its_formulas_bitwise(n, array_band):
+    # classify works in place; its docstring's formulas, out of place, must
+    # give the same bits, and its inputs must come out unchanged
+    size = 4096
+    rng = np.random.default_rng(180 + 2 * n + array_band)
+    alpha, beta, gamma, delta = (_mixed_values(rng, size) for _ in range(4))
+    for row in (beta, gamma, delta):
+        row[size // 4:] = -np.abs(row[size // 4:])
+    band = np.abs(_mixed_values(rng, size)) if array_band else 3e-9
+    at = np.broadcast_to(band, (size,))
+    # slacks exactly at -band and at +band
+    for i, row in enumerate((beta, gamma, delta)):
+        row[i::23] = at[i::23]
+        row[11 + i::29] = -at[11 + i::29]
+    inputs = [c.copy() for c in (alpha, beta, gamma, delta)]
+    got = classify(alpha, beta, gamma, delta, n, band=band, strict_margin=1e-9)
+
+    slacks = {"beta": -beta, "gamma": -gamma}
+    if n > 2:
+        slacks["delta"] = -delta
+    defined = (beta <= band) & (gamma <= band)
+    combo = np.where(defined, 2.0 * (np.sqrt(np.maximum(0.0, -beta))
+                                     * np.sqrt(np.maximum(0.0, -gamma))) - (alpha + delta),
+                     np.inf)
+    slack_min = np.minimum(slacks["beta"], slacks["gamma"])
+    if n > 2:
+        slack_min = np.minimum(slack_min, slacks["delta"])
+    slack_min = np.minimum(slack_min, combo)
+    weak = defined & (slack_min >= -band)
+    strict = weak & (slack_min > np.maximum(1e-9, band))
+
+    assert list(got.slacks) == list(slacks)
+    assert all(_bitwise_equal(got.slacks[key], slacks[key]) for key in slacks)
+    for name, ref in (("combo", combo), ("combo_defined", defined), ("slack_min", slack_min),
+                      ("weak", weak), ("strict", strict)):
+        assert _bitwise_equal(getattr(got, name), ref), name
+    # the boundary cases occur: weak at slack_min = -band, not strict at +band
+    assert np.any(weak & (slack_min == -at)) and np.any(~strict & weak & (slack_min == at))
+    assert np.any(weak) and np.any(~weak) and np.any(strict)
+    assert all(_bitwise_equal(c, ref) for c, ref in zip((alpha, beta, gamma, delta), inputs))
+
+
+def test_noise_band_equals_its_formula_bitwise():
+    size = 4096
+    rng = np.random.default_rng(181)
+    limit = 3e-5
+    z = np.abs(_mixed_values(rng, size)) * 1e-2
+    z[5::31] = limit
+    A, B = _mixed_values(rng, size), _mixed_values(rng, size)
+    profile = {"A": A, "B": B}
+    inputs = [c.copy() for c in (z, A, B)]
+    got = _noise_band(z, profile, limit)
+
+    scale = np.maximum(1.0, np.maximum(np.abs(A), np.abs(B)))
+    tiny = np.clip(np.minimum(1.0, np.abs(A)), 1e-3, 1.0)
+    ref = np.where(z >= limit, _NOISE_BAND_COEFF * (scale / tiny) ** 3
+                   * (1.0 + 1.0 / np.maximum(z, limit) ** 2), 1e-12 * scale)
+    assert _bitwise_equal(got, ref)
+    assert np.any(z < limit) and np.any(z > limit) and np.any(np.abs(A) < 1e-3)
+    assert all(_bitwise_equal(c, ref) for c, ref in zip((z, A, B), inputs))
+
+
+@pytest.mark.parametrize("name,K,D,eps", [case[:4] for case in SCAN_EXPECTATIONS])
+def test_scan_leaves_its_chunk_tables_unchanged(name, K, D, eps):
+    # each chunk's arrays are written in place while the chunk is built; the
+    # tables on_chunk receives must keep their values after the scan
+    cost = preset(name, D, eps=eps) if eps else preset(name, D)
+    tables, copies = [], []
+
+    def keep(table):
+        tables.append(table)
+        copies.append({key: col.copy() for key, col in table.items()})
+
+    scan_conditions(cost, K, 3, 2 * checker.SCAN_CHUNK + 5, on_chunk=keep)
+    assert len(tables) == 3
+    for table, copy in zip(tables, copies):
+        assert all(_bitwise_equal(table[key], copy[key]) for key in copy)
+    # on the direct branch gamma is B'', one array, which classify only reads
+    prof = coefficient_arrays(cost, K, np.linspace(0.5, 1.0, 8) * cost.zmax)
+    assert prof["gamma"] is prof["Bdprime"]

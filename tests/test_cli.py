@@ -231,6 +231,21 @@ def test_eval_zero_w_all_routes(capsys):
         assert values[name] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_eval_all_on_a_small_lprime_range(capsys):
+    # |l'(D)| = 1e-3: a fixed 1e-2 step in s took the oracle's stencil out
+    # of the range of l', and the run exited 2 with a message about |y|
+    argv = ["eval", "--cost=z^2/2", "--K", "0", "--dim", "2", "--diameter", "1e-3",
+            "--u=1,0", "--w=0.6,0.8", "--method", "all"]
+    code, out, err = run(capsys, *argv, "--v=3e-4,4e-4", "--json")
+    assert code == 0 and err == ""
+    values = json.loads(out)["values"]
+    assert abs(values["oracle"] - values["closed"]) < 1e-6
+    # at |v| = |l'(D)| no step fits: the message names |v|, |w| and |l'(D)|
+    code, out, err = run(capsys, *argv, "--v=6e-4,8e-4")
+    assert code == 2 and out == ""
+    assert "|v| = 0.001, |w| = 1.0, |l'(D)| = 0.001" in err and "|y|" not in err
+
+
 def test_eval_zero_v_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--cost", "sq", "--K", "0", "--dim", "3",
                        "--u", "1,0,0", "--v", "0,0,0", "--w", "0,0,1")

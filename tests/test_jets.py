@@ -1,5 +1,6 @@
 """Jet arithmetic and elementary composition against independent oracles."""
 
+import contextlib
 import math
 import zlib
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from mtwcheck import Jet, jet_compose
 from mtwcheck.errors import DegenerateJetError, DomainError
-from mtwcheck.jets import _FACTORIAL, ELEMENTARY_FUNCTIONS, N_COEFFS, _compose_table
+from mtwcheck.jets import (_FACTORIAL, ELEMENTARY_FUNCTIONS, N_COEFFS, _compose_table,
+                          _table_circular, jet_compose_pair)
 
 
 def coeffs(jet):
@@ -319,3 +321,42 @@ def test_scalar_division_by_zero_raises():
         Jet.variable(1.0) / 0.0
     with pytest.raises(DegenerateJetError):
         Jet.variable(np.array([1.0, 2.0])) / np.array([1.0, 0.0])
+
+
+def test_operations_leave_their_operands_unchanged():
+    # products and quotients accumulate in place, so an operand whose arrays
+    # another jet shares, or that a table shares with its caller, must come
+    # out of every operation bitwise as it went in
+    z = np.linspace(0.2, 0.8, 9)
+    rng = np.random.default_rng(18)
+    a = Jet([z] + list(0.3 * rng.uniform(-1.0, 1.0, (N_COEFFS - 1, z.size))))
+    b = Jet([1.0 + z] + list(0.3 * rng.uniform(-1.0, 1.0, (N_COEFFS - 1, z.size))))
+    # one array in every coefficient
+    shared = Jet((z,) * N_COEFFS)
+    # exp's table holds e^z twice, and a variable jet composes to the table
+    exp = jet_compose("exp", Jet.variable(z))
+    assert exp.coeffs[0] is exp.coeffs[1]
+    # a table's entries 0 and 1 are the function values themselves, which
+    # building the table leaves as they are
+    vals = (np.cosh(z), np.sinh(z))
+    vals_before = [v.copy() for v in vals]
+    table = _table_circular("cosh", vals, N_COEFFS)
+    assert table[0] is vals[0] and table[1] is vals[1]
+    assert all(v.tobytes() == ref.tobytes() for v, ref in zip(vals, vals_before))
+    # two jets that share their arrays
+    cosh, sinh = jet_compose_pair("cosh", Jet.variable(z))
+    assert cosh.coeffs[0] is sinh.coeffs[1]
+    jets = [a, b, shared, exp, Jet(table), cosh, sinh]
+    arrays = {id(c): c for jet in jets for c in jet.coeffs}
+    before = {key: c.copy() for key, c in arrays.items()}
+    for x in jets:
+        results = [x * x, x / x, x ** 3, x ** -2, 2.5 - x, 0.75 / x, 2.0 * x, x / 2.0, -x]
+        for y in jets:
+            results += [x + y, x - y, x * y, x / y, _compose_table(y.coeffs, x)]
+        for name in ELEMENTARY_FUNCTIONS:
+            with contextlib.suppress(DomainError):
+                results.append(jet_compose(name, x))
+        results += [*jet_compose_pair("cos", x), *jet_compose_pair("cosh", x)]
+        assert all(len(r.coeffs) == len(x.coeffs) for r in results)
+    for key, c in arrays.items():
+        assert c.tobytes() == before[key].tobytes()

@@ -6,8 +6,9 @@ from helpers import central_derivative
 
 from mtwcheck import (SpaceForm, eval_cost_jet, jacobi_residual, mtw_closed, mtw_definitional,
                       preset)
-from mtwcheck.errors import ZeroVectorError
-from mtwcheck.oracle import _mixed_second_differences
+from mtwcheck.costs import make_cost
+from mtwcheck.errors import OutOfRangeError, ZeroVectorError
+from mtwcheck.oracle import STENCIL_STEP, _mixed_second_differences, _s_step
 
 
 def _stencil(cost, form, x, u, v, w, step):
@@ -152,3 +153,59 @@ def test_fd_check_against_jet_lprime():
     fd = central_derivative(lprime, 0.5, 1, h=0.02)
     jet_value = float(eval_cost_jet(cost, 0.5).derivative(2))
     assert fd == pytest.approx(jet_value, abs=1e-6)
+
+
+def test_s_step_is_the_stencil_step_where_that_fits():
+    # every input whose 1e-2 stencil stays in the range of l' keeps that step
+    # bitwise, so the golden oracle values do not move
+    cost = preset("neg-cosh", 2.0)
+    form = SpaceForm(-1, 3)
+    x = form.canonical_base()
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.01, 0.99 * cost.zmax)
+        w = form.random_tangent(x, rng, unit=True)
+        assert _s_step(cost, form, v, w) == STENCIL_STEP
+    # |v| + 1e-2 |w| leaves the range, but with w orthogonal to v every
+    # argument stays in it
+    v, w = form.frame_tangent([0.99999 * cost.zmax, 0.0, 0.0]), form.frame_tangent([0.0, 1.0, 0.0])
+    assert _s_step(cost, form, v, w) == STENCIL_STEP
+
+
+def test_s_step_shrinks_on_a_small_lprime_range():
+    # |l'(D)| = 1e-3, |v| = 5e-4: the 1e-2 stencil would reach |y| = 0.0105
+    cost = make_cost("z^2/2", 1e-3)
+    form = SpaceForm(0, 2)
+    v, w = form.frame_tangent([3e-4, 4e-4]), form.frame_tangent([0.6, 0.8])
+    step = _s_step(cost, form, v, w)
+    assert step == pytest.approx(2.5e-4, rel=1e-12)
+    assert form.norm(v + step * w) < cost.zmax
+    # F is quadratic in each perturbation, so only roundoff is left
+    assert abs(mtw_definitional(cost, form, form.canonical_base(), form.frame_tangent([1.0, 0.0]),
+                                v, w)) < 1e-6
+
+
+def test_shrunk_s_step_agrees_with_the_closed_route():
+    # a curved space at D = 0.01: |v| = 5e-3 leaves a step of 2.5e-3 in s
+    cost = preset("neg-cosh", 0.01)
+    form = SpaceForm(-1, 2)
+    x = form.canonical_base()
+    u, v, w = (form.frame_tangent(c) for c in ([1.0, 0.0], [3e-3, 4e-3], [0.6, 0.8]))
+    assert _s_step(cost, form, v, w) < STENCIL_STEP
+    closed = mtw_closed(cost, form, u, v, w)
+    assert mtw_definitional(cost, form, x, u, v, w) == pytest.approx(closed, rel=1e-4)
+
+
+def test_s_step_without_room_names_v_w_and_the_range():
+    cost = make_cost("z^2/2", 1e-3)
+    form = SpaceForm(0, 2)
+    v, w = form.frame_tangent([6e-4, 8e-4]), form.frame_tangent([0.6, 0.8])
+    with pytest.raises(OutOfRangeError, match=r"\|v\| = 0\.001, \|w\| = 1\.0, "
+                                              r"\|l'\(D\)\| = 0\.001"):
+        _s_step(cost, form, v, w)
+    # a step that fits, (|l'(D)| - |v|) / (2 |w|) = 8.8e-154, is too small
+    # for the stencil's divisor (ht hs)^2, a subnormal float
+    cost, form = preset("neg-cosh", 1.0), SpaceForm(-1, 2)
+    v, w = form.frame_tangent([0.0, 1.0]), form.frame_tangent([0.0, 1e152])
+    with pytest.raises(OutOfRangeError, match=r"\|v\| = 1\.0, \|w\| = 1e\+152"):
+        _s_step(cost, form, v, w)
