@@ -38,7 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .costs import eval_defined_jet
-from .curvature import SPHERE_MAX_DIAMETER, coefficient_arrays, series_limit
+from .curvature import coefficient_arrays, series_limit
+from .errors import InputError, NumericError
 
 A3S = "A3s"
 A3W_ONLY = "A3w-only"
@@ -198,14 +199,11 @@ def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, o
     maps z, A, B, alpha, beta, gamma, delta and slack_min to arrays.
     """
     if dimension < 2:
-        raise ValueError("dimension must be at least 2")
+        raise InputError("dimension must be at least 2")
     if grid_points < 256:
-        raise ValueError("grid_points must be at least 256")
+        raise InputError("grid_points must be at least 256")
     if not 0.0 <= strict_margin < math.inf:
-        raise ValueError(f"strict_margin must be finite and nonnegative, got {strict_margin!r}")
-    if K == 1 and cost.diameter > SPHERE_MAX_DIAMETER:
-        raise ValueError(f"on the sphere the scan diameter must be at most "
-                         f"{SPHERE_MAX_DIAMETER!r}, clear of the cot pole at pi")
+        raise InputError(f"strict_margin must be finite and nonnegative, got {strict_margin!r}")
 
     zmax = cost.zmax
     weak = strict = True
@@ -216,7 +214,7 @@ def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, o
         prof = coefficient_arrays(cost, K, z)
         for name in ("alpha", "beta", "gamma", "delta"):
             if not np.all(np.isfinite(prof[name])):
-                raise FloatingPointError(f"non-finite {name} encountered during the scan")
+                raise NumericError(f"non-finite {name} encountered during the scan")
         band = _noise_band(z, prof, series_limit(cost, K))
         c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], dimension,
                      band=band, strict_margin=strict_margin)
@@ -255,7 +253,7 @@ def perturbation_check(f, k, b, grid_points=1024):
     f''(z) < k and (z^2 f'''(z) - z f''(z) + 2 f'(z))/z < k at every grid
     point of the uniform grid with left endpoint b/grid_points.  An f
     undefined there raises AdmissibilityError, and a non-finite LHS (an f
-    that overflows, say) FloatingPointError, naming the first such point.
+    that overflows, say) NumericError, naming the first such point.
 
     The grid, np.linspace(b/grid_points, b, grid_points), is checked in
     chunks of SCAN_CHUNK consecutive points, so peak memory does not grow
@@ -263,11 +261,11 @@ def perturbation_check(f, k, b, grid_points=1024):
     the maximum over the chunks, as in one pass over the whole grid.
     """
     if not -math.inf < k < 0.0:
-        raise ValueError(f"the threshold k must be finite and negative, got {k!r}")
+        raise InputError(f"the threshold k must be finite and negative, got {k!r}")
     if not 0.0 < b < math.inf:
-        raise ValueError(f"the interval bound b must be finite and positive, got {b!r}")
+        raise InputError(f"the interval bound b must be finite and positive, got {b!r}")
     if grid_points < 1:
-        raise ValueError("grid_points must be positive")
+        raise InputError("grid_points must be positive")
     witness, worst = None, -math.inf
     for lo in range(0, grid_points, SCAN_CHUNK):
         z = _grid_chunk(b / grid_points, b, grid_points, lo, min(lo + SCAN_CHUNK, grid_points))
@@ -279,8 +277,8 @@ def perturbation_check(f, k, b, grid_points=1024):
         lhs2 = (z * z * fppp - z * fpp + 2.0 * fp) / z
         not_finite = ~(np.isfinite(lhs1) & np.isfinite(lhs2))
         if np.any(not_finite):
-            raise FloatingPointError(f"non-finite perturbation LHS at z = "
-                                     f"{float(z[not_finite][0])!r}")
+            raise NumericError(f"non-finite perturbation LHS at z = "
+                               f"{float(z[not_finite][0])!r}")
         bad = (lhs1 >= k) | (lhs2 >= k)
         worst = np.maximum(worst, np.max(np.maximum(lhs1, lhs2)))
         if witness is None and np.any(bad):

@@ -1,6 +1,8 @@
 """Command-line front end: verdict scans, pointwise curvature, perturbation checks.
 
-The exit codes are listed in EXIT_CODES, which --help prints.
+The exit codes are listed in EXIT_CODES, which --help prints.  main maps an
+exception by Python base class: ValueError (errors.InputError among them) or
+OSError to 2, ArithmeticError (errors.NumericError, OverflowError) to 3.
 
 The process has one argument parser, PARSER, built at import. Parsing leaves
 it unchanged, so calls to main share no state.
@@ -25,8 +27,7 @@ from . import checker
 from .checker import perturbation_check, scan_conditions
 from .costs import PRESETS, make_cost, preset
 from .curvature import SPHERE_MAX_DIAMETER, mtw_closed, mtw_via_jacobi
-from .errors import (AdmissibilityError, MtwError, OutOfRangeError, ParseError,
-                     ZeroVectorError)
+from .errors import InputError, NumericError
 from .expressions import parse_cost
 from .geometry import SpaceForm
 from .oracle import mtw_definitional
@@ -36,14 +37,10 @@ SCHEMA_VERSION = 1
 EXIT_CODES = """exit codes:
   0  verdict computed and not "fails", value computed, or perturbation check holds
   1  verdict "fails", or perturbation check fails
-  2  invalid input or inadmissible cost
-  3  numeric failure"""
+  2  invalid input or inadmissible cost: a ValueError or an OSError
+  3  numeric failure: an ArithmeticError"""
 
 CSV_COLUMNS = ["z", "A", "B", "alpha", "beta", "gamma", "delta", "slack_min"]
-
-# OSError: a --csv path that cannot be written
-_INPUT_ERRORS = (ParseError, AdmissibilityError, OutOfRangeError,
-                 ZeroVectorError, ValueError, OSError)
 
 
 @dataclass
@@ -83,7 +80,7 @@ def resolve_cost(text, diameter):
         try:
             eps = float(m.group(1))
         except ValueError:
-            raise ValueError(f"quartic eps must be finite and positive, got {m.group(1)!r}") from None
+            raise InputError(f"quartic eps must be finite and positive, got {m.group(1)!r}") from None
         return preset("quartic", diameter, eps=eps)
     return make_cost(text, diameter)
 
@@ -92,9 +89,9 @@ def _parse_vector(text, what):
     try:
         vec = np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
+        raise InputError(f"{what} must be comma-separated numbers, got {text!r}") from None
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{what} must have finite components, got {text!r}")
+        raise InputError(f"{what} must have finite components, got {text!r}")
     return vec
 
 
@@ -139,7 +136,7 @@ def _write_csv(path):
 
 def _check_sphere_diameter(K, diameter):
     if K == 1 and diameter > SPHERE_MAX_DIAMETER:
-        raise ValueError(f"--diameter must be at most {SPHERE_MAX_DIAMETER!r} on the sphere "
+        raise InputError(f"--diameter must be at most {SPHERE_MAX_DIAMETER!r} on the sphere "
                          f"(K = 1), clear of the cot pole at pi; got {diameter!r}")
 
 
@@ -174,7 +171,7 @@ def cmd_eval(args):
                for text, name in ((args.u, "--u"), (args.v, "--v"), (args.w, "--w"))]
     for vec in vectors:
         if vec.shape != (args.dim,):
-            raise ValueError(f"vectors must have {args.dim} components")
+            raise InputError(f"vectors must have {args.dim} components")
     u, v, w = (form.frame_tangent(vec) for vec in vectors)
     routes = {"closed": lambda: mtw_closed(cost, form, u, v, w),
               "jacobi": lambda: mtw_via_jacobi(cost, form, u, v, w),
@@ -184,7 +181,7 @@ def cmd_eval(args):
         if args.method in (name, "all"):
             values[name] = float(route())
             if not math.isfinite(values[name]):
-                raise FloatingPointError(f"the {name} route gave {values[name]!r}")
+                raise NumericError(f"the {name} route gave {values[name]!r}")
     deviations = None
     if args.method == "all":
         names = sorted(values)
@@ -314,10 +311,10 @@ def main(argv=None):
         # computed, so numpy's warnings would only repeat the error message
         with np.errstate(all="ignore"):
             return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MtwError, FloatingPointError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

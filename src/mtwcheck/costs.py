@@ -13,8 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (AdmissibilityError, ConvergenceFailure, DegenerateJetError, DomainError,
-                     OutOfRangeError)
+from .errors import AdmissibilityError, DomainError, InputError, NumericError
 from .expressions import Expr, evaluate, evaluate_jet, parse_cost
 from .jets import N_COEFFS, Jet
 
@@ -48,7 +47,7 @@ class CostFunction:
 
     def __post_init__(self):
         if not 0.0 < self.diameter < math.inf:
-            raise ValueError(f"diameter must be finite and positive, got {self.diameter!r}")
+            raise InputError(f"diameter must be finite and positive, got {self.diameter!r}")
         object.__setattr__(self, "lprime_sign", _check_admissibility(self))
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "zmax", abs(float(self.lprime(self.diameter))))
@@ -76,11 +75,11 @@ def eval_defined_jet(expression, z0, length, what):
     """
     try:
         return evaluate_jet(expression, Jet.variable(z0, length))
-    except (DomainError, DegenerateJetError):
+    except DomainError:
         for point in np.atleast_1d(z0).tolist():
             try:
                 evaluate_jet(expression, Jet.variable(point, length))
-            except (DomainError, DegenerateJetError) as exc:
+            except DomainError as exc:
                 raise AdmissibilityError(
                     "undefined", point,
                     f"{what} is undefined at z = {point!r} ({exc})") from None
@@ -167,7 +166,7 @@ def inverse_lprime(cost, y):
     y_arr = np.asarray(y, dtype=float)
     if not in_lprime_range(cost, y_arr):
         worst = float(np.max(np.abs(y_arr)))
-        raise OutOfRangeError(f"|y| = {worst} exceeds |l'(D)| = {cost.zmax}")
+        raise InputError(f"|y| = {worst} exceeds |l'(D)| = {cost.zmax}")
     if cost.analytic_inverse is not None:
         out = cost.analytic_inverse(y_arr)
     else:
@@ -216,7 +215,7 @@ def _newton_inverse(cost, targets):
         final = cost.lprime_sign * np.asarray(eval_cost_jet(cost, x[moving], 2).coeffs[1])
         ends = targets[moving]
         if np.any(np.abs(final - ends) > 1e-12 * np.maximum(1.0, ends)):
-            raise ConvergenceFailure("Newton inverse of l' did not converge")
+            raise NumericError("Newton inverse of l' did not converge")
     return x.reshape(shape)
 
 
@@ -301,15 +300,15 @@ def preset(name, diameter, eps=None):
     if name == "quartic":
         eps = DEFAULT_QUARTIC_EPS if eps is None else float(eps)
         if not 0.0 < eps < math.inf:
-            raise ValueError(f"quartic eps must be finite and positive, got {eps!r}")
+            raise InputError(f"quartic eps must be finite and positive, got {eps!r}")
         if 12.0 * eps * diameter * diameter >= 1.0:
-            raise ValueError("quartic preset needs 12*eps*D^2 < 1 for admissibility")
+            raise InputError("quartic preset needs 12*eps*D^2 < 1 for admissibility")
         text = f"z^2/2 - {eps!r}*z^4"
         return make_cost(text, diameter, analytic_inverse=_make_h_quartic(eps),
                          name=f"quartic({eps!r})")
     if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
+        raise InputError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
     if eps is not None:
-        raise ValueError("eps applies only to the quartic preset")
+        raise InputError("eps applies only to the quartic preset")
     info = PRESETS[name]
     return make_cost(info.text, diameter, analytic_inverse=info.analytic_inverse, name=name)

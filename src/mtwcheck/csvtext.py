@@ -49,6 +49,8 @@ import math
 
 import numpy as np
 
+from .errors import InputError
+
 _SPLITTER = 134217729.0  # 2**27 + 1: Dekker's split of a double into halves
 _TIE_GUARD = 1e-6
 _WIDTH = 32
@@ -159,7 +161,7 @@ def format_rows(values, ncols):
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     n = len(x)
     if n % ncols:
-        raise ValueError(f"{n} values do not fill rows of {ncols}")
+        raise InputError(f"{n} values do not fill rows of {ncols}")
     ax = np.abs(x)
     finite = (ax > 0.0) & (ax < np.inf)
     plain = bool(finite.all())

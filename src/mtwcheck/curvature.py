@@ -28,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .costs import eval_cost_jet, inverse_lprime
-from .errors import OutOfRangeError, PoleError, ZeroVectorError
+from .errors import InputError
 from .jets import Jet, _compose_table, jet_compose, jet_compose_pair
 
 # Below this argument A, B and the coefficient functions switch from direct
@@ -47,13 +47,6 @@ _POLE_TOL = 1e-9
 # The largest working diameter on the sphere: h(z) runs up to D, which
 # stays ten pole tolerances clear of the cot pole at pi.
 SPHERE_MAX_DIAMETER = math.pi - 10.0 * _POLE_TOL
-
-
-def _check_pole(K, h0):
-    if K == 1:
-        gap = np.pi - np.abs(np.asarray(h0))
-        if np.any(gap < _POLE_TOL):
-            raise PoleError("h(z) within tolerance of the cot pole at pi")
 
 
 _PROFILE_KEYS = ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime",
@@ -157,7 +150,6 @@ def _direct_profiles(cost, K, h0):
     B cancels against A to second order, so B is built at zeff, the argument
     that matches h0, and alpha..delta divide by zeff as well.
     """
-    _check_pole(K, h0)
     # l^(k) = k! c_k, written into arrays of h0's shape: a coefficient that
     # does not depend on z (c_2 of z^2/2, say) is a float.  No name holds
     # the jet, so its arrays are freed before the formulas below run.  On a
@@ -224,9 +216,14 @@ def _profiles(cost, K, z):
     are evaluated directly at their own h0.  An array with no entry
     below that limit gets the direct-branch arrays as they are.
     """
+    if K not in (-1, 0, 1):
+        raise InputError(f"curvature must be -1, 0, or +1, got {K!r}")
+    if K == 1 and cost.diameter > SPHERE_MAX_DIAMETER:
+        raise InputError(f"on the sphere the diameter must be at most "
+                         f"{SPHERE_MAX_DIAMETER!r}, clear of the cot pole at pi")
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
-        raise OutOfRangeError("profile arguments must be nonnegative")
+        raise InputError("profile arguments must be nonnegative")
     h0 = np.asarray(inverse_lprime(cost, z))
     small = z < SERIES_SWITCH
     if np.any(small):
@@ -274,7 +271,7 @@ def decompose(form, u, v):
     """Split u into its components along v and orthogonal to v."""
     vv = form.inner(v, v)
     if vv == 0.0:
-        raise ZeroVectorError("cannot decompose against a zero vector")
+        raise InputError("cannot decompose against a zero vector")
     u0 = v * (form.inner(u, v) / vv)
     return u0, u - u0
 
@@ -289,7 +286,7 @@ def _tangential_factor(K, d):
     if K == -1:
         return d / math.tanh(d)
     if math.pi - d < _POLE_TOL:
-        raise PoleError("|v| within tolerance of the sphere conjugate point at pi")
+        raise InputError("|v| within tolerance of the sphere conjugate point at pi")
     return d / math.tan(d)
 
 
@@ -300,7 +297,7 @@ def jacobi_map_closed(form, u, v):
     """
     d = form.norm(v)
     if d == 0.0:
-        raise ZeroVectorError("the Jacobi map needs a nonzero geodesic direction")
+        raise InputError("the Jacobi map needs a nonzero geodesic direction")
     u0, u1 = decompose(form, u, v)
     return -u0 - _tangential_factor(form.curvature, d) * u1
 
@@ -309,7 +306,7 @@ def _speed(form, v):
     """|v|, which every route needs nonzero."""
     z = form.norm(v)
     if z == 0.0:
-        raise ZeroVectorError("v must be nonzero")
+        raise InputError("v must be nonzero")
     return z
 
 

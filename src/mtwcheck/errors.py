@@ -1,28 +1,26 @@
-"""Exception hierarchy shared by all mtwcheck modules."""
+"""Exception hierarchy shared by all mtwcheck modules.
+
+A raise site that rejects an argument its caller passed raises InputError, a
+ValueError; one where a computation on accepted arguments failed raises
+NumericError, an ArithmeticError.  The CLI maps these bases to exits 2 and 3.
+"""
 
 
 class MtwError(Exception):
     """Base class for all errors raised by mtwcheck."""
 
 
-class DegenerateJetError(MtwError):
-    """Division by a jet whose constant term is zero."""
+class InputError(MtwError, ValueError):
+    """An argument was rejected."""
 
 
-class DomainError(MtwError):
-    """An elementary function was evaluated outside its domain."""
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
+class NumericError(MtwError, ArithmeticError):
+    """A computation on accepted arguments failed."""
 
 
-class ParseError(MtwError):
-    """Cost expression could not be parsed.
-
-    Carries the byte offset of the failure and the set of token kinds
-    that would have been accepted there.
-    """
+class ParseError(InputError):
+    """Cost expression could not be parsed: offset is the byte offset of the
+    failure, and expected the token kinds that would have been accepted."""
 
     def __init__(self, message, offset, expected=()):
         super().__init__(f"{message} (at offset {offset})")
@@ -30,7 +28,7 @@ class ParseError(MtwError):
         self.expected = tuple(expected)
 
 
-class AdmissibilityError(MtwError):
+class AdmissibilityError(InputError):
     """Cost function violates evenness or the constant-sign requirement on l''.
 
     kind is one of "not-even", "lpp-sign-change", "lpp-zero",
@@ -46,33 +44,6 @@ class AdmissibilityError(MtwError):
         self.witness = witness
 
 
-class OutOfRangeError(MtwError):
-    """Argument outside the invertible range of l'."""
-
-
-class ConvergenceFailure(MtwError):
-    """Iterative root finding did not reach the required residual."""
-
-
-class GeometryError(MtwError):
-    """Point/tangent data violates the model constraints."""
-
-
-class InjectivityRadiusError(MtwError):
-    """Tangent vector leaves the injectivity radius (sphere: |v| >= pi)."""
-
-
-class CutLocusError(MtwError):
-    """Operation undefined at or past the cut locus."""
-
-
-class ZeroVectorError(MtwError):
-    """A direction argument that must be nonzero was zero."""
-
-
-class PoleError(MtwError):
-    """Evaluation hit a pole of cot/coth within tolerance."""
-
-
-class StencilDegenerateError(MtwError):
-    """Finite-difference stencil produced non-finite values."""
+class DomainError(NumericError):
+    """An elementary function was evaluated outside its domain, or a jet
+    was divided by one whose constant term is zero."""

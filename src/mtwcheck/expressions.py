@@ -4,6 +4,9 @@ Grammar: literals, the variable z, unary minus, binary + - * / and ^ with an
 integer exponent, and single-argument calls to the elementary functions known
 to the jet module.  Precedence is ^ > unary minus > * / > + -, all binary
 operators left-associative; whitespace is insignificant.
+
+Each operator, call and pair of parentheses is one level of depth over its
+operands; the parser and the evaluators recurse per level, up to MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ import numpy as np
 
 from .errors import ParseError
 from .jets import ELEMENTARY_FUNCTIONS, Jet, jet_compose
+
+# far above any preset (depth 4); the parser takes six frames per level, well
+# within Python's default recursion limit of 1000
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # parentheses open around the current token
 
     def peek(self):
         return self.tokens[self.i]
@@ -104,38 +112,53 @@ class _Parser:
             self.fail((op,))
         return self.advance()
 
+    def level(self, *depths):
+        """The depth of a construct over operands of these depths."""
+        if max(depths) >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", self.peek()[2])
+        return 1 + max(depths)
+
+    def group(self):
+        """'(' expression ')': one level, also counted on the way in."""
+        self.expect_op("(")
+        self.open = self.level(self.open)
+        node, depth = self.expression()
+        self.open -= 1
+        self.expect_op(")")
+        return node, self.level(depth)
+
     def parse(self):
-        expr = self.expression()
+        expr, _ = self.expression()
         if self.peek()[0] != "end":
             self.fail(("operator", "end of input"))
         return expr
 
-    def expression(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+    def expression(self, ops="+-"):
+        """Terms joined by + or -, left-associative; for ops "*/", a term:
+        unary operands joined by * or /."""
+        node, depth = self.expression("*/") if ops == "+-" else self.unary()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
             op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.unary())
-        return node
+            right, right_depth = self.expression("*/") if ops == "+-" else self.unary()
+            node, depth = BinOp(op, node, right), self.level(depth, right_depth)
+        return node, depth
 
     def unary(self):
-        if self.peek()[:2] == ("op", "-"):
+        signs = 0
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            signs += 1
+        node, depth = self.power()
+        for _ in range(signs):
+            node, depth = Neg(node), self.level(depth)
+        return node, depth
 
     def power(self):
-        node = self.atom()
+        node, depth = self.atom()
         while self.peek()[:2] == ("op", "^"):
             self.advance()
-            node = Pow(node, self.exponent())
-        return node
+            node, depth = Pow(node, self.exponent()), self.level(depth)
+        return node, depth
 
     def exponent(self):
         sign = 1
@@ -152,23 +175,18 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Lit(float(value))
+            return Lit(float(value)), 0
         if kind == "name":
             self.advance()
             if value == "z":
-                return Var()
+                return Var(), 0
             if value in ELEMENTARY_FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expression()
-                self.expect_op(")")
-                return Call(value, arg)
+                arg, depth = self.group()
+                return Call(value, arg), depth
             raise ParseError(f"unknown name {value!r}", pos,
                              expected=("z",) + tuple(sorted(ELEMENTARY_FUNCTIONS)))
         if kind == "op" and value == "(":
-            self.advance()
-            node = self.expression()
-            self.expect_op(")")
-            return node
+            return self.group()
         self.fail(("number", "z", "function", "("))
 
 

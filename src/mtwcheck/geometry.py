@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import inverse_lprime
-from .errors import (CutLocusError, GeometryError, InjectivityRadiusError,
-                     ZeroVectorError)
+from .errors import InputError, NumericError
 
 MODEL_TOL = 1e-10
 CLAMP_SLACK = 1e-12
@@ -37,9 +36,9 @@ class SpaceForm:
 
     def __post_init__(self):
         if self.curvature not in (-1, 0, 1):
-            raise ValueError("curvature must be -1, 0, or +1")
+            raise InputError("curvature must be -1, 0, or +1")
         if self.dimension < 2:
-            raise ValueError("dimension must be at least 2")
+            raise InputError("dimension must be at least 2")
 
     @property
     def ambient_dimension(self):
@@ -58,27 +57,27 @@ class SpaceForm:
         """Validated point of the model from ambient coordinates."""
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.ambient_dimension,):
-            raise GeometryError(f"expected {self.ambient_dimension} ambient coordinates")
+            raise InputError(f"expected {self.ambient_dimension} ambient coordinates")
         if self.curvature == 1:
             if abs(self.inner(coords, coords) - 1.0) > MODEL_TOL:
-                raise GeometryError("point is not on the unit sphere")
+                raise InputError("point is not on the unit sphere")
         elif self.curvature == -1:
             if abs(self.inner(coords, coords) + 1.0) > MODEL_TOL:
-                raise GeometryError("point is not on the unit hyperboloid")
+                raise InputError("point is not on the unit hyperboloid")
             if coords[-1] <= 0.0:
-                raise GeometryError("point is on the wrong hyperboloid sheet")
+                raise InputError("point is on the wrong hyperboloid sheet")
         return coords
 
     def tangent(self, x, components):
         """Validated tangent vector at the point x."""
         components = np.asarray(components, dtype=float)
         if components.shape != (self.ambient_dimension,):
-            raise GeometryError(f"expected {self.ambient_dimension} ambient components")
+            raise InputError(f"expected {self.ambient_dimension} ambient components")
         if self.curvature != 0:
             pairing = self.inner(x, components)
             scale = max(1.0, float(np.max(np.abs(components))))
             if abs(pairing) > MODEL_TOL * scale:
-                raise GeometryError("vector is not tangent to the model at x")
+                raise InputError("vector is not tangent to the model at x")
         return components
 
     def project_point(self, raw):
@@ -113,7 +112,7 @@ class SpaceForm:
         direction = v / r
         if self.curvature == 1:
             if r >= math.pi:
-                raise InjectivityRadiusError(f"|v| = {r} reaches the sphere cut locus")
+                raise InputError(f"|v| = {r} reaches the sphere cut locus")
             return math.cos(r) * x + math.sin(r) * direction
         return math.cosh(r) * x + math.sinh(r) * direction
 
@@ -124,11 +123,11 @@ class SpaceForm:
         c = self.inner(x, y)
         if self.curvature == 1:
             if abs(c) > 1.0 + CLAMP_SLACK:
-                raise GeometryError(f"sphere inner product {c} outside [-1, 1]")
+                raise InputError(f"sphere inner product {c} outside [-1, 1]")
             return math.acos(min(1.0, max(-1.0, c)))
         m = -c
         if m < 1.0 - CLAMP_SLACK:
-            raise GeometryError(f"hyperboloid pairing {m} below 1")
+            raise InputError(f"hyperboloid pairing {m} below 1")
         return math.acosh(max(1.0, m))
 
     def log_map(self, x, y):
@@ -141,7 +140,7 @@ class SpaceForm:
         c = self.inner(x, y)
         if self.curvature == 1:
             if c <= -1.0 + CLAMP_SLACK:
-                raise CutLocusError("points are antipodal on the sphere")
+                raise InputError("points are antipodal on the sphere")
             w = y - c * x
         else:
             w = y + c * x
@@ -188,7 +187,7 @@ class SpaceForm:
         """
         intrinsic = np.asarray(intrinsic, dtype=float)
         if intrinsic.shape != (self.dimension,):
-            raise GeometryError(f"expected {self.dimension} frame components")
+            raise InputError(f"expected {self.dimension} frame components")
         if self.curvature == 0:
             return intrinsic.copy()
         return np.append(intrinsic, 0.0)
@@ -240,7 +239,7 @@ def orthonormal_tangent_frame(form, x, first=None):
     if first is not None:
         n = form.norm(first)
         if n < 1e-14:
-            raise ZeroVectorError("cannot start a frame with a zero vector")
+            raise InputError("cannot start a frame with a zero vector")
         frame.append(first * (1.0 / n))
     for i in range(form.ambient_dimension):
         if len(frame) == form.dimension:
@@ -254,5 +253,5 @@ def orthonormal_tangent_frame(form, x, first=None):
         if n > 1e-8:
             frame.append(cand * (1.0 / n))
     if len(frame) != form.dimension:
-        raise GeometryError("failed to complete an orthonormal tangent frame")
+        raise NumericError("failed to complete an orthonormal tangent frame")
     return frame

@@ -43,7 +43,7 @@ import functools
 
 import numpy as np
 
-from .errors import DegenerateJetError, DomainError
+from .errors import DomainError, InputError
 
 ORDER = 6
 N_COEFFS = ORDER + 1
@@ -63,7 +63,7 @@ class Jet:
     def __init__(self, coeffs):
         coeffs = tuple(coeffs)
         if not 1 <= len(coeffs) <= N_COEFFS:
-            raise ValueError(f"a jet has 1 to {N_COEFFS} coefficients, got {len(coeffs)}")
+            raise InputError(f"a jet has 1 to {N_COEFFS} coefficients, got {len(coeffs)}")
         self.coeffs = coeffs
 
     @classmethod
@@ -131,7 +131,7 @@ class Jet:
         is_jet = isinstance(other, Jet)
         b0 = other.coeffs[0] if is_jet else other
         if np.any(np.asarray(b0) == 0.0):
-            raise DegenerateJetError("division by a jet with zero constant term")
+            raise DomainError("division by a jet with zero constant term")
         if not is_jet:
             return Jet(tuple(c / other for c in a))
         b = other.coeffs
@@ -174,7 +174,7 @@ def _check_domain(name, bad_mask, values):
     if np.any(bad_mask):
         vals = np.asarray(values)
         offending = float(vals[bad_mask][0]) if vals.ndim else float(vals)
-        raise DomainError(f"{name} evaluated outside its domain at {offending}", value=offending)
+        raise DomainError(f"{name} evaluated outside its domain at {offending}")
 
 
 _VARIABLE_TAIL = (1.0,) + (0.0,) * (N_COEFFS - 2)
@@ -345,5 +345,5 @@ def jet_compose(name, a):
     try:
         f, compose = ELEMENTARY_FUNCTIONS[name]
     except KeyError:
-        raise ValueError(f"unknown elementary function {name!r}") from None
+        raise InputError(f"unknown elementary function {name!r}") from None
     return compose(f, a)

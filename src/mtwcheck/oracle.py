@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .costs import in_lprime_range
-from .errors import OutOfRangeError, StencilDegenerateError, ZeroVectorError
+from .errors import InputError, NumericError
 from .geometry import cost_exp, orthonormal_tangent_frame
 
 # Step in t, and in s where the s-stencil fits (see _s_step), of the
@@ -29,7 +29,7 @@ def _s_step(cost, form, v, w):
     (|l'(D)| - |v|) / (2 |w|), whose stencils reach at most half way from |v|
     to |l'(D)|.  Where that step is not positive, or so small that the
     stencil's divisor (ht hs)^2 would leave the normal floats, no step is
-    usable, and OutOfRangeError names |v|, |w| and |l'(D)|.
+    usable, and InputError names |v|, |w| and |l'(D)|.
     """
     zv, zw = form.norm(v), form.norm(w)
     # |v| + STENCIL_STEP |w| bounds every argument's norm; only where it
@@ -42,7 +42,7 @@ def _s_step(cost, form, v, w):
     step = room / (2.0 * zw) if room > 0.0 else 0.0
     # the fine stencil divides by (STENCIL_STEP / 2)^2 (step / 2)^2
     if not (0.25 * STENCIL_STEP * step) ** 2 >= np.finfo(float).tiny:
-        raise OutOfRangeError(
+        raise InputError(
             f"no usable step in s keeps the oracle's stencil in the invertible range of "
             f"l': |v| = {zv!r}, |w| = {zw!r}, |l'(D)| = {cost.zmax!r}")
     return step
@@ -58,9 +58,17 @@ def _mixed_second_differences(cost, form, x, u, v, w, ht, hs):
         for y, wj in zip(targets, weights):
             value = float(cost(form.distance(xi, y)))
             if not np.isfinite(value):
-                raise StencilDegenerateError("stencil produced a non-finite cost value")
+                raise NumericError("stencil produced a non-finite cost value")
             acc += wi * wj * value
     return acc / (ht * ht * hs * hs)
+
+
+def _power_of_two_scale(form, vec):
+    """The a of vec 2^-a: 0 where n = round(log2 |vec|) is 0, 1 or 2, or |vec|
+    is 0 or not finite; else n - 1."""
+    norm = form.norm(vec)
+    n = round(float(np.log2(norm))) if 0.0 < norm < np.inf else 0
+    return 0 if 0 <= n <= 2 else n - 1
 
 
 def mtw_definitional(cost, form, x, u, v, w):
@@ -70,13 +78,21 @@ def mtw_definitional(cost, form, x, u, v, w):
     stencil is second order in each step; it runs at steps (STENCIL_STEP,
     _s_step) in (t, s) and at half of them, and the extrapolation of the two
     removes the leading error terms.
+
+    At fixed steps the error relative to |u|^2 |w|^2 is least for lengths of
+    about 1.4 to 4, and grows toward 0 (roundoff) and infinity (overflow).  So
+    the stencils run on u 2^-a and w 2^-b, which keep lengths in [2^-0.5,
+    2^2.5) and bring others into [2^0.5, 2^1.5); the result, quadratic in u
+    and w, is multiplied by 2^(2a + 2b) exactly, so kept lengths keep bits.
     """
     if form.norm(v) == 0.0:
-        raise ZeroVectorError("v must be nonzero")
+        raise InputError("v must be nonzero")
+    a, b = _power_of_two_scale(form, u), _power_of_two_scale(form, w)
+    u, w = np.ldexp(u, -a), np.ldexp(w, -b)
     hs = _s_step(cost, form, v, w)
     coarse = _mixed_second_differences(cost, form, x, u, v, w, STENCIL_STEP, hs)
     fine = _mixed_second_differences(cost, form, x, u, v, w, STENCIL_STEP / 2.0, hs / 2.0)
-    return -1.5 * ((4.0 * fine - coarse) / 3.0)
+    return float(np.ldexp(-1.5 * ((4.0 * fine - coarse) / 3.0), 2 * (a + b)))
 
 
 def jacobi_residual(form, x, u, v, steps=1000):
@@ -93,7 +109,7 @@ def jacobi_residual(form, x, u, v, steps=1000):
     from .curvature import jacobi_map_closed
 
     if form.norm(v) == 0.0:
-        raise ZeroVectorError("jacobi_residual needs a nonzero geodesic direction")
+        raise InputError("jacobi_residual needs a nonzero geodesic direction")
     frame = orthonormal_tangent_frame(form, x, first=v)
     n = form.dimension
 

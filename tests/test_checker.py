@@ -10,7 +10,7 @@ from mtwcheck import checker
 from mtwcheck.checker import _NOISE_BAND_COEFF, _grid_chunk, _noise_band
 from mtwcheck.costs import make_cost
 from mtwcheck.curvature import coefficient_arrays, series_limit
-from mtwcheck.errors import AdmissibilityError
+from mtwcheck.errors import AdmissibilityError, InputError, NumericError
 
 
 def _classify_one(alpha, beta, gamma, delta, n):
@@ -102,8 +102,13 @@ def test_scan_rejects_inadmissible():
 
 def test_scan_sphere_diameter_guard():
     cost = preset("sq", 3.2)
-    with pytest.raises(ValueError, match="clear of the cot pole"):
+    with pytest.raises(InputError, match="clear of the cot pole"):
         scan_conditions(cost, 1, 3)
+
+
+def test_scan_rejects_a_curvature_without_a_model():
+    with pytest.raises(InputError, match="curvature must be -1, 0, or \\+1, got 2"):
+        scan_conditions(preset("neg-cosh", 2.0), 2, 3)
 
 
 def test_scan_grid_refinement_stable():
@@ -277,16 +282,16 @@ def test_chunked_perturbation_matches_one_pass(monkeypatch, text, k):
 def test_perturbation_non_finite_lhs_raises():
     # e^(z^2) overflows beyond z = 26.6, where lhs2 is nan and nan >= k is
     # False: the check must not report "holds" there
-    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
         perturbation_check(parse_cost("-exp(z^2)"), -1.0, 30.0)
     assert "non-finite perturbation LHS at z = 26.30859375" in str(err.value)
 
 
 def test_perturbation_input_validation():
     f = parse_cost("-4*z^2")
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="the threshold k must be finite and negative"):
         perturbation_check(f, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="the interval bound b must be finite and positive"):
         perturbation_check(f, -1.0, -1.0)
 
 

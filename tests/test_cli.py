@@ -22,7 +22,7 @@ import mtwcheck
 from mtwcheck import PRESETS, checker, cli, make_cost, preset
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
 from mtwcheck.csvtext import format_rows
-from mtwcheck.errors import AdmissibilityError
+from mtwcheck.errors import AdmissibilityError, InputError
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS
 
 
@@ -257,6 +257,38 @@ def test_eval_dimension_mismatch_exit_2(capsys):
                        "--u", "1,0", "--v", "0,1,0", "--w", "0,0,1")
     assert code == 2
     assert "components" in err
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["check", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--diameter", "400"], 3,
+     "numeric failure: non-finite alpha encountered during the scan"),
+    (["eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--u=a,b", "--v=0.5,0", "--w=0,1"],
+     2, "error: --u must be comma-separated numbers, got 'a,b'"),
+    (["perturb", "--f=-4*z^2", "--k", "-1", "--b", "1", "--grid", "0"], 2,
+     "error: grid_points must be positive"),
+    (["check", "--cost=" + "+".join(["z^2"] * 500), "--K", "0", "--dim", "2"], 2,
+     "error: expression nested deeper than 100 levels"),
+    (["check", "--cost=" + "(" * 300 + "z^2" + ")" * 300, "--K", "0", "--dim", "2"], 2,
+     "error: expression nested deeper than 100 levels"),
+], ids=["non-finite-alpha", "bad-vector", "grid-zero", "long-sum", "deep-parentheses"])
+def test_exit_code_with_one_line(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith(message) and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cost=neg-log1p-cos", "--K", "1", "--dim", "2", "--u=400,0", "--v=0.5,0", "--w=0,1"],
+    ["--cost=neg-cosh", "--K", "-1", "--dim", "3", "--diameter", "1", "--u=0,0,1e5",
+     "--v=0,0,0.001", "--w=0,0,0"],
+], ids=["sphere-u-400", "u-1e5-w-zero"])
+def test_eval_oracle_on_long_vectors(capsys, argv):
+    # unscaled, the oracle's t u would leave the sphere's injectivity
+    # radius, or overflow math.cosh
+    code, out, err = run(capsys, "eval", *argv, "--method", "all", "--json")
+    assert code == 0 and err == ""
+    values = json.loads(out)["values"]
+    assert values["oracle"] == pytest.approx(values["closed"], rel=5e-3, abs=1e-12)
 
 
 def test_eval_v_out_of_range_exit_2(capsys):
@@ -624,7 +656,7 @@ def test_format_rows_boundary_values(ncols):
 
 
 def test_format_rows_rejects_ragged_block():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="7 values do not fill rows of 8"):
         format_rows(np.zeros(7), 8)
 
 
@@ -672,7 +704,7 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-_COMPONENTS = st.one_of(st.sampled_from([0.0, 1e200, -1e200, 1.0, -0.5]),
+_COMPONENTS = st.one_of(st.sampled_from([0.0, 1e200, -1e200, 1.0, -0.5, 1e-5, 5e4]),
                         st.floats(-3.0, 3.0, allow_nan=False))
 
 

@@ -9,7 +9,7 @@ from helpers import CANONICAL_CASES
 
 from mtwcheck import costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, preset
 from mtwcheck.costs import _make_h_quartic, _newton_inverse
-from mtwcheck.errors import AdmissibilityError, ConvergenceFailure, OutOfRangeError
+from mtwcheck.errors import AdmissibilityError, InputError, NumericError
 
 
 def _preset(name, diameter, eps=None):
@@ -107,7 +107,7 @@ def test_inverse_neg_log1p_cosh_by_hand():
 
 def test_inverse_out_of_range():
     cost = preset("neg-cosh", 2.0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InputError, match=r"exceeds \|l'\(D\)\| = "):
         inverse_lprime(cost, cost.zmax * 1.01)
 
 
@@ -144,7 +144,7 @@ def test_newton_inverse_fails_on_constant_lprime():
     # rejects this cost as odd, so a stand-in carries what Newton reads
     cost = SimpleNamespace(expression=parse_cost("z"), text="z", diameter=1.0, zmax=1.0,
                            lprime_sign=1)
-    with pytest.raises(ConvergenceFailure, match="did not converge"):
+    with pytest.raises(NumericError, match="did not converge"):
         _newton_inverse(cost, np.array([0.5]))
 
 
@@ -188,12 +188,12 @@ def test_eval_cost_jet_quartic_first_derivative():
 
 
 def test_quartic_admissibility_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"quartic preset needs 12\*eps\*D\^2 < 1"):
         preset("quartic", 10.0, eps=1e-3)  # 12*eps*D^2 >= 1
 
 
 def test_unknown_preset():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="unknown preset 'does-not-exist'; known: "):
         preset("does-not-exist", 1.0)
 
 

@@ -12,7 +12,7 @@ from mtwcheck import (SpaceForm, curvature, decompose, jacobi_map_closed, make_c
                       mtw_definitional, mtw_via_jacobi, preset)
 from mtwcheck.cli import main, resolve_cost
 from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, coefficient_arrays
-from mtwcheck.errors import OutOfRangeError, ZeroVectorError
+from mtwcheck.errors import InputError
 from mtwcheck.jets import Jet
 
 
@@ -59,10 +59,16 @@ def test_ab_neg_log1p_cos():
 
 def test_ab_out_of_range():
     cost = preset("neg-cosh", 2.0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InputError, match=r"exceeds \|l'\(D\)\| = "):
         _at(cost, -1, cost.zmax * 1.01)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(InputError, match="profile arguments must be nonnegative"):
         _at(cost, -1, -0.5)
+
+
+def test_profiles_check_the_sphere_diameter():
+    # D = 3.2 puts h(z) past the cot pole at pi, where alpha is about -1.39e15
+    with pytest.raises(InputError, match="clear of the cot pole at pi"):
+        coefficient_arrays(make_cost("z^2/2", 3.2), 1, [3.1415926])
 
 
 def test_coefficients_identity_cost():
@@ -136,7 +142,7 @@ def test_decompose_parallel_and_orthogonal():
 def test_decompose_zero_vector():
     form = SpaceForm(0, 3)
     x = form.canonical_base()
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(InputError, match="cannot decompose against a zero vector"):
         decompose(form, form.tangent(x, [1.0, 0.0, 0.0]), form.tangent(x, np.zeros(3)))
 
 
@@ -233,11 +239,11 @@ def test_mtw_zero_v_rejected():
     x = form.canonical_base()
     u = form.frame_tangent([1.0, 0.0, 0.0])
     zero = form.frame_tangent([0.0, 0.0, 0.0])
-    with pytest.raises(ZeroVectorError, match="v must be nonzero"):
+    with pytest.raises(InputError, match="v must be nonzero"):
         mtw_closed(cost, form, u, zero, u)
-    with pytest.raises(ZeroVectorError, match="v must be nonzero"):
+    with pytest.raises(InputError, match="v must be nonzero"):
         mtw_via_jacobi(cost, form, u, zero, u)
-    with pytest.raises(ZeroVectorError, match="v must be nonzero"):
+    with pytest.raises(InputError, match="v must be nonzero"):
         mtw_definitional(cost, form, x, u, zero, u)
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtwcheck.errors import ParseError
-from mtwcheck.expressions import BinOp, Call, Lit, Neg, Pow, Var, evaluate, parse_cost
+from mtwcheck.expressions import (MAX_DEPTH, BinOp, Call, Lit, Neg, Pow, Var, evaluate,
+                                  parse_cost)
 
 
 def test_neg_cosh():
@@ -70,6 +71,22 @@ def test_fractional_exponent_rejected():
 def test_empty_expression_rejected():
     with pytest.raises(ParseError):
         parse_cost("   ")
+
+
+def test_depth_beyond_the_limit_rejected():
+    # a 500-term sum and z^2 in 300 parentheses would overflow Python's recursion
+    for text in ("+".join(["z^2"] * 500), "(" * 300 + "z^2" + ")" * 300,
+                 "+".join(["z^2"] * (MAX_DEPTH + 1)), "(" * MAX_DEPTH + "z^2" + ")" * MAX_DEPTH,
+                 "-" * MAX_DEPTH + "(z)"):
+        with pytest.raises(ParseError, match=f"expression nested deeper than {MAX_DEPTH} levels"):
+            parse_cost(text)
+    # at the limit: MAX_DEPTH - 1 additions over powers, or MAX_DEPTH - 1
+    # parentheses, calls or minus signs around one
+    for text, value in [("+".join(["z^2"] * MAX_DEPTH), MAX_DEPTH),
+                        ("(" * (MAX_DEPTH - 1) + "z^2" + ")" * (MAX_DEPTH - 1), 1.0),
+                        ("sqrt(" * (MAX_DEPTH - 1) + "z^2" + ")" * (MAX_DEPTH - 1), 1.0),
+                        ("-" * MAX_DEPTH + "z", 1.0)]:
+        assert evaluate(parse_cost(text), 1.0) == value
 
 
 def test_evaluate_on_arrays():

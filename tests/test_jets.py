@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtwcheck import Jet, jet_compose
-from mtwcheck.errors import DegenerateJetError, DomainError
+from mtwcheck.errors import DomainError, InputError
 from mtwcheck.jets import (_FACTORIAL, ELEMENTARY_FUNCTIONS, N_COEFFS, _compose_table,
                           _table_circular, jet_compose_pair)
 
@@ -38,7 +38,7 @@ def test_self_division_is_one():
 def test_division_by_degenerate_jet():
     a = Jet.variable(1.0)
     zero_head = Jet((0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-    with pytest.raises(DegenerateJetError):
+    with pytest.raises(DomainError, match="division by a jet with zero constant term"):
         a / zero_head
 
 
@@ -69,12 +69,11 @@ def test_cosh_jet_against_finite_differences():
 
 
 def test_domain_errors_carry_value():
-    with pytest.raises(DomainError) as err:
+    with pytest.raises(DomainError, match=r"log evaluated outside its domain at -2\.0$"):
         jet_compose("log", Jet.variable(-2.0))
-    assert err.value.value == -2.0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"sqrt evaluated outside its domain at 0\.0$"):
         jet_compose("sqrt", Jet.variable(0.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"atanh evaluated outside its domain at 1\.0$"):
         jet_compose("atanh", Jet.variable(1.0))
 
 
@@ -211,9 +210,9 @@ def test_variable_jet_composes_to_the_table(z0):
 
 
 def test_jet_length_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="a jet has 1 to 7 coefficients, got 0"):
         Jet(())
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="a jet has 1 to 7 coefficients, got 8"):
         Jet((1.0,) * (N_COEFFS + 1))
     assert Jet.variable(0.5, 1).coeffs == (0.5,)
     assert Jet.variable(0.5, 3).coeffs == (0.5, 1.0, 0.0)
@@ -317,9 +316,9 @@ def test_scalar_operands_match_the_promoted_constant_jet(jet_and_scalar, n):
 
 
 def test_scalar_division_by_zero_raises():
-    with pytest.raises(DegenerateJetError):
+    with pytest.raises(DomainError, match="division by a jet with zero constant term"):
         Jet.variable(1.0) / 0.0
-    with pytest.raises(DegenerateJetError):
+    with pytest.raises(DomainError, match="division by a jet with zero constant term"):
         Jet.variable(np.array([1.0, 2.0])) / np.array([1.0, 0.0])
 
 

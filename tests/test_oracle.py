@@ -7,8 +7,11 @@ from helpers import central_derivative
 from mtwcheck import (SpaceForm, eval_cost_jet, jacobi_residual, mtw_closed, mtw_definitional,
                       preset)
 from mtwcheck.costs import make_cost
-from mtwcheck.errors import OutOfRangeError, ZeroVectorError
+from mtwcheck.errors import InputError
 from mtwcheck.oracle import STENCIL_STEP, _mixed_second_differences, _s_step
+
+# the oracle's agreement bound in the routes benchmark workload
+ORACLE_REL_TOL = 5e-3
 
 
 def _stencil(cost, form, x, u, v, w, step):
@@ -92,6 +95,41 @@ def test_definitional_step_convergence():
     assert improved >= 7
 
 
+@pytest.mark.parametrize("name,K,u,w", [
+    ("neg-cosh", -1, [5e4, 0.0], [0.0, 1.0]),
+    ("neg-cosh", -1, [1e-5, 0.0], [0.0, 1.0]),
+    ("neg-cosh", -1, [1.0, 0.0], [0.0, 1e-5]),
+    ("neg-cosh", -1, [0.0, 5e4], [1e-5, 0.0]),
+    ("neg-log1p-cos", 1, [400.0, 0.0], [0.0, 1.0]),
+    ("sq", 0, [0.0, 1e-5], [5e4, 0.0]),
+])
+def test_definitional_on_long_and_short_vectors(name, K, u, w):
+    # unscaled, at fixed steps in t and s, |u| = 5e4 reads -6.28e220, |u| =
+    # 1e-5 reads -0, |w| = 1e-5 reads -7.1e-7, and on the sphere t u leaves
+    # the injectivity radius
+    cost = preset(name, 2.0)
+    form = SpaceForm(K, 2)
+    u, v, w = (form.frame_tangent(c) for c in (u, [0.5, 0.0], w))
+    closed = mtw_closed(cost, form, u, v, w)
+    oracle = mtw_definitional(cost, form, form.canonical_base(), u, v, w)
+    assert oracle == pytest.approx(closed, rel=ORACLE_REL_TOL, abs=0.0)
+
+
+def test_definitional_scaling_is_exact():
+    # |u|, |w| in [2^-0.5, 2^2.5) are not scaled; outside, scaling by 2^k
+    # only moves the exponent of the result, bit for bit
+    cost = preset("neg-log1p-cosh", 2.0)
+    form = SpaceForm(-1, 3)
+    x = form.canonical_base()
+    rng = np.random.default_rng(41)
+    u, w = (form.random_tangent(x, rng, unit=True) for _ in range(2))
+    v = form.random_tangent(x, rng, unit=True) * 0.5
+    base = mtw_definitional(cost, form, x, 2.0 * u, v, w)
+    assert mtw_definitional(cost, form, x, 2.0 ** 10 * u, v, w) == base * 2.0 ** 18
+    assert mtw_definitional(cost, form, x, 2.0 ** -20 * u, v, 2.0 ** 30 * w) == \
+        mtw_definitional(cost, form, x, 2.0 * u, v, 2.0 * w) * 2.0 ** (-42 + 58)
+
+
 @pytest.mark.parametrize("K", [-1, 1])
 def test_jacobi_residual_curved(K):
     form = SpaceForm(K, 3)
@@ -138,7 +176,7 @@ def test_jacobi_residual_zero_v():
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(311)
-    with pytest.raises(ZeroVectorError):
+    with pytest.raises(InputError, match="jacobi_residual needs a nonzero geodesic direction"):
         jacobi_residual(form, x, form.random_tangent(x, rng),
                         form.tangent(x, np.zeros(4)), steps=10)
 
@@ -200,12 +238,12 @@ def test_s_step_without_room_names_v_w_and_the_range():
     cost = make_cost("z^2/2", 1e-3)
     form = SpaceForm(0, 2)
     v, w = form.frame_tangent([6e-4, 8e-4]), form.frame_tangent([0.6, 0.8])
-    with pytest.raises(OutOfRangeError, match=r"\|v\| = 0\.001, \|w\| = 1\.0, "
+    with pytest.raises(InputError, match=r"\|v\| = 0\.001, \|w\| = 1\.0, "
                                               r"\|l'\(D\)\| = 0\.001"):
         _s_step(cost, form, v, w)
     # a step that fits, (|l'(D)| - |v|) / (2 |w|) = 8.8e-154, is too small
     # for the stencil's divisor (ht hs)^2, a subnormal float
     cost, form = preset("neg-cosh", 1.0), SpaceForm(-1, 2)
     v, w = form.frame_tangent([0.0, 1.0]), form.frame_tangent([0.0, 1e152])
-    with pytest.raises(OutOfRangeError, match=r"\|v\| = 1\.0, \|w\| = 1e\+152"):
+    with pytest.raises(InputError, match=r"\|v\| = 1\.0, \|w\| = 1e\+152"):
         _s_step(cost, form, v, w)
