@@ -6,13 +6,8 @@ scan interval; strict versions of the same inequalities give the strong
 condition.  The scan samples a dense uniform grid and reports per-condition
 slacks (slack = -LHS, so nonnegative means the inequality holds).
 
-Floating-point policy: alpha and beta divide cancelling differences by z^2, so
-their computed values carry noise that grows like eps/z^2 as z -> 0.  The scan
-therefore widens the pass/fail boundary by a per-point band of that shape.
-Costs whose coefficients are identically zero then land in the boundary band
-(weak, not strict) instead of flipping to "fails" on roundoff, while any
-genuine violation dwarfs the band away from z = 0.  classify itself applies
-no band unless one is passed in.
+The scan widens each point's pass/fail boundary by the roundoff band that
+curvature.coefficient_arrays returns with the values (see curvature).
 
 Each grid point is decided on its own, so the scan is one streaming fold over
 chunks of SCAN_CHUNK consecutive grid points: a chunk is generated, profiled
@@ -38,17 +33,15 @@ from typing import Optional
 import numpy as np
 
 from .costs import eval_defined_jet
-from .curvature import coefficient_arrays, series_limit
+from .curvature import coefficient_arrays
 from .errors import InputError, NumericError
 
 A3S = "A3s"
 A3W_ONLY = "A3w-only"
 FAILS = "fails"
 
-# Multiple of machine epsilon for the roundoff band on the directly-evaluated
-# part of the grid (z >= curvature.series_limit); measured pipeline noise
-# sits about an order and a half below the resulting band.
-_NOISE_BAND_COEFF = 500.0 * np.finfo(float).eps
+# The strict condition needs a point's smallest slack above this and its band.
+STRICT_MARGIN = 1e-12
 
 # Grid points profiled and classified at once: the scan's working set is a
 # few dozen arrays of this length, whatever the grid size.
@@ -81,7 +74,7 @@ class Classification:
     strict: np.ndarray
 
 
-def classify(alpha, beta, gamma, delta, n, *, band=0.0, strict_margin=1e-12):
+def classify(alpha, beta, gamma, delta, n, *, band=0.0):
     """Classify arrays of coefficient values against the set for dimension n.
 
     alpha..delta are arrays of one shape (a scalar counts as a length-1
@@ -94,7 +87,7 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0, strict_margin=1e-12):
                       * sqrt(maximum(0, -gamma))) - (alpha + delta), inf)
         slack_min = minimum(... minimum(-beta, -gamma) ..., combo)
         weak = combo_defined & (slack_min >= -band)
-        strict = weak & (slack_min > maximum(strict_margin, band))
+        strict = weak & (slack_min > maximum(STRICT_MARGIN, band))
 
     sqrt runs on the clamped negations so that roundoff-level positive
     values do not raise.  slack_min folds the rows in the order beta, gamma,
@@ -121,47 +114,8 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0, strict_margin=1e-12):
     for row in rows[2:]:
         np.minimum(slack_min, row, out=slack_min)
     weak = combo_defined & (slack_min >= -band)
-    strict = weak & (slack_min > np.maximum(strict_margin, band))
+    strict = weak & (slack_min > np.maximum(STRICT_MARGIN, band))
     return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
-
-
-def _noise_band(z, profile, limit):
-    """Per-point widening of the pass/fail boundary; see the module docstring.
-
-    limit is series_limit(cost, K), below which the profiles take the
-    origin series.
-
-    Two roundoff amplifiers shape the band on the direct branch: the division
-    of cancelling differences by z^2, and the factor 1/l''^3 in A'' and B''
-    (A = l''), which grows like (scale/|A|)^3 where l'' gets small.
-    Series-branch points Horner-evaluate at h(z) the Taylor series in h of
-    each quantity, in which the divisions by z and z^2 are exact shifts, so
-    they carry no cancellation and only need an absolute floor at the
-    roundoff scale.  Elementwise, and bitwise:
-
-        scale = maximum(1, maximum(|A|, |B|))
-        tiny = clip(minimum(1, |A|), 1e-3, 1)
-        band = where(z >= limit, _NOISE_BAND_COEFF * (scale / tiny)**3
-                     * (1 + 1 / maximum(z, limit)**2), 1e-12 * scale)
-
-    Each step writes into one of three arrays made here.
-    """
-    tiny = np.abs(profile["A"])
-    scale = np.abs(profile["B"])
-    np.maximum(tiny, scale, out=scale)
-    np.maximum(1.0, scale, out=scale)
-    np.minimum(1.0, tiny, out=tiny)
-    np.clip(tiny, 1e-3, 1.0, out=tiny)
-    direct = np.divide(scale, tiny, out=tiny)
-    np.power(direct, 3, out=direct)
-    direct *= _NOISE_BAND_COEFF
-    zterm = np.maximum(z, limit)
-    np.square(zterm, out=zterm)
-    np.divide(1.0, zterm, out=zterm)
-    direct *= np.add(1.0, zterm, out=zterm)
-    scale *= 1e-12
-    np.copyto(scale, direct, where=z >= limit)
-    return scale
 
 
 def _grid_chunk(start, stop, grid_points, lo, hi):
@@ -183,27 +137,26 @@ def _grid_chunk(start, stop, grid_points, lo, hi):
     return z
 
 
-def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, on_chunk=None):
+def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
     """Verdict over a uniform grid on [0, |l'(D)|], endpoints included.
 
     D is cost.diameter, and the grid has grid_points points, at least 256.
     The inequality set is the one of dimension n = dimension, at least 2,
-    and strict_margin is the hurdle of the strict condition (see classify).
-    The grid is scanned in chunks of SCAN_CHUNK consecutive points.  Each
-    chunk is profiled and classified, then folded into the verdict (weak and
-    strict at every point so far), the minimum of each condition's slack, the
-    minimum combo slack over the points where it is defined, and the witness,
-    the first grid point of smallest slack_min: a later chunk replaces it only
-    with a strictly smaller slack.  When on_chunk is given, it is called with
-    each chunk's table, in grid order, before the chunk is dropped; the table
-    maps z, A, B, alpha, beta, gamma, delta and slack_min to arrays.
+    classified with each point's band from coefficient_arrays and with the
+    strict hurdle STRICT_MARGIN.  The grid is scanned in chunks of SCAN_CHUNK
+    consecutive points.  Each chunk is profiled and classified, then folded
+    into the verdict (weak and strict at every point so far), the minimum of
+    each condition's slack, the minimum combo slack over the points where it
+    is defined, and the witness, the first grid point of smallest slack_min:
+    a later chunk replaces it only with a strictly smaller slack.  When
+    on_chunk is given, it is called with each chunk's table, in grid order,
+    before the chunk is dropped; the table maps z, A, B, alpha, beta, gamma,
+    delta and slack_min to arrays.
     """
     if dimension < 2:
         raise InputError("dimension must be at least 2")
     if grid_points < 256:
         raise InputError("grid_points must be at least 256")
-    if not 0.0 <= strict_margin < math.inf:
-        raise InputError(f"strict_margin must be finite and nonnegative, got {strict_margin!r}")
 
     zmax = cost.zmax
     weak = strict = True
@@ -215,9 +168,8 @@ def scan_conditions(cost, K, dimension, grid_points=4096, strict_margin=1e-12, o
         for name in ("alpha", "beta", "gamma", "delta"):
             if not np.all(np.isfinite(prof[name])):
                 raise NumericError(f"non-finite {name} encountered during the scan")
-        band = _noise_band(z, prof, series_limit(cost, K))
         c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], dimension,
-                     band=band, strict_margin=strict_margin)
+                     band=prof["band"])
 
         weak = weak and bool(np.all(c.weak))
         strict = strict and bool(np.all(c.strict))

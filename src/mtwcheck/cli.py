@@ -146,8 +146,7 @@ def cmd_check(args):
     cost = resolve_cost(args.cost, args.diameter)
     # the CSV rows are written chunk by chunk as the scan produces them
     with (_write_csv(args.csv) if args.csv else contextlib.nullcontext()) as write:
-        verdict = scan_conditions(cost, args.K, args.dim, args.grid, args.strict_margin,
-                                  on_chunk=write)
+        verdict = scan_conditions(cost, args.K, args.dim, args.grid, on_chunk=write)
     report = RunReport(
         command="check", cost=cost.text, curvature=args.K, dimension=args.dim,
         diameter=args.diameter, grid=args.grid, verdict=verdict.status,
@@ -253,7 +252,6 @@ def build_parser():
     p_check = sub.add_parser("check", help="scan the coefficient inequalities")
     add_common(p_check)
     p_check.add_argument("--grid", type=int, default=4096, help="scan grid size")
-    p_check.add_argument("--strict-margin", type=float, default=1e-12, dest="strict_margin")
     p_check.add_argument("--csv", help="write per-point columns to this path")
     p_check.set_defaults(func=cmd_check)
 

@@ -53,6 +53,7 @@ class CostFunction:
             object.__setattr__(self, "zmax", abs(float(self.lprime(self.diameter))))
 
     def __call__(self, z):
+        """l(z) by expressions.evaluate, apart from the jets; the oracle reads l here."""
         return evaluate(self.expression, z)
 
     def lprime(self, z):

@@ -17,6 +17,13 @@ built from the derivatives of l: away from z = 0 they are explicit in the
 derivatives of l at h(z), and near z = 0 their Taylor series in h come from
 the jet of l at 0 and are evaluated at h(z).  No finite differences and no
 series reversion enter anywhere in this module.
+
+Floating-point policy: alpha and beta divide cancelling differences by z^2, so
+their noise grows like eps/z^2 as z -> 0.  coefficient_arrays returns with the
+values a per-point band, shaped by each point's branch, by which the checker
+widens the pass/fail boundary: coefficients that are identically zero then
+land in the band (weak, not strict) instead of flipping to "fails" on
+roundoff, while any genuine violation dwarfs the band away from z = 0.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from .costs import eval_cost_jet, inverse_lprime
 from .errors import InputError
-from .jets import Jet, _compose_table, jet_compose, jet_compose_pair
+from .jets import Jet, _compose_table, jet_compose
 
 # Below this argument A, B and the coefficient functions switch from direct
 # evaluation at h(z) to evaluation of their series in h at 0, whose shifted
@@ -41,6 +48,10 @@ SERIES_SWITCH = 1e-4
 # lies within this fraction of the radius, so that the first order the
 # series drop, h^4, is below 1e-12 of the leading one.
 SERIES_RADIUS_FRACTION = 1e-3
+
+# Multiple of machine epsilon for the band of direct-branch points; measured
+# pipeline noise sits about an order and a half below the resulting band.
+_NOISE_BAND_COEFF = 500.0 * np.finfo(float).eps
 
 _POLE_TOL = 1e-9
 
@@ -87,7 +98,8 @@ def _origin_series(cost, K):
     if K == 0:
         B = P
     else:
-        cosh, sinh = jet_compose_pair("cosh" if K == -1 else "cos", Jet.variable(0.0))
+        h = Jet.variable(0.0)
+        cosh, sinh = (jet_compose(f, h) for f in (("cosh", "sinh") if K == -1 else ("cos", "sin")))
         B = P * (cosh / _shift(sinh, 1))
     amb = A - B
     Ap, Bp = A.series_derivative() / A, B.series_derivative() / A
@@ -105,7 +117,7 @@ def _origin_series(cost, K):
 
 
 @lru_cache(maxsize=64)
-def series_limit(cost, K):
+def _series_limit(cost, K):
     """The z below which the profiles take the origin series.
 
     That is SERIES_SWITCH, or less where h(z) would leave
@@ -209,12 +221,12 @@ def _direct_profiles(cost, K, h0):
 
 
 def _profiles(cost, K, z):
-    """All profile quantities at an array of z >= 0 values.
+    """All profile quantities at an array of z >= 0 values, and the limit
+    below which a point took the origin series.
 
-    h0 = h(z) is computed once for all of z.  Entries below
-    series_limit(cost, K) Horner-evaluate the origin series at h0; the rest
-    are evaluated directly at their own h0.  An array with no entry
-    below that limit gets the direct-branch arrays as they are.
+    h0 = h(z) is computed once for all of z.  Entries below the limit,
+    _series_limit(cost, K) or, with no z below SERIES_SWITCH, SERIES_SWITCH,
+    Horner-evaluate the origin series at h0; the rest are evaluated directly.
     """
     if K not in (-1, 0, 1):
         raise InputError(f"curvature must be -1, 0, or +1, got {K!r}")
@@ -225,14 +237,14 @@ def _profiles(cost, K, z):
     if np.any(z < 0.0):
         raise InputError("profile arguments must be nonnegative")
     h0 = np.asarray(inverse_lprime(cost, z))
-    small = z < SERIES_SWITCH
+    limit = SERIES_SWITCH
+    small = z < limit
     if np.any(small):
         # only here, so that no z above SERIES_SWITCH builds the series
-        limit = series_limit(cost, K)
-        if limit < SERIES_SWITCH:
-            small = z < limit
+        limit = _series_limit(cost, K)
+        small = z < limit
     if not np.any(small):
-        return _direct_profiles(cost, K, h0)
+        return _direct_profiles(cost, K, h0), limit
     hs = h0[small]
     if np.all(small):
         out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
@@ -243,16 +255,57 @@ def _profiles(cost, K, z):
         out = _direct_profiles(cost, K, np.where(small, h0.flat[np.argmin(small)], h0))
     for key, coeffs in _origin_series(cost, K).items():
         out[key][small] = _horner(coeffs, hs)
-    return out
+    return out, limit
+
+
+def _noise_band(z, profile, limit):
+    """Per-point widening of the pass/fail boundary; see the module docstring.
+    Points below limit, the one _profiles returns, took the origin series.
+
+    Two roundoff amplifiers shape the band on the direct branch: the division
+    of cancelling differences by z^2, and the factor 1/l''^3 in A'' and B''
+    (A = l''), which grows like (scale/|A|)^3 where l'' gets small.
+    Series-branch points Horner-evaluate at h(z) the Taylor series in h of
+    each quantity, in which the divisions by z and z^2 are exact shifts, so
+    they carry no cancellation and only need an absolute floor at the
+    roundoff scale.  Elementwise, and bitwise:
+
+        scale = maximum(1, maximum(|A|, |B|))
+        tiny = clip(minimum(1, |A|), 1e-3, 1)
+        band = where(z >= limit, _NOISE_BAND_COEFF * (scale / tiny)**3
+                     * (1 + 1 / maximum(z, limit)**2), 1e-12 * scale)
+
+    Each step writes into one of three arrays made here.
+    """
+    tiny = np.abs(profile["A"])
+    scale = np.abs(profile["B"])
+    np.maximum(tiny, scale, out=scale)
+    np.maximum(1.0, scale, out=scale)
+    np.minimum(1.0, tiny, out=tiny)
+    np.clip(tiny, 1e-3, 1.0, out=tiny)
+    direct = np.divide(scale, tiny, out=tiny)
+    np.power(direct, 3, out=direct)
+    direct *= _NOISE_BAND_COEFF
+    zterm = np.maximum(z, limit)
+    np.square(zterm, out=zterm)
+    np.divide(1.0, zterm, out=zterm)
+    direct *= np.add(1.0, zterm, out=zterm)
+    scale *= 1e-12
+    np.copyto(scale, direct, where=z >= limit)
+    return scale
 
 
 def coefficient_arrays(cost, K, z):
-    """A, B, their first two derivatives and alpha..delta at each z >= 0.
+    """A, B, their first two derivatives, alpha..delta and band at each z >= 0.
 
     The one public entry point of the profiles: z is a scalar or an array,
-    and every value comes back as an array of z's size.
+    and every value comes back as an array of z's size.  band is the roundoff
+    band of alpha..delta (_noise_band), shaped by each point's branch.
     """
-    return _profiles(cost, K, np.atleast_1d(np.asarray(z, dtype=float)))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    profile, limit = _profiles(cost, K, z)
+    profile["band"] = _noise_band(z, profile, limit)
+    return profile
 
 
 @lru_cache(maxsize=64)
@@ -262,9 +315,9 @@ def _profile_row(cost, K, z):
     _profiles gives the same bits on the scalar z as on np.array([z]), at
     less cost.  The row is memoised, so that the closed and Jacobi routes of
     one evaluation share it, and read-only, since every caller gets the same
-    one.
+    one.  It carries no band, which no route reads.
     """
-    return MappingProxyType({key: float(col) for key, col in _profiles(cost, K, z).items()})
+    return MappingProxyType({key: float(col) for key, col in _profiles(cost, K, z)[0].items()})
 
 
 def decompose(form, u, v):

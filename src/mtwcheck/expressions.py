@@ -198,7 +198,9 @@ def parse_cost(text):
 
 
 def evaluate(expr, z):
-    """Evaluate an AST at a float or numpy array argument."""
+    """Evaluate an AST at a float or numpy array argument.  The oracle reads l
+    through it, by CostFunction.__call__, which keeps the definitional route
+    apart from the jet arithmetic that the other two routes rest on."""
     if isinstance(expr, Lit):
         return expr.value
     if isinstance(expr, Var):

@@ -268,19 +268,6 @@ def _compose_circular(name, f, a):
     return _compose_table(_table_circular(name, (f(a0), g(a0)), len(a.coeffs)), a)
 
 
-def jet_compose_pair(name, a):
-    """Jets of (cos o a, sin o a) for name "cos", (cosh o a, sinh o a) for "cosh".
-
-    Both tables read the same two function values at a.coeffs[0], so these
-    are evaluated once; each jet is bitwise the one jet_compose returns.
-    """
-    partner = _CIRCULAR[name][0]
-    a0, length = a.coeffs[0], len(a.coeffs)
-    vals = (ELEMENTARY_FUNCTIONS[name][0](a0), ELEMENTARY_FUNCTIONS[partner][0](a0))
-    return (_compose_table(_table_circular(name, vals, length), a),
-            _compose_table(_table_circular(partner, vals[::-1], length), a))
-
-
 # Each composition takes the numpy function f of its own row of
 # ELEMENTARY_FUNCTIONS, which gives the value f(a0).
 
@@ -302,8 +289,7 @@ def _compose_sqrt(f, a):
 
 
 def _compose_tan(f, a):
-    cos, sin = jet_compose_pair("cos", a)
-    return sin / cos
+    return jet_compose("sin", a) / jet_compose("cos", a)
 
 
 def _compose_atan(f, a):

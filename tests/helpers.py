@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 
-from mtwcheck.checker import _noise_band, scan_conditions
+from mtwcheck.checker import scan_conditions
 from mtwcheck.cli import main
 from mtwcheck.costs import eval_cost_jet, inverse_lprime
-from mtwcheck.curvature import coefficient_arrays, series_limit
+from mtwcheck.curvature import coefficient_arrays
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS, Jet, jet_compose
 
 
@@ -38,11 +38,6 @@ def central_derivative(f, x, order, h=0.05, points=9):
     system = np.vander(offsets * h, points, increasing=True).T
     weights = np.linalg.solve(system, rhs)
     return float(sum(w * f(x + o * h) for w, o in zip(weights, offsets)))
-
-
-def random_unit(rng, n):
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
 
 
 def model_violation(form, point):
@@ -98,13 +93,12 @@ def cli_report(argv):
     return code, report
 
 
-def scan_table(cost, K, dimension, grid_points=4096, strict_margin=1e-12):
+def scan_table(cost, K, dimension, grid_points=4096):
     """(verdict, table) of one scan: table maps each column of the chunks
     that scan_conditions passes to on_chunk (z, A, B, alpha, beta, gamma,
     delta, slack_min) to its array over the whole grid."""
     chunks = []
-    verdict = scan_conditions(cost, K, dimension, grid_points, strict_margin,
-                              on_chunk=chunks.append)
+    verdict = scan_conditions(cost, K, dimension, grid_points, on_chunk=chunks.append)
     return verdict, {name: np.concatenate([chunk[name] for chunk in chunks])
                      for name in chunks[0]}
 
@@ -209,8 +203,9 @@ def reference_profiles(cost, K, z):
 def reference_errors(cost, K, z):
     """Errors of coefficient_arrays at the points z > 0, against
     reference_profiles.  Maps each key to an array of errors: for A and B
-    relative to max(1, |value|), for alpha..delta in units of the scan's
-    noise band (checker._noise_band).
+    relative to max(1, |value|), for alpha..delta in units of the band that
+    coefficient_arrays returns with them, so the errors are measured against
+    the scan's own band by construction.
 
     A and B are not held to a purely relative bound below 1: l'' of
     log(cosh(z)) is 1/2 - tanh^2/2 in the cost's jet, which loses digits
@@ -222,7 +217,7 @@ def reference_errors(cost, K, z):
     z = np.asarray(z, dtype=float)
     prof = coefficient_arrays(cost, K, z)
     scale = {key: np.maximum(1.0, np.abs(prof[key])) for key in ("A", "B")}
-    band = _noise_band(z, prof, series_limit(cost, K))
+    band = prof["band"]
     errors = {key: np.empty_like(z) for key in ("A", "B", "alpha", "beta", "gamma", "delta")}
     for i, point in enumerate(z.tolist()):
         ref = reference_profiles(cost, K, point)

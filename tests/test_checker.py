@@ -7,9 +7,9 @@ from helpers import random_orthogonal_pair, scan_table
 from mtwcheck import (A3S, A3W_ONLY, FAILS, SpaceForm, classify, mtw_closed,
                       parse_cost, perturbation_check, preset, scan_conditions)
 from mtwcheck import checker
-from mtwcheck.checker import _NOISE_BAND_COEFF, _grid_chunk, _noise_band
+from mtwcheck.checker import STRICT_MARGIN, _grid_chunk
 from mtwcheck.costs import make_cost
-from mtwcheck.curvature import coefficient_arrays, series_limit
+from mtwcheck.curvature import _NOISE_BAND_COEFF, _noise_band, coefficient_arrays
 from mtwcheck.errors import AdmissibilityError, InputError, NumericError
 
 
@@ -149,12 +149,12 @@ def test_scan_table_columns():
     assert np.all(table["slack_min"] > 0.0)
 
 
-def _full_grid_scan(cost, K, n, grid_points, strict_margin=1e-12):
+def _full_grid_scan(cost, K, n, grid_points):
     """The scan as one pass over the whole grid, the reference for the fold:
     (status, witness, min_slacks, table)."""
     z = np.linspace(0.0, cost.zmax, grid_points)
     prof = coefficient_arrays(cost, K, z)
-    band = _noise_band(z, prof, series_limit(cost, K))
+    band = prof["band"]
     alpha, beta, gamma, delta = (prof[k] for k in ("alpha", "beta", "gamma", "delta"))
     slacks = {"beta": -beta, "gamma": -gamma}
     if n > 2:
@@ -165,7 +165,7 @@ def _full_grid_scan(cost, K, n, grid_points, strict_margin=1e-12):
     stacked = np.vstack(list(slacks.values()) + [np.where(defined, combo, np.inf)])
     slack_min = stacked.min(axis=0)
     weak = defined & np.all(stacked >= -band, axis=0)
-    strict = weak & np.all(stacked > np.maximum(strict_margin, band), axis=0)
+    strict = weak & np.all(stacked > np.maximum(STRICT_MARGIN, band), axis=0)
     status = FAILS if not np.all(weak) else A3S if np.all(strict) else A3W_ONLY
     min_slacks = {name: float(np.min(col)) for name, col in slacks.items()}
     if np.any(defined):
@@ -310,11 +310,11 @@ def test_quartic_coefficients_track_minus_eight_eps():
 @pytest.mark.parametrize("name,K", [("sq", 0), ("log-cosh", -1), ("neg-log-cosh", -1)])
 def test_noise_sits_orders_below_band(name, K):
     # coefficients that vanish identically expose pure roundoff; the band
-    # comment in checker.py promises about 1.5 orders of headroom
+    # comment in curvature.py promises about 1.5 orders of headroom
     cost = preset(name, 2.0)
     z = np.linspace(0.0, cost.zmax, 65536)
     prof = coefficient_arrays(cost, K, z)
-    band = _noise_band(z, prof, series_limit(cost, K))
+    band = prof["band"]
     for key in ("beta", "gamma", "delta"):
         ratio = float(np.max(np.abs(prof[key]) / band))
         assert ratio <= 10.0 ** -1.5, (name, key, ratio)
@@ -351,7 +351,7 @@ def test_classify_equals_its_formulas_bitwise(n, array_band):
         row[i::23] = at[i::23]
         row[11 + i::29] = -at[11 + i::29]
     inputs = [c.copy() for c in (alpha, beta, gamma, delta)]
-    got = classify(alpha, beta, gamma, delta, n, band=band, strict_margin=1e-9)
+    got = classify(alpha, beta, gamma, delta, n, band=band)
 
     slacks = {"beta": -beta, "gamma": -gamma}
     if n > 2:
@@ -365,7 +365,7 @@ def test_classify_equals_its_formulas_bitwise(n, array_band):
         slack_min = np.minimum(slack_min, slacks["delta"])
     slack_min = np.minimum(slack_min, combo)
     weak = defined & (slack_min >= -band)
-    strict = weak & (slack_min > np.maximum(1e-9, band))
+    strict = weak & (slack_min > np.maximum(STRICT_MARGIN, band))
 
     assert list(got.slacks) == list(slacks)
     assert all(_bitwise_equal(got.slacks[key], slacks[key]) for key in slacks)
@@ -375,6 +375,11 @@ def test_classify_equals_its_formulas_bitwise(n, array_band):
     # the boundary cases occur: weak at slack_min = -band, not strict at +band
     assert np.any(weak & (slack_min == -at)) and np.any(~strict & weak & (slack_min == at))
     assert np.any(weak) and np.any(~weak) and np.any(strict)
+    # an array band lies on both sides of STRICT_MARGIN, and the margin alone
+    # keeps some weak points above their band from being strict
+    if array_band:
+        assert np.any(at < STRICT_MARGIN) and np.any(at > STRICT_MARGIN)
+        assert np.any(weak & ~strict & (slack_min > at))
     assert all(_bitwise_equal(c, ref) for c, ref in zip((alpha, beta, gamma, delta), inputs))
 
 

@@ -452,14 +452,21 @@ def test_infinite_diameter_exit_2(capsys, command):
     assert "diameter" in err
 
 
-@pytest.mark.parametrize("margin", ["nan", "inf"])
-def test_non_finite_strict_margin_exit_2(capsys, margin):
-    # a nan margin or an inf one would make no point strict, so neg-cosh,
-    # A3s at K = -1, would read A3w-only
-    code, out, err = run(capsys, "check", "--cost=neg-cosh", "--K", "-1", "--dim", "2",
-                         "--strict-margin", margin)
+def test_strict_margin_is_no_option(capsys):
+    # the strict hurdle is checker.STRICT_MARGIN, which no caller sets
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--strict-margin", "1e-9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --strict-margin" in captured.err
+
+
+def test_check_odd_term_beyond_the_origin_jet_exit_2(capsys):
+    # z^7 leaves the jet at 0 even; the sampled evenness check finds it at D/8
+    code, out, err = run(capsys, "check", "--cost=z^2/2 + z^7", "--K", "0", "--dim", "2",
+                         "--diameter", "1")
     assert code == 2 and out == ""
-    assert "strict_margin must be finite" in err
+    assert "not-even at z=0.125" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])

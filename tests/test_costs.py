@@ -44,6 +44,18 @@ def test_cubic_not_even():
     assert str(err.value) == "admissibility violation: not-even at z=0.0"
 
 
+def test_odd_term_beyond_the_origin_jet_not_even():
+    # z^7 leaves the jet at 0 even, so the sampled check on [D/8, D] finds it
+    with pytest.raises(AdmissibilityError) as err:
+        make_cost("z^2/2 + z^7", 1.0)
+    assert err.value.kind == "not-even" and err.value.witness == 0.125
+
+
+def test_eps_rejected_outside_the_quartic_preset():
+    with pytest.raises(InputError, match="eps applies only to the quartic preset"):
+        preset("neg-cosh", 2.0, eps=1e-3)
+
+
 def test_pure_quartic_rejected_at_zero():
     # z^4 is even but l''(0) = 0, which breaks the strict-sign requirement
     with pytest.raises(AdmissibilityError) as err:

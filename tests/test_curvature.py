@@ -462,6 +462,28 @@ def test_both_branches_match_50_digit_reference(text, K, D):
         assert np.max(errors[key]) <= 0.1, key
 
 
+@pytest.mark.parametrize("text,K,D", _REFERENCE_CASES)
+def test_band_follows_each_points_branch(text, K, D):
+    # the band of coefficient_arrays has, at each point, the shape of the
+    # branch that point took: below _series_limit the series' absolute
+    # floor, above it the direct formula.  So a point's band has the same
+    # bits alone as in an array that straddles the limit.
+    cost = resolve_cost(text, D)
+    z = np.concatenate([np.geomspace(1e-15, 0.999 * SERIES_SWITCH, 8),
+                        np.geomspace(SERIES_SWITCH, cost.zmax, 8)])
+    prof = coefficient_arrays(cost, K, z)
+    series = z < curvature._series_limit(cost, K)
+    scale = np.maximum(1.0, np.maximum(np.abs(prof["A"]), np.abs(prof["B"])))
+    tiny = np.clip(np.minimum(1.0, np.abs(prof["A"])), 1e-3, 1.0)
+    direct = curvature._NOISE_BAND_COEFF * (scale / tiny) ** 3 * (1.0 + 1.0 / z ** 2)
+    assert np.any(series) and np.any(~series)
+    assert prof["band"][series].tobytes() == (1e-12 * scale[series]).tobytes()
+    assert prof["band"][~series].tobytes() == direct[~series].tobytes()
+    for i, point in enumerate(z):
+        assert coefficient_arrays(cost, K, point)["band"].tobytes() == \
+            prof["band"][i:i + 1].tobytes(), point
+
+
 @pytest.mark.parametrize("length", [0.5, 0.5 * SERIES_SWITCH])
 def test_eval_all_makes_one_profiles_call(capsys, monkeypatch, length):
     # the closed and Jacobi routes read one profile row, computed once, on
@@ -490,8 +512,9 @@ def test_profiles_on_a_scalar_match_a_length_one_array(name, K, D, eps, newton):
     if newton:
         cost = make_cost(cost.text, D)
     for z in (0.0, 0.3 * SERIES_SWITCH, SERIES_SWITCH, 0.01, 0.37 * cost.zmax, cost.zmax):
-        scalar = _profiles(cost, K, z)
-        array = _profiles(cost, K, np.array([z]))
+        scalar, scalar_limit = _profiles(cost, K, z)
+        array, array_limit = _profiles(cost, K, np.array([z]))
+        assert scalar_limit == array_limit
         for key, col in array.items():
             assert np.shape(scalar[key]) == ()
             assert np.asarray(scalar[key]).tobytes() == col[0].tobytes(), (z, key)

@@ -57,6 +57,20 @@ def test_parse_error_offset_and_expected():
     assert ")" in err.value.expected
 
 
+def test_text_after_a_complete_expression_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_cost("z)")
+    assert err.value.offset == 1
+    assert err.value.expected == ("operator", "end of input")
+
+
+def test_operator_without_right_operand_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_cost("z+")
+    assert err.value.offset == 2
+    assert "unexpected end of input" in str(err.value)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ParseError) as err:
         parse_cost("frob(z)")

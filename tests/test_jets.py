@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mtwcheck import Jet, jet_compose
 from mtwcheck.errors import DomainError, InputError
 from mtwcheck.jets import (_FACTORIAL, ELEMENTARY_FUNCTIONS, N_COEFFS, _compose_table,
-                          _table_circular, jet_compose_pair)
+                          _table_circular)
 
 
 def coeffs(jet):
@@ -343,9 +343,10 @@ def test_operations_leave_their_operands_unchanged():
     assert table[0] is vals[0] and table[1] is vals[1]
     assert all(v.tobytes() == ref.tobytes() for v, ref in zip(vals, vals_before))
     # two jets that share their arrays
-    cosh, sinh = jet_compose_pair("cosh", Jet.variable(z))
+    cosh = Jet(table)
+    sinh = Jet(_table_circular("sinh", vals[::-1], N_COEFFS))
     assert cosh.coeffs[0] is sinh.coeffs[1]
-    jets = [a, b, shared, exp, Jet(table), cosh, sinh]
+    jets = [a, b, shared, exp, cosh, sinh]
     arrays = {id(c): c for jet in jets for c in jet.coeffs}
     before = {key: c.copy() for key, c in arrays.items()}
     for x in jets:
@@ -355,7 +356,6 @@ def test_operations_leave_their_operands_unchanged():
         for name in ELEMENTARY_FUNCTIONS:
             with contextlib.suppress(DomainError):
                 results.append(jet_compose(name, x))
-        results += [*jet_compose_pair("cos", x), *jet_compose_pair("cosh", x)]
         assert all(len(r.coeffs) == len(x.coeffs) for r in results)
     for key, c in arrays.items():
         assert c.tobytes() == before[key].tobytes()
