@@ -138,9 +138,11 @@ def _grid_chunk(start, stop, grid_points, lo, hi):
 
 
 def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
-    """Verdict over a uniform grid on [0, |l'(D)|], endpoints included.
+    """Verdict over a grid uniform in z on [0, |l'(D)|], endpoints included.
 
     D is cost.diameter, and the grid has grid_points points, at least 256.
+    Where |l'(D)| is large, neighbouring points can lie far apart in h(z),
+    so a violation between them can be missed.
     The inequality set is the one of dimension n = dimension, at least 2,
     classified with each point's band from coefficient_arrays and with the
     strict hurdle STRICT_MARGIN.  The grid is scanned in chunks of SCAN_CHUNK
@@ -150,8 +152,8 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
     is defined, and the witness, the first grid point of smallest slack_min:
     a later chunk replaces it only with a strictly smaller slack.  When
     on_chunk is given, it is called with each chunk's table, in grid order,
-    before the chunk is dropped; the table maps z, A, B, alpha, beta, gamma,
-    delta and slack_min to arrays.
+    before the chunk is dropped; the table maps z, every column of
+    coefficient_arrays (band included) and slack_min to arrays.
     """
     if dimension < 2:
         raise InputError("dimension must be at least 2")
@@ -182,9 +184,7 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
         if witness is None or c.slack_min[i] < witness_slack:
             witness, witness_slack = float(z[i]), c.slack_min[i]
         if on_chunk is not None:
-            on_chunk({"z": z, "A": prof["A"], "B": prof["B"], "alpha": prof["alpha"],
-                      "beta": prof["beta"], "gamma": prof["gamma"], "delta": prof["delta"],
-                      "slack_min": c.slack_min})
+            on_chunk({"z": z, **prof, "slack_min": c.slack_min})
 
     status = FAILS if not weak else A3S if strict else A3W_ONLY
     return Verdict(status=status, witness=witness,

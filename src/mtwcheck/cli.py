@@ -251,7 +251,9 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="scan the coefficient inequalities")
     add_common(p_check)
-    p_check.add_argument("--grid", type=int, default=4096, help="scan grid size")
+    p_check.add_argument("--grid", type=int, default=4096, help=(
+        "scan grid size, uniform in z = |l'(h)| on [0, |l'(D)|]: where |l'(D)| is "
+        "large, neighbouring points lie far apart in h and can miss a violation"))
     p_check.add_argument("--csv", help="write per-point columns to this path")
     p_check.set_defaults(func=cmd_check)
 

@@ -57,14 +57,24 @@ class CostFunction:
         return evaluate(self.expression, z)
 
     def lprime(self, z):
-        # l' is coefficient 1: a jet of length 2 gives it bitwise as at full length
-        return eval_cost_jet(self, z, 2).derivative(1)
+        return derivative_arrays(self, z, 1)[0]
 
 
 def eval_cost_jet(cost, z0, length=N_COEFFS):
     """Jet of l at z0 (scalar or array), of the given length (order 6 by
     default).  An l undefined at z0 is not an admissible cost."""
     return eval_defined_jet(cost.expression, z0, length, f"cost {cost.text!r}")
+
+
+def derivative_arrays(cost, t, order):
+    """[l'(t), .., l^(order)(t)], each a new array of t's shape (a numpy
+    scalar on a 0-d t): l^(k) = k! c_k of the jet of l at t, whose length
+    order + 1 gives c_1 .. c_order bitwise as at full length.  A coefficient
+    that does not depend on t (c_2 of z^2/2, say) is a float, broadcast here.
+    """
+    coeffs = eval_cost_jet(cost, t, order + 1).coeffs
+    return [np.multiply(coeffs[k], math.factorial(k), out=np.empty(np.shape(t)))[()]
+            for k in range(1, order + 1)]
 
 
 def eval_defined_jet(expression, z0, length, what):
@@ -119,13 +129,9 @@ def _check_admissibility(cost):
         raise AdmissibilityError("not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
-    # l' and l'' are coefficients 1 and 2: a jet of length 3 gives them
-    # bitwise as at full length; an overflow is reported below, not warned of
+    # an overflow is reported below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        jet = eval_cost_jet(cost, grid, 3)
-    # a coefficient that does not depend on z (l = 0, say) is a scalar
-    lprime = np.broadcast_to(jet.coeffs[1], grid.shape)
-    lpp = 2.0 * np.broadcast_to(jet.coeffs[2], grid.shape)
+        lprime, lpp = derivative_arrays(cost, grid, 2)
     not_finite = ~(np.isfinite(lprime) & np.isfinite(lpp))
     if np.any(not_finite):
         raise AdmissibilityError("not-finite", float(grid[not_finite][0]))
@@ -195,16 +201,13 @@ def _newton_inverse(cost, targets):
     moving = np.arange(targets.size)
     for _ in range(_NEWTON_STEPS):
         xm = x[moving]
-        # l' and l'' are coefficients 1 and 2: a jet of length 3 gives them
-        # bitwise as at full length
-        jet = eval_cost_jet(cost, xm, 3)
-        f = cost.lprime_sign * np.asarray(jet.coeffs[1]) - targets[moving]
+        lprime, lpp = derivative_arrays(cost, xm, 2)
+        f = cost.lprime_sign * lprime - targets[moving]
         keep = ~(np.abs(f) <= tol[moving])
         if not np.any(keep):
             break
         moving, xm, f = moving[keep], xm[keep], f[keep]
-        # l'' is a scalar when it does not depend on z (l = z, say)
-        gp = cost.lprime_sign * 2.0 * np.broadcast_to(jet.coeffs[2], keep.shape)[keep]
+        gp = cost.lprime_sign * lpp[keep]
         hi[moving] = np.where(f > 0.0, xm, hi[moving])
         lo[moving] = np.where(f <= 0.0, xm, lo[moving])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -213,7 +216,7 @@ def _newton_inverse(cost, targets):
         inside = (candidate > lo[moving]) & (candidate < hi[moving])
         x[moving] = np.where(inside, candidate, 0.5 * (lo[moving] + hi[moving]))
     else:
-        final = cost.lprime_sign * np.asarray(eval_cost_jet(cost, x[moving], 2).coeffs[1])
+        final = cost.lprime_sign * derivative_arrays(cost, x[moving], 1)[0]
         ends = targets[moving]
         if np.any(np.abs(final - ends) > 1e-12 * np.maximum(1.0, ends)):
             raise NumericError("Newton inverse of l' did not converge")

@@ -34,7 +34,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .costs import eval_cost_jet, inverse_lprime
+from .costs import derivative_arrays, eval_cost_jet, inverse_lprime
 from .errors import InputError
 from .jets import Jet, _compose_table, jet_compose
 
@@ -76,7 +76,8 @@ def _times_h(jet):
 
 @lru_cache(maxsize=64)
 def _origin_series(cost, K):
-    """Taylor coefficients in h at h = 0 of every profile quantity.
+    """(series, limit): the Taylor coefficients in h at h = 0 of every
+    profile quantity, and the z below which the profiles take them.
 
     Let lp be the jet of l' at 0 and P = lp/h, so that z = h P(h).  With
     d/dz = (1/l'') d/dh:
@@ -112,29 +113,22 @@ def _origin_series(cost, K):
         "gamma": Bdd,
         "delta": _shift(Bp, 1) / P,
     }
-    return MappingProxyType({key: tuple(float(c) for c in jet.coeffs)
-                             for key, jet in series.items()})
-
-
-@lru_cache(maxsize=64)
-def _series_limit(cost, K):
-    """The z below which the profiles take the origin series.
-
-    That is SERIES_SWITCH, or less where h(z) would leave
-    SERIES_RADIUS_FRACTION of the series' radius in h.  The radius is
-    estimated as r = min_k |a_0/a_k|^(1/k) over the Taylor coefficients a_k
-    of A = l'' at 0: by Fujiwara's bound no zero of the truncated l'', each
-    a pole of the profiles, lies within r/2 of 0.  It is capped at pi for
-    K = -1, +1, where h C(h) has its poles at i pi or pi.  Since |l'| grows
-    on [0, D], h(z) < h_max holds where z < |l'(h_max)|.
-    """
-    a = _origin_series(cost, K)["A"]
+    series = MappingProxyType({key: tuple(float(c) for c in jet.coeffs)
+                               for key, jet in series.items()})
+    # The limit is SERIES_SWITCH, or less where h(z) would leave
+    # SERIES_RADIUS_FRACTION of the series' radius in h, estimated as r =
+    # min_k |a_0/a_k|^(1/k) over the coefficients a_k of A = l'' at 0: by
+    # Fujiwara's bound no zero of the truncated l'', a pole of the profiles,
+    # lies within r/2 of 0.  r is capped at pi for K = -1, +1, where h C(h)
+    # has its poles at i pi or pi.  As |l'| grows on [0, D], h(z) < h_max
+    # holds where z < |l'(h_max)|.
+    a = series["A"]
     radius = min([abs(a[0] / c) ** (1.0 / k) for k, c in enumerate(a) if k and c]
                  + [math.inf if K == 0 else math.pi])
     h_max = SERIES_RADIUS_FRACTION * radius
     if h_max >= cost.diameter:
-        return SERIES_SWITCH
-    return min(SERIES_SWITCH, abs(float(cost.lprime(h_max))))
+        return series, SERIES_SWITCH
+    return series, min(SERIES_SWITCH, abs(float(cost.lprime(h_max))))
 
 
 def _horner(coeffs, h):
@@ -162,12 +156,8 @@ def _direct_profiles(cost, K, h0):
     B cancels against A to second order, so B is built at zeff, the argument
     that matches h0, and alpha..delta divide by zeff as well.
     """
-    # l^(k) = k! c_k, written into arrays of h0's shape: a coefficient that
-    # does not depend on z (c_2 of z^2/2, say) is a float.  No name holds
-    # the jet, so its arrays are freed before the formulas below run.  On a
-    # 0-d h0, [()] makes them numpy scalars.
-    zeff, l2, l3, l4 = (np.multiply(c, math.factorial(k), out=np.empty_like(h0))[()]
-                        for k, c in enumerate(eval_cost_jet(cost, h0, 5).coeffs[1:], 1))
+    # the jet of l is freed before the formulas below run
+    zeff, l2, l3, l4 = derivative_arrays(cost, h0, 4)
     # Each step below is one of the formulas' operations, written into an
     # array made here, by augmented assignment or into scratch (l3, once A''
     # is formed).  Numpy scalars are rebound instead, and take out=None.
@@ -224,9 +214,10 @@ def _profiles(cost, K, z):
     """All profile quantities at an array of z >= 0 values, and the limit
     below which a point took the origin series.
 
-    h0 = h(z) is computed once for all of z.  Entries below the limit,
-    _series_limit(cost, K) or, with no z below SERIES_SWITCH, SERIES_SWITCH,
-    Horner-evaluate the origin series at h0; the rest are evaluated directly.
+    h0 = h(z) is computed once for all of z.  Entries below the limit, the
+    one _origin_series returns or, with no z below SERIES_SWITCH,
+    SERIES_SWITCH, Horner-evaluate the origin series at h0; the rest are
+    evaluated directly.
     """
     if K not in (-1, 0, 1):
         raise InputError(f"curvature must be -1, 0, or +1, got {K!r}")
@@ -241,7 +232,7 @@ def _profiles(cost, K, z):
     small = z < limit
     if np.any(small):
         # only here, so that no z above SERIES_SWITCH builds the series
-        limit = _series_limit(cost, K)
+        series, limit = _origin_series(cost, K)
         small = z < limit
     if not np.any(small):
         return _direct_profiles(cost, K, h0), limit
@@ -253,7 +244,7 @@ def _profiles(cost, K, z):
         # in as the first direct one; the series then overwrite those points
         # (into one array for gamma and B'', which they give equal bits)
         out = _direct_profiles(cost, K, np.where(small, h0.flat[np.argmin(small)], h0))
-    for key, coeffs in _origin_series(cost, K).items():
+    for key, coeffs in series.items():
         out[key][small] = _horner(coeffs, hs)
     return out, limit
 

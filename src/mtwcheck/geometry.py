@@ -26,6 +26,10 @@ MODEL_TOL = 1e-10
 CLAMP_SLACK = 1e-12
 ZERO_TANGENT = 1e-9
 
+# (cos_K, sin_K) of the curved models: the geodesic from x with unit velocity
+# e is cos_K(t) x + sin_K(t) e, and its velocity -K sin_K(t) x + cos_K(t) e.
+_TRIG = {1: (math.cos, math.sin), -1: (math.cosh, math.sinh)}
+
 
 @dataclass(frozen=True)
 class SpaceForm:
@@ -58,14 +62,11 @@ class SpaceForm:
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.ambient_dimension,):
             raise InputError(f"expected {self.ambient_dimension} ambient coordinates")
-        if self.curvature == 1:
-            if abs(self.inner(coords, coords) - 1.0) > MODEL_TOL:
-                raise InputError("point is not on the unit sphere")
-        elif self.curvature == -1:
-            if abs(self.inner(coords, coords) + 1.0) > MODEL_TOL:
-                raise InputError("point is not on the unit hyperboloid")
-            if coords[-1] <= 0.0:
-                raise InputError("point is on the wrong hyperboloid sheet")
+        model = {1: "unit sphere", -1: "unit hyperboloid"}.get(self.curvature)
+        if model and abs(self.inner(coords, coords) - self.curvature) > MODEL_TOL:
+            raise InputError(f"point is not on the {model}")
+        if self.curvature == -1 and coords[-1] <= 0.0:
+            raise InputError("point is on the wrong hyperboloid sheet")
         return coords
 
     def tangent(self, x, components):
@@ -95,9 +96,7 @@ class SpaceForm:
         raw = np.asarray(raw, dtype=float)
         if self.curvature == 0:
             return raw.copy()
-        if self.curvature == 1:
-            return raw - np.dot(x, raw) * x
-        return raw + self.inner(x, raw) * x
+        return raw - (self.curvature * self.inner(x, raw)) * x
 
     def norm(self, v):
         return math.sqrt(max(0.0, self.inner(v, v)))
@@ -109,12 +108,10 @@ class SpaceForm:
             return x.copy()
         if self.curvature == 0:
             return x + v
-        direction = v / r
-        if self.curvature == 1:
-            if r >= math.pi:
-                raise InputError(f"|v| = {r} reaches the sphere cut locus")
-            return math.cos(r) * x + math.sin(r) * direction
-        return math.cosh(r) * x + math.sinh(r) * direction
+        if self.curvature == 1 and r >= math.pi:
+            raise InputError(f"|v| = {r} reaches the sphere cut locus")
+        cos, sin = _TRIG[self.curvature]
+        return cos(r) * x + sin(r) * (v / r)
 
     def distance(self, x, y):
         """Geodesic distance from ambient inner products."""
@@ -137,15 +134,10 @@ class SpaceForm:
         d = self.distance(x, y)
         if d < ZERO_TANGENT:
             return np.zeros(self.ambient_dimension)
-        c = self.inner(x, y)
-        if self.curvature == 1:
-            if c <= -1.0 + CLAMP_SLACK:
-                raise InputError("points are antipodal on the sphere")
-            w = y - c * x
-        else:
-            w = y + c * x
-        wnorm = math.sqrt(max(0.0, self.inner(w, w)))
-        return (d / wnorm) * w
+        if self.curvature == 1 and self.inner(x, y) <= -1.0 + CLAMP_SLACK:
+            raise InputError("points are antipodal on the sphere")
+        w = self.project_tangent(x, y)
+        return (d / self.norm(w)) * w
 
     def parallel_transport(self, x, v, y):
         """Transport v from x to y along the minimizing geodesic."""
@@ -157,12 +149,9 @@ class SpaceForm:
             return self.project_tangent(y, v)
         e = xi / d
         vt = self.inner(v, e)
-        vperp = v - vt * e
-        if self.curvature == 1:
-            e_at_y = math.cos(d) * e - math.sin(d) * x
-        else:
-            e_at_y = math.cosh(d) * e + math.sinh(d) * x
-        return vperp + vt * e_at_y
+        cos, sin = _TRIG[self.curvature]
+        # v's component along e turns with the geodesic's velocity
+        return (v - vt * e) + vt * (cos(d) * e - (self.curvature * sin(d)) * x)
 
     def curvature_action(self, a, b):
         """R(a, b)a = K(|a|^2 b - <a, b> a), for a and b at a common base point."""
@@ -210,13 +199,13 @@ class SpaceForm:
 def cost_exp(cost, form, x, v):
     """Cost exponential at x: exp of v rescaled to length |h(|v|)|, sign of h.
 
-    Near-zero tangents short-circuit to x (h(0) = 0).
+    The zero tangent maps to x (h(0) = 0); exp_map's own ZERO_TANGENT test
+    acts on the rescaled vector, whose length is |h(|v|)|, not |v|.
     """
     s = form.norm(v)
-    if s < ZERO_TANGENT:
+    if s == 0.0:
         return x.copy()
-    hv = inverse_lprime(cost, s)
-    return form.exp_map(x, v * (hv / s))
+    return form.exp_map(x, v * (inverse_lprime(cost, s) / s))
 
 
 def minus_grad_x_cost(cost, form, x, y):

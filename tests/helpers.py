@@ -95,8 +95,8 @@ def cli_report(argv):
 
 def scan_table(cost, K, dimension, grid_points=4096):
     """(verdict, table) of one scan: table maps each column of the chunks
-    that scan_conditions passes to on_chunk (z, A, B, alpha, beta, gamma,
-    delta, slack_min) to its array over the whole grid."""
+    that scan_conditions passes to on_chunk (z, every column of
+    coefficient_arrays, and slack_min) to its array over the whole grid."""
     chunks = []
     verdict = scan_conditions(cost, K, dimension, grid_points, on_chunk=chunks.append)
     return verdict, {name: np.concatenate([chunk[name] for chunk in chunks])

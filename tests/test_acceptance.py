@@ -8,12 +8,13 @@ import time
 
 import numpy as np
 import pytest
-from helpers import random_orthogonal_pair
+from helpers import CANONICAL_CASES, random_orthogonal_pair
 
 from mtwcheck import (A3S, A3W_ONLY, SpaceForm, classify, cost_exp,
                       jacobi_residual, minus_grad_x_cost, mtw_closed, mtw_definitional,
                       mtw_via_jacobi, parse_cost, perturbation_check, preset,
                       scan_conditions)
+from mtwcheck.cli import resolve_cost
 from mtwcheck.curvature import coefficient_arrays
 from mtwcheck.expressions import evaluate
 from mtwcheck.jets import Jet, jet_compose
@@ -226,3 +227,85 @@ def test_criterion_8_module_invariant_spotchecks():
         b = scan_conditions(cost, K, 3, grid_points=8192)
         ok &= a.status == b.status
     _report("criterion 8: per-module invariant spot checks", ok)
+
+
+# Costs for criterion 9: the presets, sq on all three models, and admissible
+# members of the families -log(a + cosh z), log(cosh z) + eps z^2 and
+# z^2/2 - eps z^4, of either sign of eps, as (text, K, D).  At K = 0,
+# log(cosh z) + 0.05 z^2 fails on the combo condition alone from a z between
+# 0.995 and 0.998 |l'(D)|.  REDUCTION_Z takes both, so that a defect in the
+# combo flips the verdict at one of them.
+REDUCTION_CASES = [(preset(name, D, eps).name, K, D) for name, K, D, eps in CANONICAL_CASES] + [
+    ("sq", -1, 2.0), ("sq", 1, 2.5), ("-log(0.5+cosh(z))", -1, 2.0),
+    ("log(cosh(z)) + 0.05*z^2", -1, 2.0), ("log(cosh(z)) + 0.05*z^2", 0, 2.0),
+    ("log(cosh(z)) - 0.01*z^2", -1, 2.0), ("z^2/2 + 0.01*z^4", 0, 2.0),
+    ("z^2/2 - 0.01*z^4", 0, 2.0),
+]
+REDUCTION_Z = (1e-6, 0.01, 0.1, 0.3, 0.6, 0.9, 0.995, 0.998, 1.0)
+# Points where a sign condition binds, so that the minimum over the pairs is
+# 1.5 slack_min, for the oracle: (text, K, D, z / |l'(D)|, the binding angle)
+REDUCTION_ORACLE_POINTS = [
+    ("neg-cosh", -1, 2.0, 0.3, np.pi / 2), ("quartic(0.001)", 0, 1.0, 0.5, 0.0),
+    ("neg-log1p-cos", 1, 2.5, 0.3, 0.0), ("-log(0.5+cosh(z))", -1, 2.0, 0.5, 0.0),
+    ("z^2/2 + 0.01*z^4", 0, 2.0, 0.1, 0.0), ("log(cosh(z)) + 0.05*z^2", -1, 2.0, 0.5, np.pi / 2),
+]
+
+
+def _pair(form, a):
+    """The orthonormal pair u = (cos a, sin a), w = (-sin a, cos a) at n = 2."""
+    return (form.frame_tangent([np.cos(a), np.sin(a)]),
+            form.frame_tangent([-np.sin(a), np.cos(a)]))
+
+
+def test_criterion_9_inequality_set_is_the_tensor_condition():
+    # At n = 2, with v = z e1, S(a) = mtw_closed at the pair of angle a is a
+    # quartic form in (cos a, sin a): five angles fix its coefficients, and
+    # a sixth checks them.  Its minimum over a must agree in sign with
+    # classify, up to the band, and be positive where strict holds.  The
+    # pairs a = 0 and a = pi/2 isolate -1.5 beta and -1.5 gamma, and at n = 3,
+    # u and w orthogonal to v and to each other isolate -1.5 delta.
+    fit = np.linspace(0.0, np.pi, 6, endpoint=False)
+    dense = np.linspace(0.0, np.pi, 2001)
+    basis = [np.stack([np.cos(a) ** (4 - k) * np.sin(a) ** k for k in range(5)], axis=-1)
+             for a in (fit, dense)]
+    mismatches = []
+    for text, K, D in REDUCTION_CASES:
+        cost = resolve_cost(text, D)
+        form2, form3 = SpaceForm(K, 2), SpaceForm(K, 3)
+        e = [form3.frame_tangent(row) for row in np.eye(3)]
+        for z in np.array(REDUCTION_Z) * cost.zmax:
+            prof = coefficient_arrays(cost, K, z)
+            band = float(prof["band"][0])
+            c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], 2, band=band)
+            v = form2.frame_tangent([z, 0.0])
+            S = np.array([mtw_closed(cost, form2, u, v, w)
+                          for u, w in (_pair(form2, a) for a in fit)])
+            coeffs = np.linalg.solve(basis[0][:5], S[:5])
+            min_S = float(np.min(basis[1] @ coeffs))
+            where = f"{text} at K = {K}, z = {z!r}"
+            if abs(basis[0][5] @ coeffs - S[5]) > band or (min_S >= -1.5 * band) != c.weak[0] \
+                    or (c.strict[0] and not min_S > 0.0):
+                mismatches.append(f"{where}: min S {min_S!r}, weak {c.weak[0]}, "
+                                  f"strict {c.strict[0]}, slack_min {c.slack_min[0]!r}")
+            isolated = [(S[0], "beta"), (S[3], "gamma"),
+                        (mtw_closed(cost, form3, e[1], e[0] * z, e[2]), "delta")]
+            for value, key in isolated:
+                if not abs(value + 1.5 * prof[key][0]) <= band:
+                    mismatches.append(f"{where}: S = {value!r} against -1.5 {key} = "
+                                      f"{-1.5 * prof[key][0]!r}")
+    # the definitional oracle shares no formula with classify
+    for text, K, D, fraction, a in REDUCTION_ORACLE_POINTS:
+        cost = resolve_cost(text, D)
+        form = SpaceForm(K, 2)
+        z = fraction * cost.zmax
+        prof = coefficient_arrays(cost, K, z)
+        ref = 1.5 * float(classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], 2,
+                                   band=prof["band"]).slack_min[0])
+        u, w = _pair(form, a)
+        value = mtw_definitional(cost, form, form.canonical_base(), u,
+                                 form.frame_tangent([z, 0.0]), w)
+        if not abs(value - ref) <= 5e-3 * abs(ref):
+            mismatches.append(f"oracle on {text} at K = {K}, z = {z!r}, a = {a!r}: "
+                              f"{value!r} against 1.5 slack_min = {ref!r}")
+    _report("criterion 9: the inequality set is the tensor condition"
+            + "".join(f"\n  {line}" for line in mismatches), not mismatches)

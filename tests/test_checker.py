@@ -143,7 +143,11 @@ def test_scan_table_columns():
     cost = preset("neg-cosh", 2.0)
     verdict, table = scan_table(cost, -1, 3, grid_points=512)
     assert verdict.status == A3S
-    assert set(table) == {"z", "A", "B", "alpha", "beta", "gamma", "delta", "slack_min"}
+    # z, every column coefficient_arrays returns (band and A', A'', B', B''
+    # among them), and slack_min
+    keys = set(coefficient_arrays(cost, -1, [0.5]))
+    assert {"band", "Aprime", "Bdprime"} <= keys
+    assert set(table) == {"z", "slack_min"} | keys
     assert all(len(col) == 512 for col in table.values())
     assert table["z"][0] == 0.0 and table["z"][-1] == pytest.approx(cost.zmax)
     assert np.all(table["slack_min"] > 0.0)
@@ -170,8 +174,7 @@ def _full_grid_scan(cost, K, n, grid_points):
     min_slacks = {name: float(np.min(col)) for name, col in slacks.items()}
     if np.any(defined):
         min_slacks["combo"] = float(np.min(combo[defined]))
-    table = {"z": z, "A": prof["A"], "B": prof["B"], "alpha": alpha, "beta": beta,
-             "gamma": gamma, "delta": delta, "slack_min": slack_min}
+    table = {"z": z, **prof, "slack_min": slack_min}
     return status, float(z[int(np.argmin(slack_min))]), min_slacks, table
 
 

@@ -199,6 +199,24 @@ def test_eval_cost_jet_quartic_first_derivative():
     assert float(cost.lprime(1.0)) == pytest.approx(0.996, abs=1e-15)
 
 
+@pytest.mark.parametrize("text", ["-log(1+cosh(z))", "z^2/2 - 0.001*z^4", "z^2/2", "z"])
+@pytest.mark.parametrize("t", [np.linspace(0.0, 1.5, 7), np.array(0.7), 0.7])
+def test_derivative_arrays_are_the_full_jets_scaled_coefficients(text, t):
+    # l^(k) = k! c_k of the full-length jet, bit for bit, as a new array of
+    # t's shape.  The higher coefficients of z^2/2 and of z are floats that
+    # do not depend on t; make_cost rejects the odd l = z, so a stand-in
+    # carries what the jet reads
+    cost = SimpleNamespace(expression=parse_cost(text), text=text)
+    full = eval_cost_jet(cost, t).coeffs
+    got = costs.derivative_arrays(cost, t, 4)
+    assert len(got) == 4
+    for k, value in enumerate(got, 1):
+        ref = np.broadcast_to(np.float64(full[k]) * float(np.prod(range(1, k + 1))), np.shape(t))
+        assert np.shape(value) == np.shape(t) and value.tobytes() == ref.tobytes(), k
+        assert isinstance(value, np.ndarray if np.ndim(t) else np.float64)
+        assert not any(value is c for c in full)
+
+
 def test_quartic_admissibility_guard():
     with pytest.raises(InputError, match=r"quartic preset needs 12\*eps\*D\^2 < 1"):
         preset("quartic", 10.0, eps=1e-3)  # 12*eps*D^2 >= 1

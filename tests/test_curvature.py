@@ -465,14 +465,15 @@ def test_both_branches_match_50_digit_reference(text, K, D):
 @pytest.mark.parametrize("text,K,D", _REFERENCE_CASES)
 def test_band_follows_each_points_branch(text, K, D):
     # the band of coefficient_arrays has, at each point, the shape of the
-    # branch that point took: below _series_limit the series' absolute
-    # floor, above it the direct formula.  So a point's band has the same
-    # bits alone as in an array that straddles the limit.
+    # branch that point took: below the limit that _origin_series returns
+    # with the series, the series' absolute floor, above it the direct
+    # formula.  So a point's band has the same bits alone as in an array
+    # that straddles the limit.
     cost = resolve_cost(text, D)
     z = np.concatenate([np.geomspace(1e-15, 0.999 * SERIES_SWITCH, 8),
                         np.geomspace(SERIES_SWITCH, cost.zmax, 8)])
     prof = coefficient_arrays(cost, K, z)
-    series = z < curvature._series_limit(cost, K)
+    series = z < curvature._origin_series(cost, K)[1]
     scale = np.maximum(1.0, np.maximum(np.abs(prof["A"]), np.abs(prof["B"])))
     tiny = np.clip(np.minimum(1.0, np.abs(prof["A"])), 1e-3, 1.0)
     direct = curvature._NOISE_BAND_COEFF * (scale / tiny) ** 3 * (1.0 + 1.0 / z ** 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import CANONICAL_CASES, model_violation
 
-from mtwcheck import SpaceForm, cost_exp, minus_grad_x_cost, preset
+from mtwcheck import SpaceForm, cost_exp, make_cost, minus_grad_x_cost, preset
 from mtwcheck.errors import InputError
 from mtwcheck.geometry import orthonormal_tangent_frame
 
@@ -212,6 +212,21 @@ def test_cost_exp_zero_vector_limit():
     apex = form.canonical_base()
     v = form.frame_tangent([1e-12, 0.0, 0.0])
     assert np.array_equal(cost_exp(cost, form, apex, v), apex)
+
+
+@pytest.mark.parametrize("length", [5e-10, 2e-9])
+def test_cost_exp_moves_by_h_of_a_tiny_tangent(length):
+    # with l''(0) = 1e-6, h(|v|) is far larger than |v|: the zero test must
+    # act on the rescaled vector, not on v.  h solves 1e-6 h + 4 h^3 = |v|
+    mpmath = pytest.importorskip("mpmath")
+    cost = make_cost("1e-6*z^2/2 + z^4", 2.0)
+    form = SpaceForm(0, 3)
+    x = form.canonical_base()
+    v = form.frame_tangent([0.6, 0.0, 0.8]) * length
+    with mpmath.workdps(40):
+        h = mpmath.findroot(lambda t: 1e-6 * t + 4 * t ** 3 - length, 1e-3)
+    moved = form.distance(x, cost_exp(cost, form, x, v))
+    assert moved > 3e-4 and abs(moved - float(h)) <= 1e-12 * float(h)
 
 
 @pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
