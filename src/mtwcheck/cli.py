@@ -1,5 +1,9 @@
 """Command-line front end: verdict scans, pointwise curvature, perturbation checks.
 
+Each cmd_* returns (exit code, RunReport or None, text) and prints nothing.
+Only main prints to stdout and sets wall_time_ms: it times the command and
+prints the report as one JSON line under --json, the text otherwise.
+
 The exit codes are listed in EXIT_CODES, which --help prints.  main maps an
 exception by Python base class: ValueError (errors.InputError among them) or
 OSError to 2, ArithmeticError (errors.NumericError, OverflowError) to 3.
@@ -141,7 +145,6 @@ def _check_sphere_diameter(K, diameter):
 
 
 def cmd_check(args):
-    started = time.perf_counter()
     _check_sphere_diameter(args.K, args.diameter)
     cost = resolve_cost(args.cost, args.diameter)
     # the CSV rows are written chunk by chunk as the scan produces them
@@ -150,27 +153,18 @@ def cmd_check(args):
     report = RunReport(
         command="check", cost=cost.text, curvature=args.K, dimension=args.dim,
         diameter=args.diameter, grid=args.grid, verdict=verdict.status,
-        witness=verdict.witness, min_slacks=verdict.min_slacks,
-        wall_time_ms=1000.0 * (time.perf_counter() - started),
-    )
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        print(f"{verdict.status}  (min slack {min(verdict.min_slacks.values()):.3e} "
-              f"at z = {verdict.witness:.6g})")
-    return 0 if verdict.status in (checker.A3S, checker.A3W_ONLY) else 1
+        witness=verdict.witness, min_slacks=verdict.min_slacks)
+    text = (f"{verdict.status}  (min slack {min(verdict.min_slacks.values()):.3e} "
+            f"at z = {verdict.witness:.6g})")
+    return 0 if verdict.status in (checker.A3S, checker.A3W_ONLY) else 1, report, text
 
 
 def cmd_eval(args):
-    started = time.perf_counter()
     _check_sphere_diameter(args.K, args.diameter)
     cost = resolve_cost(args.cost, args.diameter)
     form = SpaceForm(curvature=args.K, dimension=args.dim)
     vectors = [_parse_vector(text, name)
                for text, name in ((args.u, "--u"), (args.v, "--v"), (args.w, "--w"))]
-    for vec in vectors:
-        if vec.shape != (args.dim,):
-            raise InputError(f"vectors must have {args.dim} components")
     u, v, w = (form.frame_tangent(vec) for vec in vectors)
     routes = {"closed": lambda: mtw_closed(cost, form, u, v, w),
               "jacobi": lambda: mtw_via_jacobi(cost, form, u, v, w),
@@ -181,53 +175,37 @@ def cmd_eval(args):
             values[name] = float(route())
             if not math.isfinite(values[name]):
                 raise NumericError(f"the {name} route gave {values[name]!r}")
-    deviations = None
-    if args.method == "all":
-        names = sorted(values)
-        deviations = {f"{a}-{b}": abs(values[a] - values[b])
-                      for i, a in enumerate(names) for b in names[i + 1:]}
+    # every pair of route values, or None when one route ran
+    names = sorted(values)
+    deviations = {f"{a}-{b}": abs(values[a] - values[b])
+                  for i, a in enumerate(names) for b in names[i + 1:]} or None
     report = RunReport(
         command="eval", cost=cost.text, curvature=args.K, dimension=args.dim,
-        diameter=args.diameter, values=values, deviations=deviations,
-        wall_time_ms=1000.0 * (time.perf_counter() - started),
-    )
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    else:
-        for name in sorted(values):
-            print(f"{name}: {values[name]:.12g}")
-        if deviations:
-            for pair in sorted(deviations):
-                print(f"|{pair}| = {deviations[pair]:.3e}")
-    return 0
+        diameter=args.diameter, values=values, deviations=deviations)
+    lines = [f"{name}: {values[name]:.12g}" for name in names]
+    lines += [f"|{pair}| = {deviations[pair]:.3e}" for pair in sorted(deviations or ())]
+    return 0, report, "\n".join(lines)
 
 
 def cmd_perturb(args):
-    started = time.perf_counter()
     f = parse_cost(args.f)
     result = perturbation_check(f, args.k, args.b, grid_points=args.grid)
     report = RunReport(
         command="perturb", cost=args.f.strip(), curvature=0, grid=args.grid,
-        holds=result.holds, witness=result.witness,
-        wall_time_ms=1000.0 * (time.perf_counter() - started),
-    )
-    if args.json:
-        print(json.dumps(report.to_dict()))
-    elif result.holds:
-        print(f"holds  (worst LHS {result.worst_lhs:.6g} < k = {args.k:.6g})")
-    else:
-        print(f"fails at z = {result.witness:.6g} "
-              f"(worst LHS {result.worst_lhs:.6g} >= k = {args.k:.6g})")
-    return 0 if result.holds else 1
+        holds=result.holds, witness=result.witness)
+    text = (f"holds  (worst LHS {result.worst_lhs:.6g} < k = {args.k:.6g})" if result.holds
+            else f"fails at z = {result.witness:.6g} "
+                 f"(worst LHS {result.worst_lhs:.6g} >= k = {args.k:.6g})")
+    return 0 if result.holds else 1, report, text
 
 
 def cmd_presets(args):
-    print(f"{'name':<16} {'expression':<22} {'curvatures':<12} known verdict")
+    lines = [f"{'name':<16} {'expression':<22} {'curvatures':<12} known verdict"]
     for name, info in PRESETS.items():
         ks = ",".join(f"{k:+d}" for k in info.curvatures)
-        print(f"{name:<16} {info.text:<22} {ks:<12} {info.verdict_note}")
-    print("\nquartic takes its perturbation size inline: --cost 'quartic(0.001)'")
-    return 0
+        lines.append(f"{name:<16} {info.text:<22} {ks:<12} {info.verdict_note}")
+    lines.append("\nquartic takes its perturbation size inline: --cost 'quartic(0.001)'")
+    return 0, None, "\n".join(lines)
 
 
 def build_parser():
@@ -310,7 +288,12 @@ def main(argv=None):
         # every non-finite value a command reports is checked where it is
         # computed, so numpy's warnings would only repeat the error message
         with np.errstate(all="ignore"):
-            return args.func(args)
+            started = time.perf_counter()
+            code, report, text = args.func(args)
+        if report is not None:
+            report.wall_time_ms = 1000.0 * (time.perf_counter() - started)
+        print(json.dumps(report.to_dict()) if report is not None and args.json else text)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,10 +60,6 @@ _POLE_TOL = 1e-9
 SPHERE_MAX_DIAMETER = math.pi - 10.0 * _POLE_TOL
 
 
-_PROFILE_KEYS = ("A", "Aprime", "Adprime", "B", "Bprime", "Bdprime",
-                 "alpha", "beta", "gamma", "delta")
-
-
 def _shift(jet, k):
     """jet / h^k for a jet at 0 whose orders below k vanish."""
     return Jet(jet.coeffs[k:])
@@ -238,7 +234,7 @@ def _profiles(cost, K, z):
         return _direct_profiles(cost, K, h0), limit
     hs = h0[small]
     if np.all(small):
-        out = {key: np.empty_like(z) for key in _PROFILE_KEYS}
+        out = {key: np.empty_like(z) for key in series}
     else:
         # the direct branch on the whole array, each series point standing
         # in as the first direct one; the series then overwrite those points

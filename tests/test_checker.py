@@ -139,6 +139,25 @@ def test_scan_failure_has_negative_witness_slack():
     assert min(verdict.min_slacks.values()) < 0.0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: the scan grid is uniform in z = |l'(h)|; at D = 2 these costs have "
+    "|l'(D)| of 2.4e9 to 2.4e12, so no grid point lies between h = 0 and h = 1.44 "
+    "and the violation there is missed (-cosh(z) - 1e-6*cosh(20*z) reads A3w-only)"))
+def test_scan_finds_the_violation_at_moderate_h():
+    # the reference: classify on the profiles at z = |l'(h)| over a uniform
+    # grid in h on [0, D], where the minima are -17.35, -47.11 and -13.37
+    for text, K in [("-cosh(z) - 1e-6*cosh(20*z)", -1),
+                    ("-log(1+cosh(z)) - 1e-9*cosh(20*z)", -1),
+                    ("z^2/2 + 1e-6*cosh(20*z)", 0)]:
+        cost = make_cost(text, 2.0)
+        prof = coefficient_arrays(cost, K, np.abs(cost.lprime(np.linspace(0.0, 2.0, 4096))))
+        reference = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], 3,
+                             band=prof["band"]).slack_min.min()
+        verdict = scan_conditions(cost, K, 3, grid_points=65536)
+        assert verdict.status == FAILS, text
+        assert min(verdict.min_slacks.values()) == pytest.approx(reference, rel=0.01), text
+
+
 def test_scan_table_columns():
     cost = preset("neg-cosh", 2.0)
     verdict, table = scan_table(cost, -1, 3, grid_points=512)

@@ -113,6 +113,25 @@ _EVAL = ["eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--u=1,0", "--v=0
          "--w=0,1"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--cost=neg-cosh", "--K", "-1", "--dim", "2"],
+    _EVAL,
+    ["perturb", "--f=-4*z^2", "--k", "-1", "--b", "1"],
+], ids=lambda argv: argv[0])
+def test_json_report_is_one_timed_line(capsys, argv):
+    # a command returns its report and prints nothing; main times it and
+    # prints the report as one JSON line
+    args = cli.PARSER.parse_args([*argv, "--json"])
+    code, report, _ = args.func(args)
+    assert code == 0 and report.wall_time_ms == 0.0
+    assert capsys.readouterr() == ("", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    line, newline, rest = out.partition("\n")
+    assert newline and rest == ""
+    assert json.loads(line)["wall_time_ms"] > 0.0
+
+
 def test_main_builds_no_parser(capsys, monkeypatch):
     # main parses with the parser built at import, never with a new one
     def build_parser():
@@ -256,7 +275,7 @@ def test_eval_dimension_mismatch_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--cost", "sq", "--K", "0", "--dim", "3",
                        "--u", "1,0", "--v", "0,1,0", "--w", "0,0,1")
     assert code == 2
-    assert "components" in err
+    assert err == "error: expected 3 frame components\n"
 
 
 @pytest.mark.parametrize("argv,code,message", [
@@ -582,6 +601,17 @@ def test_unwritable_csv_exit_2(tmp_path, capsys):
     assert code == 2 and "Traceback" not in err
     assert (tmp_path / "scan.csv.partial").read_bytes() == b"not ours\r\n"
     assert not (tmp_path / "scan.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["presets"], _EVAL, [*_EVAL, "--json"]])
+def test_os_error_while_printing_exit_2(capsys, monkeypatch, argv):
+    class ClosedStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError("stdout is closed")
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: stdout is closed\n"
 
 
 @pytest.mark.parametrize("cost,K", [("-log(1-cos(z))", "1"), ("1/z", "0")])

@@ -78,6 +78,20 @@ def test_distance_to_self_and_zero_log():
         assert np.allclose(form.log_map(x, x), 0.0)
 
 
+@pytest.mark.parametrize("K,cost", [(-1, "neg-cosh"), (1, "neg-log1p-cos")])
+def test_log_of_a_point_to_itself_is_exactly_zero(K, cost):
+    # at y = x the pairing can round across 1, so that distance(x, x) reads
+    # up to 4e-8; log_map, the gradient and the transport must still see y = x
+    form, cost = SpaceForm(K, 3), preset(cost, 2.0)
+    points, vectors = np.random.default_rng(0), np.random.default_rng(1)
+    for _ in range(200):
+        x = form.random_point(points)
+        v = form.random_tangent(x, vectors)
+        assert not np.any(form.log_map(x, x))
+        assert not np.any(minus_grad_x_cost(cost, form, x, x))
+        assert np.array_equal(form.parallel_transport(x, v, x), form.project_tangent(x, v))
+
+
 @pytest.mark.parametrize("form", FORMS, ids=lambda f: f"K{f.curvature:+d}n{f.dimension}")
 def test_exp_log_roundtrip_random(form):
     rng = np.random.default_rng(17 + form.curvature)
