@@ -253,7 +253,7 @@ def build_parser():
     p_pert.set_defaults(func=cmd_perturb)
 
     p_presets = sub.add_parser("presets", help="list the built-in cost catalog")
-    p_presets.set_defaults(func=cmd_presets)
+    p_presets.set_defaults(func=cmd_presets, json=False)
     return parser
 
 
@@ -292,7 +292,7 @@ def main(argv=None):
             code, report, text = args.func(args)
         if report is not None:
             report.wall_time_ms = 1000.0 * (time.perf_counter() - started)
-        print(json.dumps(report.to_dict()) if report is not None and args.json else text)
+        print(json.dumps(report.to_dict()) if args.json else text)
         return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
