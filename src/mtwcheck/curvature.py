@@ -135,6 +135,17 @@ def _horner(coeffs, h):
     return acc
 
 
+def _cot(K, h):
+    """cot_K(h): coth h, 1/h or cot h at K = -1, 0, +1, as a new array or scalar."""
+    # coth from cosh and sinh, whose numpy loops the costs' jets load anyway;
+    # a first call of np.tanh maps 128 KB more of numpy into the process
+    if K == -1:
+        C = np.cosh(h)
+        C /= np.sinh(h)
+        return C
+    return 1.0 / (np.tan(h) if K == 1 else h)
+
+
 def _direct_profiles(cost, K, h0):
     """All profile quantities at an array of h0 = h(z), z >= SERIES_SWITCH,
     each evaluated directly at its own h0.
@@ -164,13 +175,7 @@ def _direct_profiles(cost, K, h0):
     l4 -= l3
     Add = l4
     Add *= np.multiply(r, r, out=scratch)
-    # coth from cosh and sinh, whose numpy loops the costs' jets load anyway;
-    # a first call of np.tanh maps 128 KB more of numpy into the process
-    if K == -1:
-        C = np.cosh(h0)
-        C /= np.sinh(h0)
-    else:
-        C = 1.0 / (np.tan(h0) if K == 1 else h0)
+    C = _cot(K, h0)
     # C' = -K - C^2 as (-C^2) + (-K), the same bits: a - b is a + (-b), and
     # -K is the int 0, so +0.0, at K = 0
     Cp = -C
@@ -316,30 +321,17 @@ def decompose(form, u, v):
     return u0, u - u0
 
 
-def _tangential_factor(K, d):
-    """|v|*coth(|v|) / 1 / |v|*cot(|v|) with its series limit at |v| -> 0."""
-    if K == 0:
-        return 1.0
-    if d < SERIES_SWITCH:
-        d2 = d * d
-        return 1.0 + K * d2 / 3.0 - d2 * d2 / 45.0
-    if K == -1:
-        return d / math.tanh(d)
-    if math.pi - d < _POLE_TOL:
-        raise InputError("|v| within tolerance of the sphere conjugate point at pi")
-    return d / math.tan(d)
-
-
 def jacobi_map_closed(form, u, v):
     """Initial covariant derivative of the Jacobi field with J(0)=u, J(1)=0.
 
-    Equals -u0 - f(|v|) u1 where f is the tangential factor above.
+    Equals -u0 - |v| C(|v|) u1, with u0 and u1 the components of u along
+    and orthogonal to v and C = cot_K read from _cot.
     """
-    d = form.norm(v)
-    if d == 0.0:
-        raise InputError("the Jacobi map needs a nonzero geodesic direction")
+    d = _speed(form, v)
+    if form.curvature == 1 and math.pi - d < _POLE_TOL:
+        raise InputError("|v| within tolerance of the sphere conjugate point at pi")
     u0, u1 = decompose(form, u, v)
-    return -u0 - _tangential_factor(form.curvature, d) * u1
+    return -u0 - d * _cot(form.curvature, d) * u1
 
 
 def _speed(form, v):

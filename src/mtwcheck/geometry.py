@@ -131,10 +131,15 @@ class SpaceForm:
         """Initial velocity at x of the minimizing geodesic from x to y."""
         if self.curvature == 0:
             return y - x
-        # the chord decides: at y = x, d reads up to 4e-8 where the pairing rounds across 1
-        if self.norm(y - x) < ZERO_TANGENT:
+        # the chord c decides: at y = x, d reads up to 4e-8 where the pairing
+        # rounds across 1.  Below c = 1, d is 2 asin(c/2) or 2 asinh(c/2), as
+        # distance's acos or acosh keeps about 8 digits near d = 0; above it,
+        # d is distance's, as c loses digits at long range on the hyperboloid
+        chord = self.norm(y - x)
+        if chord < ZERO_TANGENT:
             return np.zeros(self.ambient_dimension)
-        d = self.distance(x, y)
+        arc = math.asin if self.curvature == 1 else math.asinh
+        d = 2.0 * arc(0.5 * chord) if chord < 1.0 else self.distance(x, y)
         if self.curvature == 1 and self.inner(x, y) <= -1.0 + CLAMP_SLACK:
             raise InputError("points are antipodal on the sphere")
         w = self.project_tangent(x, y)

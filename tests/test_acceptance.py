@@ -263,7 +263,10 @@ def test_criterion_9_inequality_set_is_the_tensor_condition():
     # a sixth checks them.  Its minimum over a must agree in sign with
     # classify, up to the band, and be positive where strict holds.  The
     # pairs a = 0 and a = pi/2 isolate -1.5 beta and -1.5 gamma, and at n = 3,
-    # u and w orthogonal to v and to each other isolate -1.5 delta.
+    # u and w orthogonal to v and to each other isolate -1.5 delta.  Where
+    # beta and gamma are below -band, with b = sqrt(-beta), g = sqrt(-gamma)
+    # and x = cos^2 a, S = 1.5 [(b x - g (1 - x))^2 + combo x (1 - x)], so at
+    # x = g/(b + g) S is 1.5 combo b g/(b + g)^2, a check of the combo's size.
     fit = np.linspace(0.0, np.pi, 6, endpoint=False)
     dense = np.linspace(0.0, np.pi, 2001)
     basis = [np.stack([np.cos(a) ** (4 - k) * np.sin(a) ** k for k in range(5)], axis=-1)
@@ -287,6 +290,14 @@ def test_criterion_9_inequality_set_is_the_tensor_condition():
                     or (c.strict[0] and not min_S > 0.0):
                 mismatches.append(f"{where}: min S {min_S!r}, weak {c.weak[0]}, "
                                   f"strict {c.strict[0]}, slack_min {c.slack_min[0]!r}")
+            if prof["beta"][0] < -band and prof["gamma"][0] < -band:
+                b, g = np.sqrt(-prof["beta"][0]), np.sqrt(-prof["gamma"][0])
+                a0 = np.arccos(np.sqrt(g / (b + g)))
+                at_a0 = np.cos(a0) ** (4 - np.arange(5)) * np.sin(a0) ** np.arange(5) @ coeffs
+                expected = 1.5 * c.combo[0] * b * g / (b + g) ** 2
+                if not abs(at_a0 - expected) <= band:
+                    mismatches.append(f"{where}: S = {at_a0!r} at cos^2 a = g/(b + g), "
+                                      f"against 1.5 combo bg/(b + g)^2 = {expected!r}")
             isolated = [(S[0], "beta"), (S[3], "gamma"),
                         (mtw_closed(cost, form3, e[1], e[0] * z, e[2]), "delta")]
             for value, key in isolated:

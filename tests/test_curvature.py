@@ -173,12 +173,21 @@ def test_jacobi_map_parallel_input():
         assert np.allclose(out, -u, atol=1e-12)
 
 
-def test_jacobi_map_small_v_continuity():
-    form = SpaceForm(-1, 3)
+@pytest.mark.parametrize("K", [-1, 1])
+@pytest.mark.parametrize("length", [1e-8, 5e-5, 9.9e-5, 1.01e-4, 0.5])
+def test_jacobi_map_small_v_continuity(K, length):
+    # -u0 - f u1 with f = |v| coth |v| or |v| cot |v| at 40 digits, on either
+    # side of the profiles' SERIES_SWITCH, which the Jacobi map does not read
+    import mpmath
+    form = SpaceForm(K, 3)
     u = form.frame_tangent([0.2, 0.7, -0.4])
-    v = form.frame_tangent([0.0, 1e-8, 0.0])
+    v = form.frame_tangent([0.0, length, 0.0])
+    with mpmath.mp.workdps(40):
+        d = mpmath.mpf(form.norm(v))
+        f = float(d * (mpmath.coth(d) if K == -1 else mpmath.cot(d)))
+    expected = -form.frame_tangent([0.0, 0.7, 0.0]) - f * form.frame_tangent([0.2, 0.0, -0.4])
     out = jacobi_map_closed(form, u, v)
-    assert np.max(np.abs(out - (-u))) < 1e-6
+    assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(u))
 
 
 def test_mtw_flat_identity_cost_is_zero():

@@ -92,6 +92,20 @@ def test_log_of_a_point_to_itself_is_exactly_zero(K, cost):
         assert np.array_equal(form.parallel_transport(x, v, x), form.project_tangent(x, v))
 
 
+@pytest.mark.parametrize("K", [-1, 1])
+@pytest.mark.parametrize("length,bound", [(5e-9, 1e-6), (1e-7, 1e-6), (1e-4, 1e-10)])
+def test_log_map_length_of_short_chords(K, length, bound):
+    # distance's acos or acosh keeps about 8 digits near d = 0, so log_map
+    # reads a short geodesic's length from the chord; what remains at 5e-9
+    # is the rounding of y by exp_map
+    form = SpaceForm(K, 3)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x = form.random_point(rng)
+        v = form.random_tangent(x, rng, unit=True) * length
+        assert abs(form.norm(form.log_map(x, form.exp_map(x, v))) / form.norm(v) - 1.0) < bound
+
+
 @pytest.mark.parametrize("form", FORMS, ids=lambda f: f"K{f.curvature:+d}n{f.dimension}")
 def test_exp_log_roundtrip_random(form):
     rng = np.random.default_rng(17 + form.curvature)
