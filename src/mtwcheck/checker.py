@@ -16,12 +16,12 @@ the witness, and dropped.  Peak memory does not grow with the grid size, and
 every value is bitwise the one a single full-grid pass gives.
 
 A chunk allocates arrays of its own length only, and keeps none of them
-past the next chunk: the grid z and h(z), the jet of l at h(z), the profile
-columns (nine arrays, as gamma is B''), three for the noise band, and
-classify's slack rows, combo row, slack_min and masks.  Jet products and
-quotients accumulate into the coefficient they make, and the profiles, the
-band and classify write each step into one of their own arrays, by out= or
-augmented assignment, rather than into a fresh temporary per numpy call.
+past the next chunk: the grid z and h(z), the jet of l at h(z), the nine
+profile columns, three for the noise band, and classify's slack rows,
+combo row, slack_min and masks.  Jet products and quotients accumulate into
+the coefficient they make, and the profiles, the band and classify write
+each step into one of their own arrays, by out= or augmented assignment,
+rather than into a fresh temporary per numpy call.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0):
     return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
 
 
-def _grid_chunk(start, stop, grid_points, lo, hi):
-    """Points lo..hi-1 of np.linspace(start, stop, grid_points), bitwise.
+def _grid_chunks(start, stop, grid_points):
+    """np.linspace(start, stop, grid_points) in chunks of SCAN_CHUNK
+    consecutive points, bitwise.
 
     linspace computes point i as i*step + start, with step = (stop - start)
     / (grid_points - 1), or as (i / (grid_points - 1)) * (stop - start) + start
@@ -129,12 +130,14 @@ def _grid_chunk(start, stop, grid_points, lo, hi):
     div = max(grid_points - 1, 1)
     delta = stop - start
     step = delta / div
-    z = np.arange(lo, hi, dtype=float)
-    z = np.multiply(z, step, out=z) if step != 0.0 else z / div * delta
-    z += start
-    if hi == grid_points > 1:
-        z[-1] = stop
-    return z
+    for lo in range(0, grid_points, SCAN_CHUNK):
+        hi = min(lo + SCAN_CHUNK, grid_points)
+        z = np.arange(lo, hi, dtype=float)
+        z = np.multiply(z, step, out=z) if step != 0.0 else z / div * delta
+        z += start
+        if hi == grid_points > 1:
+            z[-1] = stop
+        yield z
 
 
 def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
@@ -160,12 +163,10 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
     if grid_points < 256:
         raise InputError("grid_points must be at least 256")
 
-    zmax = cost.zmax
     weak = strict = True
     min_slacks = {}
     witness, witness_slack = None, None
-    for lo in range(0, grid_points, SCAN_CHUNK):
-        z = _grid_chunk(0.0, zmax, grid_points, lo, min(lo + SCAN_CHUNK, grid_points))
+    for z in _grid_chunks(0.0, cost.zmax, grid_points):
         prof = coefficient_arrays(cost, K, z)
         for name in ("alpha", "beta", "gamma", "delta"):
             if not np.all(np.isfinite(prof[name])):
@@ -219,8 +220,7 @@ def perturbation_check(f, k, b, grid_points=1024):
     if grid_points < 1:
         raise InputError("grid_points must be positive")
     witness, worst = None, -math.inf
-    for lo in range(0, grid_points, SCAN_CHUNK):
-        z = _grid_chunk(b / grid_points, b, grid_points, lo, min(lo + SCAN_CHUNK, grid_points))
+    for z in _grid_chunks(b / grid_points, b, grid_points):
         jet = eval_defined_jet(f, z, 4, "the profile")
         fp = np.asarray(jet.derivative(1))
         fpp = np.asarray(jet.derivative(2))

@@ -164,11 +164,11 @@ def in_lprime_range(cost, y):
 
 
 def inverse_lprime(cost, y):
-    """h(y): the value with l'(h(y)) = y, for |y| <= |l'(D)|.
+    """h(y): the value with l'(h(y)) = y, for each y in_lprime_range accepts.
 
     Uses the analytic inverse when the cost carries one, otherwise
-    bisection-bracketed Newton on [0, D] applied to |y|, with the sign
-    restored afterwards so that h is odd exactly.
+    bisection-bracketed Newton on [0, D] applied to min(|y|, |l'(D)|), with
+    the sign restored afterwards so that h is odd exactly.
     """
     y_arr = np.asarray(y, dtype=float)
     if not in_lprime_range(cost, y_arr):
@@ -177,50 +177,45 @@ def inverse_lprime(cost, y):
     if cost.analytic_inverse is not None:
         out = cost.analytic_inverse(y_arr)
     else:
-        out = np.sign(y_arr) * cost.lprime_sign * _newton_inverse(cost, np.abs(y_arr))
+        targets = np.minimum(np.abs(y_arr), cost.zmax)
+        out = np.sign(y_arr) * cost.lprime_sign * _newton_inverse(cost, targets)
     return out if isinstance(y, np.ndarray) else float(out)
 
 
 def _newton_inverse(cost, targets):
-    """Solve sign * l'(t) = target for t in [0, D], vectorized.
+    """Solve sign * l'(t) = target for t in [0, D], for an array or a scalar
+    of targets in [0, |l'(D)|].
 
     g(t) = lprime_sign * l'(t) increases from 0 to |l'(D)| on [0, D]; Newton
     steps are kept inside a maintained bracket, falling back to bisection.
-    Each point stops at its first iterate within _NEWTON_TOL of its target,
-    relative, so a target of 0 stops at its start t = 0.  Only the points
-    still moving are evaluated, so a point's result does not depend on the
-    other points of the batch.
+    Each step evaluates l' and l'' at every point, and a point within
+    _NEWTON_TOL of its target, relative, keeps its iterate from then on: a
+    target of 0 stops at its start t = 0, and a point's result does not
+    depend on the other points of the batch.
     """
-    shape = np.shape(targets)
-    targets = np.ravel(targets)
     d = cost.diameter
     x = np.clip(d * targets / cost.zmax, 0.0, d)
-    lo = np.zeros_like(targets)
-    hi = np.full_like(targets, d)
+    lo, hi = 0.0, d
     tol = _NEWTON_TOL * targets
-    moving = np.arange(targets.size)
     for _ in range(_NEWTON_STEPS):
-        xm = x[moving]
-        lprime, lpp = derivative_arrays(cost, xm, 2)
-        f = cost.lprime_sign * lprime - targets[moving]
-        keep = ~(np.abs(f) <= tol[moving])
-        if not np.any(keep):
+        lprime, lpp = derivative_arrays(cost, x, 2)
+        f = cost.lprime_sign * lprime - targets
+        done = np.abs(f) <= tol
+        if np.all(done):
             break
-        moving, xm, f = moving[keep], xm[keep], f[keep]
-        gp = cost.lprime_sign * lpp[keep]
-        hi[moving] = np.where(f > 0.0, xm, hi[moving])
-        lo[moving] = np.where(f <= 0.0, xm, lo[moving])
+        hi = np.where(f > 0.0, x, hi)
+        lo = np.where(f <= 0.0, x, lo)
+        gp = cost.lprime_sign * lpp
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(gp != 0.0, f / gp, np.inf)
-        candidate = xm - step
-        inside = (candidate > lo[moving]) & (candidate < hi[moving])
-        x[moving] = np.where(inside, candidate, 0.5 * (lo[moving] + hi[moving]))
+        candidate = x - step
+        inside = (candidate > lo) & (candidate < hi)
+        x = np.where(done, x, np.where(inside, candidate, 0.5 * (lo + hi)))
     else:
-        final = cost.lprime_sign * derivative_arrays(cost, x[moving], 1)[0]
-        ends = targets[moving]
-        if np.any(np.abs(final - ends) > 1e-12 * np.maximum(1.0, ends)):
+        final = cost.lprime_sign * derivative_arrays(cost, x, 1)[0]
+        if np.any(np.abs(final - targets) > 1e-12 * np.maximum(1.0, targets)):
             raise NumericError("Newton inverse of l' did not converge")
-    return x.reshape(shape)
+    return x
 
 
 def _h_sq(y):

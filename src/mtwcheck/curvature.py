@@ -65,11 +65,6 @@ def _shift(jet, k):
     return Jet(jet.coeffs[k:])
 
 
-def _times_h(jet):
-    """jet * h for a jet at 0: one order longer, with a zero constant term."""
-    return Jet((0.0,) + jet.coeffs)
-
-
 @lru_cache(maxsize=64)
 def _origin_series(cost, K):
     """(series, limit): the Taylor coefficients in h at h = 0 of every
@@ -103,9 +98,9 @@ def _origin_series(cost, K):
     Add, Bdd = Ap.series_derivative() / A, Bp.series_derivative() / A
     Psq = P * P
     series = {
-        "A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
-        "alpha": Add + _shift(6.0 * amb - 4.0 * _times_h(P * (Ap - Bp)), 2) / Psq,
-        "beta": _shift(_times_h(P * Ap) - 2.0 * amb, 2) / Psq,
+        "A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp,
+        "alpha": Add + (_shift(6.0 * amb, 2) - 4.0 * _shift(P * (Ap - Bp), 1)) / Psq,
+        "beta": (_shift(P * Ap, 1) - _shift(2.0 * amb, 2)) / Psq,
         "gamma": Bdd,
         "delta": _shift(Bp, 1) / P,
     }
@@ -159,9 +154,9 @@ def _direct_profiles(cost, K, h0):
     with s = l'/l'', C' = -K - C^2 and C'' = -2 C C'.
 
     h0 is exact only as the inverse of zeff = l'(h0), which differs from z
-    by the inverse's residual (up to 1e-13 relative for the Newton inverse).
-    B cancels against A to second order, so B is built at zeff, the argument
-    that matches h0, and alpha..delta divide by zeff as well.
+    by the inverse's residual: up to 1e-13 relative for the Newton inverse,
+    or 1e-9 where it takes a z above |l'(D)| as |l'(D)|.  B cancels against
+    A to second order, so B is built at zeff, and alpha..delta divide by it.
     """
     # the jet of l is freed before the formulas below run
     zeff, l2, l3, l4 = derivative_arrays(cost, h0, 4)
@@ -206,7 +201,7 @@ def _direct_profiles(cost, K, h0):
     beta -= amb
     beta /= zsq
     return {
-        "A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
+        "A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp,
         "alpha": alpha, "beta": beta, "gamma": Bdd, "delta": Bp / zeff,
     }
 
@@ -243,7 +238,6 @@ def _profiles(cost, K, z):
     else:
         # the direct branch on the whole array, each series point standing
         # in as the first direct one; the series then overwrite those points
-        # (into one array for gamma and B'', which they give equal bits)
         out = _direct_profiles(cost, K, np.where(small, h0.flat[np.argmin(small)], h0))
     for key, coeffs in series.items():
         out[key][small] = _horner(coeffs, hs)
@@ -288,7 +282,7 @@ def _noise_band(z, profile, limit):
 
 
 def coefficient_arrays(cost, K, z):
-    """A, B, their first two derivatives, alpha..delta and band at each z >= 0.
+    """A, B, A', A'', B', alpha..delta (gamma is B'') and band at each z >= 0.
 
     The one public entry point of the profiles: z is a scalar or an array,
     and every value comes back as an array of z's size.  band is the roundoff
@@ -362,7 +356,7 @@ def mtw_closed(cost, form, u, v, w):
     # origin series, where the division by z^2 is an exact shift
     total = (
         ab["Adprime"] * u0sq * w0sq
-        + ab["Bdprime"] * u1sq * w0sq
+        + ab["gamma"] * u1sq * w0sq
         + ab["Aprime"] / z * (u0sq * w1sq + 4.0 * cross)
         + ab["Bprime"] / z * (u1sq * w1sq - 4.0 * cross)
         + (ab["Aprime"] / z - ab["beta"]) * (u1w1 * u1w1 - u0sq * w1sq - 2.0 * cross)
@@ -382,7 +376,7 @@ def mtw_via_jacobi(cost, form, u, v, w):
     z0 = _speed(form, v)
     ab = _profile_row(cost, form.curvature, z0)
     a_table = (ab["A"], ab["Aprime"], 0.5 * ab["Adprime"])
-    b_table = (ab["B"], ab["Bprime"], 0.5 * ab["Bdprime"])
+    b_table = (ab["B"], ab["Bprime"], 0.5 * ab["gamma"])
     q = Jet((z0 * z0, 2.0 * form.inner(v, w), form.inner(w, w)))
     r = jet_compose("sqrt", q)
     a_of_r = _compose_table(a_table, r)

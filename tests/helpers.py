@@ -195,7 +195,7 @@ def reference_profiles(cost, K, z):
         B, Bp, Bdd = b_jet.coeffs[0], b_jet.coeffs[1], 2 * b_jet.coeffs[2]
         amb = A - B
         zsq = zeff * zeff
-        return {"A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp, "Bdprime": Bdd,
+        return {"A": A, "Aprime": Ap, "Adprime": Add, "B": B, "Bprime": Bp,
                 "alpha": (zsq * Add + 6 * amb - 4 * zeff * (Ap - Bp)) / zsq,
                 "beta": (zeff * Ap - 2 * amb) / zsq, "gamma": Bdd, "delta": Bp / zeff}
 

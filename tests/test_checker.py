@@ -7,7 +7,7 @@ from helpers import random_orthogonal_pair, scan_table
 from mtwcheck import (A3S, A3W_ONLY, FAILS, SpaceForm, classify, mtw_closed,
                       parse_cost, perturbation_check, preset, scan_conditions)
 from mtwcheck import checker
-from mtwcheck.checker import STRICT_MARGIN, _grid_chunk
+from mtwcheck.checker import STRICT_MARGIN, _grid_chunks
 from mtwcheck.costs import make_cost
 from mtwcheck.curvature import _NOISE_BAND_COEFF, _noise_band, coefficient_arrays
 from mtwcheck.errors import AdmissibilityError, InputError, NumericError
@@ -162,10 +162,10 @@ def test_scan_table_columns():
     cost = preset("neg-cosh", 2.0)
     verdict, table = scan_table(cost, -1, 3, grid_points=512)
     assert verdict.status == A3S
-    # z, every column coefficient_arrays returns (band and A', A'', B', B''
+    # z, every column coefficient_arrays returns (band, A' and B'' as gamma
     # among them), and slack_min
     keys = set(coefficient_arrays(cost, -1, [0.5]))
-    assert {"band", "Aprime", "Bdprime"} <= keys
+    assert {"band", "Aprime", "gamma"} <= keys
     assert set(table) == {"z", "slack_min"} | keys
     assert all(len(col) == 512 for col in table.values())
     assert table["z"][0] == 0.0 and table["z"][-1] == pytest.approx(cost.zmax)
@@ -223,23 +223,23 @@ def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D, ep
 
 
 @pytest.mark.parametrize("grid", [256, 257, 4096, 8193, 65536])
-def test_grid_chunks_equal_linspace(grid):
+def test_grid_chunks_equal_linspace(monkeypatch, grid):
     rng = np.random.default_rng(grid)
     zmaxes = np.concatenate([[1.0, np.tanh(2.0), np.sinh(2.0), 5.0], rng.uniform(0.01, 50.0, 6)])
     for zmax in zmaxes:
         for chunk in (1, 1000, 8192) if grid <= 257 else (1000, 8192):
+            monkeypatch.setattr(checker, "SCAN_CHUNK", chunk)
             for start in (0.0, zmax / grid):
-                z = np.concatenate([_grid_chunk(start, zmax, grid, lo, min(lo + chunk, grid))
-                                    for lo in range(0, grid, chunk)])
+                z = np.concatenate(list(_grid_chunks(start, zmax, grid)))
                 assert z.tobytes() == np.linspace(start, zmax, grid).tobytes(), (zmax, chunk)
 
 
 @pytest.mark.parametrize("start,stop,grid", [(0.0, 3.0, 1), (2.5, 2.5, 1), (1e-322 / 5, 1e-322, 5),
                                              (5e-324 / 7, 5e-324, 7), (0.0, 1e-320, 300)])
-def test_grid_chunk_edge_cases_equal_linspace(start, stop, grid):
+def test_grid_chunk_edge_cases_equal_linspace(monkeypatch, start, stop, grid):
     # one point, and a step that underflows to zero
-    z = np.concatenate([_grid_chunk(start, stop, grid, lo, min(lo + 2, grid))
-                        for lo in range(0, grid, 2)])
+    monkeypatch.setattr(checker, "SCAN_CHUNK", 2)
+    z = np.concatenate(list(_grid_chunks(start, stop, grid)))
     assert z.tobytes() == np.linspace(start, stop, grid).tobytes()
 
 
@@ -440,6 +440,3 @@ def test_scan_leaves_its_chunk_tables_unchanged(name, K, D, eps):
     assert len(tables) == 3
     for table, copy in zip(tables, copies):
         assert all(_bitwise_equal(table[key], copy[key]) for key in copy)
-    # on the direct branch gamma is B'', one array, which classify only reads
-    prof = coefficient_arrays(cost, K, np.linspace(0.5, 1.0, 8) * cost.zmax)
-    assert prof["gamma"] is prof["Bdprime"]

@@ -226,6 +226,21 @@ def test_eval_newton_inverse_at_tiny_v_matches_preset(capsys):
     assert values["-cosh(z)"] == pytest.approx(values["neg-cosh"], rel=1e-12, abs=0.0)
 
 
+def test_eval_newton_inverse_just_above_lprime_of_d_matches_preset(capsys):
+    # |v| = |l'(D)|(1 + 5e-10) lies in the roundoff margin that
+    # in_lprime_range accepts, and Newton inverts it as |l'(D)|
+    zmax = make_cost("-cosh(z)", 1.0).zmax
+    values = {}
+    for cost, v in (("-cosh(z)", "1.1752011942314021"), ("neg-cosh", repr(zmax))):
+        code, out, _ = run(capsys, "eval", f"--cost={cost}", "--K", "-1", "--dim", "2",
+                           "--diameter", "1", "--u=1,0", f"--v={v},0", "--w=0,1",
+                           "--method", "closed", "--json")
+        assert code == 0
+        values[cost] = json.loads(out)["values"]["closed"]
+    assert float("1.1752011942314021") / zmax - 1.0 == pytest.approx(5e-10, rel=1e-3)
+    assert values["-cosh(z)"] == pytest.approx(values["neg-cosh"], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("argv", [
     ["perturb", "--f=-exp(z^2)", "--k", "-1", "--b", "30"],
     ["check", "--cost=z^2/2", "--K", "0", "--dim", "3", "--diameter", "1e300"],

@@ -166,6 +166,34 @@ def test_newton_inverse_direct():
     assert _newton_inverse(cost, target)[0] == pytest.approx(1.3, abs=1e-12)
 
 
+@pytest.mark.parametrize("text,D", [("-cosh(z)", 1.0), ("log(cosh(z))", 2.0)])
+@pytest.mark.parametrize("excess", [1e-10, 5e-10, 9e-10])
+def test_newton_inverts_the_roundoff_margin_above_lprime_of_d(text, D, excess):
+    # in_lprime_range accepts |y| up to |l'(D)|(1 + 1e-9) + 1e-15, and the
+    # Newton path inverts min(|y|, |l'(D)|), so h there is +-D to roundoff
+    cost = make_cost(text, D)
+    y = cost.zmax * (1.0 + excess)
+    assert costs.in_lprime_range(cost, y)
+    for sign in (1.0, -1.0):
+        h = inverse_lprime(cost, sign * y)
+        assert abs(abs(h) - D) <= 1e-12
+        assert np.sign(h) == sign * cost.lprime_sign
+        assert inverse_lprime(cost, np.array([sign * y]))[0] == h
+
+
+def test_newton_inverse_is_independent_of_its_batch():
+    # -cosh(z) - 1e-6*cosh(20*z) has a tail of slow points: grid points 3
+    # and 4 take 14 and 16 evaluations of l', and those near index 370 take
+    # 13, where most take 10.  Each point keeps its iterate once it is within
+    # tolerance while the rest step on, so it gets the bits it gets alone
+    cost = make_cost("-cosh(z) - 1e-6*cosh(20*z)", 2.0)
+    ys = np.linspace(0.0, cost.zmax, 8192)
+    hs = inverse_lprime(cost, ys)
+    for i in np.r_[0:32, 360:392]:
+        alone = (inverse_lprime(cost, float(ys[i])), inverse_lprime(cost, ys[i:i + 1])[0])
+        assert all(np.float64(h).tobytes() == hs[i].tobytes() for h in alone), i
+
+
 @pytest.mark.parametrize("text,D,y,lprime,h_start", [
     ("-cosh(z)", 2.0, 1e-14, lambda mp, h: -mp.sinh(h), -1e-14),
     ("1e-6*z^2/2 + z^4", 1.0, 1e-13, lambda mp, h: mp.mpf("1e-6") * h + 4 * h ** 3, 1e-7),

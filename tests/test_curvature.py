@@ -28,7 +28,7 @@ def test_ab_identity_cost():
         ab = _at(cost, 0, z)
         assert ab.A == pytest.approx(1.0, abs=1e-12)
         assert ab.B == pytest.approx(1.0, abs=1e-12)
-        for d in (ab.Aprime, ab.Adprime, ab.Bprime, ab.Bdprime):
+        for d in (ab.Aprime, ab.Adprime, ab.Bprime, ab.gamma):
             assert d == pytest.approx(0.0, abs=1e-12)
 
 
@@ -43,7 +43,7 @@ def test_ab_neg_cosh():
         assert ab.Aprime == pytest.approx(-z / root, abs=1e-10)
         assert ab.Bprime == pytest.approx(-z / root, abs=1e-10)
         assert ab.Adprime == pytest.approx(-root ** -3, abs=1e-9)
-        assert ab.Bdprime == pytest.approx(-root ** -3, abs=1e-9)
+        assert ab.gamma == pytest.approx(-root ** -3, abs=1e-9)
 
 
 def test_ab_neg_log1p_cos():
@@ -54,7 +54,7 @@ def test_ab_neg_log1p_cos():
         assert ab.A == pytest.approx((1.0 + z * z) / 2.0, abs=1e-9)
         assert ab.B == pytest.approx((1.0 - z * z) / 2.0, abs=1e-9)
         assert ab.Adprime == pytest.approx(1.0, abs=1e-9)
-        assert ab.Bdprime == pytest.approx(-1.0, abs=1e-9)
+        assert ab.gamma == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_ab_out_of_range():
@@ -317,7 +317,7 @@ def _five_term_reference(cost, K, u, v, w):
         ref = reference_profiles(cost, K, float(z))
         u0sq, u1sq, w0sq, w1sq = dot(u0, u0), dot(u1, u1), dot(w0, w0), dot(w1, w1)
         cross, u1w1 = dot(u0, w0) * dot(u1, w1), dot(u1, w1)
-        total = (ref["Adprime"] * u0sq * w0sq + ref["Bdprime"] * u1sq * w0sq
+        total = (ref["Adprime"] * u0sq * w0sq + ref["gamma"] * u1sq * w0sq
                  + ref["Aprime"] / z * (u0sq * w1sq + 4 * cross)
                  + ref["Bprime"] / z * (u1sq * w1sq - 4 * cross)
                  + 2 * (ref["A"] - ref["B"]) / z ** 2 * (u1w1 ** 2 - u0sq * w1sq - 2 * cross))
