@@ -15,13 +15,15 @@ and classified, then folded into the verdict, the per-condition minima and
 the witness, and dropped.  Peak memory does not grow with the grid size, and
 every value is bitwise the one a single full-grid pass gives.
 
-A chunk allocates arrays of its own length only, and keeps none of them
-past the next chunk: the grid z and h(z), the jet of l at h(z), the nine
-profile columns, three for the noise band, and classify's slack rows,
-combo row, slack_min and masks.  Jet products and quotients accumulate into
-the coefficient they make, and the profiles, the band and classify write
-each step into one of their own arrays, by out= or augmented assignment,
-rather than into a fresh temporary per numpy call.
+A chunk allocates arrays of its own length only, and drops them once it is
+folded in: the grid z and h(z), the jet of l at h(z), the nine profile
+columns, three for the noise band, and classify's slack rows, combo row,
+slack_min and masks.  Jet products and quotients accumulate into the
+coefficient they make, and the profiles, the band and classify write each
+step into one of their own arrays, by out= or augmented assignment, rather
+than into a fresh temporary per numpy call.  The check command keeps the
+heap pages these arrays are freed to mapped (cli._hold_heap), so the next
+chunk does not fault them back in.
 """
 
 from __future__ import annotations
@@ -44,8 +46,12 @@ FAILS = "fails"
 STRICT_MARGIN = 1e-12
 
 # Grid points profiled and classified at once: the scan's working set is a
-# few dozen arrays of this length, whatever the grid size.
-SCAN_CHUNK = 8192
+# few dozen arrays of this length, whatever the grid size.  With the heap kept
+# mapped, a grid-65536 preset check took 7.1 ms of CPU at 16384 against 7.9 ms
+# at 8192, which won only while glibc re-faulted the larger temporaries.  It
+# costs 0.9 MB (2%) of scan-export's peak_rss_mb, and none measurable of
+# scan-dense's.
+SCAN_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,7 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
             witness, witness_slack = float(z[i]), c.slack_min[i]
         if on_chunk is not None:
             on_chunk({"z": z, **prof, "slack_min": c.slack_min})
+        del z, prof, c
 
     status = FAILS if not weak else A3S if strict else A3W_ONLY
     return Verdict(status=status, witness=witness,
