@@ -144,6 +144,7 @@ def _grid_chunks(start, stop, grid_points):
         if hi == grid_points > 1:
             z[-1] = stop
         yield z
+        del z  # so that the chunk is freed before the next one is allocated
 
 
 def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):

@@ -139,15 +139,18 @@ def _write_csv(path):
 
 
 def _hold_heap():
-    """Keep the pages a scan frees mapped, so its next chunk does not fault
-    them back in.
+    """Keep the pages a check frees mapped, so that its next scan chunk or
+    CSV block, or a later check in the same process, does not fault them
+    back in.
 
     Through glibc's mallopt, arrays below 32 MiB come from the heap
     (M_MMAP_THRESHOLD, -3), and the heap top is trimmed only above 256 MiB
     free (M_TRIM_THRESHOLD, -1).  A fixed trim threshold alone would freeze
     glibc's dynamic mmap threshold wherever earlier allocations left it.
-    Where the C library has no mallopt this does nothing.  check and perturb
-    call it; eval, whose arrays have a few elements, does not.
+    Where the C library has no mallopt this does nothing.  Only check calls
+    it.  The policy holds for the rest of the process, so every command a
+    process runs after a check (through main, as the tests and perfbench
+    do) runs under it, and the process may keep up to 256 MiB of freed heap.
     """
     import ctypes
 
@@ -211,7 +214,6 @@ def cmd_eval(args):
 
 
 def cmd_perturb(args):
-    _hold_heap()
     f = parse_cost(args.f)
     result = perturbation_check(f, args.k, args.b, grid_points=args.grid)
     report = RunReport(

@@ -249,21 +249,17 @@ def _make_h_quartic(eps):
     # a = 3*sqrt(3*eps)*y, it is cos(acos(-a)/3 - 2*pi/3) / sqrt(3*eps).
     # acos(-a) rounds away the digits of a below 1e-16, so for |a| < 1e-8
     # (every y, for a tiny eps) the start is its equal sin(asin(a)/3) /
-    # sqrt(3*eps), which keeps them; it is evaluated at those points only.
-    # Two Newton steps polish the root to machine-relative precision;
-    # float64 Newton can stop at either of two neighbours of the root, so
-    # where the cosine start keeps its digits it stays, and h keeps its bits.
+    # sqrt(3*eps), which keeps them.  Two Newton steps polish the root to
+    # machine-relative precision; float64 Newton can stop at either of two
+    # neighbours of the root, so where the cosine start keeps its digits it
+    # stays, and h keeps its bits.
     root3eps = np.sqrt(3.0 * eps)
 
     def h(y):
         y = np.asarray(y, dtype=float)
         a = np.clip(3.0 * root3eps * y, -1.0, 1.0)
-        root = np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0)
-        small = np.abs(a) < 1e-8
-        if small.any():
-            root = np.asarray(root)
-            root[small] = np.sin(np.arcsin(a[small]) / 3.0)
-        root /= root3eps
+        root = np.where(np.abs(a) < 1e-8, np.sin(np.arcsin(a) / 3.0),
+                        np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0)) / root3eps
         for _ in range(2):
             root = root - (root - 4.0 * eps * root ** 3 - y) / (1.0 - 12.0 * eps * root ** 2)
         return root

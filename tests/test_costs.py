@@ -308,40 +308,3 @@ def test_quartic_inverse_residual(eps):
     y = np.concatenate([np.linspace(0.0, 0.99, 100), np.geomspace(1e-300, 1.0, 61)])
     root = h(y)
     assert np.all(np.abs(root - 4.0 * eps * root ** 3 - y) <= 2.3e-16 * y)
-
-
-def _h_quartic_both_starts(eps):
-    # reference: both starts evaluated at every point, one chosen by np.where
-    root3eps = np.sqrt(3.0 * eps)
-
-    def h(y):
-        y = np.asarray(y, dtype=float)
-        a = np.clip(3.0 * root3eps * y, -1.0, 1.0)
-        root = np.where(np.abs(a) < 1e-8, np.sin(np.arcsin(a) / 3.0),
-                        np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0)) / root3eps
-        for _ in range(2):
-            root = root - (root - 4.0 * eps * root ** 3 - y) / (1.0 - 12.0 * eps * root ** 2)
-        return root
-
-    return h
-
-
-@pytest.mark.parametrize("eps", [1e-3, 1e-300])
-def test_quartic_inverse_keeps_its_bits_with_the_sine_start_where_it_applies(eps):
-    cost = preset("quartic", 1.0, eps=eps)
-    # y at which a = 3*sqrt(3*eps)*y crosses the 1e-8 switch of the starts
-    switch = 1e-8 / (3.0 * np.sqrt(3.0 * eps))
-    near = np.concatenate([switch * (1.0 + np.linspace(-1e-6, 1e-6, 41)),
-                           np.nextafter(switch, [0.0, np.inf])])
-    y = np.concatenate([np.linspace(-cost.zmax, cost.zmax, 20001), near, -near])
-    y = y[np.abs(y) <= cost.zmax]
-    expected = _h_quartic_both_starts(eps)(y)
-    got = cost.analytic_inverse(y)
-    small = np.abs(3.0 * np.sqrt(3.0 * eps) * y) < 1e-8
-    # both starts are taken at eps = 1e-3, the sine start alone at eps = 1e-300
-    assert np.any(small) and np.all(small) == (eps < 1e-8)
-    assert got.tobytes() == expected.tobytes()
-    # the last two y lie on either side of the switch at eps = 1e-3
-    for value in [0.0, *y[::5000].tolist(), *y[-2:].tolist()]:
-        scalar = cost.analytic_inverse(value)
-        assert type(scalar) is np.float64 and scalar == _h_quartic_both_starts(eps)(value)
