@@ -92,13 +92,16 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0):
         combo = where(combo_defined, 2 * (sqrt(maximum(0, -beta))
                       * sqrt(maximum(0, -gamma))) - (alpha + delta), inf)
         slack_min = minimum(... minimum(-beta, -gamma) ..., combo)
-        weak = combo_defined & (slack_min >= -band)
+        weak = slack_min >= -band
         strict = weak & (slack_min > maximum(STRICT_MARGIN, band))
 
     sqrt runs on the clamped negations so that roundoff-level positive
     values do not raise.  slack_min folds the rows in the order beta, gamma,
     [delta], combo: of two equal zeros of opposite sign np.minimum keeps the
-    one the order gives.  Each step writes into an array made here.
+    one the order gives.  weak needs no combo_defined: where the combo is
+    undefined, beta or gamma lies above band, so slack_min already lies
+    below -band, and a nan compares false either way.  Each step writes
+    into an array made here.
     """
     alpha, beta, gamma, delta = (np.atleast_1d(np.asarray(c, dtype=float))
                                  for c in (alpha, beta, gamma, delta))
@@ -119,7 +122,7 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0):
     slack_min = np.minimum(rows[0], rows[1])
     for row in rows[2:]:
         np.minimum(slack_min, row, out=slack_min)
-    weak = combo_defined & (slack_min >= -band)
+    weak = slack_min >= -band
     strict = weak & (slack_min > np.maximum(STRICT_MARGIN, band))
     return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
 

@@ -19,7 +19,6 @@ import contextlib
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -29,8 +28,8 @@ import numpy as np
 
 from . import checker
 from .checker import perturbation_check, scan_conditions
-from .costs import PRESETS, make_cost, preset
-from .curvature import SPHERE_MAX_DIAMETER, mtw_closed, mtw_via_jacobi
+from .costs import PRESETS, make_cost
+from .curvature import check_sphere_diameter, mtw_closed, mtw_via_jacobi
 from .errors import InputError, NumericError
 from .expressions import parse_cost
 from .geometry import SpaceForm
@@ -69,24 +68,6 @@ class RunReport:
     def to_dict(self):
         # every field is a JSON value already, so a shallow copy is enough
         return dict(vars(self))
-
-
-_QUARTIC_RE = re.compile(r"^quartic\(([^)]*)\)$")
-
-
-def resolve_cost(text, diameter):
-    """Interpret --cost as a preset name, quartic(eps), or an expression."""
-    text = text.strip()
-    if text in PRESETS:
-        return preset(text, diameter)
-    m = _QUARTIC_RE.match(text)
-    if m:
-        try:
-            eps = float(m.group(1))
-        except ValueError:
-            raise InputError(f"quartic eps must be finite and positive, got {m.group(1)!r}") from None
-        return preset("quartic", diameter, eps=eps)
-    return make_cost(text, diameter)
 
 
 def _parse_vector(text, what):
@@ -163,16 +144,10 @@ def _hold_heap():
     mallopt(-1, 256 << 20)
 
 
-def _check_sphere_diameter(K, diameter):
-    if K == 1 and diameter > SPHERE_MAX_DIAMETER:
-        raise InputError(f"--diameter must be at most {SPHERE_MAX_DIAMETER!r} on the sphere "
-                         f"(K = 1), clear of the cot pole at pi; got {diameter!r}")
-
-
 def cmd_check(args):
     _hold_heap()
-    _check_sphere_diameter(args.K, args.diameter)
-    cost = resolve_cost(args.cost, args.diameter)
+    check_sphere_diameter(args.K, args.diameter)
+    cost = make_cost(args.cost, args.diameter)
     # the CSV rows are written chunk by chunk as the scan produces them
     with (_write_csv(args.csv) if args.csv else contextlib.nullcontext()) as write:
         verdict = scan_conditions(cost, args.K, args.dim, args.grid, on_chunk=write)
@@ -186,8 +161,8 @@ def cmd_check(args):
 
 
 def cmd_eval(args):
-    _check_sphere_diameter(args.K, args.diameter)
-    cost = resolve_cost(args.cost, args.diameter)
+    check_sphere_diameter(args.K, args.diameter)
+    cost = make_cost(args.cost, args.diameter)
     form = SpaceForm(curvature=args.K, dimension=args.dim)
     vectors = [_parse_vector(text, name)
                for text, name in ((args.u, "--u"), (args.v, "--v"), (args.w, "--w"))]
@@ -242,13 +217,12 @@ def build_parser():
         epilog=EXIT_CODES, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, with_dim=True):
+    def add_common(p):
         p.add_argument("--cost", required=True,
                        help="preset name, quartic(eps), or an expression in z")
         p.add_argument("--K", type=int, choices=(-1, 0, 1), required=True,
                        help="sectional curvature of the model space")
-        if with_dim:
-            p.add_argument("--dim", type=int, required=True, help="manifold dimension")
+        p.add_argument("--dim", type=int, required=True, help="manifold dimension")
         p.add_argument("--diameter", type=float, default=2.0,
                        help="working diameter D (default 2.0)")
         p.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -8,6 +8,7 @@ inverse h is well defined on [-|l'(D)|, |l'(D)|] and odd.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -48,9 +49,9 @@ class CostFunction:
     def __post_init__(self):
         if not 0.0 < self.diameter < math.inf:
             raise InputError(f"diameter must be finite and positive, got {self.diameter!r}")
-        object.__setattr__(self, "lprime_sign", _check_admissibility(self))
-        with np.errstate(over="ignore", invalid="ignore"):
-            object.__setattr__(self, "zmax", abs(float(self.lprime(self.diameter))))
+        sign, lprime_at_diameter = _check_admissibility(self)
+        object.__setattr__(self, "lprime_sign", sign)
+        object.__setattr__(self, "zmax", abs(float(lprime_at_diameter)))
 
     def __call__(self, z):
         """l(z) by expressions.evaluate, apart from the jets; the oracle reads l here."""
@@ -99,13 +100,14 @@ def eval_defined_jet(expression, z0, length, what):
 
 def _check_admissibility(cost):
     """Check evenness of l and the constant sign of l'' on [0, diameter];
-    return the sign of l''(0), +1 or -1.
+    return the sign of l''(0), +1 or -1, and l'(diameter).
 
     Evenness: the odd Taylor coefficients at 0 must be within EVENNESS_TOL of
     max(1, |l''(0)|/2), and l(z)-l(-z) must vanish at sampled points.  Sign:
     on a uniform 256-point grid, l' and l'' must be finite, l'' must stay
     away from zero and keep the sign it has at 0, and that sign times l'
-    must not decrease from one grid point to the next.
+    must not decrease from one grid point to the next.  The grid's last
+    point is the diameter itself, so l'(diameter) is read off its l'.
     A violation raises AdmissibilityError(kind, witness), with witness the
     first offending argument; so does an l that is undefined at a point it
     is evaluated at.
@@ -146,15 +148,7 @@ def _check_admissibility(cost):
     drops = np.diff(sign * lprime) < 0.0
     if np.any(drops):
         raise AdmissibilityError("lprime-not-monotone", float(grid[:-1][drops][0]))
-    return sign
-
-
-def make_cost(text, diameter, analytic_inverse=None, name=None):
-    """Parse expression text into a CostFunction on [0, diameter], which
-    raises AdmissibilityError where l is not admissible there."""
-    return CostFunction(expression=parse_cost(text), text=text.strip(),
-                        diameter=float(diameter), analytic_inverse=analytic_inverse,
-                        name=name)
+    return sign, lprime[-1]
 
 
 def in_lprime_range(cost, y):
@@ -293,21 +287,39 @@ DEFAULT_QUARTIC_EPS = 1e-3
 def preset(name, diameter, eps=None):
     """Instantiate a preset cost on [0, diameter].
 
-    The quartic family takes the perturbation size through eps (default 1e-3)
-    and requires 12*eps*D^2 < 1 so that l'' stays positive on [0, D].
+    The quartic family takes the perturbation size through eps, a number or
+    its text (default 1e-3); where l'' = 1 - 12*eps*z^2 reaches 0 on [0, D]
+    the cost is not admissible.
     """
     if name == "quartic":
-        eps = DEFAULT_QUARTIC_EPS if eps is None else float(eps)
-        if not 0.0 < eps < math.inf:
+        try:
+            value = DEFAULT_QUARTIC_EPS if eps is None else float(eps)
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value < math.inf:
             raise InputError(f"quartic eps must be finite and positive, got {eps!r}")
-        if 12.0 * eps * diameter * diameter >= 1.0:
-            raise InputError("quartic preset needs 12*eps*D^2 < 1 for admissibility")
-        text = f"z^2/2 - {eps!r}*z^4"
-        return make_cost(text, diameter, analytic_inverse=_make_h_quartic(eps),
-                         name=f"quartic({eps!r})")
+        text = f"z^2/2 - {value!r}*z^4"
+        return CostFunction(parse_cost(text), text, float(diameter), _make_h_quartic(value),
+                            f"quartic({value!r})")
     if name not in PRESETS:
         raise InputError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
     if eps is not None:
         raise InputError("eps applies only to the quartic preset")
     info = PRESETS[name]
-    return make_cost(info.text, diameter, analytic_inverse=info.analytic_inverse, name=name)
+    return CostFunction(parse_cost(info.text), info.text, float(diameter),
+                        info.analytic_inverse, name)
+
+
+def make_cost(text, diameter):
+    """The CostFunction on [0, diameter] that cost text names, surrounding
+    whitespace stripped: a preset name, quartic(eps), or an expression in z.
+    Only a preset carries an analytic inverse.  Raises AdmissibilityError
+    where l is not admissible on [0, diameter].
+    """
+    text = text.strip()
+    quartic = re.fullmatch(r"quartic\(([^)]*)\)", text)
+    if quartic:
+        return preset("quartic", diameter, eps=quartic.group(1))
+    if text in PRESETS:
+        return preset(text, diameter)
+    return CostFunction(parse_cost(text), text, float(diameter))

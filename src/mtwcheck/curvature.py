@@ -60,6 +60,13 @@ _POLE_TOL = 1e-9
 SPHERE_MAX_DIAMETER = math.pi - 10.0 * _POLE_TOL
 
 
+def check_sphere_diameter(K, diameter):
+    """Refuse a working diameter above SPHERE_MAX_DIAMETER on the sphere."""
+    if K == 1 and diameter > SPHERE_MAX_DIAMETER:
+        raise InputError(f"the diameter (--diameter) must be at most {SPHERE_MAX_DIAMETER!r} "
+                         f"on the sphere (K = 1), clear of the cot pole at pi; got {diameter!r}")
+
+
 def _shift(jet, k):
     """jet / h^k for a jet at 0 whose orders below k vanish."""
     return Jet(jet.coeffs[k:])
@@ -217,9 +224,7 @@ def _profiles(cost, K, z):
     """
     if K not in (-1, 0, 1):
         raise InputError(f"curvature must be -1, 0, or +1, got {K!r}")
-    if K == 1 and cost.diameter > SPHERE_MAX_DIAMETER:
-        raise InputError(f"on the sphere the diameter must be at most "
-                         f"{SPHERE_MAX_DIAMETER!r}, clear of the cot pole at pi")
+    check_sphere_diameter(K, cost.diameter)
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise InputError("profile arguments must be nonnegative")

@@ -11,10 +11,9 @@ import pytest
 from helpers import CANONICAL_CASES, random_orthogonal_pair
 
 from mtwcheck import (A3S, A3W_ONLY, SpaceForm, classify, cost_exp,
-                      jacobi_residual, minus_grad_x_cost, mtw_closed, mtw_definitional,
-                      mtw_via_jacobi, parse_cost, perturbation_check, preset,
-                      scan_conditions)
-from mtwcheck.cli import resolve_cost
+                      jacobi_residual, make_cost, minus_grad_x_cost, mtw_closed,
+                      mtw_definitional, mtw_via_jacobi, parse_cost, perturbation_check,
+                      preset, scan_conditions)
 from mtwcheck.curvature import coefficient_arrays
 from mtwcheck.expressions import evaluate
 from mtwcheck.jets import Jet, jet_compose
@@ -273,7 +272,7 @@ def test_criterion_9_inequality_set_is_the_tensor_condition():
              for a in (fit, dense)]
     mismatches = []
     for text, K, D in REDUCTION_CASES:
-        cost = resolve_cost(text, D)
+        cost = make_cost(text, D)
         form2, form3 = SpaceForm(K, 2), SpaceForm(K, 3)
         e = [form3.frame_tangent(row) for row in np.eye(3)]
         for z in np.array(REDUCTION_Z) * cost.zmax:
@@ -306,7 +305,7 @@ def test_criterion_9_inequality_set_is_the_tensor_condition():
                                       f"{-1.5 * prof[key][0]!r}")
     # the definitional oracle shares no formula with classify
     for text, K, D, fraction, a in REDUCTION_ORACLE_POINTS:
-        cost = resolve_cost(text, D)
+        cost = make_cost(text, D)
         form = SpaceForm(K, 2)
         z = fraction * cost.zmax
         prof = coefficient_arrays(cost, K, z)

@@ -21,7 +21,7 @@ from helpers import cli_report, scan_table
 
 import mtwcheck
 from mtwcheck import PRESETS, checker, cli, make_cost, preset
-from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main, resolve_cost
+from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main
 from mtwcheck.csvtext import format_rows
 from mtwcheck.errors import AdmissibilityError, InputError
 from mtwcheck.jets import ELEMENTARY_FUNCTIONS
@@ -454,14 +454,6 @@ def test_presets_listing(capsys):
     assert "neg-cosh" in out and "A3s at K=-1" in out
     assert "neg-log1p-cos" in out and "A3s at K=+1" in out
     assert "quartic" in out and "perturbation" in out
-
-
-def test_resolve_cost_forms():
-    assert resolve_cost("neg-cosh", 2.0).name == "neg-cosh"
-    quartic = resolve_cost("quartic(0.002)", 1.0)
-    assert "0.002" in quartic.text
-    custom = resolve_cost("z^2/2", 1.0)
-    assert custom.name is None
 
 
 def test_quartic_check_via_cli(capsys):

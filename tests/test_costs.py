@@ -246,8 +246,33 @@ def test_derivative_arrays_are_the_full_jets_scaled_coefficients(text, t):
 
 
 def test_quartic_admissibility_guard():
-    with pytest.raises(InputError, match=r"quartic preset needs 12\*eps\*D\^2 < 1"):
-        preset("quartic", 10.0, eps=1e-3)  # 12*eps*D^2 >= 1
+    # l'' = 1 - 12*eps*z^2 changes sign at z = 9.129 on [0, 10], and is 0
+    # at D where 12*eps*D^2 = 1: the admissibility check refuses both
+    with pytest.raises(AdmissibilityError) as err:
+        preset("quartic", 10.0, eps=1e-3)
+    assert err.value.kind == "lpp-sign-change"
+    assert err.value.witness == pytest.approx(9.137, abs=1e-3)
+    with pytest.raises(AdmissibilityError) as err:
+        preset("quartic", 1.0, eps=1.0 / 12.0)
+    assert (err.value.kind, err.value.witness) == ("lpp-zero", 1.0)
+
+
+def test_make_cost_forms():
+    # a preset name, stripped, carries the preset's analytic inverse
+    named = make_cost(" neg-cosh\n", 2.0)
+    assert (named.name, named.text) == ("neg-cosh", "-cosh(z)")
+    assert named.analytic_inverse is costs.PRESETS["neg-cosh"].analytic_inverse
+    # a preset's expression text is an expression, inverted by Newton
+    text = make_cost("\t-cosh(z) ", 2.0)
+    assert (text.name, text.text, text.analytic_inverse) == (None, "-cosh(z)", None)
+    # each quartic has its own inverse closure, so the two are not ==
+    quartic, ref = make_cost("quartic(0.002)", 1.0), preset("quartic", 1.0, eps=0.002)
+    assert quartic.analytic_inverse is not None
+    assert (quartic.name, quartic.text) == (ref.name, ref.text) == ("quartic(0.002)",
+                                                                    "z^2/2 - 0.002*z^4")
+    assert quartic.zmax.hex() == ref.zmax.hex()
+    custom = make_cost("z^2/2", 1.0)
+    assert custom.name is None and custom.analytic_inverse is None
 
 
 def test_unknown_preset():
@@ -264,12 +289,13 @@ def test_zmax_evaluated_once(monkeypatch):
 
     monkeypatch.setattr(costs, "eval_cost_jet", counting)
     cost = preset("neg-cosh", 2.0)
-    # construction reads l'(D) last, as coefficient 1 of a jet of length 2
-    assert calls[-1] == (2.0, 2)
+    # construction reads l'(D) off the admissibility grid, whose last point
+    # is D, and evaluates no jet at the scalar D
+    assert calls and not any(np.ndim(z0) == 0 and z0 == 2.0 for z0, _ in calls)
     built = len(calls)
     values = [cost.zmax for _ in range(5)]
     assert len(calls) == built
-    assert values == [abs(float(cost.lprime(2.0)))] * 5
+    assert [v.hex() for v in values] == [abs(float(cost.lprime(2.0))).hex()] * 5
     assert values[0] == pytest.approx(np.sinh(2.0), rel=1e-15)
     # zmax and lprime_sign are not part of the cost's identity
     fresh = preset("neg-cosh", 2.0)

@@ -10,7 +10,7 @@ from helpers import (CANONICAL_CASES, REFERENCE_DPS, SMALL_LPP_CASES, random_ort
 
 from mtwcheck import (SpaceForm, curvature, decompose, jacobi_map_closed, make_cost, mtw_closed,
                       mtw_definitional, mtw_via_jacobi, preset)
-from mtwcheck.cli import main, resolve_cost
+from mtwcheck.cli import main
 from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, coefficient_arrays
 from mtwcheck.errors import InputError
 from mtwcheck.jets import Jet
@@ -144,6 +144,14 @@ def test_decompose_zero_vector():
     x = form.canonical_base()
     with pytest.raises(InputError, match="cannot decompose against a zero vector"):
         decompose(form, form.tangent(x, [1.0, 0.0, 0.0]), form.tangent(x, np.zeros(3)))
+
+
+def test_jacobi_map_refuses_the_sphere_conjugate_point():
+    form = SpaceForm(1, 3)
+    u = form.frame_tangent([0.0, 1.0, 0.0])
+    v = form.frame_tangent([np.pi - 1e-10, 0.0, 0.0])
+    with pytest.raises(InputError, match="within tolerance of the sphere conjugate point"):
+        jacobi_map_closed(form, u, v)
 
 
 def test_jacobi_map_flat():
@@ -461,7 +469,7 @@ def test_both_branches_match_50_digit_reference(text, K, D):
     # series-reversion route run at 50 digits, on the preset's analytic
     # inverse and on the Newton inverse of its expression text, and on two
     # costs whose h(z) leaves the series' radius below SERIES_SWITCH
-    cost = resolve_cost(text, D)
+    cost = make_cost(text, D)
     z = np.concatenate([np.geomspace(1e-9, 0.999 * SERIES_SWITCH, 12),
                         np.geomspace(SERIES_SWITCH, cost.zmax, 40)])
     errors = reference_errors(cost, K, z)
@@ -478,7 +486,7 @@ def test_band_follows_each_points_branch(text, K, D):
     # with the series, the series' absolute floor, above it the direct
     # formula.  So a point's band has the same bits alone as in an array
     # that straddles the limit.
-    cost = resolve_cost(text, D)
+    cost = make_cost(text, D)
     z = np.concatenate([np.geomspace(1e-15, 0.999 * SERIES_SWITCH, 8),
                         np.geomspace(SERIES_SWITCH, cost.zmax, 8)])
     prof = coefficient_arrays(cost, K, z)

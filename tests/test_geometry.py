@@ -30,6 +30,24 @@ def test_tangency_validation():
         sphere.tangent(north, [0.0, 0.0, 0.4])
 
 
+_SPHERE, _HYPERBOLOID = SpaceForm(1, 2), SpaceForm(-1, 2)
+_POLE = np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SpaceForm(2, 3), r"curvature must be -1, 0, or \+1"),
+    (lambda: _SPHERE.point([0.0, 1.0]), "expected 3 ambient coordinates"),
+    (lambda: _SPHERE.tangent(_POLE, [1.0, 0.0]), "expected 3 ambient components"),
+    (lambda: _SPHERE.distance(_POLE, np.array([0.0, 0.0, 1.1])),
+     r"sphere inner product 1.1 outside \[-1, 1\]"),
+    (lambda: _HYPERBOLOID.distance(_POLE, np.array([0.0, 0.0, 0.5])),
+     "hyperboloid pairing 0.5 below 1"),
+], ids=["curvature", "point-shape", "tangent-shape", "sphere-pairing", "hyperboloid-pairing"])
+def test_invalid_geometry_input_is_refused(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 def test_exp_zero_is_base():
     for form in FORMS:
         base = form.canonical_base()
@@ -240,6 +258,9 @@ def test_cost_exp_zero_vector_limit():
     apex = form.canonical_base()
     v = form.frame_tangent([1e-12, 0.0, 0.0])
     assert np.array_equal(cost_exp(cost, form, apex, v), apex)
+    # the zero vector maps to a copy of x
+    image = cost_exp(cost, form, apex, np.zeros(form.ambient_dimension))
+    assert np.array_equal(image, apex) and image is not apex
 
 
 @pytest.mark.parametrize("length", [5e-10, 2e-9])

@@ -209,6 +209,16 @@ def test_variable_jet_composes_to_the_table(z0):
         assert all(c is t for c, t in zip(got.coeffs, table))
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Jet.variable(1.0) ** 0.5, TypeError, "jet exponents must be integers"),
+    (lambda: jet_compose("erf", Jet.variable(0.5)), InputError,
+     "unknown elementary function 'erf'"),
+], ids=["fractional-power", "unknown-function"])
+def test_invalid_jet_operation_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_jet_length_bounds():
     with pytest.raises(InputError, match="a jet has 1 to 7 coefficients, got 0"):
         Jet(())
