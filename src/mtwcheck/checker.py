@@ -67,14 +67,13 @@ class Classification:
 
     slacks maps each sign condition in force to its slack array: beta,
     gamma, and delta above dimension two.  combo = 2*sqrt(beta*gamma) -
-    (alpha + delta) where combo_defined holds, and +inf elsewhere, so that
+    (alpha + delta) where beta, gamma <= band, and +inf elsewhere, so that
     it drops out of every minimum.  slack_min is the smallest slack of each
     point, taken over the defined conditions.
     """
 
     slacks: dict
     combo: np.ndarray
-    combo_defined: np.ndarray
     slack_min: np.ndarray
     weak: np.ndarray
     strict: np.ndarray
@@ -88,8 +87,7 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0):
     a scalar.  Elementwise, and bitwise:
 
         slacks = -beta, -gamma [, -delta for n > 2]
-        combo_defined = (beta <= band) & (gamma <= band)
-        combo = where(combo_defined, 2 * (sqrt(maximum(0, -beta))
+        combo = where((beta <= band) & (gamma <= band), 2 * (sqrt(maximum(0, -beta))
                       * sqrt(maximum(0, -gamma))) - (alpha + delta), inf)
         slack_min = minimum(... minimum(-beta, -gamma) ..., combo)
         weak = slack_min >= -band
@@ -98,8 +96,8 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0):
     sqrt runs on the clamped negations so that roundoff-level positive
     values do not raise.  slack_min folds the rows in the order beta, gamma,
     [delta], combo: of two equal zeros of opposite sign np.minimum keeps the
-    one the order gives.  weak needs no combo_defined: where the combo is
-    undefined, beta or gamma lies above band, so slack_min already lies
+    one the order gives.  weak needs no mask of its own: where the combo
+    is undefined, beta or gamma lies above band, so slack_min already lies
     below -band, and a nan compares false either way.  Each step writes
     into an array made here.
     """
@@ -108,7 +106,6 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0):
     slacks = {"beta": -beta, "gamma": -gamma}
     if n > 2:
         slacks["delta"] = -delta
-    combo_defined = (beta <= band) & (gamma <= band)
     combo = np.maximum(0.0, slacks["beta"])
     np.sqrt(combo, out=combo)
     scratch = np.maximum(0.0, slacks["gamma"])
@@ -117,14 +114,14 @@ def classify(alpha, beta, gamma, delta, n, *, band=0.0):
     combo -= np.add(alpha, delta, out=scratch)
     # where the combo condition is undefined the point already fails on beta
     # or gamma, so exclude it from minima rather than propagating a sentinel
-    np.copyto(combo, np.inf, where=~combo_defined)
+    np.copyto(combo, np.inf, where=~((beta <= band) & (gamma <= band)))
     rows = list(slacks.values()) + [combo]
     slack_min = np.minimum(rows[0], rows[1])
     for row in rows[2:]:
         np.minimum(slack_min, row, out=slack_min)
     weak = slack_min >= -band
     strict = weak & (slack_min > np.maximum(STRICT_MARGIN, band))
-    return Classification(slacks, combo, combo_defined, slack_min, weak, strict)
+    return Classification(slacks, combo, slack_min, weak, strict)
 
 
 def _grid_chunks(start, stop, grid_points):
@@ -186,9 +183,7 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
 
         weak = weak and bool(np.all(c.weak))
         strict = strict and bool(np.all(c.strict))
-        chunk_mins = {name: np.min(col) for name, col in c.slacks.items()}
-        if np.any(c.combo_defined):
-            chunk_mins["combo"] = np.min(c.combo)
+        chunk_mins = {name: np.min(col) for name, col in [*c.slacks.items(), ("combo", c.combo)]}
         for name, value in chunk_mins.items():
             min_slacks[name] = np.minimum(min_slacks.get(name, value), value)
         i = int(np.argmin(c.slack_min))
@@ -199,8 +194,10 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
         del z, prof, c
 
     status = FAILS if not weak else A3S if strict else A3W_ONLY
+    # the combo slack is +inf at each point where it is undefined, so its
+    # minimum is +inf only where no point defines it, and then not reported
     return Verdict(status=status, witness=witness,
-                   min_slacks={name: float(v) for name, v in min_slacks.items()})
+                   min_slacks={name: float(v) for name, v in min_slacks.items() if v != np.inf})
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ The exit codes are listed in EXIT_CODES, which --help prints.  main maps an
 exception by Python base class: ValueError (errors.InputError among them) or
 OSError to 2, ArithmeticError (errors.NumericError, OverflowError) to 3.
 
-The process has one argument parser, PARSER, built at import. Parsing leaves
-it unchanged, so calls to main share no state.
+The process has one argument parser, PARSER, built at import; parsing leaves
+it unchanged.  Calls to main share curvature._profile_row's memo, keyed by
+equal costs, and, after a check, the heap policy that _hold_heap sets.
 """
 
 from __future__ import annotations

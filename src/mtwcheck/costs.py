@@ -30,23 +30,25 @@ _NEWTON_STEPS = 200
 class CostFunction:
     """A radial cost l, admissible on its working interval [0, diameter].
 
-    Construction checks admissibility (_check_admissibility), so a
-    CostFunction that exists is admissible, and sets two attributes: zmax =
-    |l'(diameter)|, the radius of the invertible range of l', and
-    lprime_sign, the sign of l''(0), which l'' keeps on [0, diameter] and,
-    since l' is odd, l' keeps on (0, diameter].  analytic_inverse, when
-    present, is a vectorized closed form for h.
+    Construction parses text into expression, makes diameter a float and
+    checks admissibility (_check_admissibility), so a CostFunction that
+    exists is admissible.  It sets zmax = |l'(diameter)|, the radius of the
+    invertible range of l', and lprime_sign, the sign of l''(0), which l''
+    keeps on [0, diameter] and, since l' is odd, l' keeps on (0, diameter].
+    analytic_inverse, when present, is a vectorized closed form for h.
     """
 
-    expression: Expr
     text: str
     diameter: float
     analytic_inverse: Optional[Callable] = None
     name: Optional[str] = None
+    expression: Expr = field(init=False, repr=False, compare=False)
     zmax: float = field(init=False, repr=False, compare=False)
     lprime_sign: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "expression", parse_cost(self.text))
+        object.__setattr__(self, "diameter", float(self.diameter))
         if not 0.0 < self.diameter < math.inf:
             raise InputError(f"diameter must be finite and positive, got {self.diameter!r}")
         sign, lprime_at_diameter = _check_admissibility(self)
@@ -213,44 +215,46 @@ def _newton_inverse(cost, targets):
 
 
 def _h_sq(y):
-    return np.asarray(y, dtype=float) + 0.0
+    return y + 0.0
 
 
 def _h_neg_cosh(y):
-    return -np.arcsinh(np.asarray(y, dtype=float))
+    return -np.arcsinh(y)
 
 
 def _h_neg_log1p_cosh(y):
-    return -2.0 * np.arctanh(np.asarray(y, dtype=float))
+    return -2.0 * np.arctanh(y)
 
 
 def _h_log_cosh(y):
-    return np.arctanh(np.asarray(y, dtype=float))
+    return np.arctanh(y)
 
 
 def _h_neg_log_cosh(y):
-    return -np.arctanh(np.asarray(y, dtype=float))
+    return -np.arctanh(y)
 
 
 def _h_neg_log1p_cos(y):
-    return 2.0 * np.arctan(np.asarray(y, dtype=float))
+    return 2.0 * np.arctan(y)
 
 
-def _make_h_quartic(eps):
-    # Root of 4*eps*h^3 - h + y = 0 continuously connected to h = y at eps = 0,
-    # by the trigonometric solution of the depressed cubic (three real roots
-    # whenever 27*eps*y^2 < 1, which admissibility guarantees): with
-    # a = 3*sqrt(3*eps)*y, it is cos(acos(-a)/3 - 2*pi/3) / sqrt(3*eps).
-    # acos(-a) rounds away the digits of a below 1e-16, so for |a| < 1e-8
-    # (every y, for a tiny eps) the start is its equal sin(asin(a)/3) /
-    # sqrt(3*eps), which keeps them.  Two Newton steps polish the root to
-    # machine-relative precision; float64 Newton can stop at either of two
-    # neighbours of the root, so where the cosine start keeps its digits it
-    # stays, and h keeps its bits.
-    root3eps = np.sqrt(3.0 * eps)
+@dataclass(frozen=True)
+class _QuarticInverse:
+    """h of l = z^2/2 - eps*z^4; two of one eps are equal, as are their costs."""
+    eps: float
 
-    def h(y):
-        y = np.asarray(y, dtype=float)
+    def __call__(self, y):
+        # Root of 4*eps*h^3 - h + y = 0 continuously connected to h = y at eps = 0,
+        # by the trigonometric solution of the depressed cubic (three real roots
+        # whenever 27*eps*y^2 < 1, which admissibility guarantees): with
+        # a = 3*sqrt(3*eps)*y, it is cos(acos(-a)/3 - 2*pi/3) / sqrt(3*eps).
+        # acos(-a) rounds away the digits of a below 1e-16, so for |a| < 1e-8
+        # (every y, for a tiny eps) the start is its equal sin(asin(a)/3) /
+        # sqrt(3*eps), which keeps them.  Two Newton steps polish the root to
+        # machine-relative precision; float64 Newton can stop at either of two
+        # neighbours of the root, so where the cosine start keeps its digits it
+        # stays, and h keeps its bits.
+        eps, root3eps = self.eps, np.sqrt(3.0 * self.eps)
         a = np.clip(3.0 * root3eps * y, -1.0, 1.0)
         root = np.where(np.abs(a) < 1e-8, np.sin(np.arcsin(a) / 3.0),
                         np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0)) / root3eps
@@ -258,15 +262,13 @@ def _make_h_quartic(eps):
             root = root - (root - 4.0 * eps * root ** 3 - y) / (1.0 - 12.0 * eps * root ** 2)
         return root
 
-    return h
-
 
 @dataclass(frozen=True)
 class PresetInfo:
     text: str
     curvatures: tuple
     verdict_note: str
-    # quartic's inverse depends on EPS: preset() builds it with _make_h_quartic
+    # quartic's inverse depends on EPS: preset() builds it as _QuarticInverse
     analytic_inverse: Optional[Callable]
 
 
@@ -299,15 +301,13 @@ def preset(name, diameter, eps=None):
         if not 0.0 < value < math.inf:
             raise InputError(f"quartic eps must be finite and positive, got {eps!r}")
         text = f"z^2/2 - {value!r}*z^4"
-        return CostFunction(parse_cost(text), text, float(diameter), _make_h_quartic(value),
-                            f"quartic({value!r})")
+        return CostFunction(text, diameter, _QuarticInverse(value), f"quartic({value!r})")
     if name not in PRESETS:
         raise InputError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
     if eps is not None:
         raise InputError("eps applies only to the quartic preset")
     info = PRESETS[name]
-    return CostFunction(parse_cost(info.text), info.text, float(diameter),
-                        info.analytic_inverse, name)
+    return CostFunction(info.text, diameter, info.analytic_inverse, name)
 
 
 def make_cost(text, diameter):
@@ -322,4 +322,4 @@ def make_cost(text, diameter):
         return preset("quartic", diameter, eps=quartic.group(1))
     if text in PRESETS:
         return preset(text, diameter)
-    return CostFunction(parse_cost(text), text, float(diameter))
+    return CostFunction(text, diameter)

@@ -72,10 +72,9 @@ def _shift(jet, k):
     return Jet(jet.coeffs[k:])
 
 
-@lru_cache(maxsize=64)
 def _origin_series(cost, K):
-    """(series, limit): the Taylor coefficients in h at h = 0 of every
-    profile quantity, and the z below which the profiles take them.
+    """(series, limit): the Taylor series in h at h = 0 of every profile
+    quantity, as jets, and the z below which the profiles take them.
 
     Let lp be the jet of l' at 0 and P = lp/h, so that z = h P(h).  With
     d/dz = (1/l'') d/dh:
@@ -111,8 +110,6 @@ def _origin_series(cost, K):
         "gamma": Bdd,
         "delta": _shift(Bp, 1) / P,
     }
-    series = MappingProxyType({key: tuple(float(c) for c in jet.coeffs)
-                               for key, jet in series.items()})
     # The limit is SERIES_SWITCH, or less where h(z) would leave
     # SERIES_RADIUS_FRACTION of the series' radius in h, estimated as r =
     # min_k |a_0/a_k|^(1/k) over the coefficients a_k of A = l'' at 0: by
@@ -120,7 +117,7 @@ def _origin_series(cost, K):
     # lies within r/2 of 0.  r is capped at pi for K = -1, +1, where h C(h)
     # has its poles at i pi or pi.  As |l'| grows on [0, D], h(z) < h_max
     # holds where z < |l'(h_max)|.
-    a = series["A"]
+    a = A.coeffs
     radius = min([abs(a[0] / c) ** (1.0 / k) for k, c in enumerate(a) if k and c]
                  + [math.inf if K == 0 else math.pi])
     h_max = SERIES_RADIUS_FRACTION * radius
@@ -244,8 +241,8 @@ def _profiles(cost, K, z):
         # the direct branch on the whole array, each series point standing
         # in as the first direct one; the series then overwrite those points
         out = _direct_profiles(cost, K, np.where(small, h0.flat[np.argmin(small)], h0))
-    for key, coeffs in series.items():
-        out[key][small] = _horner(coeffs, hs)
+    for key, jet in series.items():
+        out[key][small] = _horner(jet.coeffs, hs)
     return out, limit
 
 
@@ -326,19 +323,11 @@ def jacobi_map_closed(form, u, v):
     Equals -u0 - |v| C(|v|) u1, with u0 and u1 the components of u along
     and orthogonal to v and C = cot_K read from _cot.
     """
-    d = _speed(form, v)
+    d = form.speed(v)
     if form.curvature == 1 and math.pi - d < _POLE_TOL:
         raise InputError("|v| within tolerance of the sphere conjugate point at pi")
     u0, u1 = decompose(form, u, v)
     return -u0 - d * _cot(form.curvature, d) * u1
-
-
-def _speed(form, v):
-    """|v|, which every route needs nonzero."""
-    z = form.norm(v)
-    if z == 0.0:
-        raise InputError("v must be nonzero")
-    return z
 
 
 def mtw_closed(cost, form, u, v, w):
@@ -348,7 +337,7 @@ def mtw_closed(cost, form, u, v, w):
     read.  u and w are decomposed against v; no orthogonality between u and
     w is assumed.
     """
-    z = _speed(form, v)
+    z = form.speed(v)
     ab = _profile_row(cost, form.curvature, z)
     u0, u1 = decompose(form, u, v)
     w0, w1 = decompose(form, w, v)
@@ -378,7 +367,7 @@ def mtw_via_jacobi(cost, form, u, v, w):
     profile row, and differ in every algebraic step after that.  The s-jets
     have length 3, the orders that coefficient 2 of the result reads.
     """
-    z0 = _speed(form, v)
+    z0 = form.speed(v)
     ab = _profile_row(cost, form.curvature, z0)
     a_table = (ab["A"], ab["Aprime"], 0.5 * ab["Adprime"])
     b_table = (ab["B"], ab["Bprime"], 0.5 * ab["gamma"])

@@ -25,6 +25,8 @@ from .errors import InputError, NumericError
 MODEL_TOL = 1e-10
 CLAMP_SLACK = 1e-12
 ZERO_TANGENT = 1e-9
+# 2^-511, the least |v| that SpaceForm.speed takes: below it |v|^2 is subnormal
+MIN_SPEED = math.sqrt(np.finfo(float).tiny)
 
 # (cos_K, sin_K) of the curved models: the geodesic from x with unit velocity
 # e is cos_K(t) x + sin_K(t) e, and its velocity -K sin_K(t) x + cos_K(t) e.
@@ -100,6 +102,14 @@ class SpaceForm:
 
     def norm(self, v):
         return math.sqrt(max(0.0, self.inner(v, v)))
+
+    def speed(self, v):
+        """|v| for the curvature routes, which divide by |v|^2: at least MIN_SPEED."""
+        vv = self.inner(v, v)
+        if not vv >= MIN_SPEED ** 2:
+            size = self.norm(np.ldexp(v, 600)) * 2.0 ** -600
+            raise InputError(f"v must be nonzero, |v| >= {MIN_SPEED!r}; got |v| = {size!r}")
+        return math.sqrt(vv)
 
     def exp_map(self, x, v):
         """Geodesic exponential at x of the tangent vector v."""

@@ -85,8 +85,7 @@ def mtw_definitional(cost, form, x, u, v, w):
     2^2.5) and bring others into [2^0.5, 2^1.5); the result, quadratic in u
     and w, is multiplied by 2^(2a + 2b) exactly, so kept lengths keep bits.
     """
-    if form.norm(v) == 0.0:
-        raise InputError("v must be nonzero")
+    form.speed(v)
     a, b = _power_of_two_scale(form, u), _power_of_two_scale(form, w)
     u, w = np.ldexp(u, -a), np.ldexp(w, -b)
     hs = _s_step(cost, form, v, w)

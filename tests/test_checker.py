@@ -45,7 +45,7 @@ def test_classify_dimension_split():
 
 def test_classify_combo_undefined_when_beta_positive():
     c = _classify_one(0.0, 0.5, -1.0, -1.0, n=3)
-    assert not c.combo_defined[0] and not c.weak[0]
+    assert c.combo[0] == np.inf and not c.weak[0]
 
 
 def test_classify_combo_binding():
@@ -199,6 +199,8 @@ def _full_grid_scan(cost, K, n, grid_points):
 
 CHUNK_COSTS = [(name, K, D, eps) for name, K, D, eps, _ in SCAN_EXPECTATIONS] + [
     ("log(cosh(z))", -1, 2.0, None),  # h from the Newton inverse
+    ("sq", -1, 2.0, None),  # beta > 0 everywhere: no point defines the combo
+    ("z^2/2 + 0.1*z^4", 0, 1.0, None),  # 34 of 256 points define the combo
 ]
 
 
@@ -207,8 +209,7 @@ CHUNK_COSTS = [(name, K, D, eps) for name, K, D, eps, _ in SCAN_EXPECTATIONS] + 
 def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D, eps):
     if chunk is not None:
         monkeypatch.setattr(checker, "SCAN_CHUNK", chunk)
-    cost = (preset(name, D, eps=eps) if eps else preset(name, D)) if "(" not in name \
-        else make_cost(name, D)
+    cost = make_cost(name if eps is None else f"{name}({eps!r})", D)
     for n in (2, 3):
         status, witness, min_slacks, ref = _full_grid_scan(cost, K, n, grid)
         verdict, table = scan_table(cost, K, n, grid)
@@ -391,9 +392,10 @@ def test_classify_equals_its_formulas_bitwise(n, array_band):
 
     assert list(got.slacks) == list(slacks)
     assert all(_bitwise_equal(got.slacks[key], slacks[key]) for key in slacks)
-    for name, ref in (("combo", combo), ("combo_defined", defined), ("slack_min", slack_min),
+    for name, ref in (("combo", combo), ("slack_min", slack_min),
                       ("weak", weak), ("strict", strict)):
         assert _bitwise_equal(getattr(got, name), ref), name
+    assert np.all(got.combo[~defined] == np.inf)
     # the boundary cases occur: weak at slack_min = -band, not strict at +band
     assert np.any(weak & (slack_min == -at)) and np.any(~strict & weak & (slack_min == at))
     assert np.any(weak) and np.any(~weak) and np.any(strict)

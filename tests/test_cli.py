@@ -311,6 +311,18 @@ def test_eval_zero_v_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["closed", "jacobi", "oracle", "all"])
+@pytest.mark.parametrize("length", [1e-160, 1e-300])
+def test_eval_v_below_the_normal_floats_exit_2(capsys, method, length):
+    # |v|^2 is subnormal or 0, which no route can divide by: every route
+    # refuses it and names |v|, instead of a value off in its leading digits
+    code, out, err = run(capsys, "eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2",
+                         "--u=1,0", f"--v={length!r},0", "--w=0,1", "--method", method)
+    assert code == 2 and out == ""
+    assert err.startswith("error: v must be nonzero") and f"|v| = {length!r}" in err
+    assert "Traceback" not in err
+
+
 def test_eval_dimension_mismatch_exit_2(capsys):
     code, _, err = run(capsys, "eval", "--cost", "sq", "--K", "0", "--dim", "3",
                        "--u", "1,0", "--v", "0,1,0", "--w", "0,0,1")

@@ -8,7 +8,7 @@ import pytest
 from helpers import CANONICAL_CASES
 
 from mtwcheck import costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, preset
-from mtwcheck.costs import _make_h_quartic, _newton_inverse
+from mtwcheck.costs import _newton_inverse, _QuarticInverse
 from mtwcheck.errors import AdmissibilityError, InputError, NumericError
 
 
@@ -265,14 +265,27 @@ def test_make_cost_forms():
     # a preset's expression text is an expression, inverted by Newton
     text = make_cost("\t-cosh(z) ", 2.0)
     assert (text.name, text.text, text.analytic_inverse) == (None, "-cosh(z)", None)
-    # each quartic has its own inverse closure, so the two are not ==
     quartic, ref = make_cost("quartic(0.002)", 1.0), preset("quartic", 1.0, eps=0.002)
-    assert quartic.analytic_inverse is not None
+    assert quartic.analytic_inverse is not None and quartic == ref
     assert (quartic.name, quartic.text) == (ref.name, ref.text) == ("quartic(0.002)",
                                                                     "z^2/2 - 0.002*z^4")
     assert quartic.zmax.hex() == ref.zmax.hex()
     custom = make_cost("z^2/2", 1.0)
     assert custom.name is None and custom.analytic_inverse is None
+
+
+@pytest.mark.parametrize("text", sorted(costs.PRESETS) + [
+    "quartic(0.002)", "-cosh(z)", "z^2/2 + 0.1*z^4", " log(1 + z^2/4) "])
+def test_construction_derives_the_expression(text):
+    # a cost parses its own text and converts its own diameter, so two costs
+    # of one text are equal, and hash equal
+    cost = make_cost(text, 1)
+    assert cost.expression == parse_cost(cost.text)
+    assert type(cost.diameter) is float and cost.diameter == 1.0
+    twin = make_cost(text, 1.0)
+    assert twin == cost and hash(twin) == hash(cost)
+    if text in costs.PRESETS:
+        assert type(preset(text, 2).diameter) is float and preset(text, 2).diameter == 2.0
 
 
 def test_unknown_preset():
@@ -330,7 +343,7 @@ def test_odd_part_judged_against_lpp_at_zero(text, D):
 def test_quartic_inverse_residual(eps):
     # h solves y = h - 4*eps*h^3; at a tiny eps the root's start keeps the
     # digits of y, which acos(-a) rounds away
-    h = _make_h_quartic(eps)
+    h = _QuarticInverse(eps)
     y = np.concatenate([np.linspace(0.0, 0.99, 100), np.geomspace(1e-300, 1.0, 61)])
     root = h(y)
     assert np.all(np.abs(root - 4.0 * eps * root ** 3 - y) <= 2.3e-16 * y)

@@ -6,7 +6,7 @@ from helpers import CANONICAL_CASES, model_violation
 
 from mtwcheck import SpaceForm, cost_exp, make_cost, minus_grad_x_cost, preset
 from mtwcheck.errors import InputError
-from mtwcheck.geometry import orthonormal_tangent_frame
+from mtwcheck.geometry import MIN_SPEED, orthonormal_tangent_frame
 
 FORMS = [SpaceForm(-1, 2), SpaceForm(-1, 3), SpaceForm(0, 3), SpaceForm(1, 2), SpaceForm(1, 3)]
 
@@ -46,6 +46,24 @@ _POLE = np.array([0.0, 0.0, 1.0])
 def test_invalid_geometry_input_is_refused(call, message):
     with pytest.raises(InputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("K", [-1, 0, 1])
+def test_speed_refuses_below_the_normal_floats(K):
+    # MIN_SPEED = 2^-511 squares exactly to the least normal float; one ulp
+    # below it, |v|^2 is subnormal and refused, and the message names |v|
+    form = SpaceForm(K, 3)
+    e = form.frame_tangent([0.6, 0.0, 0.8])
+    assert MIN_SPEED == 2.0 ** -511 and MIN_SPEED ** 2 == np.finfo(float).tiny
+    assert form.speed(2.0 * e) == form.norm(2.0 * e) == 2.0
+    assert form.speed(MIN_SPEED * form.frame_tangent([1.0, 0.0, 0.0])) == MIN_SPEED
+    below = np.nextafter(MIN_SPEED, 0.0)
+    for v, length in ((below * form.frame_tangent([1.0, 0.0, 0.0]), below),
+                      (1e-300 * e, 1e-300), (0.0 * e, 0.0)):
+        with pytest.raises(InputError, match="^v must be nonzero") as err:
+            form.speed(v)
+        named = float(str(err.value).rpartition("|v| = ")[2])
+        assert named == pytest.approx(length, rel=1e-15, abs=0.0)
 
 
 def test_exp_zero_is_base():
