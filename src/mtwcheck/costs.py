@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, InputError, NumericError
-from .expressions import Expr, evaluate, evaluate_jet, parse_cost
+from .expressions import Expr, Neg, evaluate, evaluate_jet, parse_cost
 from .jets import N_COEFFS, Jet
 
 EVENNESS_TOL = 1e-10
@@ -74,9 +74,14 @@ def derivative_arrays(cost, t, order):
     scalar on a 0-d t): l^(k) = k! c_k of the jet of l at t, whose length
     order + 1 gives c_1 .. c_order bitwise as at full length.  A coefficient
     that does not depend on t (c_2 of z^2/2, say) is a float, broadcast here.
+    An l = -f is read as the jet of f times -k!, which gives the bits of
+    (-c_k) k! without negating the jet.
     """
-    coeffs = eval_cost_jet(cost, t, order + 1).coeffs
-    return [np.multiply(coeffs[k], math.factorial(k), out=np.empty(np.shape(t)))[()]
+    expression, sign = cost.expression, 1
+    if isinstance(expression, Neg):
+        expression, sign = expression.arg, -1
+    coeffs = eval_defined_jet(expression, t, order + 1, f"cost {cost.text!r}").coeffs
+    return [np.multiply(coeffs[k], sign * math.factorial(k), out=np.empty(np.shape(t)))[()]
             for k in range(1, order + 1)]
 
 
@@ -110,6 +115,9 @@ def _check_admissibility(cost):
     away from zero and keep the sign it has at 0, and that sign times l'
     must not decrease from one grid point to the next.  The grid's last
     point is the diameter itself, so l'(diameter) is read off its l'.
+    At a diameter below 255 times the smallest normal float the grid's
+    step is subnormal, and linspace can round a point past the diameter;
+    the grid is clamped to it.
     A violation raises AdmissibilityError(kind, witness), with witness the
     first offending argument; so does an l that is undefined at a point it
     is evaluated at.
@@ -133,6 +141,7 @@ def _check_admissibility(cost):
         raise AdmissibilityError("not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
+    np.minimum(grid, cost.diameter, out=grid)
     # an overflow is reported below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         lprime, lpp = derivative_arrays(cost, grid, 2)
@@ -155,8 +164,13 @@ def _check_admissibility(cost):
 
 def in_lprime_range(cost, y):
     """Whether every |y| is at most |l'(D)|, up to roundoff: where
-    inverse_lprime accepts y."""
-    return not np.any(np.abs(y) > cost.zmax * (1.0 + 1e-9) + 1e-15)
+    inverse_lprime accepts y.  The largest |y| comes from reductions that
+    skip nan, with no array of |y|: a nan y compares false, so it is in
+    range."""
+    y = np.asarray(y)
+    top = max(np.fmax.reduce(y, axis=None, initial=-math.inf),
+              -np.fmin.reduce(y, axis=None, initial=math.inf))
+    return not top > cost.zmax * (1.0 + 1e-9) + 1e-15
 
 
 def inverse_lprime(cost, y):
@@ -250,14 +264,18 @@ class _QuarticInverse:
         # a = 3*sqrt(3*eps)*y, it is cos(acos(-a)/3 - 2*pi/3) / sqrt(3*eps).
         # acos(-a) rounds away the digits of a below 1e-16, so for |a| < 1e-8
         # (every y, for a tiny eps) the start is its equal sin(asin(a)/3) /
-        # sqrt(3*eps), which keeps them.  Two Newton steps polish the root to
-        # machine-relative precision; float64 Newton can stop at either of two
-        # neighbours of the root, so where the cosine start keeps its digits it
-        # stays, and h keeps its bits.
+        # sqrt(3*eps), which keeps them; only those points evaluate it.  Two
+        # Newton steps polish the root to machine-relative precision; float64
+        # Newton can stop at either of two neighbours of the root, so where the
+        # cosine start keeps its digits it stays, and h keeps its bits.
         eps, root3eps = self.eps, np.sqrt(3.0 * self.eps)
         a = np.clip(3.0 * root3eps * y, -1.0, 1.0)
-        root = np.where(np.abs(a) < 1e-8, np.sin(np.arcsin(a) / 3.0),
-                        np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0)) / root3eps
+        # an array even for a scalar y, so that the sine start can be set in it
+        root = np.asarray(np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0))
+        small = np.abs(a) < 1e-8
+        if small.any():
+            root[small] = np.sin(np.arcsin(a[small]) / 3.0)
+        root /= root3eps
         for _ in range(2):
             root = root - (root - 4.0 * eps * root ** 3 - y) / (1.0 - 12.0 * eps * root ** 2)
         return root

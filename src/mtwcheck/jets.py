@@ -29,12 +29,20 @@ J ** n starts from J rather than from the product with the constant 1, and
 where _compose_table returns the table itself for a variable jet, whose
 coefficients 1 and up are the Python floats (1.0, 0.0, ...).
 
+Exact-float terms of a product of two jets follow the same rule.  In each
+Cauchy sum, a term with a factor that is a Python float zero is skipped,
+a term with a factor 1.0 is the other factor, with no multiplication, and
+a sum with no term left is 0.0.  So z^2 and z^4 do not multiply whole
+arrays by the 1.0 and 0.0 of the variable jet's tail.  The result is
+bitwise the full Cauchy product, with the two exceptions above.
+
 Coefficients may be plain floats or float arrays of a common shape, so a
 single jet can carry a whole batch of points z0 at once; all operations
 broadcast.  No operation writes into an operand's coefficients: products
 and quotients accumulate in place, but only in arrays they have just made.
 So jets may share coefficient arrays, as a table shares f(a0) with the
-caller and exp's table holds e^a0 twice.
+caller, exp's table holds e^a0 twice, and a product coefficient whose one
+term is a factor is that factor.
 """
 
 from __future__ import annotations
@@ -114,14 +122,7 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(tuple(c * other for c in a))
         b = other.coeffs
-        out = []
-        for k in range(min(len(a), len(b))):
-            # a fresh product, so += accumulates in an array no operand holds
-            acc = a[0] * b[k]
-            for i in range(1, k + 1):
-                acc += a[i] * b[k - i]
-            out.append(acc)
-        return Jet(out)
+        return Jet(_cauchy(a, b, range(min(len(a), len(b)))))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -167,6 +168,38 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({list(self.coeffs)!r})"
+
+
+def _cauchy(a, b, orders):
+    """[sum_(i=0..k) a_i b_(k-i) for k in orders], each k below the lengths
+    of both coefficient sequences, summed in index order with the
+    exact-float terms skipped or taken as the module docstring states.  A
+    term taken may be an operand's own array, so a sum it starts is made by
+    a new addition: += accumulates only in an array made here.
+    """
+    out = []
+    for k in orders:
+        acc = None
+        for i in range(k + 1):
+            x, y = a[i], b[k - i]
+            if type(x) is float and (x == 0.0 or x == 1.0):
+                if x == 0.0:
+                    continue
+                term, made = y, False
+            elif type(y) is float and (y == 0.0 or y == 1.0):
+                if y == 0.0:
+                    continue
+                term, made = x, False
+            else:
+                term, made = x * y, True
+            if acc is None:
+                acc, fresh = term, made
+            elif fresh:
+                acc += term
+            else:
+                acc, fresh = acc + term, True
+        out.append(0.0 if acc is None else acc)
+    return out
 
 
 def _check_domain(name, bad_mask, values):
@@ -224,18 +257,6 @@ def _divided(value, divisor):
     return value if divisor == 1.0 else value / divisor
 
 
-def _table_log(a0, log_a0, length):
-    # entry k is (-1)^(k+1) r^k / k, r = 1/a0, by one division by +-k
-    r = 1.0 / a0
-    table = [log_a0]
-    p = r
-    for k in range(1, length):
-        table.append(_divided(p, k if k % 2 else -k))
-        if k + 1 < length:
-            p = p * r
-    return tuple(table)
-
-
 def _table_sqrt(a0, sqrt_a0, length):
     table = [sqrt_a0]
     for k in range(1, length):
@@ -277,9 +298,24 @@ def _compose_exp(f, a):
 
 
 def _compose_log(f, a):
-    a0 = a.coeffs[0]
+    """Jet b of log(a) by the recurrence that a b' = a' gives, order by order:
+
+        b_0 = log a_0,  b_k = (a_k - (1/k) sum_{j=1}^{k-1} j b_j a_{k-j}) / a_0,
+
+    with the sum's exact-float terms skipped or taken as in Jet.__mul__.
+    """
+    c = a.coeffs
+    a0 = c[0]
     _check_domain("log", np.asarray(a0) <= 0.0, a0)
-    return _compose_table(_table_log(a0, f(a0), len(a.coeffs)), a)
+    # the sum is coefficient k - 2 of the product of (1 b_1, 2 b_2, ..) and
+    # (a_1, a_2, ..), and jb holds the first factor's known terms
+    b, jb = [f(a0)], []
+    if len(c) > 1:
+        b.append(c[1] / a0)
+    for k in range(2, len(c)):
+        jb.append(b[1] if k == 2 else (k - 1) * b[k - 1])
+        b.append((c[k] - (1.0 / k) * _cauchy(jb, c[1:], (k - 2,))[0]) / a0)
+    return Jet(b)
 
 
 def _compose_sqrt(f, a):

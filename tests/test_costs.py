@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from helpers import CANONICAL_CASES
 
-from mtwcheck import costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, preset
+from mtwcheck import (costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, preset,
+                      scan_conditions)
 from mtwcheck.costs import _newton_inverse, _QuarticInverse
 from mtwcheck.errors import AdmissibilityError, InputError, NumericError
 
@@ -347,3 +348,55 @@ def test_quartic_inverse_residual(eps):
     y = np.concatenate([np.linspace(0.0, 0.99, 100), np.geomspace(1e-300, 1.0, 61)])
     root = h(y)
     assert np.all(np.abs(root - 4.0 * eps * root ** 3 - y) <= 2.3e-16 * y)
+
+
+def _two_branch_quartic_inverse(eps, y):
+    """The quartic's inverse with both starts evaluated at every point and
+    np.where choosing between them."""
+    root3eps = np.sqrt(3.0 * eps)
+    a = np.clip(3.0 * root3eps * y, -1.0, 1.0)
+    root = np.where(np.abs(a) < 1e-8, np.sin(np.arcsin(a) / 3.0),
+                    np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0)) / root3eps
+    for _ in range(2):
+        root = root - (root - 4.0 * eps * root ** 3 - y) / (1.0 - 12.0 * eps * root ** 2)
+    return root
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+def test_quartic_start_keeps_the_bits_of_both_branches(eps):
+    # the sine start is evaluated only where |a| < 1e-8, a = 3 sqrt(3 eps) y;
+    # h must keep the bits of the formula that evaluates both starts
+    # everywhere, on both sides of that edge, and on arrays and scalars
+    h = _QuarticInverse(eps)
+    edge = 1e-8 / (3.0 * np.sqrt(3.0 * eps))
+    ymax = 0.99 / (3.0 * np.sqrt(3.0 * eps))
+    near = edge * np.array([0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0, 1e3])
+    y = np.concatenate([near, -near, np.nextafter(edge, 0.0) * np.ones(1),
+                        np.nextafter(edge, 1.0) * np.ones(1),
+                        np.geomspace(edge * 1e-6, edge * 1e6, 101),
+                        np.linspace(-ymax, ymax, 257)])
+    assert h(y).tobytes() == _two_branch_quartic_inverse(eps, y).tobytes()
+    for value in y[::7]:
+        for scalar in (value, np.asarray(value)):
+            got = h(scalar)
+            assert np.shape(got) == ()
+            assert np.float64(got).tobytes() == np.float64(
+                _two_branch_quartic_inverse(eps, scalar)).tobytes()
+
+
+_SUBNORMAL_STEP_CASES = [("neg-cosh", -1, None, "A3s"), ("sq", 0, None, "A3w-only"),
+                         ("neg-log1p-cos", 1, None, "A3s"), ("quartic", 0, 1e-3, "A3s")]
+
+
+@pytest.mark.parametrize("name,K,eps,status", _SUBNORMAL_STEP_CASES)
+@pytest.mark.parametrize("diameter", [1e-320, 5e-324, 3e-306])
+def test_subnormal_step_diameter_keeps_the_verdict(name, K, eps, status, diameter):
+    # at these diameters the admissibility grid's step D/255 is subnormal,
+    # and np.linspace(0, 1e-320, 256) rounds point 254 above D, where l'
+    # exceeds l'(D): the grid is clamped to D, so no false
+    # lprime-not-monotone is raised and the scan gives the paper's verdict
+    # |l'(D)| is at most D; for neg-log1p-cos at 5e-324 it is D/2, which
+    # rounds to 0
+    cost = _preset(name, diameter, eps)
+    assert 0.0 <= cost.zmax <= diameter
+    assert scan_conditions(cost, K, 3, grid_points=256).status == status

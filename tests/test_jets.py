@@ -356,8 +356,13 @@ def test_operations_leave_their_operands_unchanged():
     cosh = Jet(table)
     sinh = Jet(_table_circular("sinh", vals[::-1], N_COEFFS))
     assert cosh.coeffs[0] is sinh.coeffs[1]
-    jets = [a, b, shared, exp, cosh, sinh]
-    arrays = {id(c): c for jet in jets for c in jet.coeffs}
+    # the variable jet's Python-float tail makes a product take the other
+    # factor itself as a term, and its square carries the floats 1.0, 0.0, ..
+    variable = Jet.variable(z)
+    square = variable ** 2
+    assert type(square.coeffs[2]) is float
+    jets = [a, b, shared, exp, cosh, sinh, variable, square]
+    arrays = {id(c): c for jet in jets for c in jet.coeffs if isinstance(c, np.ndarray)}
     before = {key: c.copy() for key, c in arrays.items()}
     for x in jets:
         results = [x * x, x / x, x ** 3, x ** -2, 2.5 - x, 0.75 / x, 2.0 * x, x / 2.0, -x]
@@ -369,3 +374,49 @@ def test_operations_leave_their_operands_unchanged():
         assert all(len(r.coeffs) == len(x.coeffs) for r in results)
     for key, c in arrays.items():
         assert c.tobytes() == before[key].tobytes()
+
+
+def _full_cauchy_product(a, b, shape):
+    """Every term of the Cauchy product, exact floats included, as arrays of
+    shape, summed in index order."""
+    full_a = [np.broadcast_to(np.float64(c), shape) for c in a.coeffs]
+    full_b = [np.broadcast_to(np.float64(c), shape) for c in b.coeffs]
+    out = []
+    for k in range(min(len(full_a), len(full_b))):
+        acc = full_a[0] * full_b[k]
+        for i in range(1, k + 1):
+            acc += full_a[i] * full_b[k - i]
+        out.append(acc)
+    return out
+
+
+def test_exact_float_terms_keep_the_bits_of_the_full_product():
+    # a product skips the terms with a Python-float factor 0.0 and takes the
+    # other factor for 1.0; on finite nonnegative coefficients, where no
+    # zero has a sign to lose and no inf or nan meets a 0.0, its result is
+    # bitwise the full Cauchy product's
+    rng = np.random.default_rng(30)
+    shape = (5,)
+
+    def coefficient():
+        kind = rng.integers(6)
+        if kind == 0:
+            return 0.0
+        if kind == 1:
+            return 1.0
+        if kind == 2:
+            return float(rng.uniform(0.0, 2.0))
+        if kind == 3:
+            return np.float64(rng.choice([0.0, 1.0]))  # a numpy scalar takes no shortcut
+        values = rng.uniform(0.0, 2.0, shape)
+        values[rng.random(shape) < 0.2] = 0.0
+        return values
+
+    for _ in range(400):
+        a = Jet([coefficient() for _ in range(rng.integers(1, N_COEFFS + 1))])
+        b = Jet([coefficient() for _ in range(rng.integers(1, N_COEFFS + 1))])
+        got = (a * b).coeffs
+        ref = _full_cauchy_product(a, b, shape)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert np.broadcast_to(np.float64(g), shape).tobytes() == r.tobytes(), (a, b)
