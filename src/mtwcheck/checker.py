@@ -176,8 +176,7 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
     for z in _grid_chunks(0.0, cost.zmax, grid_points):
         prof = coefficient_arrays(cost, K, z)
         for name in ("alpha", "beta", "gamma", "delta"):
-            # a nan or inf is the smallest or largest value, or makes it nan
-            if not (math.isfinite(prof[name].min()) and math.isfinite(prof[name].max())):
+            if not np.all(np.isfinite(prof[name])):
                 raise NumericError(f"non-finite {name} encountered during the scan")
         c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], dimension,
                      band=prof["band"])

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, InputError, NumericError
-from .expressions import Expr, Neg, evaluate, evaluate_jet, parse_cost
+from .expressions import Expr, evaluate, evaluate_jet, parse_cost
 from .jets import N_COEFFS, Jet
 
 EVENNESS_TOL = 1e-10
@@ -74,14 +74,9 @@ def derivative_arrays(cost, t, order):
     scalar on a 0-d t): l^(k) = k! c_k of the jet of l at t, whose length
     order + 1 gives c_1 .. c_order bitwise as at full length.  A coefficient
     that does not depend on t (c_2 of z^2/2, say) is a float, broadcast here.
-    An l = -f is read as the jet of f times -k!, which gives the bits of
-    (-c_k) k! without negating the jet.
     """
-    expression, sign = cost.expression, 1
-    if isinstance(expression, Neg):
-        expression, sign = expression.arg, -1
-    coeffs = eval_defined_jet(expression, t, order + 1, f"cost {cost.text!r}").coeffs
-    return [np.multiply(coeffs[k], sign * math.factorial(k), out=np.empty(np.shape(t)))[()]
+    coeffs = eval_cost_jet(cost, t, order + 1).coeffs
+    return [np.multiply(coeffs[k], math.factorial(k), out=np.empty(np.shape(t)))[()]
             for k in range(1, order + 1)]
 
 
@@ -164,13 +159,8 @@ def _check_admissibility(cost):
 
 def in_lprime_range(cost, y):
     """Whether every |y| is at most |l'(D)|, up to roundoff: where
-    inverse_lprime accepts y.  The largest |y| comes from reductions that
-    skip nan, with no array of |y|: a nan y compares false, so it is in
-    range."""
-    y = np.asarray(y)
-    top = max(np.fmax.reduce(y, axis=None, initial=-math.inf),
-              -np.fmin.reduce(y, axis=None, initial=math.inf))
-    return not top > cost.zmax * (1.0 + 1e-9) + 1e-15
+    inverse_lprime accepts y."""
+    return not np.any(np.abs(y) > cost.zmax * (1.0 + 1e-9) + 1e-15)
 
 
 def inverse_lprime(cost, y):

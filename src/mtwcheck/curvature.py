@@ -223,7 +223,7 @@ def _profiles(cost, K, z):
         raise InputError(f"curvature must be -1, 0, or +1, got {K!r}")
     check_sphere_diameter(K, cost.diameter)
     z = np.asarray(z, dtype=float)
-    if z.min(initial=0.0) < 0.0:
+    if np.any(z < 0.0):
         raise InputError("profile arguments must be nonnegative")
     h0 = np.asarray(inverse_lprime(cost, z))
     limit = SERIES_SWITCH
@@ -263,8 +263,7 @@ def _noise_band(z, profile, limit):
         band = where(z >= limit, _NOISE_BAND_COEFF * (scale / tiny)**3
                      * (1 + 1 / maximum(z, limit)**2), 1e-12 * scale)
 
-    Each step writes into one of three arrays made here.  Where no point
-    took the series, the direct band is the band.
+    Each step writes into one of three arrays made here.
     """
     tiny = np.abs(profile["A"])
     scale = np.abs(profile["B"])
@@ -279,8 +278,6 @@ def _noise_band(z, profile, limit):
     np.square(zterm, out=zterm)
     np.divide(1.0, zterm, out=zterm)
     direct *= np.add(1.0, zterm, out=zterm)
-    if z.min(initial=math.inf) >= limit:
-        return direct
     scale *= 1e-12
     np.copyto(scale, direct, where=z >= limit)
     return scale
