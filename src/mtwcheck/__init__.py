@@ -5,9 +5,12 @@ Three mutually cross-checking routes compute the same curvature quantity: a
 closed five-term formula, a second-derivative-in-s reduction through the
 Jacobi map, and a definitional finite-difference oracle on explicit models.
 Each takes the tangent vectors u, v, w as ambient float64 arrays; the oracle
-also takes their base point x.  The checker turns the coefficient
-inequalities into per-scan verdicts: scan_conditions(cost, K, dimension)
-scans [0, |l'(D)|], with D the cost's own diameter.
+also takes the cost and their base point x, and the two analytic routes
+share one row of the profiles at |v| in place of the cost:
+row = profile_row(cost, form, v), then mtw_closed(row, form, u, v, w).  The
+checker turns the coefficient inequalities into per-scan verdicts:
+scan_conditions(cost, K, dimension) scans [0, |l'(D)|], with D the cost's
+own diameter.
 """
 
 from . import errors
@@ -15,7 +18,7 @@ from .checker import (A3S, A3W_ONLY, FAILS, Classification, PerturbationResult, 
                       classify, perturbation_check, scan_conditions)
 from .costs import PRESETS, CostFunction, eval_cost_jet, inverse_lprime, make_cost, preset
 from .curvature import (coefficient_arrays, decompose, jacobi_map_closed, mtw_closed,
-                        mtw_via_jacobi)
+                        mtw_via_jacobi, profile_row)
 from .expressions import evaluate, evaluate_jet, parse_cost
 from .geometry import SpaceForm, cost_exp, minus_grad_x_cost, orthonormal_tangent_frame
 from .jets import Jet, jet_compose
@@ -31,5 +34,5 @@ __all__ = [
     "jacobi_map_closed", "jacobi_residual", "jet_compose", "make_cost",
     "minus_grad_x_cost", "mtw_closed", "mtw_definitional", "mtw_via_jacobi",
     "orthonormal_tangent_frame", "parse_cost", "perturbation_check", "preset",
-    "scan_conditions",
+    "profile_row", "scan_conditions",
 ]

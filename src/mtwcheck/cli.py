@@ -9,8 +9,8 @@ exception by Python base class: ValueError (errors.InputError among them) or
 OSError to 2, ArithmeticError (errors.NumericError, OverflowError) to 3.
 
 The process has one argument parser, PARSER, built at import; parsing leaves
-it unchanged.  Calls to main share curvature._profile_row's memo, keyed by
-equal costs, and, after a check, the heap policy that _hold_heap sets.
+it unchanged.  Calls to main share only the heap policy that _hold_heap
+sets after a check.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import checker
 from .checker import perturbation_check, scan_conditions
 from .costs import PRESETS, make_cost
-from .curvature import check_sphere_diameter, mtw_closed, mtw_via_jacobi
+from .curvature import check_sphere_diameter, mtw_closed, mtw_via_jacobi, profile_row
 from .errors import InputError, NumericError
 from .expressions import parse_cost
 from .geometry import SpaceForm
@@ -168,8 +168,9 @@ def cmd_eval(args):
     vectors = [_parse_vector(text, name)
                for text, name in ((args.u, "--u"), (args.v, "--v"), (args.w, "--w"))]
     u, v, w = (form.frame_tangent(vec) for vec in vectors)
-    routes = {"closed": lambda: mtw_closed(cost, form, u, v, w),
-              "jacobi": lambda: mtw_via_jacobi(cost, form, u, v, w),
+    row = None if args.method == "oracle" else profile_row(cost, form, v)
+    routes = {"closed": lambda: mtw_closed(row, form, u, v, w),
+              "jacobi": lambda: mtw_via_jacobi(row, form, u, v, w),
               "oracle": lambda: mtw_definitional(cost, form, form.canonical_base(), u, v, w)}
     values = {}
     for name, route in routes.items():

@@ -29,8 +29,6 @@ roundoff, while any genuine violation dwarfs the band away from z = 0.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -296,16 +294,17 @@ def coefficient_arrays(cost, K, z):
     return profile
 
 
-@lru_cache(maxsize=64)
-def _profile_row(cost, K, z):
-    """The profile quantities at one z >= 0, as floats.
+def profile_row(cost, form, v):
+    """The profile quantities at z = |v|, as floats, and z itself: the one
+    row that mtw_closed and mtw_via_jacobi read.
 
-    _profiles gives the same bits on the scalar z as on np.array([z]), at
-    less cost.  The row is memoised, so that the closed and Jacobi routes of
-    one evaluation share it, and read-only, since every caller gets the same
-    one.  It carries no band, which no route reads.
+    form.speed tests |v|, and _profiles gives the same bits on the scalar z
+    as on np.array([z]), at less cost.  The row carries no band, which no
+    route reads.
     """
-    return MappingProxyType({key: float(col) for key, col in _profiles(cost, K, z)[0].items()})
+    z = form.speed(v)
+    profile, _ = _profiles(cost, form.curvature, z)
+    return {"z": z} | {key: float(col) for key, col in profile.items()}
 
 
 def decompose(form, u, v):
@@ -330,15 +329,14 @@ def jacobi_map_closed(form, u, v):
     return -u0 - d * _cot(form.curvature, d) * u1
 
 
-def mtw_closed(cost, form, u, v, w):
+def mtw_closed(row, form, u, v, w):
     """Transport-cost curvature by the five-term closed formula.
 
-    u, v and w are tangent vectors at one point, which the formula does not
-    read.  u and w are decomposed against v; no orthogonality between u and
-    w is assumed.
+    row is profile_row(cost, form, v).  u, v and w are tangent vectors at
+    one point, which the formula does not read.  u and w are decomposed
+    against v; no orthogonality between u and w is assumed.
     """
-    z = form.speed(v)
-    ab = _profile_row(cost, form.curvature, z)
+    z = row["z"]
     u0, u1 = decompose(form, u, v)
     w0, w1 = decompose(form, w, v)
     u0sq, u1sq = form.inner(u0, u0), form.inner(u1, u1)
@@ -349,29 +347,27 @@ def mtw_closed(cost, form, u, v, w):
     # z = 0, A - B cancels to roundoff, while the row's beta comes from the
     # origin series, where the division by z^2 is an exact shift
     total = (
-        ab["Adprime"] * u0sq * w0sq
-        + ab["gamma"] * u1sq * w0sq
-        + ab["Aprime"] / z * (u0sq * w1sq + 4.0 * cross)
-        + ab["Bprime"] / z * (u1sq * w1sq - 4.0 * cross)
-        + (ab["Aprime"] / z - ab["beta"]) * (u1w1 * u1w1 - u0sq * w1sq - 2.0 * cross)
+        row["Adprime"] * u0sq * w0sq
+        + row["gamma"] * u1sq * w0sq
+        + row["Aprime"] / z * (u0sq * w1sq + 4.0 * cross)
+        + row["Bprime"] / z * (u1sq * w1sq - 4.0 * cross)
+        + (row["Aprime"] / z - row["beta"]) * (u1w1 * u1w1 - u0sq * w1sq - 2.0 * cross)
     )
     return -1.5 * total
 
 
-def mtw_via_jacobi(cost, form, u, v, w):
+def mtw_via_jacobi(row, form, u, v, w):
     """Transport-cost curvature as -(3/2) d^2/ds^2 of the Jacobi-map reduction.
 
     The scalar s -> A(|v+sw|)|u0(s)|^2 + B(|v+sw|)|u1(s)|^2 is differentiated
     twice at s = 0 with a jet in s, so this route and the closed formula share
     only A, B and their first two derivatives at |v|, read from the same
-    profile row, and differ in every algebraic step after that.  The s-jets
+    profile_row, and differ in every algebraic step after that.  The s-jets
     have length 3, the orders that coefficient 2 of the result reads.
     """
-    z0 = form.speed(v)
-    ab = _profile_row(cost, form.curvature, z0)
-    a_table = (ab["A"], ab["Aprime"], 0.5 * ab["Adprime"])
-    b_table = (ab["B"], ab["Bprime"], 0.5 * ab["gamma"])
-    q = Jet((z0 * z0, 2.0 * form.inner(v, w), form.inner(w, w)))
+    a_table = (row["A"], row["Aprime"], 0.5 * row["Adprime"])
+    b_table = (row["B"], row["Bprime"], 0.5 * row["gamma"])
+    q = Jet((row["z"] * row["z"], 2.0 * form.inner(v, w), form.inner(w, w)))
     r = jet_compose("sqrt", q)
     a_of_r = _compose_table(a_table, r)
     b_of_r = _compose_table(b_table, r)

@@ -13,7 +13,7 @@ from helpers import CANONICAL_CASES, random_orthogonal_pair
 from mtwcheck import (A3S, A3W_ONLY, SpaceForm, classify, cost_exp,
                       jacobi_residual, make_cost, minus_grad_x_cost, mtw_closed,
                       mtw_definitional, mtw_via_jacobi, parse_cost, perturbation_check,
-                      preset, scan_conditions)
+                      preset, profile_row, scan_conditions)
 from mtwcheck.curvature import coefficient_arrays
 from mtwcheck.expressions import evaluate
 from mtwcheck.jets import Jet, jet_compose
@@ -96,8 +96,9 @@ def test_criterion_3_three_route_agreement():
                 w = form.random_tangent(x, rng, unit=True)
                 zv = rng.uniform(0.1, 0.9 * cost.zmax)
                 v = form.random_tangent(x, rng, unit=True) * zv
-                closed = mtw_closed(cost, form, u, v, w)
-                jacobi = mtw_via_jacobi(cost, form, u, v, w)
+                row = profile_row(cost, form, v)
+                closed = mtw_closed(row, form, u, v, w)
+                jacobi = mtw_via_jacobi(row, form, u, v, w)
                 oracle = mtw_definitional(cost, form, x, u, v, w)
                 ref = max(1.0, abs(closed))
                 ok &= abs(closed - jacobi) <= 1e-8 * ref
@@ -215,9 +216,10 @@ def test_criterion_8_module_invariant_spotchecks():
         w = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 0.7)
         lam = rng.uniform(0.5, 2.0)
+        row = profile_row(cost, form, v)
         for route in (mtw_closed, mtw_via_jacobi):
-            base_val = route(cost, form, u, v, w)
-            scaled = route(cost, form, u * lam, v, w)
+            base_val = route(row, form, u, v, w)
+            scaled = route(row, form, u * lam, v, w)
             ok &= abs(scaled - lam ** 2 * base_val) <= 1e-10 * max(1.0, abs(base_val)) * lam ** 2
     # grid refinement stability
     for name, K, D in [("neg-cosh", -1, 2.0), ("log-cosh", -1, 2.0)]:
@@ -280,7 +282,8 @@ def test_criterion_9_inequality_set_is_the_tensor_condition():
             band = float(prof["band"][0])
             c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], 2, band=band)
             v = form2.frame_tangent([z, 0.0])
-            S = np.array([mtw_closed(cost, form2, u, v, w)
+            row = profile_row(cost, form2, v)
+            S = np.array([mtw_closed(row, form2, u, v, w)
                           for u, w in (_pair(form2, a) for a in fit)])
             coeffs = np.linalg.solve(basis[0][:5], S[:5])
             min_S = float(np.min(basis[1] @ coeffs))
@@ -297,8 +300,10 @@ def test_criterion_9_inequality_set_is_the_tensor_condition():
                 if not abs(at_a0 - expected) <= band:
                     mismatches.append(f"{where}: S = {at_a0!r} at cos^2 a = g/(b + g), "
                                       f"against 1.5 combo bg/(b + g)^2 = {expected!r}")
+            v3 = e[0] * z
             isolated = [(S[0], "beta"), (S[3], "gamma"),
-                        (mtw_closed(cost, form3, e[1], e[0] * z, e[2]), "delta")]
+                        (mtw_closed(profile_row(cost, form3, v3), form3, e[1], v3, e[2]),
+                         "delta")]
             for value, key in isolated:
                 if not abs(value + 1.5 * prof[key][0]) <= band:
                     mismatches.append(f"{where}: S = {value!r} against -1.5 {key} = "

@@ -5,7 +5,7 @@ import pytest
 from helpers import random_orthogonal_pair, scan_table
 
 from mtwcheck import (A3S, A3W_ONLY, FAILS, SpaceForm, classify, mtw_closed,
-                      parse_cost, perturbation_check, preset, scan_conditions)
+                      parse_cost, perturbation_check, preset, profile_row, scan_conditions)
 from mtwcheck import checker
 from mtwcheck.checker import STRICT_MARGIN, _grid_chunks
 from mtwcheck.costs import make_cost
@@ -255,7 +255,7 @@ def test_scan_weak_points_have_nonnegative_curvature():
         for _ in range(200):
             u, w = random_orthogonal_pair(form, x, rng)
             v = form.random_tangent(x, rng, unit=True) * z
-            value = mtw_closed(cost, form, u, v, w)
+            value = mtw_closed(profile_row(cost, form, v), form, u, v, w)
             assert value >= -1e-8
 
 

@@ -9,9 +9,9 @@ from helpers import (CANONICAL_CASES, REFERENCE_DPS, SMALL_LPP_CASES, random_ort
                      reference_errors, reference_profiles, revert)
 
 from mtwcheck import (SpaceForm, curvature, decompose, jacobi_map_closed, make_cost, mtw_closed,
-                      mtw_definitional, mtw_via_jacobi, preset)
+                      mtw_definitional, mtw_via_jacobi, preset, profile_row)
 from mtwcheck.cli import main
-from mtwcheck.curvature import SERIES_SWITCH, _profile_row, _profiles, coefficient_arrays
+from mtwcheck.curvature import SERIES_SWITCH, _profiles, coefficient_arrays
 from mtwcheck.errors import InputError
 from mtwcheck.jets import Jet
 
@@ -207,8 +207,9 @@ def test_mtw_flat_identity_cost_is_zero():
         u = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 4.0)
         w = form.random_tangent(x, rng)
-        assert mtw_closed(cost, form, u, v, w) == pytest.approx(0.0, abs=1e-12)
-        assert mtw_via_jacobi(cost, form, u, v, w) == pytest.approx(0.0, abs=1e-12)
+        row = profile_row(cost, form, v)
+        assert mtw_closed(row, form, u, v, w) == pytest.approx(0.0, abs=1e-12)
+        assert mtw_via_jacobi(row, form, u, v, w) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mtw_worked_example_neg_log1p_cosh():
@@ -218,8 +219,9 @@ def test_mtw_worked_example_neg_log1p_cosh():
     v = form.frame_tangent([0.5, 0.0, 0.0])
     u = form.frame_tangent([1.0, 0.0, 0.0])   # u0 = u, |u0| = 1
     w = form.frame_tangent([0.0, 1.0, 0.0])   # w1 = w, |w1| = 1
-    assert mtw_closed(cost, form, u, v, w) == pytest.approx(1.5, abs=1e-10)
-    assert mtw_via_jacobi(cost, form, u, v, w) == pytest.approx(1.5, abs=1e-10)
+    row = profile_row(cost, form, v)
+    assert mtw_closed(row, form, u, v, w) == pytest.approx(1.5, abs=1e-10)
+    assert mtw_via_jacobi(row, form, u, v, w) == pytest.approx(1.5, abs=1e-10)
 
 
 def test_mtw_quadratic_scaling():
@@ -232,9 +234,10 @@ def test_mtw_quadratic_scaling():
         w = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.2, 3.0)
         lam = rng.uniform(0.3, 3.0)
-        base_val = mtw_closed(cost, form, u, v, w)
-        u_scaled = mtw_closed(cost, form, u * lam, v, w)
-        w_scaled = mtw_closed(cost, form, u, v, w * lam)
+        row = profile_row(cost, form, v)
+        base_val = mtw_closed(row, form, u, v, w)
+        u_scaled = mtw_closed(row, form, u * lam, v, w)
+        w_scaled = mtw_closed(row, form, u, v, w * lam)
         ref = max(1.0, abs(base_val))
         assert abs(u_scaled - lam ** 2 * base_val) <= 1e-10 * ref * lam ** 2
         assert abs(w_scaled - lam ** 2 * base_val) <= 1e-10 * ref * lam ** 2
@@ -246,8 +249,9 @@ def test_mtw_zero_w():
     u = form.frame_tangent([0.3, 0.4, 0.0])
     v = form.frame_tangent([0.0, 1.0, 0.0])
     w = form.frame_tangent([0.0, 0.0, 0.0])
-    assert mtw_closed(cost, form, u, v, w) == 0.0
-    assert mtw_via_jacobi(cost, form, u, v, w) == 0.0
+    row = profile_row(cost, form, v)
+    assert mtw_closed(row, form, u, v, w) == 0.0
+    assert mtw_via_jacobi(row, form, u, v, w) == 0.0
 
 
 def test_mtw_zero_v_rejected():
@@ -257,9 +261,7 @@ def test_mtw_zero_v_rejected():
     u = form.frame_tangent([1.0, 0.0, 0.0])
     zero = form.frame_tangent([0.0, 0.0, 0.0])
     with pytest.raises(InputError, match="v must be nonzero"):
-        mtw_closed(cost, form, u, zero, u)
-    with pytest.raises(InputError, match="v must be nonzero"):
-        mtw_via_jacobi(cost, form, u, zero, u)
+        profile_row(cost, form, zero)
     with pytest.raises(InputError, match="v must be nonzero"):
         mtw_definitional(cost, form, x, u, zero, u)
 
@@ -282,8 +284,9 @@ def test_route_equivalence_closed_vs_jacobi(K, n, name, diameter, eps):
         u = form.random_tangent(x, rng)
         w = form.random_tangent(x, rng)
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.05, 0.9 * cost.zmax)
-        closed = mtw_closed(cost, form, u, v, w)
-        jacobi = mtw_via_jacobi(cost, form, u, v, w)
+        row = profile_row(cost, form, v)
+        closed = mtw_closed(row, form, u, v, w)
+        jacobi = mtw_via_jacobi(row, form, u, v, w)
         assert abs(closed - jacobi) <= 1e-8 * max(1.0, abs(closed))
 
 
@@ -302,7 +305,8 @@ def test_route_equivalence_on_series_branch(K, n, name, diameter, eps):
         w = form.random_tangent(x, rng)
         z = SERIES_SWITCH * 10.0 ** rng.uniform(-2.0, 0.0)
         v = form.random_tangent(x, rng, unit=True) * z
-        gap = abs(mtw_closed(cost, form, u, v, w) - mtw_via_jacobi(cost, form, u, v, w))
+        row = profile_row(cost, form, v)
+        gap = abs(mtw_closed(row, form, u, v, w) - mtw_via_jacobi(row, form, u, v, w))
         scale = form.inner(u, u) * form.inner(w, w)
         assert gap <= (1e-8 + 1e-15 / z ** 2) * scale, (z, gap, scale)
 
@@ -343,7 +347,8 @@ def test_closed_route_keeps_its_digits_at_small_v(K, name, D, eps, length):
     form = SpaceForm(K, 2)
     u, v, w = [1.0, 0.0], [length, 0.0], [0.6, 0.8]
     ref = _five_term_reference(cost, K, u, v, w)
-    got = mtw_closed(cost, form, *(form.frame_tangent(vec) for vec in (u, v, w)))
+    u, v, w = (form.frame_tangent(vec) for vec in (u, v, w))
+    got = mtw_closed(profile_row(cost, form, v), form, u, v, w)
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, float(ref))
 
 
@@ -364,7 +369,8 @@ def test_series_branch_preset_matches_expression_text(name, K, D, eps):
         w = form.random_tangent(x, rng)
         z = SERIES_SWITCH * 10.0 ** rng.uniform(-5.0, 0.0)
         v = form.random_tangent(x, rng, unit=True) * z
-        gap = abs(mtw_closed(cost, form, u, v, w) - mtw_closed(text, form, u, v, w))
+        gap = abs(mtw_closed(profile_row(cost, form, v), form, u, v, w)
+                  - mtw_closed(profile_row(text, form, v), form, u, v, w))
         assert gap <= (2e-8 + 1e-15 / z ** 2) * form.inner(u, u) * form.inner(w, w), (z, gap)
 
 
@@ -380,7 +386,7 @@ def test_orthogonal_reduction_matches_coefficients():
             u, w = random_orthogonal_pair(form, x, rng)
             z = rng.uniform(0.05, 0.9 * cost.zmax)
             v = form.random_tangent(x, rng, unit=True) * z
-            direct = mtw_closed(cost, form, u, v, w)
+            direct = mtw_closed(profile_row(cost, form, v), form, u, v, w)
             prof = _at(cost, K, z)
             u0, u1 = decompose(form, u, v)
             w0, w1 = decompose(form, w, v)
@@ -406,8 +412,8 @@ def test_base_point_invariance_via_transport():
         v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 0.7)
         y = form.exp_map(x, form.random_tangent(x, rng, unit=True) * rng.uniform(0.2, 1.5))
         moved = [form.parallel_transport(x, vec, y) for vec in (u, v, w)]
-        a = mtw_closed(cost, form, u, v, w)
-        b = mtw_closed(cost, form, *moved)
+        a = mtw_closed(profile_row(cost, form, v), form, u, v, w)
+        b = mtw_closed(profile_row(cost, form, moved[1]), form, *moved)
         assert a == pytest.approx(b, abs=1e-10 * max(1.0, abs(a)))
         # the oracle is the one route that reads the base point
         c = mtw_definitional(cost, form, x, u, v, w)
@@ -502,10 +508,13 @@ def test_band_follows_each_points_branch(text, K, D):
             prof["band"][i:i + 1].tobytes(), point
 
 
+@pytest.mark.parametrize("method,expected", [("all", 1), ("closed", 1), ("jacobi", 1),
+                                             ("oracle", 0)])
 @pytest.mark.parametrize("length", [0.5, 0.5 * SERIES_SWITCH])
-def test_eval_all_makes_one_profiles_call(capsys, monkeypatch, length):
-    # the closed and Jacobi routes read one profile row, computed once, on
-    # the direct branch and on the series branch
+def test_eval_all_makes_one_profiles_call(capsys, monkeypatch, length, method, expected):
+    # the closed and Jacobi routes read one profile row, computed once per
+    # command, on the direct branch and on the series branch, and the oracle
+    # reads none; a second identical command in the process computes its own
     calls = []
 
     def counting(cost, K, z):
@@ -513,17 +522,18 @@ def test_eval_all_makes_one_profiles_call(capsys, monkeypatch, length):
         return _profiles(cost, K, z)
 
     monkeypatch.setattr(curvature, "_profiles", counting)
-    _profile_row.cache_clear()
-    code = main(["eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--u=1,0.3",
-                 f"--v={length!r},0", "--w=0.2,1", "--method", "all", "--json"])
-    assert code == 0, capsys.readouterr().err
-    assert len(calls) == 1 and calls[0] == length
+    for _ in range(2):
+        calls.clear()
+        code = main(["eval", "--cost=neg-cosh", "--K", "-1", "--dim", "2", "--u=1,0.3",
+                     f"--v={length!r},0", "--w=0.2,1", "--method", method, "--json"])
+        assert code == 0, capsys.readouterr().err
+        assert calls == [length] * expected
 
 
 @pytest.mark.parametrize("newton", [False, True], ids=["analytic", "newton"])
 @pytest.mark.parametrize("name,K,D,eps", CANONICAL_CASES)
 def test_profiles_on_a_scalar_match_a_length_one_array(name, K, D, eps, newton):
-    # _profile_row passes its scalar z to _profiles: every quantity must be
+    # profile_row passes its scalar z to _profiles: every quantity must be
     # bitwise the one of np.array([z]), on both branches, for the analytic
     # inverse of each preset and for the Newton inverse of its expression
     cost = preset(name, D, eps)

@@ -5,7 +5,7 @@ import pytest
 from helpers import central_derivative
 
 from mtwcheck import (SpaceForm, eval_cost_jet, jacobi_residual, mtw_closed, mtw_definitional,
-                      preset)
+                      preset, profile_row)
 from mtwcheck.costs import make_cost
 from mtwcheck.errors import InputError
 from mtwcheck.oracle import STENCIL_STEP, _mixed_second_differences, _s_step
@@ -45,7 +45,7 @@ def test_definitional_matches_closed_neg_cosh():
         u = form.random_tangent(x, rng, unit=True)
         v = form.random_tangent(x, rng, unit=True)
         w = form.random_tangent(x, rng, unit=True)
-        closed = mtw_closed(cost, form, u, v, w)
+        closed = mtw_closed(profile_row(cost, form, v), form, u, v, w)
         oracle = mtw_definitional(cost, form, x, u, v, w)
         assert abs(closed - oracle) <= 5e-3 * max(1.0, abs(closed))
 
@@ -87,7 +87,7 @@ def test_definitional_step_convergence():
         u = form.random_tangent(x, rng, unit=True)
         v = form.random_tangent(x, rng, unit=True)
         w = form.random_tangent(x, rng, unit=True)
-        closed = mtw_closed(cost, form, u, v, w)
+        closed = mtw_closed(profile_row(cost, form, v), form, u, v, w)
         coarse = _stencil(cost, form, x, u, v, w, 4e-2)
         fine = _stencil(cost, form, x, u, v, w, 2e-2)
         if abs(fine - closed) * 3.0 <= abs(coarse - closed):
@@ -110,7 +110,7 @@ def test_definitional_on_long_and_short_vectors(name, K, u, w):
     cost = preset(name, 2.0)
     form = SpaceForm(K, 2)
     u, v, w = (form.frame_tangent(c) for c in (u, [0.5, 0.0], w))
-    closed = mtw_closed(cost, form, u, v, w)
+    closed = mtw_closed(profile_row(cost, form, v), form, u, v, w)
     oracle = mtw_definitional(cost, form, form.canonical_base(), u, v, w)
     assert oracle == pytest.approx(closed, rel=ORACLE_REL_TOL, abs=0.0)
 
@@ -230,8 +230,30 @@ def test_shrunk_s_step_agrees_with_the_closed_route():
     x = form.canonical_base()
     u, v, w = (form.frame_tangent(c) for c in ([1.0, 0.0], [3e-3, 4e-3], [0.6, 0.8]))
     assert _s_step(cost, form, v, w) < STENCIL_STEP
-    closed = mtw_closed(cost, form, u, v, w)
+    closed = mtw_closed(profile_row(cost, form, v), form, u, v, w)
     assert mtw_definitional(cost, form, x, u, v, w) == pytest.approx(closed, rel=1e-4)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: near |v| = |l'(D)|, _s_step shrinks the step in s until roundoff "
+    "swamps the stencil, and the oracle still returns its value"))
+def test_oracle_agrees_just_inside_the_lprime_range():
+    # at |v| = |l'(D)|(1 - 1e-5) the step in s is 5e-6 to 2e-5, and the
+    # stencil's divisor (ht hs)^2 lifts the cost's roundoff to errors of 2.7
+    # to 3.3; the bound first breaks at steps of 7e-5 to 2.5e-4.  A fixed
+    # floor on the step would not do: a small range needs smaller steps
+    # (test_s_step_shrinks_on_a_small_lprime_range)
+    errors = {}
+    for name, K, D, eps in [("sq", 0, 2.0, None), ("neg-cosh", -1, 1.0, None),
+                            ("quartic", 0, 1.0, 1e-3), ("neg-log1p-cos", 1, 2.5, None)]:
+        cost = preset(name, D, eps)
+        form = SpaceForm(K, 2)
+        u, v, w = (form.frame_tangent(c)
+                   for c in ([1.0, 0.3], [0.0, cost.zmax * (1.0 - 1e-5)], [0.6, 0.8]))
+        closed = mtw_closed(profile_row(cost, form, v), form, u, v, w)
+        oracle = mtw_definitional(cost, form, form.canonical_base(), u, v, w)
+        errors[name] = abs(oracle - closed) / max(1.0, abs(closed))
+    assert all(err <= ORACLE_REL_TOL for err in errors.values()), errors
 
 
 def test_s_step_without_room_names_v_w_and_the_range():
