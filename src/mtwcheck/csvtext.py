@@ -17,29 +17,37 @@ significant digits are N = round(S), with
 
 except that S may round to 10**17, which becomes 10**16 with X + 1.  T is
 held as hi + lo, hi = fl(T) and lo = fl(T - hi), both by exact integer
-division, built for the exponents present and cached per exponent.  m * hi
-is formed exactly as p + e by Dekker's product, and q = e + m * lo, so that
-S = p + q with p an integer (p > 2**53).
+division.  A table with a pair of columns per exponent ex, for X0 and X0 + 1,
+holds the threshold, hi and lo; a column pair is computed the first time a
+block has a value of its exponent, and the table lives for the process.
+m * hi is formed exactly as p + e by Dekker's product, and q = e + m * lo,
+so that S = p + q with p an integer (p > 2**53).
 
 Error bound.  |lo - (T - hi)| <= 2**-49, and the roundings of m * lo and of
-e + m * lo add at most 2**-49 and 2**-48, so |S - (p + q)| < 2**-47, below
-2**-45.  N = p + floor(q) + (frac(q) > 1/2) is therefore the correctly
-rounded value unless the fraction of S lies within 2**-45 of 1/2.  Every
-value whose computed fraction lies within 1e-6 of 1/2, exact ties such as
-1234567890123456.75 included, is formatted by "%.17g" % x instead.
+e + m * lo add at most 2**-49 and 2**-48, so |S - (p + q)| < 2**-47; with
+|q| < 24, forming r = q + 1/2 adds at most 2**-48, so |S + 1/2 - (p + r)| <
+2**-46.  N = p + floor(r) is therefore the correctly rounded value unless the
+fraction of S lies within 2**-46 of 1/2.  Every value whose r lies within
+1e-6 of an integer, exact ties such as 1234567890123456.75 included, is
+formatted by "%.17g" % x instead.
 
-Assembly.  Each value gets a 32-byte slot of NUL-padded text, written as
-whole words taken from small tables:
+Zero needs no case of its own: np.frexp gives m = 0 and ex = 0, so N = 0 in
+the fixed form of X = -1, whose lead with first digit 0 is "0".  inf and nan
+get m = 0 as well, and slots of their own.
+
+Assembly.  Each value gets a 32-byte slot of NUL-padded text, every byte of
+it written as whole words taken from small tables:
 
     bytes 0-7    sign and lead ("-", "0.000", "0", "nan", "-inf", ...) with
                  the first digit, and the point after it in exponent form
     bytes 8-23   the other 16 digits, four per word, trailing zeros NUL
     bytes 24-31  exponent and separator ("e-05,", "\\r\\n", ...)
 
-Fixed form with 10 <= |x| < 10**17 puts the point after digit X instead:
-digits 1..X are copied in one byte left of their place, from an unstripped
-copy, and the byte after them becomes "." or NUL.  Dropping the NUL bytes
-gives the text.
+The four digit groups of all values are split and looked up as one (4, n)
+array.  Fixed form with 10 <= |x| < 10**17 puts the point after digit X
+instead: digits 1..X are copied in one byte left of their place, from an
+unstripped copy, and the byte after them becomes "." or NUL.  Dropping the
+NUL bytes gives the text.
 """
 
 from __future__ import annotations
@@ -58,9 +66,11 @@ _GROUP = 10 ** 4
 
 # decimal exponents of %.17g: 4.9406564584124654e-324 .. 1.7976931348623157e+308
 _EXP_MIN, _EXP_MAX = -324, 308
-# lead kinds: 0 none; 1-4 "0." to "0.000" (X = -1..-4); then the specials
-_LEADS = ("", "0.", "0.0", "0.00", "0.000", "0", "nan", "inf")
-_ZERO, _NAN, _INF = 5, 6, 7
+# np.frexp's exponents of the finite nonzero doubles, subnormals included
+_FREXP_MIN, _FREXP_MAX = -1073, 1024
+# lead kinds: 0 none; 1-4 "0." to "0.000" (X = -1..-4); then nan and inf
+_LEADS = ("", "0.", "0.0", "0.00", "0.000", "nan", "inf")
+_NAN, _INF = 5, 6
 
 
 def _words(texts, width):
@@ -69,18 +79,23 @@ def _words(texts, width):
     return np.frombuffer(raw, dtype=np.dtype(f"u{width}")).copy()
 
 
-def _lead_text(sign, kind, digit, point):
-    if kind >= _ZERO:
+def _lead_text(sign, kind, digit, bare):
+    if kind == _NAN:  # "%.17g" prints nan unsigned
+        return _LEADS[kind]
+    if kind == _INF:
         return sign + _LEADS[kind]
+    if kind == 1 and digit == 0:  # zero: N = 0 in the slot of X = -1
+        return sign + "0"
     if kind:  # "0.00" and the first digit in byte 7
         return (sign + _LEADS[kind]).ljust(7, "\0") + str(digit)
-    return sign.ljust(6, "\0") + str(digit) + ("." if point else "")
+    return sign.ljust(6, "\0") + str(digit) + ("" if bare else ".")
 
 
-# word 0 of a slot, at sign * 160 + kind * 20 + first digit * 2 + point
-_LEAD_WORDS = _words([_lead_text(sign, kind, digit, point) for sign in ("", "-")
+# word 0 of a slot, at sign * 140 + kind * 20 + first digit * 2 + bare, where
+# bare means that no digit follows the first
+_LEAD_WORDS = _words([_lead_text(sign, kind, digit, bare) for sign in ("", "-")
                       for kind in range(len(_LEADS)) for digit in range(10)
-                      for point in (0, 1)], 8)
+                      for bare in (0, 1)], 8)
 
 
 def _digit_groups():
@@ -95,17 +110,17 @@ def _digit_groups():
 
 _GROUP_WORDS = _digit_groups()
 
-# per slot: 0 for no exponent, X - _EXP_MIN + 1 for X in [_EXP_MIN, _EXP_MAX],
-# then zero, nan and inf
+# per slot: 0 unused, X - _EXP_MIN + 1 for X in [_EXP_MIN, _EXP_MAX], then
+# nan and inf
 _X = np.arange(_EXP_MIN - 1, _EXP_MAX + 1)
 _FIXED = (_X >= -4) & (_X < 17)
-_SPECIAL_SLOT = len(_X) - _ZERO  # the slot of special kind k is _SPECIAL_SLOT + k
-_LEAD_OF = np.concatenate([np.where(_FIXED & (_X < 0), -_X, 0), [_ZERO, _NAN, _INF]]) * 20
-_DOT_OF = np.concatenate([np.where(_FIXED, np.maximum(_X, -1), 0), [-1, -1, -1]])
-_EXP_OF = np.concatenate([np.where(_FIXED, 0, np.arange(len(_X))), [0, 0, 0]]) * 2
-# word 3 of a slot, at exponent slot * 2 + is-last-column
-_EXP_WORDS = _words([exp + sep for exp in [""] + ["e%+03d" % x for x in _X[1:]]
-                     for sep in (",", "\r\n")], 8)
+_SPECIAL_SLOT = len(_X) - _NAN  # the slot of special kind k is _SPECIAL_SLOT + k
+_SLOT_X0 = -_EXP_MIN + 1  # the slot of X = 0
+_LEAD_OF = np.concatenate([np.where(_FIXED & (_X < 0), -_X, 0), [_NAN, _INF]]) * 20
+# word 3 of a slot, at slot: exponent and ",", or "\r\n" in the last column
+_EXPS = ["" if fixed else "e%+03d" % x for x, fixed in zip(_X, _FIXED)] + ["", ""]
+_EXP_WORDS = _words([exp + "," for exp in _EXPS], 8)
+_EXP_LAST_WORDS = _words([exp + "\r\n" for exp in _EXPS], 8)
 _SLOTS = np.arange(1, 17)
 
 
@@ -114,7 +129,6 @@ def _ratio(base, k):
     return (base ** k, 1) if k >= 0 else (1, base ** -k)
 
 
-@functools.lru_cache(maxsize=None)
 def _binade(ex):
     """The scales of the values m * 2**ex, 0.5 <= m < 1.
 
@@ -143,17 +157,20 @@ def _binade(ex):
     return out
 
 
-def _scales(ex):
-    """The columns of _binade for the exponents in ex, side by side in a
-    (5, 2 * span) table, and each value's column for X0."""
-    low = int(ex.min())
-    cols = 2 * (ex - low)
-    present = np.zeros(int(ex.max()) - low + 1, dtype=bool)
-    present[cols // 2] = True
-    table = np.empty((5, 2 * len(present)))
-    for i in np.flatnonzero(present).tolist():
-        table[:, 2 * i:2 * i + 2] = _binade(low + i)
-    return table, cols
+@functools.cache
+def _scales():
+    """The _binade columns of every exponent of np.frexp, 0 until a block
+    needs them: the thresholds, and the other four rows as one row each, so
+    that take gathers a value's four in one copy.  Those of ex are at 2 * ex
+    and 2 * ex + 1, for ex < 0 counted from the end, as take counts a
+    negative index.
+
+    Filling all 2,098 exponents costs more than a whole default-grid export,
+    so format_rows fills those its blocks meet.  A functools cache, so that
+    clearing the package's caches starts it empty, as in a new process.
+    """
+    size = 2 * (_FREXP_MAX - _FREXP_MIN + 1)
+    return np.zeros(size), np.zeros((size, 4))
 
 
 def format_rows(values, ncols):
@@ -162,84 +179,136 @@ def format_rows(values, ncols):
     n = len(x)
     if n % ncols:
         raise InputError(f"{n} values do not fill rows of {ncols}")
+    if not n:
+        return b""
+    # two steps, so that each one's temporaries are freed before the next
+    N, slot, fallback = _digits(x)
+    return _slots(x, ncols, N, slot, fallback).translate(None, b"\0")
+
+
+def _digits(x):
+    """N and the slot of each value of x, and the indices of the values
+    that "%" formats."""
     ax = np.abs(x)
-    finite = (ax > 0.0) & (ax < np.inf)
-    plain = bool(finite.all())
     m, ex = np.frexp(ax)
-    if not plain:
-        m[~finite] = 0.5
-        ex[~finite] = 1
+    # inf and nan: m = 0 makes N = 0, and their slots are set below
+    finite = m < 1.0
+    special = None if finite.all() else np.flatnonzero(~finite)
+    if special is not None:
+        m[special] = 0.0
 
     # N = round(S), 10**16 <= N < 10**17, by S = p + q in double-double
-    table, cols = _scales(ex)
-    cols += ax >= table[0].take(cols)
-    slot, hi_h, hi_l, lo = table[1:].take(cols, axis=1)
-    hi = hi_h + hi_l
-    p = m * hi
-    mc = _SPLITTER * m
-    m_h = mc - (mc - m)
-    m_l = m - m_h
-    q = ((m_h * hi_h - p) + m_h * hi_l + m_l * hi_h) + m_l * hi_l + m * lo
+    thresholds, scales = _scales()
+    cols = np.multiply(ex, 2, dtype=np.intp)
+    threshold = thresholds.take(cols)
+    if threshold.min() == 0.0:
+        for e in set(ex[threshold == 0.0].tolist()):
+            col = 2 * e % len(scales)
+            binade = _binade(e)
+            thresholds[col:col + 2], scales[col:col + 2] = binade[0], binade[1:].T
+        threshold = thresholds.take(cols)
+    cols += ax >= threshold
+    # one row per value, copied into contiguous rows for the arithmetic
+    slot, hi_h, hi_l, lo = scales.take(cols, axis=0).T.copy()
+    p = hi_h + hi_l
+    p *= m
+    m_h = m * _SPLITTER
+    m_l = m_h - m
+    m_h -= m_l
+    np.subtract(m, m_h, out=m_l)
+    # q = ((m_h * hi_h - p) + m_h * hi_l + m_l * hi_h) + m_l * hi_l + m * lo
+    q = m_h * hi_h
+    q -= p
+    m_h *= hi_l
+    q += m_h
+    hi_h *= m_l
+    q += hi_h
+    hi_l *= m_l
+    q += hi_l
+    lo *= m
+    q += lo
+    q += 0.5  # r
     floor_q = np.floor(q)
-    frac = q - floor_q
-    N = p.astype(np.int64) + floor_q.astype(np.int64) + (frac > 0.5)
-    slot = slot.astype(np.int64)
-    carry = N == 10 ** 17
-    if carry.any():
+    N = p.astype(np.int64)
+    N += floor_q.astype(np.int64)
+    q -= floor_q
+    # q becomes |frac(r) - 1/2|, above 1/2 - _TIE_GUARD where r is near an integer
+    q -= 0.5
+    np.abs(q, out=q)
+    fallback = []
+    if q.max() > 0.5 - _TIE_GUARD:
+        fallback = np.flatnonzero(q > 0.5 - _TIE_GUARD).tolist()
+    slot = slot.astype(np.intp)
+    if N.max() == 10 ** 17:
+        carry = N == 10 ** 17
         N[carry] = 10 ** 16
         slot += carry
-    fallback = np.abs(frac - 0.5) < _TIE_GUARD
-    if not plain:
-        N[~finite] = 0
-        fallback &= finite
-        slot[~finite] = _SPECIAL_SLOT + np.where(np.isnan(x), _NAN,
-                                                 np.where(ax == 0.0, _ZERO, _INF))[~finite]
+    if special is not None:
+        slot[special] = _SPECIAL_SLOT + np.where(np.isnan(x[special]), _NAN, _INF)
+    return N, slot, fallback
 
-    # N is d0 g1 g2 g3 g4, g_k of 4 digits; tail_k: the groups after g_k are 0
+
+def _slots(x, ncols, N, slot, fallback):
+    """The bytes of the 32-byte slots of x, whose digits are N."""
+    # N is d0 g1 g2 g3 g4, g_k of 4 digits, groups[k] = g_k+1; tail[k]: the
+    # groups after it are 0, so that its trailing zeros drop
+    n = len(x)
     high = N // 10 ** 8
-    g4 = N - high * 10 ** 8
-    g3 = g4 // _GROUP
-    g4 -= g3 * _GROUP
-    g1 = high // _GROUP
-    g2 = high - g1 * _GROUP
-    d0 = g1 // _GROUP
-    g1 -= d0 * _GROUP
-    tail3 = g4 == 0
-    tail2 = tail3 & (g3 == 0)
-    tail1 = tail2 & (g2 == 0)
-    point = ~(tail1 & (g1 == 0))
+    halves = np.empty((2, n), dtype=np.int32)
+    halves[0] = high
+    high *= 10 ** 8
+    np.subtract(N, high, out=halves[1], casting="unsafe")
+    groups = np.empty((4, n), dtype=np.int32)
+    np.floor_divide(halves, _GROUP, out=groups[0::2])
+    np.multiply(groups[0::2], _GROUP, out=groups[1::2])
+    np.subtract(halves, groups[1::2], out=groups[1::2])
+    d0 = groups[0] // _GROUP
+    groups[0] -= d0 * _GROUP
+    zero = groups == 0
+    tail = np.empty((4, n), dtype=bool)
+    tail[3] = True
+    tail[2] = zero[3]
+    np.logical_and(zero[2], tail[2], out=tail[1])
+    np.logical_and(zero[1], tail[1], out=tail[0])
 
-    W = np.zeros((n, _WIDTH), dtype=np.uint8)
+    W = np.empty((n, _WIDTH), dtype=np.uint8)
     W64, W32 = W.view(np.uint64), W.view(np.uint32)
-    sign = np.signbit(x) & (x == x)  # "%.17g" prints nan unsigned
-    W64[:, 0] = _LEAD_WORDS.take(sign * 160 + _LEAD_OF.take(slot) + d0 * 2 + point)
-    W32[:, 2] = _GROUP_WORDS.take(g1 + _GROUP * tail1)
-    W32[:, 3] = _GROUP_WORDS.take(g2 + _GROUP * tail2)
-    W32[:, 4] = _GROUP_WORDS.take(g3 + _GROUP * tail3)
-    W32[:, 5] = _GROUP_WORDS.take(g4 + _GROUP)
+    # word 0 at sign * 140 + kind * 20 + first digit * 2 + bare
+    d0 *= 2
+    d0 += zero[0] & tail[0]
+    d0 += np.signbit(x).view(np.uint8) * np.int32(140)
+    lead = _LEAD_OF.take(slot)
+    lead += d0
+    W64[:, 0] = _LEAD_WORDS.take(lead)
+    groups += tail.view(np.uint8) * np.int32(_GROUP)
+    for k, words in enumerate(_GROUP_WORDS.take(groups)):
+        W32[:, 2 + k] = words
 
-    dot_at = _DOT_OF.take(slot)
-    wide = np.flatnonzero(dot_at > 0)
+    # fixed form at or above 10: the slots of X = 1..16, which only a block
+    # with a slot above that of X = 0 can have
+    wide = ()
+    if slot.max() > _SLOT_X0:
+        wide = np.flatnonzero((slot > _SLOT_X0) & (slot <= _SLOT_X0 + 16))
     if len(wide):
-        # fixed form above 10: digits 1..dot_at go one byte left, into
-        # bytes 7..6+dot_at, and the point after them if a digit follows
-        at = dot_at[wide]
+        # digits 1..at go one byte left, into bytes 7..6+at, and the point
+        # after them if a digit follows: byte 8+at, the next digit stripped,
+        # is not NUL.  at = 16 has no next digit, and byte 24 is not written yet
+        at = slot[wide] - _SLOT_X0
         rows = np.arange(len(wide))
         sub = W[wide]
-        digits = np.empty((len(wide), 16), dtype=np.uint8)  # 1..16 unstripped
-        for k, g in enumerate((g1, g2, g3, g4)):
-            digits.view(np.uint32)[:, k] = _GROUP_WORDS.take(g[wide])
-        dot = np.where(sub[rows, 8 + at] != 0, np.uint8(ord(".")), np.uint8(0))
-        np.copyto(sub[:, 7:23], digits, where=_SLOTS <= at[:, None])
-        sub[rows, 7 + at] = dot
+        # digits 1..16 unstripped
+        digits = np.ascontiguousarray(_GROUP_WORDS.take(groups[:, wide] % _GROUP).T)
+        follows = (at < 16) & (sub[rows, 8 + at % 16] != 0)
+        np.copyto(sub[:, 7:23], digits.view(np.uint8), where=_SLOTS <= at[:, None])
+        sub[rows, 7 + at] = np.where(follows, np.uint8(ord(".")), np.uint8(0))
         W[wide] = sub
 
-    exp = _EXP_OF.take(slot).reshape(-1, ncols)
-    exp[:, -1] += 1
-    W64[:, 3] = _EXP_WORDS.take(exp.ravel())
+    W64[:, 3] = _EXP_WORDS.take(slot)
+    last = slice(ncols - 1, None, ncols)
+    W64[last, 3] = _EXP_LAST_WORDS.take(slot[last])
 
-    for i in np.flatnonzero(fallback).tolist():
+    for i in fallback:
         text = ("%.17g" % x[i] + ("\r\n" if i % ncols == ncols - 1 else ",")).encode()
         W[i] = 0
         W[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-    return W.tobytes().translate(None, b"\0")
+    return W.tobytes()

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from helpers import cli_report, scan_table
 
 import mtwcheck
-from mtwcheck import PRESETS, checker, cli, make_cost, preset
+from mtwcheck import PRESETS, checker, cli, csvtext, make_cost, preset
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main
 from mtwcheck.csvtext import format_rows
 from mtwcheck.errors import AdmissibilityError, InputError
@@ -739,6 +740,51 @@ def test_format_rows_boundary_values(ncols):
 def test_format_rows_rejects_ragged_block():
     with pytest.raises(InputError, match="7 values do not fill rows of 8"):
         format_rows(np.zeros(7), 8)
+
+
+@pytest.mark.parametrize("ncols", [1, 8])
+def test_format_rows_empty_block(ncols):
+    assert format_rows(np.zeros(0), ncols) == b""
+
+
+def test_scale_table_columns_equal_binade():
+    # 2**(e-1) has the exponent e of np.frexp, so these values fill every
+    # column of the table, subnormals included
+    exponents = np.arange(csvtext._FREXP_MIN, csvtext._FREXP_MAX + 1)
+    values = np.ldexp(1.0, exponents - 1)
+    assert format_rows(values, 1) == _percent_rows(values.tolist(), 1)
+    thresholds, scales = csvtext._scales()
+    assert (thresholds > 0.0).all()
+    for ex in exponents.tolist():
+        col = 2 * ex % len(scales)
+        binade = csvtext._binade(ex)
+        assert np.array_equal(thresholds[col:col + 2], binade[0]), ex
+        assert np.array_equal(scales[col:col + 2], binade[1:].T), ex
+
+
+_FILL_ORDER = """
+import hashlib, sys
+import numpy as np
+from mtwcheck.csvtext import format_rows
+for scale in sys.argv[2:]:
+    format_rows(np.linspace(1.0, 2.0, 4096) * float(scale), 8)
+print(hashlib.sha256(format_rows(np.load(sys.argv[1]), 8)).hexdigest())
+"""
+
+
+def test_format_rows_bytes_do_not_depend_on_filled_exponents(tmp_path):
+    # the scale table fills the columns of an exponent when a block first
+    # meets it: in a fresh process, the boundary values alone, and after
+    # blocks of subnormals, of 1e-300, of 1 to 2 and of 1e300
+    values = _BOUNDARY[:len(_BOUNDARY) // 8 * 8]
+    np.save(tmp_path / "boundary.npy", values)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mtwcheck.__file__)))
+    digests = [subprocess.run([sys.executable, "-c", _FILL_ORDER, str(tmp_path / "boundary.npy"),
+                               *scales], env=env, capture_output=True, text=True,
+                              check=True).stdout.strip()
+               for scales in ([], ["5e-324", "1e-300", "1.0", "1e300"])]
+    expected = hashlib.sha256(_percent_rows(values.tolist(), 8)).hexdigest()
+    assert digests[0] == digests[1] == expected
 
 
 _NUMBERS = st.sampled_from(["0", "1", "2", "0.5", "0.001", "3.5e2"])
