@@ -1,6 +1,9 @@
 """mtwcheck: numerical verification of weak/strong curvature conditions for
 radial transport costs on constant-curvature model spaces.
 
+A cost is built from its text alone, by make_cost(text, diameter): a preset
+name of PRESETS, quartic(eps), or an expression in z.
+
 Three mutually cross-checking routes compute the same curvature quantity: a
 closed five-term formula, a second-derivative-in-s reduction through the
 Jacobi map, and a definitional finite-difference oracle on explicit models.
@@ -16,7 +19,7 @@ own diameter.
 from . import errors
 from .checker import (A3S, A3W_ONLY, FAILS, Classification, PerturbationResult, Verdict,
                       classify, perturbation_check, scan_conditions)
-from .costs import PRESETS, CostFunction, eval_cost_jet, inverse_lprime, make_cost, preset
+from .costs import PRESETS, CostFunction, eval_cost_jet, inverse_lprime, make_cost
 from .curvature import (coefficient_arrays, decompose, jacobi_map_closed, mtw_closed,
                         mtw_via_jacobi, profile_row)
 from .expressions import evaluate, evaluate_jet, parse_cost
@@ -33,6 +36,6 @@ __all__ = [
     "eval_cost_jet", "evaluate", "evaluate_jet", "inverse_lprime",
     "jacobi_map_closed", "jacobi_residual", "jet_compose", "make_cost",
     "minus_grad_x_cost", "mtw_closed", "mtw_definitional", "mtw_via_jacobi",
-    "orthonormal_tangent_frame", "parse_cost", "perturbation_check", "preset",
-    "profile_row", "scan_conditions",
+    "orthonormal_tangent_frame", "parse_cost", "perturbation_check", "profile_row",
+    "scan_conditions",
 ]

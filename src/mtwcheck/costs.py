@@ -41,7 +41,6 @@ class CostFunction:
     text: str
     diameter: float
     analytic_inverse: Optional[Callable] = None
-    name: Optional[str] = None
     expression: Expr = field(init=False, repr=False, compare=False)
     zmax: float = field(init=False, repr=False, compare=False)
     lprime_sign: int = field(init=False, repr=False, compare=False)
@@ -251,21 +250,11 @@ class _QuarticInverse:
         # Root of 4*eps*h^3 - h + y = 0 continuously connected to h = y at eps = 0,
         # by the trigonometric solution of the depressed cubic (three real roots
         # whenever 27*eps*y^2 < 1, which admissibility guarantees): with
-        # a = 3*sqrt(3*eps)*y, it is cos(acos(-a)/3 - 2*pi/3) / sqrt(3*eps).
-        # acos(-a) rounds away the digits of a below 1e-16, so for |a| < 1e-8
-        # (every y, for a tiny eps) the start is its equal sin(asin(a)/3) /
-        # sqrt(3*eps), which keeps them; only those points evaluate it.  Two
-        # Newton steps polish the root to machine-relative precision; float64
-        # Newton can stop at either of two neighbours of the root, so where the
-        # cosine start keeps its digits it stays, and h keeps its bits.
+        # a = 3*sqrt(3*eps)*y, it is sin(asin(a)/3) / sqrt(3*eps), exact for
+        # every |a| <= 1 and keeping the digits of a tiny a.  Two Newton steps
+        # polish the root to machine-relative precision.
         eps, root3eps = self.eps, np.sqrt(3.0 * self.eps)
-        a = np.clip(3.0 * root3eps * y, -1.0, 1.0)
-        # an array even for a scalar y, so that the sine start can be set in it
-        root = np.asarray(np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0))
-        small = np.abs(a) < 1e-8
-        if small.any():
-            root[small] = np.sin(np.arcsin(a[small]) / 3.0)
-        root /= root3eps
+        root = np.sin(np.arcsin(np.clip(3.0 * root3eps * y, -1.0, 1.0)) / 3.0) / root3eps
         for _ in range(2):
             root = root - (root - 4.0 * eps * root ** 3 - y) / (1.0 - 12.0 * eps * root ** 2)
         return root
@@ -276,7 +265,7 @@ class PresetInfo:
     text: str
     curvatures: tuple
     verdict_note: str
-    # quartic's inverse depends on EPS: preset() builds it as _QuarticInverse
+    # quartic's inverse depends on EPS: make_cost builds it as _QuarticInverse
     analytic_inverse: Optional[Callable]
 
 
@@ -294,40 +283,26 @@ PRESETS = {
 DEFAULT_QUARTIC_EPS = 1e-3
 
 
-def preset(name, diameter, eps=None):
-    """Instantiate a preset cost on [0, diameter].
+def make_cost(text, diameter):
+    """The CostFunction on [0, diameter] that cost text names, surrounding
+    whitespace stripped: a preset name, quartic(eps), or an expression in z.
 
-    The quartic family takes the perturbation size through eps, a number or
-    its text (default 1e-3); where l'' = 1 - 12*eps*z^2 reaches 0 on [0, D]
-    the cost is not admissible.
+    Only a preset carries an analytic inverse.  quartic(eps) is the quartic
+    preset with eps, a number's text, in place of DEFAULT_QUARTIC_EPS; where
+    l'' = 1 - 12*eps*z^2 reaches 0 on [0, D] it is not admissible.  Raises
+    AdmissibilityError where l is not admissible on [0, diameter].
     """
-    if name == "quartic":
+    text = text.strip()
+    quartic = re.fullmatch(r"quartic(?:\(([^)]*)\))?", text)
+    if quartic:
+        eps = quartic.group(1)
         try:
             value = DEFAULT_QUARTIC_EPS if eps is None else float(eps)
         except ValueError:
             value = math.nan
         if not 0.0 < value < math.inf:
             raise InputError(f"quartic eps must be finite and positive, got {eps!r}")
-        text = f"z^2/2 - {value!r}*z^4"
-        return CostFunction(text, diameter, _QuarticInverse(value), f"quartic({value!r})")
-    if name not in PRESETS:
-        raise InputError(f"unknown preset {name!r}; known: {', '.join(sorted(PRESETS))}")
-    if eps is not None:
-        raise InputError("eps applies only to the quartic preset")
-    info = PRESETS[name]
-    return CostFunction(info.text, diameter, info.analytic_inverse, name)
-
-
-def make_cost(text, diameter):
-    """The CostFunction on [0, diameter] that cost text names, surrounding
-    whitespace stripped: a preset name, quartic(eps), or an expression in z.
-    Only a preset carries an analytic inverse.  Raises AdmissibilityError
-    where l is not admissible on [0, diameter].
-    """
-    text = text.strip()
-    quartic = re.fullmatch(r"quartic\(([^)]*)\)", text)
-    if quartic:
-        return preset("quartic", diameter, eps=quartic.group(1))
+        return CostFunction(f"z^2/2 - {value!r}*z^4", diameter, _QuarticInverse(value))
     if text in PRESETS:
-        return preset(text, diameter)
+        return CostFunction(PRESETS[text].text, diameter, PRESETS[text].analytic_inverse)
     return CostFunction(text, diameter)

@@ -257,7 +257,7 @@ def _noise_band(z, profile, limit):
     roundoff scale.  Elementwise, and bitwise:
 
         scale = maximum(1, maximum(|A|, |B|))
-        tiny = clip(minimum(1, |A|), 1e-3, 1)
+        tiny = clip(|A|, 1e-3, 1)
         band = where(z >= limit, _NOISE_BAND_COEFF * (scale / tiny)**3
                      * (1 + 1 / maximum(z, limit)**2), 1e-12 * scale)
 
@@ -267,7 +267,6 @@ def _noise_band(z, profile, limit):
     scale = np.abs(profile["B"])
     np.maximum(tiny, scale, out=scale)
     np.maximum(1.0, scale, out=scale)
-    np.minimum(1.0, tiny, out=tiny)
     np.clip(tiny, 1e-3, 1.0, out=tiny)
     direct = np.divide(scale, tiny, out=tiny)
     np.power(direct, 3, out=direct)
@@ -284,9 +283,10 @@ def _noise_band(z, profile, limit):
 def coefficient_arrays(cost, K, z):
     """A, B, A', A'', B', alpha..delta (gamma is B'') and band at each z >= 0.
 
-    The one public entry point of the profiles: z is a scalar or an array,
-    and every value comes back as an array of z's size.  band is the roundoff
-    band of alpha..delta (_noise_band), shaped by each point's branch.
+    The scan's entry point of the profiles; profile_row is the routes' one,
+    and both read _profiles.  z is a scalar or an array, and every value
+    comes back as an array of z's size.  band is the roundoff band of
+    alpha..delta (_noise_band), shaped by each point's branch.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     profile, limit = _profiles(cost, K, z)

@@ -1,9 +1,10 @@
 """Parser and evaluators for the radial-cost expression grammar.
 
 Grammar: literals, the variable z, unary minus, binary + - * / and ^ with an
-integer exponent, and single-argument calls to the elementary functions known
-to the jet module.  Precedence is ^ > unary minus > * / > + -, all binary
-operators left-associative; whitespace is insignificant.
+integer exponent of size at most MAX_EXPONENT, and single-argument calls to
+the elementary functions known to the jet module.  Precedence is ^ > unary
+minus > * / > + -, all binary operators left-associative; whitespace is
+insignificant.
 
 Each operator, call and pair of parentheses is one level of depth over its
 operands; the parser and the evaluators recurse per level, up to MAX_DEPTH.
@@ -22,6 +23,8 @@ from .jets import ELEMENTARY_FUNCTIONS, Jet, jet_compose
 # far above any preset (depth 4); the parser takes six frames per level, well
 # within Python's default recursion limit of 1000
 MAX_DEPTH = 100
+# the int64 range; read before int(), which refuses over 4,300 digits
+MAX_EXPONENT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,12 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind != "num" or not value.isdigit():
             self.fail(("integer exponent",))
+        digits = value.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent beyond {MAX_EXPONENT}", pos,
+                             expected=("integer exponent",))
         self.advance()
-        return sign * int(value)
+        return sign * int(digits)
 
     def atom(self):
         kind, value, pos = self.peek()

@@ -63,14 +63,14 @@ def random_orthogonal_pair(form, base, rng):
 
 
 CANONICAL_CASES = [
-    # (preset name, curvature, diameter, eps)
-    ("sq", 0, 2.0, None),
-    ("neg-cosh", -1, 2.0, None),
-    ("neg-log1p-cosh", -1, 2.0, None),
-    ("log-cosh", -1, 2.0, None),
-    ("neg-log-cosh", -1, 2.0, None),
-    ("neg-log1p-cos", 1, 2.5, None),
-    ("quartic", 0, 1.0, 1e-3),
+    # (preset text for make_cost, curvature, diameter)
+    ("sq", 0, 2.0),
+    ("neg-cosh", -1, 2.0),
+    ("neg-log1p-cosh", -1, 2.0),
+    ("log-cosh", -1, 2.0),
+    ("neg-log-cosh", -1, 2.0),
+    ("neg-log1p-cos", 1, 2.5),
+    ("quartic(0.001)", 0, 1.0),
 ]
 
 # (expression, curvature, diameter) of costs with a small l''(0): the radius

@@ -13,7 +13,7 @@ from helpers import CANONICAL_CASES, random_orthogonal_pair
 from mtwcheck import (A3S, A3W_ONLY, SpaceForm, classify, cost_exp,
                       jacobi_residual, make_cost, minus_grad_x_cost, mtw_closed,
                       mtw_definitional, mtw_via_jacobi, parse_cost, perturbation_check,
-                      preset, profile_row, scan_conditions)
+                      profile_row, scan_conditions)
 from mtwcheck.curvature import coefficient_arrays
 from mtwcheck.expressions import evaluate
 from mtwcheck.jets import Jet, jet_compose
@@ -34,7 +34,7 @@ def test_criterion_1_paper_verdict_suite():
     ]
     ok = True
     for name, K, D, expected in cases:
-        cost = preset(name, D)
+        cost = make_cost(name, D)
         for n in (2, 3):
             started = time.perf_counter()
             verdict = scan_conditions(cost, K, n, grid_points=4096)
@@ -47,7 +47,7 @@ def test_criterion_2_closed_form_coefficient_fixtures():
     tol = 1e-9
     ok = True
 
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     z = np.linspace(0.0, cost.zmax, 100)
     prof = coefficient_arrays(cost, -1, z)
     root = np.sqrt(1.0 + z * z)
@@ -57,20 +57,20 @@ def test_criterion_2_closed_form_coefficient_fixtures():
     ok &= np.max(np.abs(prof["delta"] + root ** -1)) < tol
 
     for name, K, D in [("neg-log1p-cosh", -1, 2.0), ("neg-log1p-cos", 1, 2.5)]:
-        cost = preset(name, D)
+        cost = make_cost(name, D)
         z = np.linspace(0.0, cost.zmax, 100)
         prof = coefficient_arrays(cost, K, z)
         for key in ("alpha", "beta", "gamma", "delta"):
             ok &= np.max(np.abs(prof[key] + 1.0)) < tol
 
     for name in ("log-cosh", "neg-log-cosh"):
-        cost = preset(name, 2.0)
+        cost = make_cost(name, 2.0)
         z = np.linspace(0.0, cost.zmax, 100)
         prof = coefficient_arrays(cost, -1, z)
         for key in ("alpha", "beta", "gamma", "delta"):
             ok &= np.max(np.abs(prof[key])) < tol
 
-    cost = preset("sq", 5.0)
+    cost = make_cost("sq", 5.0)
     z = np.linspace(0.0, cost.zmax, 100)
     prof = coefficient_arrays(cost, 0, z)
     for key in ("alpha", "beta", "gamma", "delta"):
@@ -81,12 +81,12 @@ def test_criterion_2_closed_form_coefficient_fixtures():
 
 def test_criterion_3_three_route_agreement():
     started = time.perf_counter()
-    presets_for_K = {-1: ("neg-cosh", 2.0, None), 0: ("quartic", 1.0, 1e-3),
-                     1: ("neg-log1p-cos", 2.5, None)}
+    presets_for_K = {-1: ("neg-cosh", 2.0), 0: ("quartic(0.001)", 1.0),
+                     1: ("neg-log1p-cos", 2.5)}
     ok = True
     for K in (-1, 0, 1):
-        name, D, eps = presets_for_K[K]
-        cost = preset(name, D, eps=eps) if eps else preset(name, D)
+        name, D = presets_for_K[K]
+        cost = make_cost(name, D)
         for n in (2, 3, 4):
             form = SpaceForm(K, n)
             x = form.canonical_base()
@@ -130,14 +130,14 @@ def test_criterion_4_jacobi_map_validation():
 
 
 def test_criterion_5_cost_exponential_roundtrip():
-    cases = [("sq", (-1, 0, 1), 2.0, None), ("neg-cosh", (-1,), 2.0, None),
-             ("neg-log1p-cosh", (-1,), 2.0, None), ("log-cosh", (-1,), 2.0, None),
-             ("neg-log-cosh", (-1,), 2.0, None), ("neg-log1p-cos", (1,), 2.5, None),
-             ("quartic", (0,), 1.0, 1e-3)]
+    cases = [("sq", (-1, 0, 1), 2.0), ("neg-cosh", (-1,), 2.0),
+             ("neg-log1p-cosh", (-1,), 2.0), ("log-cosh", (-1,), 2.0),
+             ("neg-log-cosh", (-1,), 2.0), ("neg-log1p-cos", (1,), 2.5),
+             ("quartic(0.001)", (0,), 1.0)]
     ok = True
     rng = np.random.default_rng(500)
-    for name, curvatures, D, eps in cases:
-        cost = preset(name, D, eps=eps) if eps else preset(name, D)
+    for name, curvatures, D in cases:
+        cost = make_cost(name, D)
         for K in curvatures:
             form = SpaceForm(K, 3)
             for _ in range(100):
@@ -147,7 +147,7 @@ def test_criterion_5_cost_exponential_roundtrip():
                 back = cost_exp(cost, form, x, minus_grad_x_cost(cost, form, x, y))
                 ok &= float(np.max(np.abs(back - y))) < 1e-9
     # for the identity-inverse cost the two exponentials coincide
-    cost = preset("sq", 2.0)
+    cost = make_cost("sq", 2.0)
     for K in (-1, 0, 1):
         form = SpaceForm(K, 3)
         for _ in range(50):
@@ -164,7 +164,7 @@ def test_criterion_6_perturbation_criterion():
     for b in (0.5, 1.0, 2.0):
         ok &= perturbation_check(profile, -1.0, b).holds
     eps = 1e-3
-    cost = preset("quartic", 1.0, eps=eps)
+    cost = make_cost(f"quartic({eps})", 1.0)
     verdict = scan_conditions(cost, 0, 3, grid_points=4096)
     ok &= verdict.status == A3S
     zmax = cost.zmax
@@ -209,7 +209,7 @@ def test_criterion_8_module_invariant_spotchecks():
         y = form.exp_map(x, form.random_tangent(x, rng))
         ok &= model_violation(form, y) < 1e-9
     # quadratic homogeneity through both analytic routes
-    cost = preset("neg-log1p-cosh", 2.0)
+    cost = make_cost("neg-log1p-cosh", 2.0)
     x = form.canonical_base()
     for _ in range(50):
         u = form.random_tangent(x, rng)
@@ -223,7 +223,7 @@ def test_criterion_8_module_invariant_spotchecks():
             ok &= abs(scaled - lam ** 2 * base_val) <= 1e-10 * max(1.0, abs(base_val)) * lam ** 2
     # grid refinement stability
     for name, K, D in [("neg-cosh", -1, 2.0), ("log-cosh", -1, 2.0)]:
-        cost = preset(name, D)
+        cost = make_cost(name, D)
         a = scan_conditions(cost, K, 3, grid_points=512)
         b = scan_conditions(cost, K, 3, grid_points=8192)
         ok &= a.status == b.status
@@ -236,7 +236,7 @@ def test_criterion_8_module_invariant_spotchecks():
 # log(cosh z) + 0.05 z^2 fails on the combo condition alone from a z between
 # 0.995 and 0.998 |l'(D)|.  REDUCTION_Z takes both, so that a defect in the
 # combo flips the verdict at one of them.
-REDUCTION_CASES = [(preset(name, D, eps).name, K, D) for name, K, D, eps in CANONICAL_CASES] + [
+REDUCTION_CASES = CANONICAL_CASES + [
     ("sq", -1, 2.0), ("sq", 1, 2.5), ("-log(0.5+cosh(z))", -1, 2.0),
     ("log(cosh(z)) + 0.05*z^2", -1, 2.0), ("log(cosh(z)) + 0.05*z^2", 0, 2.0),
     ("log(cosh(z)) - 0.01*z^2", -1, 2.0), ("z^2/2 + 0.01*z^4", 0, 2.0),

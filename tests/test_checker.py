@@ -5,7 +5,7 @@ import pytest
 from helpers import random_orthogonal_pair, scan_table
 
 from mtwcheck import (A3S, A3W_ONLY, FAILS, SpaceForm, classify, mtw_closed,
-                      parse_cost, perturbation_check, preset, profile_row, scan_conditions)
+                      parse_cost, perturbation_check, profile_row, scan_conditions)
 from mtwcheck import checker
 from mtwcheck.checker import STRICT_MARGIN, _grid_chunks
 from mtwcheck.costs import make_cost
@@ -69,26 +69,26 @@ def test_classify_monotone_in_beta_gamma_delta():
 
 
 SCAN_EXPECTATIONS = [
-    ("neg-cosh", -1, 2.0, None, A3S),
-    ("neg-log1p-cosh", -1, 2.0, None, A3S),
-    ("log-cosh", -1, 2.0, None, A3W_ONLY),
-    ("neg-log-cosh", -1, 2.0, None, A3W_ONLY),
-    ("neg-log1p-cos", 1, 2.5, None, A3S),
-    ("sq", 0, 5.0, None, A3W_ONLY),
-    ("quartic", 0, 1.0, 1e-3, A3S),
+    ("neg-cosh", -1, 2.0, A3S),
+    ("neg-log1p-cosh", -1, 2.0, A3S),
+    ("log-cosh", -1, 2.0, A3W_ONLY),
+    ("neg-log-cosh", -1, 2.0, A3W_ONLY),
+    ("neg-log1p-cos", 1, 2.5, A3S),
+    ("sq", 0, 5.0, A3W_ONLY),
+    ("quartic(0.001)", 0, 1.0, A3S),
 ]
 
 
-@pytest.mark.parametrize("name,K,D,eps,expected", SCAN_EXPECTATIONS)
-def test_scan_preset_verdicts(name, K, D, eps, expected):
-    cost = preset(name, D, eps=eps) if eps else preset(name, D)
+@pytest.mark.parametrize("name,K,D,expected", SCAN_EXPECTATIONS)
+def test_scan_preset_verdicts(name, K, D, expected):
+    cost = make_cost(name, D)
     for n in (2, 3):
         verdict = scan_conditions(cost, K, n)
         assert verdict.status == expected, (name, n)
 
 
 def test_scan_zero_profile_slacks_are_tiny():
-    cost = preset("log-cosh", 2.0)
+    cost = make_cost("log-cosh", 2.0)
     verdict = scan_conditions(cost, -1, 3)
     assert all(abs(s) < 1e-6 for s in verdict.min_slacks.values())
 
@@ -101,19 +101,19 @@ def test_scan_rejects_inadmissible():
 
 
 def test_scan_sphere_diameter_guard():
-    cost = preset("sq", 3.2)
+    cost = make_cost("sq", 3.2)
     with pytest.raises(InputError, match="clear of the cot pole"):
         scan_conditions(cost, 1, 3)
 
 
 def test_scan_rejects_a_curvature_without_a_model():
     with pytest.raises(InputError, match="curvature must be -1, 0, or \\+1, got 2"):
-        scan_conditions(preset("neg-cosh", 2.0), 2, 3)
+        scan_conditions(make_cost("neg-cosh", 2.0), 2, 3)
 
 
 def test_scan_grid_refinement_stable():
-    for name, K, D, eps, expected in SCAN_EXPECTATIONS:
-        cost = preset(name, D, eps=eps) if eps else preset(name, D)
+    for name, K, D, expected in SCAN_EXPECTATIONS:
+        cost = make_cost(name, D)
         coarse = scan_conditions(cost, K, 3, grid_points=512)
         fine = scan_conditions(cost, K, 3, grid_points=8192)
         assert coarse.status == fine.status == expected
@@ -121,8 +121,8 @@ def test_scan_grid_refinement_stable():
 
 def test_scan_dimension_consistency():
     # strict at n >= 3 implies strict at n = 2 (fewer conditions)
-    for name, K, D, eps, expected in SCAN_EXPECTATIONS:
-        cost = preset(name, D, eps=eps) if eps else preset(name, D)
+    for name, K, D, expected in SCAN_EXPECTATIONS:
+        cost = make_cost(name, D)
         v3 = scan_conditions(cost, K, 3)
         if v3.status == A3S:
             v2 = scan_conditions(cost, K, 2)
@@ -159,7 +159,7 @@ def test_scan_finds_the_violation_at_moderate_h():
 
 
 def test_scan_table_columns():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     verdict, table = scan_table(cost, -1, 3, grid_points=512)
     assert verdict.status == A3S
     # z, every column coefficient_arrays returns (band, A' and B'' as gamma
@@ -197,19 +197,19 @@ def _full_grid_scan(cost, K, n, grid_points):
     return status, float(z[int(np.argmin(slack_min))]), min_slacks, table
 
 
-CHUNK_COSTS = [(name, K, D, eps) for name, K, D, eps, _ in SCAN_EXPECTATIONS] + [
-    ("log(cosh(z))", -1, 2.0, None),  # h from the Newton inverse
-    ("sq", -1, 2.0, None),  # beta > 0 everywhere: no point defines the combo
-    ("z^2/2 + 0.1*z^4", 0, 1.0, None),  # 34 of 256 points define the combo
+CHUNK_COSTS = [case[:3] for case in SCAN_EXPECTATIONS] + [
+    ("log(cosh(z))", -1, 2.0),  # h from the Newton inverse
+    ("sq", -1, 2.0),  # beta > 0 everywhere: no point defines the combo
+    ("z^2/2 + 0.1*z^4", 0, 1.0),  # 34 of 256 points define the combo
 ]
 
 
 @pytest.mark.parametrize("chunk,grid", [(1000, 4096), (1, 256), (None, 8193)])
-@pytest.mark.parametrize("name,K,D,eps", CHUNK_COSTS)
-def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D, eps):
+@pytest.mark.parametrize("name,K,D", CHUNK_COSTS)
+def test_chunked_scan_matches_full_grid(monkeypatch, chunk, grid, name, K, D):
     if chunk is not None:
         monkeypatch.setattr(checker, "SCAN_CHUNK", chunk)
-    cost = make_cost(name if eps is None else f"{name}({eps!r})", D)
+    cost = make_cost(name, D)
     for n in (2, 3):
         status, witness, min_slacks, ref = _full_grid_scan(cost, K, n, grid)
         verdict, table = scan_table(cost, K, n, grid)
@@ -247,7 +247,7 @@ def test_grid_chunk_edge_cases_equal_linspace(monkeypatch, start, stop, grid):
 def test_scan_weak_points_have_nonnegative_curvature():
     # wherever the scan reports a weak pass, sampling orthogonal pairs and
     # evaluating the closed formula must produce no materially negative value
-    cost = preset("log-cosh", 2.0)
+    cost = make_cost("log-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(77)
@@ -320,7 +320,7 @@ def test_perturbation_input_validation():
 
 def test_quartic_coefficients_track_minus_eight_eps():
     eps = 1e-3
-    cost = preset("quartic", 1.0, eps=eps)
+    cost = make_cost(f"quartic({eps})", 1.0)
     from mtwcheck.curvature import coefficient_arrays
     zmax = cost.zmax
     z = np.linspace(zmax / 200.0, zmax, 200)
@@ -334,7 +334,7 @@ def test_quartic_coefficients_track_minus_eight_eps():
 def test_noise_sits_orders_below_band(name, K):
     # coefficients that vanish identically expose pure roundoff; the band
     # comment in curvature.py promises about 1.5 orders of headroom
-    cost = preset(name, 2.0)
+    cost = make_cost(name, 2.0)
     z = np.linspace(0.0, cost.zmax, 65536)
     prof = coefficient_arrays(cost, K, z)
     band = prof["band"]
@@ -427,11 +427,11 @@ def test_noise_band_equals_its_formula_bitwise():
     assert all(_bitwise_equal(c, ref) for c, ref in zip((z, A, B), inputs))
 
 
-@pytest.mark.parametrize("name,K,D,eps", [case[:4] for case in SCAN_EXPECTATIONS])
-def test_scan_leaves_its_chunk_tables_unchanged(name, K, D, eps):
+@pytest.mark.parametrize("name,K,D", [case[:3] for case in SCAN_EXPECTATIONS])
+def test_scan_leaves_its_chunk_tables_unchanged(name, K, D):
     # each chunk's arrays are written in place while the chunk is built; the
     # tables on_chunk receives must keep their values after the scan
-    cost = preset(name, D, eps=eps) if eps else preset(name, D)
+    cost = make_cost(name, D)
     tables, copies = [], []
 
     def keep(table):

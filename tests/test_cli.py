@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from helpers import cli_report, scan_table
 
 import mtwcheck
-from mtwcheck import PRESETS, checker, cli, csvtext, make_cost, preset
+from mtwcheck import PRESETS, checker, cli, csvtext, make_cost
 from mtwcheck.cli import CSV_CHUNK_ROWS, CSV_COLUMNS, RunReport, _write_csv, main
 from mtwcheck.csvtext import format_rows
 from mtwcheck.errors import AdmissibilityError, InputError
@@ -383,7 +383,7 @@ def test_sphere_diameter_at_the_cot_pole_exit_2(capsys, command):
 
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "abc", ""])
 def test_quartic_non_finite_eps_exit_2(capsys, eps):
-    # the message names eps, not an offset into the text preset() builds
+    # the message names eps, not an offset into the text make_cost builds
     code, out, err = run(capsys, "check", f"--cost=quartic({eps})", "--K", "0", "--dim", "2")
     assert code == 2 and out == ""
     assert "quartic eps must be finite and positive" in err and "offset" not in err
@@ -596,7 +596,7 @@ def test_check_csv_streams_chunks(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "check", "--cost", "neg-cosh", "--K", "-1", "--dim", "3",
                      "--grid", "4500", "--csv", str(got))
     assert code == 0
-    _, table = scan_table(preset("neg-cosh", 2.0), -1, 3, grid_points=4500)
+    _, table = scan_table(make_cost("neg-cosh", 2.0), -1, 3, grid_points=4500)
     _csv_writer_reference(expected, table)
     assert got.read_bytes() == expected.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "got.csv"]

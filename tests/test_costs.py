@@ -7,33 +7,28 @@ import numpy as np
 import pytest
 from helpers import CANONICAL_CASES
 
-from mtwcheck import (costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, preset,
-                      scan_conditions)
+from mtwcheck import costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, scan_conditions
 from mtwcheck.costs import _newton_inverse, _QuarticInverse
 from mtwcheck.errors import AdmissibilityError, InputError, NumericError
 
 
-def _preset(name, diameter, eps=None):
-    return preset(name, diameter, eps=eps) if eps else preset(name, diameter)
-
-
 def test_sq_admissible():
-    assert preset("sq", 1.0).lprime_sign == 1
+    assert make_cost("sq", 1.0).lprime_sign == 1
 
 
 def test_neg_cosh_admissible_with_negative_sign():
-    assert preset("neg-cosh", 2.0).lprime_sign == -1
+    assert make_cost("neg-cosh", 2.0).lprime_sign == -1
 
 
-_PRESET_SIGNS = {"sq": 1, "log-cosh": 1, "neg-log1p-cos": 1, "quartic": 1,
+_PRESET_SIGNS = {"sq": 1, "log-cosh": 1, "neg-log1p-cos": 1, "quartic(0.001)": 1,
                  "neg-cosh": -1, "neg-log1p-cosh": -1, "neg-log-cosh": -1}
 
 
-@pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
-def test_lprime_sign_derived_from_lpp_at_zero(name, K, diameter, eps):
+@pytest.mark.parametrize("name,K,diameter", CANONICAL_CASES)
+def test_lprime_sign_derived_from_lpp_at_zero(name, K, diameter):
     # the sign of l'' on [0, D], read at 0, for both the preset and the same
     # expression without its analytic inverse
-    cost = _preset(name, diameter, eps)
+    cost = make_cost(name, diameter)
     assert cost.lprime_sign == _PRESET_SIGNS[name]
     assert make_cost(cost.text, diameter).lprime_sign == _PRESET_SIGNS[name]
 
@@ -50,11 +45,6 @@ def test_odd_term_beyond_the_origin_jet_not_even():
     with pytest.raises(AdmissibilityError) as err:
         make_cost("z^2/2 + z^7", 1.0)
     assert err.value.kind == "not-even" and err.value.witness == 0.125
-
-
-def test_eps_rejected_outside_the_quartic_preset():
-    with pytest.raises(InputError, match="eps applies only to the quartic preset"):
-        preset("neg-cosh", 2.0, eps=1e-3)
 
 
 def test_pure_quartic_rejected_at_zero():
@@ -101,49 +91,49 @@ def test_undefined_cost_names_first_grid_point():
 
 
 def test_inverse_identity_cost():
-    cost = preset("sq", 1.0)
+    cost = make_cost("sq", 1.0)
     assert inverse_lprime(cost, 0.3) == pytest.approx(0.3, abs=1e-14)
 
 
 def test_inverse_neg_cosh_by_hand():
     # l' = -sinh, so h(sinh 1) solves -sinh(h) = sinh(1), i.e. h = -1
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     assert inverse_lprime(cost, np.sinh(1.0)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_inverse_neg_log1p_cosh_by_hand():
     # l' = -tanh(z/2), inverted analytically: h(y) = -2*atanh(y)
-    cost = preset("neg-log1p-cosh", 2.0)
+    cost = make_cost("neg-log1p-cosh", 2.0)
     assert inverse_lprime(cost, 0.5) == pytest.approx(-2.0 * np.arctanh(0.5), abs=1e-12)
     assert inverse_lprime(cost, 0.5) == pytest.approx(-1.0986, abs=1e-4)
 
 
 def test_inverse_out_of_range():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     with pytest.raises(InputError, match=r"exceeds \|l'\(D\)\| = "):
         inverse_lprime(cost, cost.zmax * 1.01)
 
 
-@pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
-def test_inverse_residual_on_presets(name, K, diameter, eps):
-    cost = _preset(name, diameter, eps)
+@pytest.mark.parametrize("name,K,diameter", CANONICAL_CASES)
+def test_inverse_residual_on_presets(name, K, diameter):
+    cost = make_cost(name, diameter)
     ys = np.linspace(0.0, cost.zmax, 100)
     hs = inverse_lprime(cost, ys)
     residual = np.abs(np.asarray(cost.lprime(hs)) - ys)
     assert np.max(residual) <= 1e-12 * np.maximum(1.0, ys).max()
 
 
-@pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
-def test_inverse_is_odd(name, K, diameter, eps):
-    cost = _preset(name, diameter, eps)
+@pytest.mark.parametrize("name,K,diameter", CANONICAL_CASES)
+def test_inverse_is_odd(name, K, diameter):
+    cost = make_cost(name, diameter)
     ys = np.linspace(0.0, cost.zmax, 25)
     assert np.array_equal(np.asarray(inverse_lprime(cost, -ys)),
                           -np.asarray(inverse_lprime(cost, ys)))
 
 
-@pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
-def test_newton_matches_analytic_inverse(name, K, diameter, eps):
-    cost = _preset(name, diameter, eps)
+@pytest.mark.parametrize("name,K,diameter", CANONICAL_CASES)
+def test_newton_matches_analytic_inverse(name, K, diameter):
+    cost = make_cost(name, diameter)
     numeric = make_cost(cost.text, diameter)
     assert numeric.analytic_inverse is None
     ys = np.linspace(-0.999 * cost.zmax, 0.999 * cost.zmax, 41)
@@ -210,21 +200,21 @@ def test_newton_inverse_is_relative_at_tiny_targets(text, D, y, lprime, h_start)
 
 
 def test_eval_cost_jet_neg_cosh_at_zero():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     jet = eval_cost_jet(cost, 0.0)
     expected = [-1.0, 0.0, -0.5, 0.0, -1.0 / 24.0, 0.0, -1.0 / 720.0]
     assert np.allclose([float(c) for c in jet.coeffs], expected, atol=1e-15)
 
 
 def test_eval_cost_jet_log_cosh_at_zero():
-    cost = preset("log-cosh", 2.0)
+    cost = make_cost("log-cosh", 2.0)
     jet = eval_cost_jet(cost, 0.0)
     assert jet.derivative(1) == pytest.approx(0.0, abs=1e-15)
     assert jet.derivative(2) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_eval_cost_jet_quartic_first_derivative():
-    cost = preset("quartic", 1.0, eps=1e-3)
+    cost = make_cost("quartic(0.001)", 1.0)
     assert float(cost.lprime(1.0)) == pytest.approx(0.996, abs=1e-15)
 
 
@@ -250,29 +240,33 @@ def test_quartic_admissibility_guard():
     # l'' = 1 - 12*eps*z^2 changes sign at z = 9.129 on [0, 10], and is 0
     # at D where 12*eps*D^2 = 1: the admissibility check refuses both
     with pytest.raises(AdmissibilityError) as err:
-        preset("quartic", 10.0, eps=1e-3)
+        make_cost("quartic(0.001)", 10.0)
     assert err.value.kind == "lpp-sign-change"
     assert err.value.witness == pytest.approx(9.137, abs=1e-3)
     with pytest.raises(AdmissibilityError) as err:
-        preset("quartic", 1.0, eps=1.0 / 12.0)
+        make_cost(f"quartic({1.0 / 12.0!r})", 1.0)
     assert (err.value.kind, err.value.witness) == ("lpp-zero", 1.0)
 
 
 def test_make_cost_forms():
     # a preset name, stripped, carries the preset's analytic inverse
     named = make_cost(" neg-cosh\n", 2.0)
-    assert (named.name, named.text) == ("neg-cosh", "-cosh(z)")
+    assert named.text == "-cosh(z)"
     assert named.analytic_inverse is costs.PRESETS["neg-cosh"].analytic_inverse
     # a preset's expression text is an expression, inverted by Newton
     text = make_cost("\t-cosh(z) ", 2.0)
-    assert (text.name, text.text, text.analytic_inverse) == (None, "-cosh(z)", None)
-    quartic, ref = make_cost("quartic(0.002)", 1.0), preset("quartic", 1.0, eps=0.002)
-    assert quartic.analytic_inverse is not None and quartic == ref
-    assert (quartic.name, quartic.text) == (ref.name, ref.text) == ("quartic(0.002)",
-                                                                    "z^2/2 - 0.002*z^4")
-    assert quartic.zmax.hex() == ref.zmax.hex()
+    assert (text.text, text.analytic_inverse) == ("-cosh(z)", None)
+    # quartic(eps) carries the quartic's inverse of eps, converted once, so
+    # two spellings of one eps are one cost; bare quartic has the default eps
+    quartic = make_cost("quartic(0.002)", 1.0)
+    assert quartic.text == "z^2/2 - 0.002*z^4"
+    assert quartic.analytic_inverse == _QuarticInverse(0.002)
+    assert make_cost("quartic( 2e-3 )", 1.0) == quartic
+    bare = make_cost("quartic", 1.0)
+    assert bare == make_cost(f"quartic({costs.DEFAULT_QUARTIC_EPS!r})", 1.0)
+    assert bare.analytic_inverse == _QuarticInverse(costs.DEFAULT_QUARTIC_EPS)
     custom = make_cost("z^2/2", 1.0)
-    assert custom.name is None and custom.analytic_inverse is None
+    assert custom.analytic_inverse is None
 
 
 @pytest.mark.parametrize("text", sorted(costs.PRESETS) + [
@@ -285,13 +279,6 @@ def test_construction_derives_the_expression(text):
     assert type(cost.diameter) is float and cost.diameter == 1.0
     twin = make_cost(text, 1.0)
     assert twin == cost and hash(twin) == hash(cost)
-    if text in costs.PRESETS:
-        assert type(preset(text, 2).diameter) is float and preset(text, 2).diameter == 2.0
-
-
-def test_unknown_preset():
-    with pytest.raises(InputError, match="unknown preset 'does-not-exist'; known: "):
-        preset("does-not-exist", 1.0)
 
 
 def test_zmax_evaluated_once(monkeypatch):
@@ -302,7 +289,7 @@ def test_zmax_evaluated_once(monkeypatch):
         return eval_cost_jet(cost, z0, length)
 
     monkeypatch.setattr(costs, "eval_cost_jet", counting)
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     # construction reads l'(D) off the admissibility grid, whose last point
     # is D, and evaluates no jet at the scalar D
     assert calls and not any(np.ndim(z0) == 0 and z0 == 2.0 for z0, _ in calls)
@@ -312,7 +299,7 @@ def test_zmax_evaluated_once(monkeypatch):
     assert [v.hex() for v in values] == [abs(float(cost.lprime(2.0))).hex()] * 5
     assert values[0] == pytest.approx(np.sinh(2.0), rel=1e-15)
     # zmax and lprime_sign are not part of the cost's identity
-    fresh = preset("neg-cosh", 2.0)
+    fresh = make_cost("neg-cosh", 2.0)
     assert fresh == cost and hash(fresh) == hash(cost)
     assert "zmax" not in repr(cost)
 
@@ -350,53 +337,47 @@ def test_quartic_inverse_residual(eps):
     assert np.all(np.abs(root - 4.0 * eps * root ** 3 - y) <= 2.3e-16 * y)
 
 
-def _two_branch_quartic_inverse(eps, y):
-    """The quartic's inverse with both starts evaluated at every point and
-    np.where choosing between them."""
-    root3eps = np.sqrt(3.0 * eps)
-    a = np.clip(3.0 * root3eps * y, -1.0, 1.0)
-    root = np.where(np.abs(a) < 1e-8, np.sin(np.arcsin(a) / 3.0),
-                    np.cos(np.arccos(-a) / 3.0 - 2.0 * np.pi / 3.0)) / root3eps
-    for _ in range(2):
-        root = root - (root - 4.0 * eps * root ** 3 - y) / (1.0 - 12.0 * eps * root ** 2)
-    return root
-
-
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
-def test_quartic_start_keeps_the_bits_of_both_branches(eps):
-    # the sine start is evaluated only where |a| < 1e-8, a = 3 sqrt(3 eps) y;
-    # h must keep the bits of the formula that evaluates both starts
-    # everywhere, on both sides of that edge, and on arrays and scalars
+def test_quartic_inverse_is_within_4_ulp_of_the_root(eps):
+    # against the root of h - 4*eps*h^3 = y found in 40 digits from h(y),
+    # which is the root connected to h = y when it lies in [|y|, 1/sqrt(12*eps)],
+    # where that side of the cubic increases; on both sides of |a| = 1e-8,
+    # a = 3*sqrt(3*eps)*y, and on arrays and scalars
+    import mpmath
     h = _QuarticInverse(eps)
     edge = 1e-8 / (3.0 * np.sqrt(3.0 * eps))
     ymax = 0.99 / (3.0 * np.sqrt(3.0 * eps))
     near = edge * np.array([0.0, 1e-300, 1e-9, 0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0, 1e3])
-    y = np.concatenate([near, -near, np.nextafter(edge, 0.0) * np.ones(1),
-                        np.nextafter(edge, 1.0) * np.ones(1),
-                        np.geomspace(edge * 1e-6, edge * 1e6, 101),
-                        np.linspace(-ymax, ymax, 257)])
-    assert h(y).tobytes() == _two_branch_quartic_inverse(eps, y).tobytes()
-    for value in y[::7]:
-        for scalar in (value, np.asarray(value)):
-            got = h(scalar)
-            assert np.shape(got) == ()
-            assert np.float64(got).tobytes() == np.float64(
-                _two_branch_quartic_inverse(eps, scalar)).tobytes()
+    y = np.concatenate([near, -near, [np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)],
+                        np.geomspace(edge * 1e-6, edge * 1e6, 41),
+                        np.linspace(-ymax, ymax, 65)])
+    got = h(y)
+    with mpmath.mp.workdps(40):
+        top = 1 / mpmath.sqrt(12 * mpmath.mpf(eps))
+        for i, (value, root) in enumerate(zip(y.tolist(), got.tolist())):
+            ref = mpmath.findroot(lambda t: t - 4 * mpmath.mpf(eps) * t ** 3 - value, root)
+            assert abs(value) <= abs(ref) <= top, value
+            ulp = np.spacing(abs(float(ref)))
+            assert abs(root - ref) <= 4 * ulp, value
+            if i % 7 == 0:
+                for scalar in (value, np.asarray(value)):
+                    alone = h(scalar)
+                    assert np.shape(alone) == () and abs(float(alone) - ref) <= 4 * ulp, value
 
 
-_SUBNORMAL_STEP_CASES = [("neg-cosh", -1, None, "A3s"), ("sq", 0, None, "A3w-only"),
-                         ("neg-log1p-cos", 1, None, "A3s"), ("quartic", 0, 1e-3, "A3s")]
+_SUBNORMAL_STEP_CASES = [("neg-cosh", -1, "A3s"), ("sq", 0, "A3w-only"),
+                         ("neg-log1p-cos", 1, "A3s"), ("quartic(0.001)", 0, "A3s")]
 
 
-@pytest.mark.parametrize("name,K,eps,status", _SUBNORMAL_STEP_CASES)
+@pytest.mark.parametrize("name,K,status", _SUBNORMAL_STEP_CASES)
 @pytest.mark.parametrize("diameter", [1e-320, 5e-324, 3e-306])
-def test_subnormal_step_diameter_keeps_the_verdict(name, K, eps, status, diameter):
+def test_subnormal_step_diameter_keeps_the_verdict(name, K, status, diameter):
     # at these diameters the admissibility grid's step D/255 is subnormal,
     # and np.linspace(0, 1e-320, 256) rounds point 254 above D, where l'
     # exceeds l'(D): the grid is clamped to D, so no false
     # lprime-not-monotone is raised and the scan gives the paper's verdict
     # |l'(D)| is at most D; for neg-log1p-cos at 5e-324 it is D/2, which
     # rounds to 0
-    cost = _preset(name, diameter, eps)
+    cost = make_cost(name, diameter)
     assert 0.0 <= cost.zmax <= diameter
     assert scan_conditions(cost, K, 3, grid_points=256).status == status

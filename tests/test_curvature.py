@@ -9,7 +9,7 @@ from helpers import (CANONICAL_CASES, REFERENCE_DPS, SMALL_LPP_CASES, random_ort
                      reference_errors, reference_profiles, revert)
 
 from mtwcheck import (SpaceForm, curvature, decompose, jacobi_map_closed, make_cost, mtw_closed,
-                      mtw_definitional, mtw_via_jacobi, preset, profile_row)
+                      mtw_definitional, mtw_via_jacobi, profile_row)
 from mtwcheck.cli import main
 from mtwcheck.curvature import SERIES_SWITCH, _profiles, coefficient_arrays
 from mtwcheck.errors import InputError
@@ -23,7 +23,7 @@ def _at(cost, K, z):
 
 
 def test_ab_identity_cost():
-    cost = preset("sq", 5.0)
+    cost = make_cost("sq", 5.0)
     for z in (0.0, 0.5, 2.0, 4.9):
         ab = _at(cost, 0, z)
         assert ab.A == pytest.approx(1.0, abs=1e-12)
@@ -34,7 +34,7 @@ def test_ab_identity_cost():
 
 def test_ab_neg_cosh():
     # h = -asinh, so A(z) = B(z) = -sqrt(1+z^2)
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     for z in np.linspace(0.0, cost.zmax, 37):
         ab = _at(cost, -1, float(z))
         root = np.sqrt(1.0 + z * z)
@@ -48,7 +48,7 @@ def test_ab_neg_cosh():
 
 def test_ab_neg_log1p_cos():
     # h = 2*atan, so A(z) = (1+z^2)/2 and B(z) = (1-z^2)/2
-    cost = preset("neg-log1p-cos", 2.5)
+    cost = make_cost("neg-log1p-cos", 2.5)
     for z in np.linspace(0.0, cost.zmax, 37):
         ab = _at(cost, 1, float(z))
         assert ab.A == pytest.approx((1.0 + z * z) / 2.0, abs=1e-9)
@@ -58,7 +58,7 @@ def test_ab_neg_log1p_cos():
 
 
 def test_ab_out_of_range():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     with pytest.raises(InputError, match=r"exceeds \|l'\(D\)\| = "):
         _at(cost, -1, cost.zmax * 1.01)
     with pytest.raises(InputError, match="profile arguments must be nonnegative"):
@@ -72,7 +72,7 @@ def test_profiles_check_the_sphere_diameter():
 
 
 def test_coefficients_identity_cost():
-    cost = preset("sq", 5.0)
+    cost = make_cost("sq", 5.0)
     for z in (0.0, 1.0, 3.0):
         prof = _at(cost, 0, z)
         for c in (prof.alpha, prof.beta, prof.gamma, prof.delta):
@@ -80,7 +80,7 @@ def test_coefficients_identity_cost():
 
 
 def test_coefficients_neg_log1p_cosh_constant():
-    cost = preset("neg-log1p-cosh", 2.0)
+    cost = make_cost("neg-log1p-cosh", 2.0)
     for z in np.linspace(0.0, cost.zmax, 23):
         prof = _at(cost, -1, float(z))
         for c in (prof.alpha, prof.beta, prof.gamma, prof.delta):
@@ -88,7 +88,7 @@ def test_coefficients_neg_log1p_cosh_constant():
 
 
 def test_coefficients_log_cosh_zero():
-    cost = preset("log-cosh", 2.0)
+    cost = make_cost("log-cosh", 2.0)
     for z in np.linspace(0.0, cost.zmax, 23):
         prof = _at(cost, -1, float(z))
         for c in (prof.alpha, prof.beta, prof.gamma, prof.delta):
@@ -98,7 +98,7 @@ def test_coefficients_log_cosh_zero():
 def test_coefficient_profile_internal_consistency():
     for name, K, D in [("neg-cosh", -1, 2.0), ("neg-log1p-cos", 1, 2.5),
                        ("log-cosh", -1, 2.0)]:
-        cost = preset(name, D)
+        cost = make_cost(name, D)
         for z in np.linspace(0.01, cost.zmax, 50):
             p = _at(cost, K, float(z))
             lhs_alpha = p.alpha * z * z
@@ -115,7 +115,7 @@ def test_limit_consistency_across_branch_switch():
     # near the switching threshold; the direct branch carries an irreducible
     # cancellation floor of a few eps/z^2 ~ 1e-7 right at the switch
     for name, K in [("neg-cosh", -1), ("neg-log1p-cos", 1), ("quartic", 0)]:
-        cost = preset(name, 2.5 if K == 1 else 1.0) if name != "neg-cosh" else preset(name, 2.0)
+        cost = make_cost(name, 2.5 if K == 1 else 1.0) if name != "neg-cosh" else make_cost(name, 2.0)
         below = _at(cost, K, 0.99e-4)
         above = _at(cost, K, 1.01e-4)
         for field in ("A", "B", "alpha", "beta", "gamma", "delta"):
@@ -199,7 +199,7 @@ def test_jacobi_map_small_v_continuity(K, length):
 
 
 def test_mtw_flat_identity_cost_is_zero():
-    cost = preset("sq", 5.0)
+    cost = make_cost("sq", 5.0)
     form = SpaceForm(0, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(5)
@@ -214,7 +214,7 @@ def test_mtw_flat_identity_cost_is_zero():
 
 def test_mtw_worked_example_neg_log1p_cosh():
     # orthogonal u along v, w orthogonal to v: curvature is -(3/2)*beta = 3/2
-    cost = preset("neg-log1p-cosh", 2.0)
+    cost = make_cost("neg-log1p-cosh", 2.0)
     form = SpaceForm(-1, 3)
     v = form.frame_tangent([0.5, 0.0, 0.0])
     u = form.frame_tangent([1.0, 0.0, 0.0])   # u0 = u, |u0| = 1
@@ -225,7 +225,7 @@ def test_mtw_worked_example_neg_log1p_cosh():
 
 
 def test_mtw_quadratic_scaling():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(11)
@@ -244,7 +244,7 @@ def test_mtw_quadratic_scaling():
 
 
 def test_mtw_zero_w():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     u = form.frame_tangent([0.3, 0.4, 0.0])
     v = form.frame_tangent([0.0, 1.0, 0.0])
@@ -255,7 +255,7 @@ def test_mtw_zero_w():
 
 
 def test_mtw_zero_v_rejected():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     u = form.frame_tangent([1.0, 0.0, 0.0])
@@ -266,17 +266,17 @@ def test_mtw_zero_v_rejected():
         mtw_definitional(cost, form, x, u, zero, u)
 
 
-_ROUTE_CASES = [(-1, 2, "neg-cosh", 2.0, None), (-1, 3, "neg-log1p-cosh", 2.0, None),
-                (-1, 4, "neg-cosh", 2.0, None), (0, 2, "quartic", 1.0, 1e-3),
-                (0, 3, "quartic", 1.0, 1e-3), (0, 4, "quartic", 1.0, 1e-3),
-                (1, 2, "neg-log1p-cos", 2.5, None), (1, 3, "neg-log1p-cos", 2.5, None),
-                (1, 4, "neg-log1p-cos", 2.5, None)]
+_ROUTE_CASES = [(-1, 2, "neg-cosh", 2.0), (-1, 3, "neg-log1p-cosh", 2.0),
+                (-1, 4, "neg-cosh", 2.0), (0, 2, "quartic(0.001)", 1.0),
+                (0, 3, "quartic(0.001)", 1.0), (0, 4, "quartic(0.001)", 1.0),
+                (1, 2, "neg-log1p-cos", 2.5), (1, 3, "neg-log1p-cos", 2.5),
+                (1, 4, "neg-log1p-cos", 2.5)]
 
 
-@pytest.mark.parametrize("K,n,name,diameter,eps", _ROUTE_CASES,
+@pytest.mark.parametrize("K,n,name,diameter", _ROUTE_CASES,
                          ids=[f"K{c[0]:+d}n{c[1]}" for c in _ROUTE_CASES])
-def test_route_equivalence_closed_vs_jacobi(K, n, name, diameter, eps):
-    cost = preset(name, diameter, eps=eps) if eps else preset(name, diameter)
+def test_route_equivalence_closed_vs_jacobi(K, n, name, diameter):
+    cost = make_cost(name, diameter)
     form = SpaceForm(K, n)
     x = form.canonical_base()
     rng = np.random.default_rng(1000 + 10 * K + n)
@@ -290,13 +290,13 @@ def test_route_equivalence_closed_vs_jacobi(K, n, name, diameter, eps):
         assert abs(closed - jacobi) <= 1e-8 * max(1.0, abs(closed))
 
 
-@pytest.mark.parametrize("K,n,name,diameter,eps", _ROUTE_CASES,
+@pytest.mark.parametrize("K,n,name,diameter", _ROUTE_CASES,
                          ids=[f"K{c[0]:+d}n{c[1]}" for c in _ROUTE_CASES])
-def test_route_equivalence_on_series_branch(K, n, name, diameter, eps):
+def test_route_equivalence_on_series_branch(K, n, name, diameter):
     # below SERIES_SWITCH both routes read A and B from the origin series; the
     # Jacobi route's s-jets divide by q_0 = |v|^2, so its roundoff grows like
     # eps/|v|^2 relative to the size |u|^2 |w|^2 of the quadratic form
-    cost = preset(name, diameter, eps=eps) if eps else preset(name, diameter)
+    cost = make_cost(name, diameter)
     form = SpaceForm(K, n)
     x = form.canonical_base()
     rng = np.random.default_rng(2000 + 10 * K + n)
@@ -337,13 +337,12 @@ def _five_term_reference(cost, K, u, v, w):
 
 
 @pytest.mark.parametrize("length", [1e-6, 1e-8, 1e-10, 1e-14])
-@pytest.mark.parametrize("K,name,D,eps", [(-1, "neg-cosh", 2.0, None),
-                                          (0, "quartic", 1.0, 1e-3),
-                                          (1, "neg-log1p-cos", 2.5, None)])
-def test_closed_route_keeps_its_digits_at_small_v(K, name, D, eps, length):
+@pytest.mark.parametrize("K,name,D", [(-1, "neg-cosh", 2.0), (0, "quartic(0.001)", 1.0),
+                                      (1, "neg-log1p-cos", 2.5)])
+def test_closed_route_keeps_its_digits_at_small_v(K, name, D, length):
     # the (A - B)/z^2 term cancels to roundoff as |v| -> 0; the closed route
     # must still match the 50-digit five-term formula
-    cost = preset(name, D, eps=eps) if eps else preset(name, D)
+    cost = make_cost(name, D)
     form = SpaceForm(K, 2)
     u, v, w = [1.0, 0.0], [length, 0.0], [0.6, 0.8]
     ref = _five_term_reference(cost, K, u, v, w)
@@ -352,14 +351,14 @@ def test_closed_route_keeps_its_digits_at_small_v(K, name, D, eps, length):
     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (got, float(ref))
 
 
-@pytest.mark.parametrize("name,K,D,eps", CANONICAL_CASES)
-def test_series_branch_preset_matches_expression_text(name, K, D, eps):
+@pytest.mark.parametrize("name,K,D", CANONICAL_CASES)
+def test_series_branch_preset_matches_expression_text(name, K, D):
     # below SERIES_SWITCH the profiles are the origin series evaluated at
     # h(z), so they carry the residual of the Newton inverse of l' that the
     # expression text uses, against the preset's analytic inverse.  The
     # closed formula adds its own roundoff: one ulp of A or B in its term
     # 2(A - B)/z^2 is about 2e-16/z^2 relative to |u|^2 |w|^2
-    cost = preset(name, D, eps)
+    cost = make_cost(name, D)
     text = make_cost(cost.text, D)
     form = SpaceForm(K, 3)
     x = form.canonical_base()
@@ -378,7 +377,7 @@ def test_orthogonal_reduction_matches_coefficients():
     # for <u,w> = 0 the closed formula collapses to
     # -(3/2)[alpha|u0|^2|w0|^2 + beta|u0|^2|w1|^2 + gamma|u1|^2|w0|^2 + delta|u1|^2|w1|^2]
     for name, K, D in [("neg-cosh", -1, 2.0), ("neg-log1p-cos", 1, 2.5)]:
-        cost = preset(name, D)
+        cost = make_cost(name, D)
         form = SpaceForm(K, 3)
         x = form.canonical_base()
         rng = np.random.default_rng(13)
@@ -402,7 +401,7 @@ def test_base_point_invariance_via_transport():
     # moving the whole configuration by parallel transport along a geodesic
     # is an isometry, so the curvature value must not change; agreement of
     # the oracle is limited by its stencil roundoff floor
-    cost = preset("neg-log1p-cosh", 2.0)
+    cost = make_cost("neg-log1p-cosh", 2.0)
     form = SpaceForm(-1, 3)
     rng = np.random.default_rng(19)
     x = form.canonical_base()
@@ -421,7 +420,7 @@ def test_base_point_invariance_via_transport():
 
 
 def test_vectorized_profile_matches_scalar():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     zs = np.linspace(0.0, cost.zmax, 50)
     prof = coefficient_arrays(cost, -1, zs)
     for i in (0, 1, 17, 49):
@@ -464,8 +463,8 @@ def test_revert_matches_sympy_reversion(w1_sign):
             assert abs(value - ref) <= 1e-13 * abs(ref), (w, n, value, ref)
 
 
-_REFERENCE_CASES = [(text, K, D) for name, K, D, eps in CANONICAL_CASES
-                    for text in (preset(name, D, eps).name, preset(name, D, eps).text)]
+_REFERENCE_CASES = [(text, K, D) for name, K, D in CANONICAL_CASES
+                    for text in (name, make_cost(name, D).text)]
 _REFERENCE_CASES += SMALL_LPP_CASES
 
 
@@ -531,12 +530,12 @@ def test_eval_all_makes_one_profiles_call(capsys, monkeypatch, length, method, e
 
 
 @pytest.mark.parametrize("newton", [False, True], ids=["analytic", "newton"])
-@pytest.mark.parametrize("name,K,D,eps", CANONICAL_CASES)
-def test_profiles_on_a_scalar_match_a_length_one_array(name, K, D, eps, newton):
+@pytest.mark.parametrize("name,K,D", CANONICAL_CASES)
+def test_profiles_on_a_scalar_match_a_length_one_array(name, K, D, newton):
     # profile_row passes its scalar z to _profiles: every quantity must be
     # bitwise the one of np.array([z]), on both branches, for the analytic
     # inverse of each preset and for the Newton inverse of its expression
-    cost = preset(name, D, eps)
+    cost = make_cost(name, D)
     if newton:
         cost = make_cost(cost.text, D)
     for z in (0.0, 0.3 * SERIES_SWITCH, SERIES_SWITCH, 0.01, 0.37 * cost.zmax, cost.zmax):

@@ -82,6 +82,18 @@ def test_fractional_exponent_rejected():
         parse_cost("z^2.5")
 
 
+def test_exponent_beyond_int64_rejected():
+    # int() refuses over 4,300 digits, and float() an int of over 308
+    for digits in ("9223372036854775808", "1" + "0" * 4000, "1" + "0" * 4300):
+        for sign in ("", "-"):
+            with pytest.raises(ParseError, match="exponent beyond 9223372036854775807") as err:
+                parse_cost(f"2*z^{sign}{digits}")
+            assert err.value.offset == 4 + len(sign)
+    # at the bound, and with leading zeros below it
+    assert parse_cost("z^-9223372036854775807") == Pow(Var(), -(2**63 - 1))
+    assert parse_cost("z^" + "0" * 5000 + "2") == Pow(Var(), 2)
+
+
 def test_empty_expression_rejected():
     with pytest.raises(ParseError):
         parse_cost("   ")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import CANONICAL_CASES, model_violation
 
-from mtwcheck import SpaceForm, cost_exp, make_cost, minus_grad_x_cost, preset
+from mtwcheck import SpaceForm, cost_exp, make_cost, minus_grad_x_cost
 from mtwcheck.errors import InputError
 from mtwcheck.geometry import MIN_SPEED, orthonormal_tangent_frame
 
@@ -118,7 +118,7 @@ def test_distance_to_self_and_zero_log():
 def test_log_of_a_point_to_itself_is_exactly_zero(K, cost):
     # at y = x the pairing can round across 1, so that distance(x, x) reads
     # up to 4e-8; log_map, the gradient and the transport must still see y = x
-    form, cost = SpaceForm(K, 3), preset(cost, 2.0)
+    form, cost = SpaceForm(K, 3), make_cost(cost, 2.0)
     points, vectors = np.random.default_rng(0), np.random.default_rng(1)
     for _ in range(200):
         x = form.random_point(points)
@@ -248,7 +248,7 @@ def test_orthonormal_frame():
 
 
 def test_cost_exp_identity_for_sq():
-    cost = preset("sq", 2.0)
+    cost = make_cost("sq", 2.0)
     rng = np.random.default_rng(41)
     for form in FORMS:
         x = form.random_point(rng)
@@ -260,7 +260,7 @@ def test_cost_exp_identity_for_sq():
 
 def test_cost_exp_neg_cosh_reverses_direction():
     # h(sinh 1) = -1, so the cost exponential walks distance 1 backwards
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     apex = form.canonical_base()
     v = form.frame_tangent([np.sinh(1.0), 0.0, 0.0])
@@ -271,7 +271,7 @@ def test_cost_exp_neg_cosh_reverses_direction():
 
 
 def test_cost_exp_zero_vector_limit():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     apex = form.canonical_base()
     v = form.frame_tangent([1e-12, 0.0, 0.0])
@@ -296,9 +296,9 @@ def test_cost_exp_moves_by_h_of_a_tiny_tangent(length):
     assert moved > 3e-4 and abs(moved - float(h)) <= 1e-12 * float(h)
 
 
-@pytest.mark.parametrize("name,K,diameter,eps", CANONICAL_CASES)
-def test_cost_exp_gradient_roundtrip(name, K, diameter, eps):
-    cost = preset(name, diameter, eps=eps) if eps else preset(name, diameter)
+@pytest.mark.parametrize("name,K,diameter", CANONICAL_CASES)
+def test_cost_exp_gradient_roundtrip(name, K, diameter):
+    cost = make_cost(name, diameter)
     form = SpaceForm(K, 3)
     rng = np.random.default_rng(43)
     for _ in range(100):

@@ -5,7 +5,7 @@ import pytest
 from helpers import central_derivative
 
 from mtwcheck import (SpaceForm, eval_cost_jet, jacobi_residual, mtw_closed, mtw_definitional,
-                      preset, profile_row)
+                      profile_row)
 from mtwcheck.costs import make_cost
 from mtwcheck.errors import InputError
 from mtwcheck.oracle import STENCIL_STEP, _mixed_second_differences, _s_step
@@ -23,7 +23,7 @@ def test_definitional_flat_zero():
     # F is exactly quadratic in each perturbation here, so the stencil has no
     # truncation error at all; at the largest step the 1/h^4 roundoff
     # amplification is mild and the value sits below 1e-8
-    cost = preset("sq", 5.0)
+    cost = make_cost("sq", 5.0)
     form = SpaceForm(0, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(2)
@@ -37,7 +37,7 @@ def test_definitional_flat_zero():
 
 
 def test_definitional_matches_closed_neg_cosh():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(101)
@@ -51,7 +51,7 @@ def test_definitional_matches_closed_neg_cosh():
 
 
 def test_definitional_zero_w():
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     u = form.frame_tangent([1.0, 0.0, 0.0])
@@ -61,7 +61,7 @@ def test_definitional_zero_w():
 
 
 def test_definitional_even_in_perturbations():
-    cost = preset("neg-log1p-cosh", 2.0)
+    cost = make_cost("neg-log1p-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(103)
@@ -78,7 +78,7 @@ def test_definitional_even_in_perturbations():
 
 def test_definitional_step_convergence():
     # halving both steps must shrink the error by at least a factor 3
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(107)
@@ -107,7 +107,7 @@ def test_definitional_on_long_and_short_vectors(name, K, u, w):
     # unscaled, at fixed steps in t and s, |u| = 5e4 reads -6.28e220, |u| =
     # 1e-5 reads -0, |w| = 1e-5 reads -7.1e-7, and on the sphere t u leaves
     # the injectivity radius
-    cost = preset(name, 2.0)
+    cost = make_cost(name, 2.0)
     form = SpaceForm(K, 2)
     u, v, w = (form.frame_tangent(c) for c in (u, [0.5, 0.0], w))
     closed = mtw_closed(profile_row(cost, form, v), form, u, v, w)
@@ -118,7 +118,7 @@ def test_definitional_on_long_and_short_vectors(name, K, u, w):
 def test_definitional_scaling_is_exact():
     # |u|, |w| in [2^-0.5, 2^2.5) are not scaled; outside, scaling by 2^k
     # only moves the exponent of the result, bit for bit
-    cost = preset("neg-log1p-cosh", 2.0)
+    cost = make_cost("neg-log1p-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(41)
@@ -183,7 +183,7 @@ def test_jacobi_residual_zero_v():
 
 def test_fd_check_against_jet_lprime():
     # l'' from the jets against a finite difference of l'
-    cost = preset("neg-log1p-cos", 2.5)
+    cost = make_cost("neg-log1p-cos", 2.5)
 
     def lprime(z):
         return float(cost.lprime(z))
@@ -196,7 +196,7 @@ def test_fd_check_against_jet_lprime():
 def test_s_step_is_the_stencil_step_where_that_fits():
     # every input whose 1e-2 stencil stays in the range of l' keeps that step
     # bitwise, so the golden oracle values do not move
-    cost = preset("neg-cosh", 2.0)
+    cost = make_cost("neg-cosh", 2.0)
     form = SpaceForm(-1, 3)
     x = form.canonical_base()
     rng = np.random.default_rng(18)
@@ -225,7 +225,7 @@ def test_s_step_shrinks_on_a_small_lprime_range():
 
 def test_shrunk_s_step_agrees_with_the_closed_route():
     # a curved space at D = 0.01: |v| = 5e-3 leaves a step of 2.5e-3 in s
-    cost = preset("neg-cosh", 0.01)
+    cost = make_cost("neg-cosh", 0.01)
     form = SpaceForm(-1, 2)
     x = form.canonical_base()
     u, v, w = (form.frame_tangent(c) for c in ([1.0, 0.0], [3e-3, 4e-3], [0.6, 0.8]))
@@ -244,9 +244,9 @@ def test_oracle_agrees_just_inside_the_lprime_range():
     # floor on the step would not do: a small range needs smaller steps
     # (test_s_step_shrinks_on_a_small_lprime_range)
     errors = {}
-    for name, K, D, eps in [("sq", 0, 2.0, None), ("neg-cosh", -1, 1.0, None),
-                            ("quartic", 0, 1.0, 1e-3), ("neg-log1p-cos", 1, 2.5, None)]:
-        cost = preset(name, D, eps)
+    for name, K, D in [("sq", 0, 2.0), ("neg-cosh", -1, 1.0), ("quartic(0.001)", 0, 1.0),
+                       ("neg-log1p-cos", 1, 2.5)]:
+        cost = make_cost(name, D)
         form = SpaceForm(K, 2)
         u, v, w = (form.frame_tangent(c)
                    for c in ([1.0, 0.3], [0.0, cost.zmax * (1.0 - 1e-5)], [0.6, 0.8]))
@@ -265,7 +265,7 @@ def test_s_step_without_room_names_v_w_and_the_range():
         _s_step(cost, form, v, w)
     # a step that fits, (|l'(D)| - |v|) / (2 |w|) = 8.8e-154, is too small
     # for the stencil's divisor (ht hs)^2, a subnormal float
-    cost, form = preset("neg-cosh", 1.0), SpaceForm(-1, 2)
+    cost, form = make_cost("neg-cosh", 1.0), SpaceForm(-1, 2)
     v, w = form.frame_tangent([0.0, 1.0]), form.frame_tangent([0.0, 1e152])
     with pytest.raises(InputError, match=r"\|v\| = 1\.0, \|w\| = 1e\+152"):
         _s_step(cost, form, v, w)

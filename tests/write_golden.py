@@ -30,7 +30,7 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "perfbench")]
 from helpers import CANONICAL_CASES, cli_report  # noqa: E402
 from workloads import routes  # noqa: E402
 
-from mtwcheck import preset  # noqa: E402
+from mtwcheck import make_cost  # noqa: E402
 
 FIXTURE = os.path.join(HERE, "golden_outputs.json")
 GRIDS = (4096, 65536)
@@ -40,9 +40,8 @@ GOLDEN_SEED = 20261018
 
 def check_argvs():
     out = []
-    for name, K, D, eps in CANONICAL_CASES:
-        cost = preset(name, D, eps)
-        for text in (cost.name, cost.text):
+    for name, K, D in CANONICAL_CASES:
+        for text in (name, make_cost(name, D).text):
             for grid in GRIDS:
                 for n in DIMENSIONS:
                     out.append(["check", f"--cost={text}", "--K", str(K), "--dim", str(n),
