@@ -281,6 +281,20 @@ def test_construction_derives_the_expression(text):
     assert twin == cost and hash(twin) == hash(cost)
 
 
+def test_unknown_preset():
+    # a name that is no preset is parsed as an expression, which refuses it
+    with pytest.raises(InputError, match=r"unknown name 'does' \(at offset 0\)"):
+        make_cost("does-not-exist", 1.0)
+
+
+def test_eps_rejected_outside_the_quartic_preset():
+    # only the quartic takes an eps; another preset name with one is refused
+    with pytest.raises(InputError, match=r"unknown name 'neg' \(at offset 0\)"):
+        make_cost("neg-cosh(0.001)", 2.0)
+    with pytest.raises(InputError, match=r"unknown name 'sq' \(at offset 0\)"):
+        make_cost("sq(0.001)", 2.0)
+
+
 def test_zmax_evaluated_once(monkeypatch):
     calls = []
 
