@@ -176,13 +176,13 @@ def scan_conditions(cost, K, dimension, grid_points=4096, on_chunk=None):
     for z in _grid_chunks(0.0, cost.zmax, grid_points):
         prof = coefficient_arrays(cost, K, z)
         for name in ("alpha", "beta", "gamma", "delta"):
-            if not np.all(np.isfinite(prof[name])):
+            if not np.isfinite(prof[name]).all():
                 raise NumericError(f"non-finite {name} encountered during the scan")
         c = classify(prof["alpha"], prof["beta"], prof["gamma"], prof["delta"], dimension,
                      band=prof["band"])
 
-        weak = weak and bool(np.all(c.weak))
-        strict = strict and bool(np.all(c.strict))
+        weak = weak and bool(c.weak.all())
+        strict = strict and bool(c.strict.all())
         chunk_mins = {name: np.min(col) for name, col in [*c.slacks.items(), ("combo", c.combo)]}
         for name, value in chunk_mins.items():
             min_slacks[name] = np.minimum(min_slacks.get(name, value), value)
@@ -236,11 +236,11 @@ def perturbation_check(f, k, b, grid_points=1024):
         lhs1 = fpp
         lhs2 = (z * z * fppp - z * fpp + 2.0 * fp) / z
         not_finite = ~(np.isfinite(lhs1) & np.isfinite(lhs2))
-        if np.any(not_finite):
+        if not_finite.any():
             raise NumericError(f"non-finite perturbation LHS at z = "
                                f"{float(z[not_finite][0])!r}")
         bad = (lhs1 >= k) | (lhs2 >= k)
         worst = np.maximum(worst, np.max(np.maximum(lhs1, lhs2)))
-        if witness is None and np.any(bad):
+        if witness is None and bad.any():
             witness = float(z[bad][0])
     return PerturbationResult(witness is None, witness, float(worst))

@@ -9,8 +9,9 @@ exception by Python base class: ValueError (errors.InputError among them) or
 OSError to 2, ArithmeticError (errors.NumericError, OverflowError) to 3.
 
 The process has one argument parser, PARSER, built at import; parsing leaves
-it unchanged.  Calls to main share only the heap policy that _hold_heap
-sets after a check.
+it unchanged.  A command line that starts with a subcommand goes straight
+to that subcommand's parser, one of PARSER's own, with PARSER's output.
+Calls to main share only the heap policy that _hold_heap sets after a check.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _parse_vector(text, what):
         vec = np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError:
         raise InputError(f"{what} must be comma-separated numbers, got {text!r}") from None
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise InputError(f"{what} must have finite components, got {text!r}")
     return vec
 
@@ -260,6 +261,9 @@ def build_parser():
 
 
 PARSER = build_parser()
+# The subcommand parsers by name, as PARSER's subparsers action holds them.
+_SUBCOMMANDS = next(action.choices for action in PARSER._actions
+                    if isinstance(action, argparse._SubParsersAction))
 
 
 # Options whose values may start with "-" (costs such as -cosh(z), vectors
@@ -283,9 +287,25 @@ def _attach_dash_values(argv):
     return out
 
 
+def _parse(argv):
+    """PARSER.parse_args(argv), with the same namespace, output and exit.
+
+    Where argv starts with a subcommand, its parser reads the rest directly,
+    which is what PARSER hands it, and the arguments it leaves are refused
+    as PARSER refuses them; this skips PARSER's own pass over every token.
+    """
+    subparser = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if subparser is None:
+        return PARSER.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extras:
+        PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None):
     """Run one command line (sys.argv[1:] when argv is None); return its exit code."""
-    args = PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         # every non-finite value a command reports is checked where it is
         # computed, so numpy's warnings would only repeat the error message

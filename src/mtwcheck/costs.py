@@ -125,13 +125,15 @@ def _check_admissibility(cost):
         raise AdmissibilityError("not-even", 0.0)
     sign = 1 if jet0[2] >= 0.0 else -1
     zs = np.linspace(cost.diameter / 8.0, cost.diameter, 8)
+    # l at zs and -zs in one call; a cost without z gives one float for all
+    lz = np.empty(16)
     # where l is undefined numpy gives nan, which passes here; the jet check
     # below names the first such point, so numpy's warning is not wanted
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        lz = cost(zs)
-        diff = np.abs(lz - cost(-zs))
-    bad = diff > 1e-12 * np.maximum(1.0, np.abs(lz))
-    if np.any(bad):
+        lz[:] = cost(np.concatenate((zs, -zs)))
+        diff = np.abs(lz[:8] - lz[8:])
+    bad = diff > 1e-12 * np.maximum(1.0, np.abs(lz[:8]))
+    if bad.any():
         raise AdmissibilityError("not-even", float(zs[bad][0]))
 
     grid = np.linspace(0.0, cost.diameter, 256)
@@ -139,27 +141,39 @@ def _check_admissibility(cost):
     # an overflow is reported below, not warned of
     with np.errstate(over="ignore", invalid="ignore"):
         lprime, lpp = derivative_arrays(cost, grid, 2)
+        # one test of the union of the four kinds that _raise_first_violation
+        # tells apart: l' and l'' finite, sign * l'' above SIGN_TOL * scale
+        # (neither near zero nor of the wrong sign), sign * l' not dropping
+        rising = sign * lprime
+        admissible = np.isfinite(lprime) & np.isfinite(lpp) & (sign * lpp > SIGN_TOL * scale)
+        admissible[1:] &= rising[1:] >= rising[:-1]
+    if not admissible.all():
+        _raise_first_violation(grid, lprime, lpp, sign, scale)
+    return sign, lprime[-1]
+
+
+def _raise_first_violation(grid, lprime, lpp, sign, scale):
+    """Raise AdmissibilityError for the first kind of violation that the
+    grid shows, in this order, at its first grid point."""
     not_finite = ~(np.isfinite(lprime) & np.isfinite(lpp))
-    if np.any(not_finite):
+    if not_finite.any():
         raise AdmissibilityError("not-finite", float(grid[not_finite][0]))
     near_zero = np.abs(lpp) <= SIGN_TOL * scale
-    if np.any(near_zero):
+    if near_zero.any():
         raise AdmissibilityError("lpp-zero", float(grid[near_zero][0]))
     wrong_sign = lpp * sign < 0.0
-    if np.any(wrong_sign):
+    if wrong_sign.any():
         raise AdmissibilityError("lpp-sign-change", float(grid[wrong_sign][0]))
     # sign * l'' > 0 makes sign * l' increase, so a drop between two samples
     # is a pole or a sign change of l'' that the samples missed
     drops = np.diff(sign * lprime) < 0.0
-    if np.any(drops):
-        raise AdmissibilityError("lprime-not-monotone", float(grid[:-1][drops][0]))
-    return sign, lprime[-1]
+    raise AdmissibilityError("lprime-not-monotone", float(grid[:-1][drops][0]))
 
 
 def in_lprime_range(cost, y):
     """Whether every |y| is at most |l'(D)|, up to roundoff: where
     inverse_lprime accepts y."""
-    return not np.any(np.abs(y) > cost.zmax * (1.0 + 1e-9) + 1e-15)
+    return not (np.abs(y) > cost.zmax * (1.0 + 1e-9) + 1e-15).any()
 
 
 def inverse_lprime(cost, y):
@@ -200,7 +214,7 @@ def _newton_inverse(cost, targets):
         lprime, lpp = derivative_arrays(cost, x, 2)
         f = cost.lprime_sign * lprime - targets
         done = np.abs(f) <= tol
-        if np.all(done):
+        if done.all():
             break
         hi = np.where(f > 0.0, x, hi)
         lo = np.where(f <= 0.0, x, lo)
@@ -212,7 +226,7 @@ def _newton_inverse(cost, targets):
         x = np.where(done, x, np.where(inside, candidate, 0.5 * (lo + hi)))
     else:
         final = cost.lprime_sign * derivative_arrays(cost, x, 1)[0]
-        if np.any(np.abs(final - targets) > 1e-12 * np.maximum(1.0, targets)):
+        if (np.abs(final - targets) > 1e-12 * np.maximum(1.0, targets)).any():
             raise NumericError("Newton inverse of l' did not converge")
     return x
 

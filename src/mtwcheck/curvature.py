@@ -221,19 +221,19 @@ def _profiles(cost, K, z):
         raise InputError(f"curvature must be -1, 0, or +1, got {K!r}")
     check_sphere_diameter(K, cost.diameter)
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
+    if (z < 0.0).any():
         raise InputError("profile arguments must be nonnegative")
     h0 = np.asarray(inverse_lprime(cost, z))
     limit = SERIES_SWITCH
     small = z < limit
-    if np.any(small):
+    if small.any():
         # only here, so that no z above SERIES_SWITCH builds the series
         series, limit = _origin_series(cost, K)
         small = z < limit
-    if not np.any(small):
+    if not small.any():
         return _direct_profiles(cost, K, h0), limit
     hs = h0[small]
-    if np.all(small):
+    if small.all():
         out = {key: np.empty_like(z) for key in series}
     else:
         # the direct branch on the whole array, each series point standing

@@ -9,7 +9,9 @@ Points and tangent vectors are float64 arrays of ambient coordinates.  A
 tangent vector does not carry its base point: every map that needs one
 takes it as an argument, as in exp_map(x, v).  SpaceForm.point and
 SpaceForm.tangent check outside input against the model constraints and
-return the array.
+return the array.  SpaceForm.distance and cost_exp also take stacks of
+points or tangent vectors, as the rows of 2-d arrays, with the bits of one
+call per row.
 """
 
 from __future__ import annotations
@@ -124,10 +126,31 @@ class SpaceForm:
         return cos(r) * x + sin(r) * (v / r)
 
     def distance(self, x, y):
-        """Geodesic distance from ambient inner products."""
+        """Geodesic distance from ambient inner products.
+
+        x and y are points, or stacks of points as the rows of 2-d arrays;
+        for stacks the result is the array of distances from each row of x
+        to each row of y.  Each inner product, or at K = 0 each squared
+        difference, is one BLAS dot, as np.dot or np.linalg.norm takes it
+        for a single pair, so every entry has that pair's bits; a matrix
+        product would sum in another order on some BLAS kernels.  A clamp
+        failure names the first pair in row-major order.
+        """
+        xs, ys = np.atleast_2d(x), np.atleast_2d(y)
         if self.curvature == 0:
-            return float(np.linalg.norm(y - x))
-        c = self.inner(x, y)
+            diffs = ys[None, :, :] - xs[:, None, :]
+            squares = (diffs[..., None, :] @ diffs[..., :, None]).ravel().tolist()
+            out = [math.sqrt(s) for s in squares]
+        elif self.curvature == 1:
+            out = [self._arc(c) for c in _row_dots(xs, ys).ravel().tolist()]
+        else:
+            pairings = _row_dots(xs[:, :-1], ys[:, :-1]) - xs[:, -1, None] * ys[None, :, -1]
+            out = [self._arc(c) for c in pairings.ravel().tolist()]
+        return out[0] if np.ndim(x) == np.ndim(y) == 1 else np.array(out).reshape(len(xs), len(ys))
+
+    def _arc(self, c):
+        """The distance whose cos_K is the inner product c of two points of a
+        curved model, after a clamp check of c."""
         if self.curvature == 1:
             if abs(c) > 1.0 + CLAMP_SLACK:
                 raise InputError(f"sphere inner product {c} outside [-1, 1]")
@@ -212,16 +235,28 @@ class SpaceForm:
         return v
 
 
+def _row_dots(a, b):
+    """np.dot of each row of a with each row of b, as an array of shape
+    (len(a), len(b)): one stacked product of a row by a column per pair,
+    which numpy hands to the BLAS dot."""
+    return (a[:, None, None, :] @ b[None, :, :, None])[:, :, 0, 0]
+
+
 def cost_exp(cost, form, x, v):
     """Cost exponential at x: exp of v rescaled to length |h(|v|)|, sign of h.
 
-    The zero tangent maps to x (h(0) = 0); exp_map's own ZERO_TANGENT test
-    acts on the rescaled vector, whose length is |h(|v|)|, not |v|.
+    v is a tangent vector at x, or a stack of them as the rows of a 2-d
+    array, whose images are the rows of the result; h of every row's length
+    comes from one inverse_lprime call, and exp_map runs per row.  The zero
+    tangent maps to x (h(0) = 0); exp_map's own ZERO_TANGENT test acts on
+    the rescaled vector, whose length is |h(|v|)|, not |v|.
     """
-    s = form.norm(v)
-    if s == 0.0:
-        return x.copy()
-    return form.exp_map(x, v * (inverse_lprime(cost, s) / s))
+    rows = np.atleast_2d(v)
+    lengths = [form.norm(row) for row in rows]
+    inverses = inverse_lprime(cost, np.array(lengths)).tolist()
+    images = [x.copy() if s == 0.0 else form.exp_map(x, row * (h / s))
+              for row, s, h in zip(rows, lengths, inverses)]
+    return images[0] if np.ndim(v) == 1 else np.array(images)
 
 
 def minus_grad_x_cost(cost, form, x, y):

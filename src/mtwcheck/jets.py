@@ -131,7 +131,7 @@ class Jet:
         a = self.coeffs
         is_jet = isinstance(other, Jet)
         b0 = other.coeffs[0] if is_jet else other
-        if np.any(np.asarray(b0) == 0.0):
+        if (np.asarray(b0) == 0.0).any():
             raise DomainError("division by a jet with zero constant term")
         if not is_jet:
             return Jet(tuple(c / other for c in a))
@@ -204,7 +204,7 @@ def _cauchy(a, b, orders):
 
 def _check_domain(name, bad_mask, values):
     bad_mask = np.asarray(bad_mask)
-    if np.any(bad_mask):
+    if bad_mask.any():
         vals = np.asarray(values)
         offending = float(vals[bad_mask][0]) if vals.ndim else float(vals)
         raise DomainError(f"{name} evaluated outside its domain at {offending}")

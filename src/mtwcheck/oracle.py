@@ -49,16 +49,22 @@ def _s_step(cost, form, v, w):
 
 
 def _mixed_second_differences(cost, form, x, u, v, w, ht, hs):
-    """(d^2/dt^2)(d^2/ds^2) F at 0 via the 3x3 product of central stencils."""
-    targets = [cost_exp(cost, form, x, v + (j * hs) * w) for j in (-1, 0, 1)]
+    """(d^2/dt^2)(d^2/ds^2) F at 0 via the 3x3 product of central stencils.
+
+    F is l of the distance from exp_x(i ht u) to cost-exp_x(v + j hs w), for
+    i, j in (-1, 0, 1): the three targets come from one cost_exp call, the
+    nine distances from one distance call and their l from one call of the
+    cost.  The weighted sum runs pair by pair, i outer and j inner.
+    """
+    targets = cost_exp(cost, form, x, np.array([v + (j * hs) * w for j in (-1, 0, 1)]))
+    starts = np.array([form.exp_map(x, u * (i * ht)) for i in (-1, 0, 1)])
+    values = cost(form.distance(starts, targets))
+    if not np.isfinite(values).all():
+        raise NumericError("stencil produced a non-finite cost value")
     weights = (1.0, -2.0, 1.0)
     acc = 0.0
-    for i, wi in zip((-1, 0, 1), weights):
-        xi = form.exp_map(x, u * (i * ht))
-        for y, wj in zip(targets, weights):
-            value = float(cost(form.distance(xi, y)))
-            if not np.isfinite(value):
-                raise NumericError("stencil produced a non-finite cost value")
+    for wi, row in zip(weights, values.tolist()):
+        for wj, value in zip(weights, row):
             acc += wi * wj * value
     return acc / (ht * ht * hs * hs)
 

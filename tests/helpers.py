@@ -78,6 +78,41 @@ CANONICAL_CASES = [
 SMALL_LPP_CASES = [("1e-6*z^2/2 + z^4", 0, 1.0), ("1e-4*z^2/2 + z^4", 0, 1.0)]
 
 
+def pair_distance(form, x, y):
+    """The geodesic distance of one pair of points from one np.dot, or
+    np.linalg.norm at K = 0: the reference for each entry of
+    SpaceForm.distance on stacks.  The clamp checks are left out."""
+    if form.curvature == 0:
+        return float(np.linalg.norm(y - x))
+    if form.curvature == 1:
+        return math.acos(min(1.0, max(-1.0, float(np.dot(x, y)))))
+    return math.acosh(max(1.0, -float(np.dot(x[:-1], y[:-1]) - x[-1] * y[-1])))
+
+
+def mixed_second_differences_per_point(cost, form, x, u, v, w, ht, hs):
+    """oracle._mixed_second_differences one stencil point at a time: h of
+    one |v + j hs w| per inverse_lprime call, then the cost exponential of
+    that one vector, and per pair of points pair_distance and one call of l
+    on that Python float.  It is the reference for the oracle's bits; the
+    finiteness check, which changes no value, is left out.
+    """
+    targets = []
+    for j in (-1, 0, 1):
+        vj = v + (j * hs) * w
+        s = form.norm(vj)
+        if s == 0.0:
+            targets.append(x.copy())
+        else:
+            targets.append(form.exp_map(x, vj * (inverse_lprime(cost, s) / s)))
+    weights = (1.0, -2.0, 1.0)
+    acc = 0.0
+    for i, wi in zip((-1, 0, 1), weights):
+        xi = form.exp_map(x, u * (i * ht))
+        for y, wj in zip(targets, weights):
+            acc += wi * wj * float(cost(pair_distance(form, xi, y)))
+    return acc / (ht * ht * hs * hs)
+
+
 def cli_report(argv):
     """(exit code, JSON report or None) of one in-process CLI invocation.
 

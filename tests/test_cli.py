@@ -168,6 +168,10 @@ def test_no_state_between_calls(capsys):
 @pytest.mark.parametrize("argv", [
     ["--help"], ["check", "--help"], ["eval", "--help"], ["perturb", "--help"],
     ["presets", "--help"], ["check", "--K", "0", "--dim", "2"], ["nosuch"],
+    # refused by PARSER after the subcommand's parser leaves it over
+    ["check", "--cost=sq", "--K", "0", "--dim", "2", "--strict-margin", "1"],
+    # refused by the subcommand's parser
+    ["check", "--cost=sq", "--K", "5", "--dim", "2"],
 ])
 def test_help_and_usage_match_a_fresh_parser(capsys, argv):
     def outcome(parse):

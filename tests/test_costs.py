@@ -10,6 +10,8 @@ from helpers import CANONICAL_CASES
 from mtwcheck import costs, eval_cost_jet, inverse_lprime, make_cost, parse_cost, scan_conditions
 from mtwcheck.costs import _newton_inverse, _QuarticInverse
 from mtwcheck.errors import AdmissibilityError, InputError, NumericError
+from mtwcheck.expressions import evaluate_jet
+from mtwcheck.jets import Jet
 
 
 def test_sq_admissible():
@@ -70,6 +72,29 @@ def test_pole_between_samples_detected():
         make_cost("log((z^2-1)^2)", 2.2)
     assert err.value.kind == "lprime-not-monotone"
     assert err.value.witness < 1.0 < err.value.witness + 2.2 / 255
+
+
+@pytest.mark.parametrize("text,D,kind,index,wrong_sign_from", [
+    # l'' = 1 - 3z^2 < 0 from z = 1/sqrt(3), where -l' also drops; the last
+    # term's l' and l'' overflow from z = 1.33 on
+    ("z^2/2 - z^4/4 + 1e-300*exp(z^2)^400", 2.0, "not-finite", 169, 74),
+    # l''(0) = 0, and l'' = 12z^2 - 30z^4 < 0 from z = sqrt(2/5)
+    ("z^4 - z^6", 1.0, "lpp-zero", 0, 162),
+])
+def test_first_kind_in_order_wins_where_two_kinds_trip(text, D, kind, index, wrong_sign_from):
+    # the kinds are tried in the order not-finite, lpp-zero,
+    # lpp-sign-change, lprime-not-monotone: the first that the grid shows is
+    # reported at its first point, even where another kind starts earlier
+    grid = np.linspace(0.0, D, 256)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lpp = 2.0 * evaluate_jet(parse_cost(text), Jet.variable(grid, 3)).coeffs[2]
+    # l''(0) >= 0, so l'' has the wrong sign where it is negative
+    assert int(np.argmax(lpp < 0.0)) == wrong_sign_from
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdmissibilityError) as err:
+            make_cost(text, D)
+    assert err.value.kind == kind and err.value.witness == grid[index]
 
 
 def test_constant_cost_rejected():

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from helpers import CANONICAL_CASES, model_violation
+from helpers import CANONICAL_CASES, model_violation, pair_distance
 
-from mtwcheck import SpaceForm, cost_exp, make_cost, minus_grad_x_cost
+from mtwcheck import SpaceForm, cost_exp, inverse_lprime, make_cost, minus_grad_x_cost
 from mtwcheck.errors import InputError
 from mtwcheck.geometry import MIN_SPEED, orthonormal_tangent_frame
 
@@ -245,6 +245,40 @@ def test_orthonormal_frame():
         x = FORMS[0].random_point(rng)
         zero = FORMS[0].tangent(x, np.zeros(FORMS[0].ambient_dimension))
         orthonormal_tangent_frame(FORMS[0], x, first=zero)
+
+
+_COST_OF_K = {-1: ("neg-cosh", 2.0), 0: ("quartic(0.001)", 1.0), 1: ("neg-log1p-cos", 2.5)}
+
+
+@pytest.mark.parametrize("form", FORMS, ids=lambda f: f"K={f.curvature} n={f.dimension}")
+def test_stacks_keep_the_bits_of_each_pair(form):
+    # distance of two stacks is the array of the per-pair distances, with
+    # the bits of one np.dot per pair; cost_exp of a stack of tangents, a
+    # zero one among them, is the array of their images, each from h of its
+    # own length
+    rng = np.random.default_rng(47)
+    xs = np.array([form.random_point(rng) for _ in range(3)])
+    ys = np.array([form.exp_map(xs[0], form.random_tangent(xs[0], rng, unit=True) * t)
+                   for t in (0.3, 1.0, 1.7, 2.2)])
+    table = form.distance(xs, ys)
+    assert table.shape == (3, 4)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            single = form.distance(x, y)
+            assert type(single) is float
+            assert single.hex() == float(table[i, j]).hex() == pair_distance(form, x, y).hex()
+
+    cost = make_cost(*_COST_OF_K[form.curvature])
+    x = xs[0]
+    vs = np.array([form.random_tangent(x, rng, unit=True) * (0.8 * cost.zmax),
+                   np.zeros(form.ambient_dimension),
+                   form.random_tangent(x, rng, unit=True) * (0.1 * cost.zmax)])
+    images = cost_exp(cost, form, x, vs)
+    assert images.shape == vs.shape
+    for v, image in zip(vs, images):
+        s = form.norm(v)
+        want = x if s == 0.0 else form.exp_map(x, v * (inverse_lprime(cost, s) / s))
+        assert np.array_equal(image, want) and np.array_equal(cost_exp(cost, form, x, v), want)
 
 
 def test_cost_exp_identity_for_sq():

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
-from helpers import central_derivative
+from helpers import central_derivative, mixed_second_differences_per_point
 
 from mtwcheck import (SpaceForm, eval_cost_jet, jacobi_residual, mtw_closed, mtw_definitional,
                       profile_row)
 from mtwcheck.costs import make_cost
 from mtwcheck.errors import InputError
-from mtwcheck.oracle import STENCIL_STEP, _mixed_second_differences, _s_step
+from mtwcheck.oracle import (STENCIL_STEP, _mixed_second_differences, _power_of_two_scale,
+                             _s_step)
 
 # the oracle's agreement bound in the routes benchmark workload
 ORACLE_REL_TOL = 5e-3
@@ -17,6 +18,50 @@ ORACLE_REL_TOL = 5e-3
 def _stencil(cost, form, x, u, v, w, step):
     """The definitional value from one stencil at step in t and s, without extrapolation."""
     return -1.5 * _mixed_second_differences(cost, form, x, u, v, w, step, step)
+
+
+def _stencil_inputs():
+    """(label, cost, form, u, v, w): four draws of criterion 3's kind per K
+    and n, an input whose step in s shrinks, and one whose u and w arrive
+    scaled by powers of two, as mtw_definitional passes them."""
+    inputs = []
+    for K, name, D in ((-1, "neg-cosh", 2.0), (0, "quartic(0.001)", 1.0),
+                       (1, "neg-log1p-cos", 2.5)):
+        cost = make_cost(name, D)
+        for n in (2, 3):
+            form = SpaceForm(K, n)
+            x = form.canonical_base()
+            rng = np.random.default_rng(700 + 10 * K + n)
+            for k in range(4):
+                u, w = (form.random_tangent(x, rng, unit=True) for _ in range(2))
+                v = form.random_tangent(x, rng, unit=True) * rng.uniform(0.1, 0.9 * cost.zmax)
+                inputs.append((f"{name} K={K} n={n} #{k}", cost, form, u, v, w))
+    form = SpaceForm(-1, 2)
+    inputs.append(("shrunk s step", make_cost("neg-cosh", 0.01), form,
+                   *(form.frame_tangent(c) for c in ([1.0, 0.0], [3e-3, 4e-3], [0.6, 0.8]))))
+    u, v, w = (form.frame_tangent(c) for c in ([5e4, 0.0], [0.5, 0.0], [0.0, 1e-5]))
+    inputs.append(("u and w scaled", make_cost("neg-cosh", 2.0), form,
+                   np.ldexp(u, -_power_of_two_scale(form, u)), v,
+                   np.ldexp(w, -_power_of_two_scale(form, w))))
+    return inputs
+
+
+_STENCIL_INPUTS = _stencil_inputs()
+
+
+@pytest.mark.parametrize("label,cost,form,u,v,w", _STENCIL_INPUTS,
+                         ids=[item[0] for item in _STENCIL_INPUTS])
+def test_stencil_keeps_the_bits_of_the_per_point_loop(label, cost, form, u, v, w):
+    # the stencil's points run as arrays, and each of its nine distances is
+    # one BLAS dot, as np.dot takes it per pair; a matrix product of the
+    # two stacks sums in another order on some BLAS kernels (Haswell, Zen)
+    x = form.canonical_base()
+    hs = _s_step(cost, form, v, w)
+    assert (hs < STENCIL_STEP) == (label == "shrunk s step")
+    for step_t, step_s in ((STENCIL_STEP, hs), (STENCIL_STEP / 2.0, hs / 2.0)):
+        got = _mixed_second_differences(cost, form, x, u, v, w, step_t, step_s)
+        want = mixed_second_differences_per_point(cost, form, x, u, v, w, step_t, step_s)
+        assert got.hex() == want.hex()
 
 
 def test_definitional_flat_zero():
